@@ -7,7 +7,7 @@ from typing import Any, Iterable
 
 from .truth import TruthInterval
 
-__all__ = ["FileFormatError", "dumps", "check_keys", "load_value", "dump_value"]
+__all__ = ["FileFormatError", "dumps", "check_keys", "load_setting", "load_value", "dump_value"]
 
 
 class FileFormatError(ValueError):
@@ -69,6 +69,22 @@ def check_keys(obj: Any, context: str, required: Iterable[str], optional: Iterab
     unknown = obj.keys() - allowed
     if unknown:
         raise FileFormatError(f"{context}: unknown keys {sorted(unknown)}")
+
+
+def load_setting(data: dict, key: str, *, integer: bool = False) -> Any:
+    """Read an optional numeric setting, or None when ``key`` is absent.
+
+    Booleans, strings, null and (with ``integer``) fractions are rejected,
+    not coerced; the range is left to the consumer (``SolverConfig``).
+    """
+    if key not in data:
+        return None
+    raw = data[key]
+    kinds = (int,) if integer else (int, float)
+    if isinstance(raw, bool) or not isinstance(raw, kinds):
+        expected = "an integer" if integer else "a number"
+        raise FileFormatError(f"{key}: expected {expected}, got {raw!r}")
+    return raw if integer else float(raw)
 
 
 def load_value(raw: Any, context: str, *, interval: bool) -> Any:

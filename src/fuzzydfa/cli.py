@@ -26,11 +26,19 @@ def _emit(obj: Any) -> None:
     sys.stdout.write(_jsonio.dumps(obj) + "\n")
 
 
-def _solver_config(args, file_logic, file_epsilon, file_max_iters) -> SolverConfig:
-    family = LogicFamily.parse(args.logic) if args.logic else (file_logic or LogicFamily.minmax())
-    epsilon = args.epsilon if args.epsilon is not None else (file_epsilon or 1e-6)
-    max_iters = args.max_iters if args.max_iters is not None else (file_max_iters or 100_000)
-    return SolverConfig(family=family, epsilon=epsilon, max_iters=max_iters)
+def _first(*values):
+    return next(v for v in values if v is not None)
+
+
+def _solver_config(args, settings) -> SolverConfig:
+    """Options override the file's settings, which override the defaults.
+    Only an absent value (None) falls through; 0 is checked, not replaced."""
+    logic = LogicFamily.parse(args.logic) if args.logic is not None else settings.logic
+    return SolverConfig(
+        family=_first(logic, LogicFamily.minmax()),
+        epsilon=_first(args.epsilon, settings.epsilon, 1e-6),
+        max_iters=_first(args.max_iters, settings.max_iters, 100_000),
+    )
 
 
 def _fmt3(value) -> str:
@@ -48,7 +56,7 @@ def _cmd_solve(args) -> int:
         for error in report.errors:
             print(f"error: {error}", file=sys.stderr)
         return 1
-    cfg = _solver_config(args, settings.logic, settings.epsilon, settings.max_iters)
+    cfg = _solver_config(args, settings)
     runner = solve_interval if settings.mode == "interval" else solve
     result = runner(graph, cfg)
     if args.trace:
@@ -74,13 +82,8 @@ def _cmd_lcm(args) -> int:
         for error in errors:
             print(f"error: {error}", file=sys.stderr)
         return 1
-    family = LogicFamily.parse(args.logic) if args.logic else (settings.logic or LogicFamily.minmax())
-    cfg = SolverConfig(
-        family=family,
-        epsilon=args.epsilon if args.epsilon is not None else (settings.epsilon or 1e-6),
-        max_iters=args.max_iters if args.max_iters is not None else (settings.max_iters or 100_000),
-    )
-    result = lcm.lcm_pipeline(problem, mode, family, cfg, jobs=args.jobs)
+    cfg = _solver_config(args, settings)
+    result = lcm.lcm_pipeline(problem, mode, cfg.family, cfg)
     if args.pretty:
         _print_lcm_pretty(problem, result, args.motion_threshold)
     else:
@@ -232,7 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--mode", choices=list(lcm.MODES), default=None,
                    help="crisp | fuzzy | interval (default: from the file)")
-    p.add_argument("--jobs", type=int, default=1, help="per-expression parallelism")
     p.add_argument("--motion-threshold", type=float, default=0.95,
                    help="degree above which --pretty reports a motion as plausible")
     p.set_defaults(func=_cmd_lcm)

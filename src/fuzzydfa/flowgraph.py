@@ -233,10 +233,8 @@ def graph_from_json_dict(data: Any) -> tuple[FlowGraph, GraphSettings]:
         if data["mode"] not in ("scalar", "interval"):
             raise FileFormatError(f"mode: expected 'scalar' or 'interval', got {data['mode']!r}")
         settings.mode = data["mode"]
-    if "epsilon" in data:
-        settings.epsilon = float(data["epsilon"])
-    if "max_iters" in data:
-        settings.max_iters = int(data["max_iters"])
+    settings.epsilon = _jsonio.load_setting(data, "epsilon")
+    settings.max_iters = _jsonio.load_setting(data, "max_iters", integer=True)
     interval = settings.mode == "interval"
 
     transfers: dict[str, dict[str, Formula]] = {}

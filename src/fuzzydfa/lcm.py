@@ -12,10 +12,15 @@ fixed points, (2) the pointwise Earliest predicate per edge, (3) the Later
 fixed point over edges, (4) the pointwise Insert (edge gains an evaluation)
 and Delete (block loses one) predicates.
 
-Crisp mode is the classical bit-vector algorithm (greatest fixed points,
-meet = intersection).  Fuzzy and interval modes replace the meet with the
-alpha-weighted average of the flow-graph framework and iterate to epsilon;
-each expression is an independent single-property flow graph.
+One array engine serves every mode.  Values are float arrays of shape
+(rows, exprs, w), with w = 1 for scalars and w = 2 for (lo, hi) intervals,
+and each fixed point is swept over all expressions at once.  The modes
+differ only in what they pass the engine.  Crisp mode is the classical
+bit-vector algorithm: start from top, meet = min, iterate until nothing
+changes, and exact connectives whatever the logic family.  Fuzzy and
+interval modes start from zero, replace the meet with the alpha-weighted
+average of the flow-graph framework, and stop each expression once a sweep
+moves it by less than epsilon.
 
 Boundary conventions (identical in all modes): the entry block's available
 set is just its downward-exposed set, the exit block's anticipated set is
@@ -26,17 +31,14 @@ just its upward-exposed set, and nothing is "later" than the entry
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Sequence, Union
+from typing import Any, Mapping, Sequence, Union
 
 import numpy as np
 
 from . import _jsonio
 from ._jsonio import FileFormatError
-from .flowgraph import Edge, FlowGraph
-from .formula import And, Const, Formula, Not, Or, Var
-from .solver import SolverConfig, solve, solve_interval
+from .solver import SolverConfig
 from .truth import LogicFamily, TruthInterval, truth_value
 
 __all__ = [
@@ -65,8 +67,6 @@ BlockMatrix = dict[str, list[Value]]
 EdgeMatrix = dict[tuple[str, str], list[Value]]
 
 MODES = ("crisp", "fuzzy", "interval")
-
-_IN = Var("In")
 
 
 class WidthMismatchError(ValueError):
@@ -116,6 +116,10 @@ def validate_problem(problem: LcmProblem, mode: str) -> list[str]:
     for endpoint in (problem.entry, problem.exit):
         if endpoint not in blocks:
             errors.append(f"no block {endpoint!r}")
+    # Weight sums per block, accumulated in edge order; a block absent from
+    # a sum has no in-edges (forward) or no out-edges (backward).
+    forward: dict[str, float] = {}
+    backward: dict[str, float] = {}
     seen_edges = set()
     for e in problem.edges:
         if e.src not in blocks or e.dst not in blocks:
@@ -129,22 +133,18 @@ def validate_problem(problem: LcmProblem, mode: str) -> list[str]:
             errors.append(f"edge into entry block: {e.src}->{e.dst}")
         if e.src == problem.exit:
             errors.append(f"edge out of exit block: {e.src}->{e.dst}")
+        forward[e.dst] = forward.get(e.dst, 0) + e.alpha
+        backward[e.src] = backward.get(e.src, 0) + e.alpha_back
 
     for b in problem.blocks:
-        if b != problem.entry and not problem.preds(b):
+        if b != problem.entry and b not in forward:
             errors.append(f"block {b!r} has no predecessors and is not the entry")
-        if b != problem.exit and not problem.succs(b):
+        if b != problem.exit and b not in backward:
             errors.append(f"block {b!r} has no successors and is not the exit")
-        incoming = problem.preds(b)
-        if incoming:
-            total = sum(e.alpha for e in incoming)
-            if abs(total - 1.0) > 1e-9:
-                errors.append(f"forward weights into {b!r} sum to {total!r}")
-        outgoing = problem.succs(b)
-        if outgoing:
-            total = sum(e.alpha_back for e in outgoing)
-            if abs(total - 1.0) > 1e-9:
-                errors.append(f"backward weights out of {b!r} sum to {total!r}")
+        if b in forward and abs(forward[b] - 1.0) > 1e-9:
+            errors.append(f"forward weights into {b!r} sum to {forward[b]!r}")
+        if b in backward and abs(backward[b] - 1.0) > 1e-9:
+            errors.append(f"backward weights out of {b!r} sum to {backward[b]!r}")
 
     width = len(problem.exprs)
     for name, matrix in (("dee", problem.dee), ("uee", problem.uee), ("kill", problem.kill)):
@@ -172,24 +172,6 @@ def _require_valid(problem: LcmProblem, mode: str) -> None:
     errors = validate_problem(problem, mode)
     if errors:
         raise ValueError("invalid LCM problem: " + "; ".join(errors))
-
-
-# -- pointwise connectives per mode -------------------------------------------
-
-
-class _Pointwise:
-    def __init__(self, mode: str, family: LogicFamily):
-        self.mode = mode
-        if mode == "interval":
-            self.conj = family.interval_tnorm
-            self.disj = family.interval_snorm
-            self.neg = family.interval_cnorm
-            self.lift = lambda v: v if isinstance(v, TruthInterval) else TruthInterval.degenerate(v)
-        else:
-            self.conj = family.tnorm
-            self.disj = family.snorm
-            self.neg = family.cnorm
-            self.lift = float
 
 
 # -- stage results -------------------------------------------------------------
@@ -251,274 +233,224 @@ class LcmResult:
         }
 
 
-# -- soft (fuzzy / interval) engine --------------------------------------------
-#
-# Each fixed point is encoded as a two-layer flow graph: per block a merge
-# node computes the weighted average of its inputs (identity transfer), and
-# the block node applies the transfer formula to the merge value.  This
-# places the average inside the formula, the shape the per-block equation
-# systems take when written out.
+# -- connectives on (..., w) arrays ----------------------------------------------
 
 
-def _to_const(value: Value, mode: str) -> Const:
-    if mode == "interval":
-        return Const(value if isinstance(value, TruthInterval) else TruthInterval.degenerate(value))
-    return Const(float(value))
+def _array_tnorm(family: LogicFamily):
+    kind = family.kind
+    if kind == "minmax":
+        return np.minimum
+    if kind == "product":
+        return np.multiply
+    if kind == "lukasiewicz":
+        return lambda x, y: np.maximum(x + y - 1.0, 0.0)
+    if kind == "nilpotent":
+        return lambda x, y: np.where(x + y > 1.0, np.minimum(x, y), 0.0)
+    # Frank: numpy's expm1/log1p round differently from math's, so go
+    # through the scalar T-norm element by element.
+    scalar = np.frompyfunc(family.tnorm, 2, 1)
+    return lambda x, y: scalar(x, y).astype(float)
 
 
-def _run(graph: FlowGraph, mode: str, family: LogicFamily, cfg: SolverConfig | None):
-    if cfg is None or cfg.family != family:
-        cfg = SolverConfig(
-            family=family,
-            epsilon=cfg.epsilon if cfg else 1e-6,
-            max_iters=cfg.max_iters if cfg else 100_000,
-            quantize_bits=cfg.quantize_bits if cfg else None,
-        )
-    runner = solve_interval if mode == "interval" else solve
-    return runner(graph, cfg)
+class _Logic:
+    """A logic family's connectives on the last axis: one value (w = 1) or
+    a (lo, hi) pair (w = 2).  The complement reverses a pair; the T-norm
+    works endpoint-wise and re-sorts the pair against rounding, as
+    ``LogicFamily.interval_tnorm`` does."""
+
+    def __init__(self, family: LogicFamily, width: int):
+        self.width = width
+        self._tnorm = _array_tnorm(family)
+
+    def conj(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = self._tnorm(x, y)
+        return np.sort(out, axis=-1) if self.width == 2 else out
+
+    @staticmethod
+    def neg(x: np.ndarray) -> np.ndarray:
+        return 1.0 - x[..., ::-1]
+
+    def disj(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self.neg(self.conj(self.neg(x), self.neg(y)))
 
 
-def _zero(mode: str) -> Value:
-    return TruthInterval(0.0, 0.0) if mode == "interval" else 0.0
+def _logic(mode: str, family: LogicFamily) -> _Logic:
+    if mode == "crisp":
+        # min and 1-x are exact on 0/1; some families are not (Frank's
+        # T(1, 1) rounds below 1 for small s).
+        return _Logic(LogicFamily.minmax(), 1)
+    return _Logic(family, 2 if mode == "interval" else 1)
 
 
-def _flow_fixpoint(
-    problem: LcmProblem,
-    expr_index: int,
-    mode: str,
-    family: LogicFamily,
-    cfg: SolverConfig | None,
-    *,
-    backward: bool,
-    local: BlockMatrix,
-) -> tuple[dict[str, Value], bool]:
-    """Per-block fixed point of ``local(b) | (merge(b) & !kill(b))``.
-
-    Forward: merge over predecessors with the forward weights, boundary at
-    the entry.  Backward: merge over successors with the backward weights,
-    boundary at the exit.
-    """
-    boundary = problem.exit if backward else problem.entry
-    transfers: dict[str, dict[str, Formula]] = {}
-    edges: list[Edge] = []
-    for b in problem.blocks:
-        gen = _to_const(local[b][expr_index], mode)
-        keep = Not(_to_const(problem.kill[b][expr_index], mode))
-        transfers[b] = {"Out": Or(gen, And(_IN, keep))}
-        transfers[f"merge:{b}"] = {"Out": _IN}
-        edges.append(Edge(f"merge:{b}", b, 1.0))
-    for e in problem.edges:
-        if backward:
-            edges.append(Edge(e.dst, f"merge:{e.src}", e.alpha_back))
-        else:
-            edges.append(Edge(e.src, f"merge:{e.dst}", e.alpha))
-    graph = FlowGraph(
-        transfers=transfers,
-        edges=edges,
-        start=f"merge:{boundary}",
-        seeds={f"merge:{boundary}": {"Out": _zero(mode)}},
-    )
-    report = _run(graph, mode, family, cfg)
-    return {b: report.final[b]["Out"] for b in problem.blocks}, report.converged
-
-
-def _merge_forward(problem: LcmProblem, out: dict[str, Value], mode: str) -> dict[str, Value]:
-    merged = {}
-    for b in problem.blocks:
-        incoming = problem.preds(b)
-        merged[b] = _weighted(((e.alpha, out[e.src]) for e in incoming), mode) if incoming else _zero(mode)
-    return merged
-
-
-def _merge_backward(problem: LcmProblem, out: dict[str, Value], mode: str) -> dict[str, Value]:
-    merged = {}
-    for b in problem.blocks:
-        outgoing = problem.succs(b)
-        merged[b] = _weighted(((e.alpha_back, out[e.dst]) for e in outgoing), mode) if outgoing else _zero(mode)
-    return merged
-
-
-def _weighted(pairs, mode: str) -> Value:
-    pairs = list(pairs)
-    if mode == "interval":
-        pairs = [(a, v if isinstance(v, TruthInterval) else TruthInterval.degenerate(v)) for a, v in pairs]
-        lo = min(1.0, max(0.0, sum(a * v.lo for a, v in pairs)))
-        hi = min(1.0, max(0.0, sum(a * v.hi for a, v in pairs)))
-        return TruthInterval(lo, hi)
-    return min(1.0, max(0.0, sum(a * v for a, v in pairs)))
-
-
-def _soft_stage1(problem, mode, family, cfg, backward: bool, jobs: int) -> StageMatrices:
-    local = problem.uee if backward else problem.dee
-    n = len(problem.exprs)
-
-    def run(k: int):
-        return _flow_fixpoint(problem, k, mode, family, cfg, backward=backward, local=local)
-
-    if jobs > 1 and n > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            columns = list(pool.map(run, range(n)))
+def _stack(matrix: Mapping, keys: Sequence, n_exprs: int, width: int) -> np.ndarray:
+    """``matrix[k]`` for each of ``keys`` as a (keys, exprs, width) array."""
+    if width == 1:
+        rows = [matrix[k] for k in keys]
     else:
-        columns = [run(k) for k in range(n)]
-
-    out: BlockMatrix = {b: [columns[k][0][b] for k in range(n)] for b in problem.blocks}
-    converged = all(ok for _, ok in columns)
-    merge = _merge_backward if backward else _merge_forward
-    merged_cols = [merge(problem, columns[k][0], mode) for k in range(n)]
-    merged: BlockMatrix = {b: [merged_cols[k][b] for k in range(n)] for b in problem.blocks}
-    return StageMatrices(out=out, merged=merged, converged=converged)
-
-
-def _soft_later_fixpoint(
-    problem: LcmProblem,
-    expr_index: int,
-    earliest_m: EdgeMatrix,
-    mode: str,
-    family: LogicFamily,
-    cfg: SolverConfig | None,
-) -> tuple[dict[tuple[str, str], Value], bool]:
-    """LaterOut(i,j) = Earliest(i,j) | (LaterIn(i) & !UEE(i)) with LaterIn the
-    forward-weighted merge of LaterOut over incoming edges; LaterIn(entry)=0."""
-    transfers: dict[str, dict[str, Formula]] = {}
-    edges: list[Edge] = []
-    for b in problem.blocks:
-        transfers[f"laterin:{b}"] = {"Out": _IN}
-    for e in problem.edges:
-        node = f"edge:{e.src}->{e.dst}"
-        ear = _to_const(earliest_m[(e.src, e.dst)][expr_index], mode)
-        hold = Not(_to_const(problem.uee[e.src][expr_index], mode))
-        transfers[node] = {"Out": Or(ear, And(_IN, hold))}
-        edges.append(Edge(f"laterin:{e.src}", node, 1.0))
-        edges.append(Edge(node, f"laterin:{e.dst}", e.alpha))
-    # Blocks with no successors contribute no edge nodes; their laterin node
-    # may also be the boundary.  Exit laterin nodes with no incoming edges are
-    # pinned to zero along with the entry.
-    seeds = {f"laterin:{problem.entry}": {"Out": _zero(mode)}}
-    for b in problem.blocks:
-        if b != problem.entry and not problem.preds(b):
-            seeds[f"laterin:{b}"] = {"Out": _zero(mode)}
-    graph = FlowGraph(
-        transfers=transfers,
-        edges=edges,
-        start=f"laterin:{problem.entry}",
-        seeds=seeds,
-    )
-    report = _run(graph, mode, family, cfg)
-    out = {(e.src, e.dst): report.final[f"edge:{e.src}->{e.dst}"]["Out"] for e in problem.edges}
-    return out, report.converged
-
-
-# -- crisp (bit-vector) engine ---------------------------------------------------
-
-
-def _crisp_arrays(problem: LcmProblem) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray]:
-    index = {b: i for i, b in enumerate(problem.blocks)}
-    n, w = len(problem.blocks), len(problem.exprs)
-
-    def matrix(m: BlockMatrix) -> np.ndarray:
-        out = np.zeros((n, w), dtype=bool)
-        for b, row in m.items():
-            out[index[b]] = [bool(v) for v in row]
-        return out
-
-    return index, matrix(problem.dee), matrix(problem.uee), matrix(problem.kill)
-
-
-def _crisp_meet(rows: list[np.ndarray], width: int) -> np.ndarray:
-    if not rows:
-        return np.zeros(width, dtype=bool)
-    out = rows[0].copy()
-    for row in rows[1:]:
-        out &= row
+        rows = [
+            [(v.lo, v.hi) if isinstance(v, TruthInterval) else (v, v) for v in matrix[k]]
+            for k in keys
+        ]
+    out = np.array(rows, dtype=float).reshape(len(keys), n_exprs, width)
+    if not ((out >= 0.0) & (out <= 1.0)).all():
+        # Clamp rounding noise and reject the rest, as the scalar norms do.
+        out = np.vectorize(truth_value, otypes=[float])(out)
     return out
 
 
-def _crisp_availability(problem: LcmProblem) -> StageMatrices:
-    index, dee, _, kill = _crisp_arrays(problem)
-    n, w = dee.shape
-    avout = np.ones((n, w), dtype=bool)
-    avout[index[problem.entry]] = dee[index[problem.entry]]
-    pred_ix = {b: [index[e.src] for e in problem.preds(b)] for b in problem.blocks}
-    changed = True
-    while changed:
-        changed = False
-        for b in problem.blocks:
-            if b == problem.entry:
-                continue
-            i = index[b]
-            avin = _crisp_meet([avout[j] for j in pred_ix[b]], w)
-            new = dee[i] | (avin & ~kill[i])
-            if not np.array_equal(new, avout[i]):
-                avout[i] = new
-                changed = True
-    out = {b: avout[index[b]].astype(float).tolist() for b in problem.blocks}
-    merged = {
-        b: _crisp_meet([avout[j] for j in pred_ix[b]], w).astype(float).tolist()
-        for b in problem.blocks
-    }
-    return StageMatrices(out=out, merged=merged, converged=True)
+def _unstack(keys: Sequence, values: np.ndarray) -> dict:
+    if values.shape[-1] == 1:
+        return dict(zip(keys, values[..., 0].tolist()))
+    return {k: [TruthInterval(lo, hi) for lo, hi in row] for k, row in zip(keys, values.tolist())}
 
 
-def _crisp_anticipatability(problem: LcmProblem) -> StageMatrices:
-    index, _, uee, kill = _crisp_arrays(problem)
-    n, w = uee.shape
-    antin = np.ones((n, w), dtype=bool)
-    antin[index[problem.exit]] = uee[index[problem.exit]]
-    succ_ix = {b: [index[e.dst] for e in problem.succs(b)] for b in problem.blocks}
-    changed = True
-    while changed:
-        changed = False
-        for b in problem.blocks:
-            if b == problem.exit:
-                continue
-            i = index[b]
-            antout = _crisp_meet([antin[j] for j in succ_ix[b]], w)
-            new = uee[i] | (antout & ~kill[i])
-            if not np.array_equal(new, antin[i]):
-                antin[i] = new
-                changed = True
-    out = {b: antin[index[b]].astype(float).tolist() for b in problem.blocks}
-    merged = {
-        b: _crisp_meet([antin[j] for j in succ_ix[b]], w).astype(float).tolist()
-        for b in problem.blocks
-    }
-    return StageMatrices(out=out, merged=merged, converged=True)
+# -- the fixed-point engine --------------------------------------------------------
 
 
-def _crisp_later(problem: LcmProblem, earliest_m: EdgeMatrix) -> LaterMatrices:
-    index, _, uee, _ = _crisp_arrays(problem)
-    n, w = uee.shape
-    ear = {
-        (e.src, e.dst): np.array([bool(v) for v in earliest_m[(e.src, e.dst)]], dtype=bool)
-        for e in problem.edges
-    }
-    laterin = np.ones((n, w), dtype=bool)
-    laterin[index[problem.entry]] = False
-    for b in problem.blocks:
-        if b != problem.entry and not problem.preds(b):
-            laterin[index[b]] = False
-    laterout = {key: np.ones(w, dtype=bool) for key in ear}
-    changed = True
-    while changed:
-        changed = False
-        for e in problem.edges:
-            key = (e.src, e.dst)
-            new = ear[key] | (laterin[index[e.src]] & ~uee[index[e.src]])
-            if not np.array_equal(new, laterout[key]):
-                laterout[key] = new
-                changed = True
-        for b in problem.blocks:
-            if b == problem.entry or not problem.preds(b):
-                continue
-            new = _crisp_meet([laterout[(e.src, e.dst)] for e in problem.preds(b)], w)
-            if not np.array_equal(new, laterin[index[b]]):
-                laterin[index[b]] = new
-                changed = True
-    return LaterMatrices(
-        later_in={b: laterin[index[b]].astype(float).tolist() for b in problem.blocks},
-        later_out={key: arr.astype(float).tolist() for key, arr in laterout.items()},
-        converged=True,
-    )
+class _Links:
+    """The inputs of each merge: link i carries row ``src[i]`` into merge
+    ``dst[i]`` with weight ``weight[i]``, in ``problem.edges`` order."""
+
+    def __init__(self, n_merges: int, src: np.ndarray, dst: np.ndarray, weight: list[float]):
+        self.n_merges = n_merges
+        self.src = src
+        self.dst = dst
+        self.weight = np.array(weight, dtype=float)[:, None, None]
+        self.has_input = np.zeros((n_merges, 1, 1), dtype=bool)
+        self.has_input[self.dst] = True
+        # Slot j holds every merge's j-th link, so meeting slot after slot
+        # adds each merge's inputs one by one in edge order.
+        rank, count = [], [0] * n_merges
+        for d in self.dst.tolist():
+            rank.append(count[d])
+            count[d] += 1
+        rank = np.array(rank, dtype=int)
+        self.slots = [np.flatnonzero(rank == j) for j in range(max(count, default=0))]
+
+    def meet(self, inputs: np.ndarray, crisp: bool) -> np.ndarray:
+        """Per merge, from its links' values: the min (crisp) or the
+        weighted sum clamped to [0,1]; 0 for a merge with no links."""
+        shape = (self.n_merges,) + inputs.shape[1:]
+        if crisp:
+            out = np.broadcast_to(self.has_input, shape).astype(float)
+            for j in self.slots:
+                out[self.dst[j]] = np.minimum(out[self.dst[j]], inputs[j])
+            return out
+        out = np.zeros(shape)
+        for j in self.slots:
+            out[self.dst[j]] += self.weight[j] * inputs[j]
+        return np.clip(out, 0.0, 1.0)
+
+
+@dataclass(frozen=True)
+class _Engine:
+    """What separates the modes: connectives, meet, start and stopping."""
+
+    logic: _Logic
+    crisp: bool
+    epsilon: float
+    max_iters: int | None   # None: until nothing changes
+    quantize_bits: int | None
+
+    def snap(self, values: np.ndarray) -> np.ndarray:
+        if self.quantize_bits is None:
+            return values
+        scale = float(2**self.quantize_bits)
+        return np.minimum(1.0, np.round(values * scale) / scale)
+
+
+def _engine(mode: str, family: LogicFamily, cfg: SolverConfig | None) -> _Engine:
+    logic = _logic(mode, family)
+    if mode == "crisp":
+        # A crisp residual counts flipped bits: below one, nothing changed.
+        return _Engine(logic, True, 1.0, None, None)
+    if cfg is None:
+        cfg = SolverConfig(family=family)
+    return _Engine(logic, False, cfg.epsilon, cfg.max_iters, cfg.quantize_bits)
+
+
+def _fixpoint(
+    eng: _Engine,
+    gen: np.ndarray,
+    keep: np.ndarray,
+    reads: np.ndarray,
+    links: _Links,
+    *,
+    rows_first: bool,
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Solve, for every expression column at once,
+
+        row[r]   = gen[r] | (merge[reads[r]] & keep[r])
+        merge[m] = meet of the rows linked into m
+
+    by Gauss-Seidel sweeps in a fixed node order.  With ``rows_first`` the
+    order is row b, merge b for each block b: a sweep's rows read the last
+    sweep's merges, and a merge reads this sweep's rows only from blocks
+    before it.  Otherwise every merge comes first, reading the last sweep's
+    rows, and every row then reads this sweep's merges.  Each column
+    freezes at its first sweep whose change, summed in node order, is below
+    epsilon.
+
+    Returns the rows, the merges recomputed from the final rows, and
+    whether every column converged.
+    """
+    logic = eng.logic
+    start = 1.0 if eng.crisp else 0.0
+    rows = np.full(gen.shape, start)
+    merges = np.full((links.n_merges,) + gen.shape[1:], start)
+    fresh = (links.src < links.dst)[:, None, None]
+    # From top, every crisp sweep but the last clears at least one bit.
+    limit = len(rows) + len(merges) + 1 if eng.max_iters is None else eng.max_iters
+    active = np.arange(gen.shape[1])
+    for _ in range(limit):
+        if not active.size:
+            break
+        old_rows, old_merges = rows[:, active], merges[:, active]
+        g, k = gen[:, active], keep[:, active]
+
+        def transfer(m: np.ndarray) -> np.ndarray:
+            return eng.snap(logic.disj(g, logic.conj(m[reads], k)))
+
+        if rows_first:
+            new_rows = transfer(old_merges)
+            inputs = np.where(fresh, new_rows[links.src], old_rows[links.src])
+            new_merges = eng.snap(links.meet(inputs, eng.crisp))
+        else:
+            new_merges = eng.snap(links.meet(old_rows[links.src], eng.crisp))
+            new_rows = transfer(new_merges)
+        row_change = np.abs(new_rows - old_rows).sum(axis=-1)
+        merge_change = np.abs(new_merges - old_merges).sum(axis=-1)
+        if rows_first:
+            change = np.stack((row_change, merge_change), axis=1).reshape(-1, active.size)
+        else:
+            change = np.concatenate((merge_change, row_change))
+        rows[:, active] = new_rows
+        merges[:, active] = new_merges
+        active = active[~(np.cumsum(change, axis=0)[-1] < eng.epsilon)]
+    return rows, links.meet(rows[links.src], eng.crisp), not active.size
+
+
+def _edge_ends(problem: LcmProblem) -> tuple[list[tuple[str, str]], np.ndarray, np.ndarray]:
+    index = {b: i for i, b in enumerate(problem.blocks)}
+    keys = [(e.src, e.dst) for e in problem.edges]
+    src = np.array([index[s] for s, _ in keys], dtype=int)
+    dst = np.array([index[d] for _, d in keys], dtype=int)
+    return keys, src, dst
+
+
+def _stage1(problem, mode, family, cfg, backward: bool) -> StageMatrices:
+    _require_valid(problem, mode)
+    eng = _engine(mode, family, cfg)
+    blocks, n, width = problem.blocks, len(problem.exprs), eng.logic.width
+    _, src, dst = _edge_ends(problem)
+    if backward:
+        links = _Links(len(blocks), dst, src, [e.alpha_back for e in problem.edges])
+    else:
+        links = _Links(len(blocks), src, dst, [e.alpha for e in problem.edges])
+    gen = _stack(problem.uee if backward else problem.dee, blocks, n, width)
+    keep = eng.logic.neg(_stack(problem.kill, blocks, n, width))
+    out, merged, converged = _fixpoint(eng, gen, keep, np.arange(len(blocks)), links, rows_first=True)
+    return StageMatrices(_unstack(blocks, out), _unstack(blocks, merged), converged)
 
 
 # -- public staged operations ---------------------------------------------------
@@ -529,13 +461,9 @@ def availability(
     mode: str,
     family: LogicFamily,
     cfg: SolverConfig | None = None,
-    jobs: int = 1,
 ) -> StageMatrices:
     """Forward must-analysis: AvOut(b) = DEE(b) | (AvIn(b) & !Kill(b))."""
-    _require_valid(problem, mode)
-    if mode == "crisp":
-        return _crisp_availability(problem)
-    return _soft_stage1(problem, mode, family, cfg, backward=False, jobs=jobs)
+    return _stage1(problem, mode, family, cfg, backward=False)
 
 
 def anticipatability(
@@ -543,14 +471,10 @@ def anticipatability(
     mode: str,
     family: LogicFamily,
     cfg: SolverConfig | None = None,
-    jobs: int = 1,
 ) -> StageMatrices:
     """Backward must-analysis: AnOut(b) = UEE(b) | (AnIn(b) & !Kill(b)),
     with AnIn the merge of AnOut over the block's successors."""
-    _require_valid(problem, mode)
-    if mode == "crisp":
-        return _crisp_anticipatability(problem)
-    return _soft_stage1(problem, mode, family, cfg, backward=True, jobs=jobs)
+    return _stage1(problem, mode, family, cfg, backward=True)
 
 
 def earliest(
@@ -568,24 +492,17 @@ def earliest(
         Earliest(i,j) = AnOut(j) & !AvOut(i) & (Kill(i) | !AnIn(i))
         Earliest(entry,j) = AnOut(j) & !AvOut(entry)
     """
-    ops = _Pointwise(mode, family)
-    width = len(problem.exprs)
-    out: EdgeMatrix = {}
-    for e in problem.edges:
-        row = []
-        for k in range(width):
-            anticipated = ops.lift(an_out[e.dst][k])
-            fresh = ops.neg(ops.lift(av_out[e.src][k]))
-            if e.src == problem.entry:
-                row.append(ops.conj(anticipated, fresh))
-            else:
-                blocked = ops.disj(
-                    ops.lift(problem.kill[e.src][k]),
-                    ops.neg(ops.lift(an_in[e.src][k])),
-                )
-                row.append(ops.conj(ops.conj(anticipated, fresh), blocked))
-        out[(e.src, e.dst)] = row
-    return out
+    logic = _logic(mode, family)
+    blocks, n, width = problem.blocks, len(problem.exprs), logic.width
+    keys, src, dst = _edge_ends(problem)
+
+    def at_src(matrix: BlockMatrix) -> np.ndarray:
+        return _stack(matrix, blocks, n, width)[src]
+
+    first = logic.conj(_stack(an_out, blocks, n, width)[dst], logic.neg(at_src(av_out)))
+    blocked = logic.disj(at_src(problem.kill), logic.neg(at_src(an_in)))
+    from_entry = np.array([s == problem.entry for s, _ in keys])[:, None, None]
+    return _unstack(keys, np.where(from_entry, first, logic.conj(first, blocked)))
 
 
 def later(
@@ -595,29 +512,20 @@ def later(
     family: LogicFamily,
     cfg: SolverConfig | None = None,
 ) -> LaterMatrices:
-    """Step (3): the fixed point placing evaluations as late as possible."""
+    """Step (3): the fixed point placing evaluations as late as possible.
+
+        LaterOut(i,j) = Earliest(i,j) | (LaterIn(i) & !UEE(i))
+
+    with LaterIn(j) the forward merge of LaterOut over j's in-edges."""
     _require_valid(problem, mode)
-    if mode == "crisp":
-        return _crisp_later(problem, earliest_m)
-    n = len(problem.exprs)
-    columns = [
-        _soft_later_fixpoint(problem, k, earliest_m, mode, family, cfg) for k in range(n)
-    ]
-    later_out: EdgeMatrix = {
-        (e.src, e.dst): [columns[k][0][(e.src, e.dst)] for k in range(n)] for e in problem.edges
-    }
-    later_in: BlockMatrix = {}
-    for b in problem.blocks:
-        incoming = problem.preds(b)
-        if b == problem.entry or not incoming:
-            later_in[b] = [_zero(mode) for _ in range(n)]
-        else:
-            later_in[b] = [
-                _weighted(((e.alpha, later_out[(e.src, e.dst)][k]) for e in incoming), mode)
-                for k in range(n)
-            ]
-    return LaterMatrices(later_in=later_in, later_out=later_out,
-                         converged=all(ok for _, ok in columns))
+    eng = _engine(mode, family, cfg)
+    blocks, n, width = problem.blocks, len(problem.exprs), eng.logic.width
+    keys, src, dst = _edge_ends(problem)
+    ear = _stack(earliest_m, keys, n, width)
+    hold = eng.logic.neg(_stack(problem.uee, blocks, n, width))[src]
+    links = _Links(len(blocks), np.arange(len(keys)), dst, [e.alpha for e in problem.edges])
+    out, later_in, converged = _fixpoint(eng, ear, hold, src, links, rows_first=False)
+    return LaterMatrices(_unstack(blocks, later_in), _unstack(keys, out), converged)
 
 
 def insert_delete(
@@ -629,24 +537,14 @@ def insert_delete(
 ) -> tuple[EdgeMatrix, BlockMatrix]:
     """Step (4): Insert(i,j) = LaterOut(i,j) & !LaterIn(j);
     Delete(k) = UEE(k) & !LaterIn(k) for k != entry, else 0."""
-    ops = _Pointwise(mode, family)
-    width = len(problem.exprs)
-    insert: EdgeMatrix = {}
-    for e in problem.edges:
-        insert[(e.src, e.dst)] = [
-            ops.conj(ops.lift(later_out[(e.src, e.dst)][k]), ops.neg(ops.lift(later_in[e.dst][k])))
-            for k in range(width)
-        ]
-    delete: BlockMatrix = {}
-    for b in problem.blocks:
-        if b == problem.entry:
-            delete[b] = [ops.lift(0.0) for _ in range(width)]
-        else:
-            delete[b] = [
-                ops.conj(ops.lift(problem.uee[b][k]), ops.neg(ops.lift(later_in[b][k])))
-                for k in range(width)
-            ]
-    return insert, delete
+    logic = _logic(mode, family)
+    blocks, n, width = problem.blocks, len(problem.exprs), logic.width
+    keys, _, dst = _edge_ends(problem)
+    not_later = logic.neg(_stack(later_in, blocks, n, width))
+    insert = logic.conj(_stack(later_out, keys, n, width), not_later[dst])
+    delete = logic.conj(_stack(problem.uee, blocks, n, width), not_later)
+    delete[blocks.index(problem.entry)] = 0.0
+    return _unstack(keys, insert), _unstack(blocks, delete)
 
 
 def lcm_pipeline(
@@ -654,13 +552,11 @@ def lcm_pipeline(
     mode: str,
     family: LogicFamily | None = None,
     cfg: SolverConfig | None = None,
-    jobs: int = 1,
 ) -> LcmResult:
     """Run the four stages in order and collect every matrix."""
     family = family or LogicFamily.minmax()
-    _require_valid(problem, mode)
-    av = availability(problem, mode, family, cfg, jobs=jobs)
-    an = anticipatability(problem, mode, family, cfg, jobs=jobs)
+    av = availability(problem, mode, family, cfg)
+    an = anticipatability(problem, mode, family, cfg)
     earliest_m = earliest(problem, av.out, an.merged, an.out, mode, family)
     lat = later(problem, earliest_m, mode, family, cfg)
     insert, delete = insert_delete(problem, lat.later_in, lat.later_out, mode, family)
@@ -729,10 +625,8 @@ def problem_from_json_dict(data: Any) -> tuple[LcmProblem, LcmSettings]:
             settings.logic = LogicFamily.parse(str(data["logic"]))
         except ValueError as exc:
             raise FileFormatError(f"logic: {exc}") from None
-    if "epsilon" in data:
-        settings.epsilon = float(data["epsilon"])
-    if "max_iters" in data:
-        settings.max_iters = int(data["max_iters"])
+    settings.epsilon = _jsonio.load_setting(data, "epsilon")
+    settings.max_iters = _jsonio.load_setting(data, "max_iters", integer=True)
     interval = settings.mode == "interval"
 
     blocks = [str(b) for b in data["blocks"]]

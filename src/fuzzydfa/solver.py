@@ -14,7 +14,7 @@ influence damps every cycle).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from .flowgraph import INPUT_NAME, FlowGraph, Valuation, validate
+from .flowgraph import INPUT_NAME, FlowGraph, Valuation, Value, validate
 from .formula import evaluate, evaluate_interval
 from .truth import LogicFamily, TruthInterval, quantize
 

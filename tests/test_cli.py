@@ -238,3 +238,55 @@ def test_missing_file_is_exit_1(capsys):
     code, _, err = run(capsys, "solve", "no-such-file.json")
     assert code == 1
     assert err
+
+
+def _with_settings(data_dir, tmp_path, name, **settings):
+    data = json.loads((data_dir / name).read_text())
+    data.update(settings)
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, name", [("solve", "fig1.json"), ("lcm", "diffpcm_t1.json")])
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"epsilon": 0}, "epsilon must be > 0"),
+        ({"max_iters": 0}, "max_iters must be >= 1"),
+        ({"max_iters": 2.7}, "max_iters: expected an integer, got 2.7"),
+        ({"max_iters": True}, "max_iters: expected an integer, got True"),
+        ({"epsilon": "1e-6"}, "epsilon: expected a number"),
+    ],
+    ids=["epsilon-0", "max_iters-0", "max_iters-fraction", "max_iters-bool", "epsilon-string"],
+)
+def test_bad_file_settings_are_rejected_not_defaulted(
+    data_dir, tmp_path, capsys, command, name, settings, message
+):
+    path = _with_settings(data_dir, tmp_path, name, **settings)
+    code, out, err = run(capsys, command, path)
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
+def test_lcm_honours_file_settings(data_dir, tmp_path, capsys):
+    path = _with_settings(data_dir, tmp_path, "diffpcm_t1.json", max_iters=3, epsilon=0.5)
+    _, expected, _ = run(capsys, "lcm", str(data_dir / "diffpcm_t1.json"),
+                         "--max-iters", "3", "--epsilon", "0.5")
+    code, out, _ = run(capsys, "lcm", path)
+    assert out == expected
+    _, loose, _ = run(capsys, "lcm", path, "--epsilon", "1e-6")
+    assert loose != out  # the option overrides the file
+
+
+def test_lcm_crisp_reports_are_exact_under_frank(data_dir, capsys):
+    for logic in ("frank:0.01", "frank:0.001"):
+        code, out, _ = run(capsys, "lcm", str(data_dir / "diffpcm_t1.json"),
+                           "--mode", "crisp", "--logic", logic)
+        assert code == 0
+        report = json.loads(out)
+        for name in ("av_out", "an_in", "an_out", "later_in", "delete"):
+            assert all(v in (0.0, 1.0) for row in report[name].values() for v in row), name
+        for name in ("earliest", "later_out", "insert"):
+            assert all(v in (0.0, 1.0) for row in report[name] for v in row["values"]), name

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from fuzzydfa import LcmEdge, LcmProblem, LogicFamily, TruthInterval, WidthMismatchError
+from fuzzydfa import (LcmEdge, LcmProblem, LogicFamily, SolverConfig, TruthInterval,
+                      TruthValueError, WidthMismatchError)
 from fuzzydfa import lcm as L
 from krs_oracle import krs_bitvector, random_crisp_problem
 
@@ -41,10 +42,15 @@ def diffpcm_problem(p: float = 0.999, n: float = 1000.0) -> LcmProblem:
     )
 
 
-def fuzzy_reference(problem: LcmProblem, expr: int, eps: float = 1e-12):
+def fuzzy_reference(problem: LcmProblem, expr: int, eps: float = 1e-12,
+                    family: LogicFamily | None = None):
     """Literal per-expression equation systems, iterated with plain loops:
-    an implementation-independent cross-check of the staged pipeline."""
-    AND, OR, NOT = min, max, lambda x: 1.0 - x
+    an implementation-independent cross-check of the staged pipeline.
+    Without ``family`` the connectives are min, max and 1-x."""
+    if family is None:
+        AND, OR, NOT = min, max, lambda x: 1.0 - x
+    else:
+        AND, OR, NOT = family.tnorm, family.snorm, family.cnorm
     blocks = problem.blocks
     preds = {b: [(e.src, e.alpha) for e in problem.preds(b)] for b in blocks}
     succs = {b: [(e.dst, e.alpha_back) for e in problem.succs(b)] for b in blocks}
@@ -128,6 +134,58 @@ def test_fuzzy_pipeline_matches_equation_reference(fuzzy_result):
         for key in ref["insert"]:
             assert fuzzy_result.earliest[key][k] == pytest.approx(ref["earliest"][key], abs=2e-5)
             assert fuzzy_result.insert[key][k] == pytest.approx(ref["insert"][key], abs=2e-5)
+
+
+REFERENCE_FAMILIES = [MINMAX, LogicFamily.product(), LogicFamily.lukasiewicz(),
+                      LogicFamily.frank(2.0)]
+
+
+def soft_problem(seed: int) -> LcmProblem:
+    """A random CFG with U[0,1] rows."""
+    rng = random.Random(seed)
+    problem = random_crisp_problem(rng)
+    width = len(problem.exprs)
+    for name in ("dee", "uee", "kill"):
+        setattr(problem, name, {b: [rng.random() for _ in range(width)] for b in problem.blocks})
+    return problem
+
+
+def assert_matches_reference(result, problem, family, lift=lambda v: (v, v), tol=1e-6):
+    """Every matrix of ``result`` equals the equation reference within
+    ``tol``; ``lift`` maps a reported value to its (lo, hi) bounds."""
+    edge_names = ("earliest", "later_out", "insert")
+    block_names = (("av_out", "av"), ("an_out", "an"), ("an_in", "anout"),
+                   ("later_in", "later_in"), ("delete", "delete"))
+    for k in range(len(problem.exprs)):
+        ref = fuzzy_reference(problem, k, family=family)
+        for got, want in block_names:
+            for b in problem.blocks:
+                for bound in lift(getattr(result, got)[b][k]):
+                    assert bound == pytest.approx(ref[want][b], abs=tol), (got, b, k)
+        for name in edge_names:
+            for key in ref["insert"]:
+                for bound in lift(getattr(result, name)[key][k]):
+                    assert bound == pytest.approx(ref[name][key], abs=tol), (name, key, k)
+
+
+@pytest.mark.parametrize("family", REFERENCE_FAMILIES, ids=str)
+def test_fuzzy_pipeline_matches_reference_on_random_cfgs(family):
+    cfg = SolverConfig(family=family, epsilon=1e-12)
+    for seed in range(12):
+        problem = soft_problem(seed)
+        result = L.lcm_pipeline(problem, "fuzzy", family, cfg)
+        assert result.converged
+        assert_matches_reference(result, problem, family)
+
+
+@pytest.mark.parametrize("family", REFERENCE_FAMILIES, ids=str)
+def test_interval_pipeline_on_degenerate_rows_matches_reference(family):
+    cfg = SolverConfig(family=family, epsilon=1e-12)
+    for seed in range(100, 106):
+        problem = soft_problem(seed)
+        result = L.lcm_pipeline(problem, "interval", family, cfg)
+        assert result.converged
+        assert_matches_reference(result, problem, family, lift=lambda v: (v.lo, v.hi))
 
 
 def test_fuzzy_headline_numbers(fuzzy_result):
@@ -231,6 +289,16 @@ def test_fuzzy_on_chains_with_unit_weights_matches_crisp():
                 assert b == pytest.approx(a, abs=1e-6)
 
 
+@pytest.mark.parametrize("s", [0.01, 0.001])
+def test_crisp_reports_are_exact_under_any_family(s):
+    family = LogicFamily.frank(s)
+    assert family.tnorm(1.0, 1.0) != 1.0  # the rounding crisp mode must not inherit
+    rng = random.Random(83)
+    for problem in [diffpcm_problem()] + [random_crisp_problem(rng) for _ in range(20)]:
+        exact = L.lcm_pipeline(problem, "crisp", MINMAX).to_json_dict()
+        assert L.lcm_pipeline(problem, "crisp", family).to_json_dict() == exact
+
+
 # -- stage corner cases ------------------------------------------------------------------
 
 
@@ -252,6 +320,13 @@ def test_single_block_availability_is_its_dee():
     assert stage.out["only"] == [1.0]
     crisp = L.availability(single_block_problem(dee=1.0), "crisp", MINMAX)
     assert crisp.out["only"] == [1.0]
+
+
+def test_rows_outside_the_unit_interval_are_rejected():
+    with pytest.raises(TruthValueError):
+        L.availability(single_block_problem(dee=1.5), "fuzzy", MINMAX)
+    stage = L.availability(single_block_problem(dee=1.0 + 1e-13), "fuzzy", MINMAX)
+    assert stage.out["only"] == [1.0]
 
 
 def test_all_kill_availability_equals_dee():
@@ -421,6 +496,25 @@ def test_validate_rejects_structural_problems():
     assert L.validate_problem(problem, "interval") == []
 
 
+def test_validate_reports_every_block_error_in_order():
+    problem = LcmProblem(
+        blocks=["s", "a", "b", "t"],
+        edges=[LcmEdge("s", "a", 0.5, 0.25), LcmEdge("a", "t", 1.0, 1.0)],
+        exprs=["e"],
+        dee={b: [0.0] for b in "sabt"},
+        uee={b: [0.0] for b in "sabt"},
+        kill={b: [0.0] for b in "sabt"},
+        entry="s",
+        exit="t",
+    )
+    assert L.validate_problem(problem, "fuzzy") == [
+        "backward weights out of 's' sum to 0.25",
+        "forward weights into 'a' sum to 0.5",
+        "block 'b' has no predecessors and is not the entry",
+        "block 'b' has no successors and is not the exit",
+    ]
+
+
 def test_pipeline_mode_must_match_values():
     with pytest.raises(ValueError):
         L.lcm_pipeline(interval_problem(), "fuzzy", MINMAX)
@@ -444,10 +538,3 @@ def test_bundled_t1_matches_in_memory_problem(data_dir):
     problem, _ = L.load_problem_file(str(data_dir / "diffpcm_t1.json"))
     assert problem == diffpcm_problem()
 
-
-def test_jobs_parallelism_is_deterministic():
-    problem = diffpcm_problem()
-    seq = L.lcm_pipeline(problem, "fuzzy", MINMAX, jobs=1)
-    par = L.lcm_pipeline(problem, "fuzzy", MINMAX, jobs=4)
-    assert seq.insert == par.insert
-    assert seq.delete == par.delete
