@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 from typing import Any, Iterable
 
-from .truth import TruthInterval
+from .truth import TruthInterval, truth_value
 
-__all__ = ["FileFormatError", "dumps", "check_keys", "load_setting", "load_value", "dump_value"]
+__all__ = [
+    "FileFormatError",
+    "dumps",
+    "check_keys",
+    "load_setting",
+    "load_value",
+    "load_row",
+    "dump_value",
+    "dump_row",
+]
 
 
 class FileFormatError(ValueError):
@@ -25,7 +34,37 @@ def dumps(obj: Any) -> str:
 
 
 def _write(obj: Any, parts: list[str]) -> None:
-    if isinstance(obj, TruthInterval):
+    # Most frequent first: floats, rows of floats, lists and dicts.
+    if type(obj) is float:
+        parts.append(format(obj, ".17g"))
+    elif isinstance(obj, (list, tuple)):
+        # Rows of degrees or of [lo, hi] pairs, the bulk of every report, go
+        # in one step ("%.17g" prints what format(v, ".17g") does).
+        if all(type(v) is float for v in obj):
+            parts.append("[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj) + "]")
+        elif all(type(v) is list and len(v) == 2 and type(v[0]) is float and type(v[1]) is float
+                 for v in obj):
+            ends = tuple(x for pair in obj for x in pair)
+            parts.append("[" + ", ".join(["[%.17g, %.17g]"] * len(obj)) % ends + "]")
+        else:
+            parts.append("[")
+            for i, value in enumerate(obj):
+                if i:
+                    parts.append(", ")
+                _write(value, parts)
+            parts.append("]")
+    elif isinstance(obj, dict):
+        parts.append("{")
+        for i, (key, value) in enumerate(obj.items()):
+            if i:
+                parts.append(", ")
+            parts.append(_quote(str(key)))
+            parts.append(": ")
+            _write(value, parts)
+        parts.append("}")
+    elif isinstance(obj, str):
+        parts.append(_quote(obj))
+    elif isinstance(obj, TruthInterval):
         _write([obj.lo, obj.hi], parts)
     elif isinstance(obj, bool):
         parts.append("true" if obj else "false")
@@ -35,24 +74,6 @@ def _write(obj: Any, parts: list[str]) -> None:
         parts.append(repr(obj))
     elif isinstance(obj, float):
         parts.append(format(obj, ".17g"))
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        parts.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                parts.append(", ")
-            parts.append(json.dumps(str(key)))
-            parts.append(": ")
-            _write(value, parts)
-        parts.append("}")
-    elif isinstance(obj, (list, tuple)):
-        parts.append("[")
-        for i, value in enumerate(obj):
-            if i:
-                parts.append(", ")
-            _write(value, parts)
-        parts.append("]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -94,7 +115,7 @@ def load_value(raw: Any, context: str, *, interval: bool) -> Any:
     """
     try:
         if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-            return TruthInterval.degenerate(raw) if interval else float(_check_unit(raw))
+            return TruthInterval.degenerate(raw) if interval else truth_value(raw)
         if interval and isinstance(raw, list) and len(raw) == 2:
             return TruthInterval(float(raw[0]), float(raw[1]))
     except (TypeError, ValueError) as exc:
@@ -103,11 +124,18 @@ def load_value(raw: Any, context: str, *, interval: bool) -> Any:
     raise FileFormatError(f"{context}: expected {kinds}, got {raw!r}")
 
 
-def _check_unit(x: float) -> float:
-    from .truth import truth_value
-
-    return truth_value(x)
+def load_row(raw: list, context: str, *, interval: bool) -> list:
+    """``load_value`` on every entry of a list; entry k is ``context[k]``."""
+    if not interval and all(type(v) is float and 0.0 <= v <= 1.0 for v in raw):
+        # Already degrees: keep them, but as truth_value would (-0.0 to 0.0).
+        return [v or 0.0 for v in raw]
+    return [load_value(v, f"{context}[{k}]", interval=interval) for k, v in enumerate(raw)]
 
 
 def dump_value(value: Any) -> Any:
     return [value.lo, value.hi] if isinstance(value, TruthInterval) else value
+
+
+def dump_row(row: Iterable) -> list:
+    """``dump_value`` on every entry of ``row``."""
+    return [[v.lo, v.hi] if isinstance(v, TruthInterval) else v for v in row]

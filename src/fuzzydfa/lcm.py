@@ -210,11 +210,11 @@ class LcmResult:
 
     def to_json_dict(self) -> dict:
         def blocks(matrix: BlockMatrix) -> dict:
-            return {b: [_jsonio.dump_value(v) for v in row] for b, row in matrix.items()}
+            return {b: _jsonio.dump_row(row) for b, row in matrix.items()}
 
         def edges(matrix: EdgeMatrix) -> list:
             return [
-                {"from": src, "to": dst, "values": [_jsonio.dump_value(v) for v in row]}
+                {"from": src, "to": dst, "values": _jsonio.dump_row(row)}
                 for (src, dst), row in matrix.items()
             ]
 
@@ -236,31 +236,17 @@ class LcmResult:
 # -- connectives on (..., w) arrays ----------------------------------------------
 
 
-def _array_tnorm(family: LogicFamily):
-    kind = family.kind
-    if kind == "minmax":
-        return np.minimum
-    if kind == "product":
-        return np.multiply
-    if kind == "lukasiewicz":
-        return lambda x, y: np.maximum(x + y - 1.0, 0.0)
-    if kind == "nilpotent":
-        return lambda x, y: np.where(x + y > 1.0, np.minimum(x, y), 0.0)
-    # Frank: numpy's expm1/log1p round differently from math's, so go
-    # through the scalar T-norm element by element.
-    scalar = np.frompyfunc(family.tnorm, 2, 1)
-    return lambda x, y: scalar(x, y).astype(float)
-
-
 class _Logic:
     """A logic family's connectives on the last axis: one value (w = 1) or
     a (lo, hi) pair (w = 2).  The complement reverses a pair; the T-norm
     works endpoint-wise and re-sorts the pair against rounding, as
-    ``LogicFamily.interval_tnorm`` does."""
+    ``LogicFamily.interval_tnorm`` does.  ``LogicFamily.tnorm_array`` gives
+    the scalar T-norm's bits on every element, Frank's included, without a
+    Python call per element beyond Frank's expm1/log1p."""
 
     def __init__(self, family: LogicFamily, width: int):
         self.width = width
-        self._tnorm = _array_tnorm(family)
+        self._tnorm = family.tnorm_array
 
     def conj(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         out = self._tnorm(x, y)
@@ -649,10 +635,7 @@ def problem_from_json_dict(data: Any) -> tuple[LcmProblem, LcmSettings]:
         for b, row in raw.items():
             if not isinstance(row, list):
                 raise FileFormatError(f"{name}[{b!r}]: expected a list")
-            out[str(b)] = [
-                _jsonio.load_value(v, f"{name}[{b!r}][{k}]", interval=interval)
-                for k, v in enumerate(row)
-            ]
+            out[str(b)] = _jsonio.load_row(row, f"{name}[{b!r}]", interval=interval)
         return out
 
     problem = LcmProblem(
@@ -684,9 +667,9 @@ def problem_to_json_dict(problem: LcmProblem, settings: LcmSettings | None = Non
                 for e in problem.edges
             ],
             "exprs": list(problem.exprs),
-            "dee": {b: [_jsonio.dump_value(v) for v in row] for b, row in problem.dee.items()},
-            "uee": {b: [_jsonio.dump_value(v) for v in row] for b, row in problem.uee.items()},
-            "kill": {b: [_jsonio.dump_value(v) for v in row] for b, row in problem.kill.items()},
+            "dee": {b: _jsonio.dump_row(row) for b, row in problem.dee.items()},
+            "uee": {b: _jsonio.dump_row(row) for b, row in problem.uee.items()},
+            "kill": {b: _jsonio.dump_row(row) for b, row in problem.kill.items()},
         }
     )
     return out

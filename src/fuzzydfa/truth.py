@@ -10,8 +10,13 @@ carries no Lipschitz guarantee.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "TruthValueError",
@@ -65,8 +70,16 @@ class TruthInterval:
     hi: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", truth_value(self.lo))
-        object.__setattr__(self, "hi", truth_value(self.hi))
+        lo, hi = self.lo, self.hi
+        if type(lo) is float and type(hi) is float and 0.0 <= lo <= hi <= 1.0:
+            # Already valid; truth_value would change only a -0.0.
+            if lo == 0.0:
+                object.__setattr__(self, "lo", 0.0)
+                if hi == 0.0:
+                    object.__setattr__(self, "hi", 0.0)
+            return
+        object.__setattr__(self, "lo", truth_value(lo))
+        object.__setattr__(self, "hi", truth_value(hi))
         if self.lo > self.hi:
             raise TruthValueError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
 
@@ -88,6 +101,13 @@ class TruthInterval:
 
 BOTTOM = TruthInterval(0.0, 0.0)
 TOP = TruthInterval(1.0, 1.0)
+
+
+def _each(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` applied to every element of the float array ``x``."""
+    import numpy as np
+
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -178,6 +198,42 @@ class LogicFamily:
         # evaluation stable for s close to 0 or very large.
         ratio = math.expm1(x * ls) * math.expm1(y * ls) / (s - 1.0)
         return min(1.0, max(0.0, math.log1p(ratio) / ls))
+
+    def tnorm_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``tnorm`` element by element on numpy arrays of degrees in [0,1].
+
+        The inputs are neither checked nor clamped, so the result equals
+        ``tnorm``'s bit for bit wherever ``tnorm``'s checks leave an input as
+        it is: on every degree but -0.0.
+        """
+        import numpy as np  # the module itself, scalar norms and all, needs no numpy
+
+        kind = self.kind
+        if kind == "minmax":
+            return np.minimum(x, y)
+        if kind == "product":
+            return x * y
+        if kind == "lukasiewicz":
+            return np.maximum(x + y - 1.0, 0.0)
+        if kind == "nilpotent":
+            return np.where(x + y > 1.0, np.minimum(x, y), 0.0)
+        s = self.s
+        if abs(s - 1.0) <= _FRANK_PRODUCT_BAND:
+            return x * y
+        ls = math.log(s)
+        # The scalar's formula in the scalar's operation order.  Only expm1
+        # and log1p run per element, and through math: numpy's own expm1 and
+        # log1p round some inputs differently.
+        ex = _each(math.expm1, x * ls)
+        ey = _each(math.expm1, y * ls)
+        # ex * ey is at most about (s - 1)^2, so it can overflow only for a
+        # huge s; then it goes to inf silently, as Python floats do.
+        with np.errstate(over="ignore") if s > 1e150 else contextlib.nullcontext():
+            ratio = ex * ey / (s - 1.0)
+        out = _each(math.log1p, ratio) / ls
+        # min(1.0, max(0.0, out)) as Python evaluates it, -0.0 to 0.0 included.
+        out = np.where(out > 0.0, out, 0.0)
+        return np.where(out < 1.0, out, 1.0)
 
     def snorm(self, x: float, y: float) -> float:
         """Fuzzy disjunction, derived as cnorm(tnorm(cnorm(x), cnorm(y)))."""

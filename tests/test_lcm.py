@@ -188,6 +188,22 @@ def test_interval_pipeline_on_degenerate_rows_matches_reference(family):
         assert_matches_reference(result, problem, family, lift=lambda v: (v.lo, v.hi))
 
 
+@pytest.mark.parametrize("logic", ["frank:2", "frank:0.01"])
+@pytest.mark.parametrize("mode", ["fuzzy", "interval"])
+def test_frank_pipeline_never_calls_the_scalar_tnorm(monkeypatch, logic, mode):
+    """The array engine evaluates Frank with array arithmetic, not through
+    ``LogicFamily.tnorm`` element by element."""
+    family = LogicFamily.parse(logic)
+    problems = [soft_problem(seed) for seed in range(200, 204)]
+    expected = [L.lcm_pipeline(p, mode, family).to_json_dict() for p in problems]
+
+    def scalar(self, x, y):
+        raise AssertionError("scalar LogicFamily.tnorm called")
+
+    monkeypatch.setattr(LogicFamily, "tnorm", scalar)
+    assert [L.lcm_pipeline(p, mode, family).to_json_dict() for p in problems] == expected
+
+
 def test_fuzzy_headline_numbers(fuzzy_result):
     transform = 5  # Transform(b)
     increate = 4   # IncRate(i)

@@ -3,8 +3,10 @@
 Each case is a problem, a mode, a logic family and an optional solver
 configuration; its digest is the SHA-256 of the deterministic JSON report.
 The digests in ``lcm_golden.json`` were frozen from the per-expression
-flow-graph engine that preceded the array engine, so any change in any
-printed digit of any matrix fails here.
+flow-graph engine that preceded the array engine, and the ``frank<i>``
+cases from the array engine while it still evaluated Frank through the
+scalar ``LogicFamily.tnorm``, so any change in any printed digit of any
+matrix fails here.
 
 Regenerate (only for a deliberate, documented output change) with::
 
@@ -31,15 +33,26 @@ GOLDEN = HERE / "lcm_golden.json"
 BUNDLED_FAMILIES = ["minmax", "product", "lukasiewicz", "frank:2"]
 RANDOM_FAMILIES = ["minmax", "product", "lukasiewicz", "frank:2", "frank:0.5", "nilpotent"]
 RANDOM_CFGS = 20
+# Frank at both ends of its range, where expm1/log1p carry the evaluation.
+FRANK_FAMILIES = ["frank:0.01", "frank:100"]
+FRANK_CFGS = 10
 
 
-def _random_rows(rng: random.Random, problem, kind: str) -> None:
+def _random_rows(rng: random.Random, problem, kind: str, ends: float = 0.0) -> None:
+    """Fill the rows with ``kind`` values; with ``ends`` > 0 that share of
+    the soft draws is an exact 0 or 1 instead."""
+
+    def draw():
+        if ends and rng.random() < ends:
+            return float(rng.random() < 0.5)
+        return rng.random()
+
     def cell():
         if kind == "crisp":
             return float(rng.random() < 0.4)
         if kind == "fuzzy":
-            return rng.random()
-        return TruthInterval(*sorted((rng.random(), rng.random())))
+            return draw()
+        return TruthInterval(*sorted((draw(), draw())))
 
     width = len(problem.exprs)
     for name in ("dee", "uee", "kill"):
@@ -63,6 +76,15 @@ def golden_cases() -> dict:
             family = LogicFamily.parse(logic)
             cfg = SolverConfig(family=family, max_iters=3000)
             cases[f"random{i}/{mode}/{logic}"] = (problem, mode, family, cfg)
+    for i in range(FRANK_CFGS):
+        for mode in ("fuzzy", "interval"):
+            for logic in FRANK_FAMILIES:
+                rng = random.Random(f"golden/frank/{i}")
+                problem = random_crisp_problem(rng, max_blocks=12, max_exprs=6)
+                _random_rows(random.Random(f"golden/frank/{i}/{mode}"), problem, mode, ends=0.3)
+                family = LogicFamily.parse(logic)
+                cfg = SolverConfig(family=family, max_iters=3000)
+                cases[f"frank{i}/{mode}/{logic}"] = (problem, mode, family, cfg)
     for stem, mode in (("diffpcm_t1", "fuzzy"), ("diffpcm_t2", "interval")):
         problem, _ = L.load_problem_file(str(DATA_DIR / f"{stem}.json"))
         family = LogicFamily.product()

@@ -1,6 +1,8 @@
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 
 from fuzzydfa import LogicFamily, TruthInterval, TruthValueError, quantize, truth_value
@@ -189,6 +191,46 @@ def test_frank_large_s_approaches_lukasiewicz():
                 assert abs(fam.tnorm(x, y) - luka.tnorm(x, y)) <= bound
 
 
+# -- array T-norm -------------------------------------------------------------------
+
+# Every conftest family, nilpotent, Frank inside the product band (evaluated
+# as x*y) and Frank at random log-uniform parameters.
+ARRAY_FAMILIES = (
+    FAMILIES
+    + [LogicFamily.nilpotent(), LogicFamily.frank(1.0 + 5e-7), LogicFamily.frank(1.0 - 5e-7)]
+    + [LogicFamily.frank(10 ** random.Random(f"tnorm_array/{i}").uniform(-3, 3)) for i in range(4)]
+)
+EDGE_DEGREES = [0.0, 1.0, 1e-300, 1.0 - 1e-16]
+
+
+def scalar_tnorms(family: LogicFamily, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    flat = [family.tnorm(a, b) for a, b in zip(x.ravel().tolist(), y.ravel().tolist())]
+    return np.array(flat).reshape(x.shape)
+
+
+@pytest.mark.parametrize("family", ARRAY_FAMILIES, ids=str)
+def test_tnorm_array_matches_scalar_bit_for_bit(family):
+    rng = random.Random(f"tnorm_array/{family}")
+    xs = [rng.random() for _ in range(3000)] + [a for a in EDGE_DEGREES for _ in EDGE_DEGREES]
+    ys = [rng.random() for _ in range(3000)] + [b for _ in EDGE_DEGREES for b in EDGE_DEGREES]
+    # The engine's shape: (rows, exprs, w).
+    x = np.array(xs).reshape(-1, 4, 2)
+    y = np.array(ys).reshape(-1, 4, 2)
+    got = family.tnorm_array(x, y)
+    assert got.dtype == np.float64 and got.shape == x.shape
+    # Integer views tell -0.0 from 0.0 and compare NaNs by their bits.
+    assert np.array_equal(got.view(np.int64), scalar_tnorms(family, x, y).view(np.int64))
+
+
+def test_tnorm_array_overflows_silently_like_the_scalar():
+    family = LogicFamily.frank(1e300)
+    x = np.array([1.0, 0.5, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = family.tnorm_array(x, x)
+    assert np.array_equal(got.view(np.int64), scalar_tnorms(family, x, x).view(np.int64))
+
+
 # -- intervals ------------------------------------------------------------------
 
 
@@ -199,6 +241,33 @@ def test_interval_invariants():
         TruthInterval(0.6, 0.4)
     with pytest.raises(TruthValueError):
         TruthInterval(-0.5, 0.5)
+
+
+def test_interval_turns_negative_zero_ends_positive():
+    assert math.copysign(1.0, TruthInterval(-0.0, 0.5).lo) == 1.0
+    both = TruthInterval(-0.0, -0.0)
+    assert math.copysign(1.0, both.lo) == 1.0 and math.copysign(1.0, both.hi) == 1.0
+
+
+def test_interval_ends_are_stored_as_float():
+    for lo, hi in [(0, 1), (np.float64(0.25), np.float64(0.75)), (0, 0.5), (True, True)]:
+        interval = TruthInterval(lo, hi)
+        assert type(interval.lo) is float and type(interval.hi) is float
+        assert (interval.lo, interval.hi) == (float(lo), float(hi))
+
+
+def test_interval_clamps_rounding_noise():
+    assert TruthInterval(0.5, 1.0 + 1e-13).hi == 1.0
+    assert TruthInterval(-1e-13, 0.5).lo == 0.0
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (float("nan"), 0.5), (0.2, float("nan")), (0.2, float("inf")), (float("-inf"), 0.5),
+    (0.6, 0.4), (1.0, 0.0), (-0.01, 0.5), (0.5, 1.01),
+])
+def test_interval_rejects_bad_ends(lo, hi):
+    with pytest.raises(TruthValueError):
+        TruthInterval(lo, hi)
 
 
 def test_interval_op_examples():
