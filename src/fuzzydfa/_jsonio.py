@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import math
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 from typing import Any, Iterable
 
@@ -10,7 +12,9 @@ from .truth import TruthInterval, truth_value
 __all__ = [
     "FileFormatError",
     "dumps",
+    "load_file",
     "check_keys",
+    "load_number",
     "load_setting",
     "load_value",
     "load_row",
@@ -78,6 +82,15 @@ def _write(obj: Any, parts: list[str]) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def load_file(path: str) -> Any:
+    """Parse a JSON file; a syntax error names the file, line and column."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise FileFormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+
+
 def check_keys(obj: Any, context: str, required: Iterable[str], optional: Iterable[str] = ()) -> None:
     """Reject non-dict values, missing required keys and unknown keys."""
     if not isinstance(obj, dict):
@@ -92,33 +105,45 @@ def check_keys(obj: Any, context: str, required: Iterable[str], optional: Iterab
         raise FileFormatError(f"{context}: unknown keys {sorted(unknown)}")
 
 
-def load_setting(data: dict, key: str, *, integer: bool = False) -> Any:
-    """Read an optional numeric setting, or None when ``key`` is absent.
+def load_number(raw: Any, context: str, *, integer: bool = False) -> Any:
+    """Read a JSON number as a finite float (with ``integer``, as an int).
 
-    Booleans, strings, null and (with ``integer``) fractions are rejected,
-    not coerced; the range is left to the consumer (``SolverConfig``).
+    Booleans, strings, null, NaN, infinities and (with ``integer``)
+    fractions are rejected, not coerced; the range is left to the consumer.
     """
-    if key not in data:
-        return None
-    raw = data[key]
     kinds = (int,) if integer else (int, float)
     if isinstance(raw, bool) or not isinstance(raw, kinds):
         expected = "an integer" if integer else "a number"
-        raise FileFormatError(f"{key}: expected {expected}, got {raw!r}")
-    return raw if integer else float(raw)
+        raise FileFormatError(f"{context}: expected {expected}, got {raw!r}")
+    if isinstance(raw, float) and not math.isfinite(raw):
+        raise FileFormatError(f"{context}: expected a finite number, got {raw!r}")
+    try:
+        return raw if integer else float(raw)
+    except OverflowError:
+        raise FileFormatError(f"{context}: integer too large for a float") from None
+
+
+def load_setting(data: dict, key: str, *, integer: bool = False) -> Any:
+    """Read an optional numeric setting (``load_number``), or None when
+    ``key`` is absent; the range is checked by ``SolverConfig``."""
+    return load_number(data[key], key, integer=integer) if key in data else None
 
 
 def load_value(raw: Any, context: str, *, interval: bool) -> Any:
     """Read a truth value: a scalar, or (interval mode) a [lo, hi] pair.
 
-    Scalars in interval mode are lifted to degenerate intervals.
+    Scalars in interval mode are lifted to degenerate intervals; the ends
+    of a pair must be numbers too.
     """
+    pair = interval and isinstance(raw, list) and len(raw) == 2
+    if pair and not (type(raw[0]) is float and type(raw[1]) is float):
+        raw = [load_number(v, f"{context}[{k}]") for k, v in enumerate(raw)]
     try:
         if isinstance(raw, (int, float)) and not isinstance(raw, bool):
             return TruthInterval.degenerate(raw) if interval else truth_value(raw)
-        if interval and isinstance(raw, list) and len(raw) == 2:
-            return TruthInterval(float(raw[0]), float(raw[1]))
-    except (TypeError, ValueError) as exc:
+        if pair:
+            return TruthInterval(*raw)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"{context}: {exc}") from None
     kinds = "a number or a [lo, hi] pair" if interval else "a number"
     raise FileFormatError(f"{context}: expected {kinds}, got {raw!r}")

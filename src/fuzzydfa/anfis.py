@@ -5,13 +5,17 @@ stream in.
 
 Only the affine consequents adapt; the antecedent membership functions are
 fixed (supplied by the caller or a uniform triangular partition of [0,1]).
+The layers run on arrays across rules in the scalar definitions' operation
+order and sum over rules with Python's ``sum`` (``np.sum`` adds pairwise),
+so every number is bit-identical to evaluating the rules one by one.
 """
 
 from __future__ import annotations
 
 import csv
-import json
+import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Any, Sequence
 
 import numpy as np
@@ -20,24 +24,10 @@ from . import _jsonio
 from ._jsonio import FileFormatError
 
 __all__ = [
-    "TriangularMf",
-    "Rule",
-    "AnfisModel",
-    "Prediction",
-    "TrainConfig",
-    "HarnessResult",
-    "NoRuleFiresError",
-    "DimensionMismatchError",
-    "predict",
-    "lms_update",
-    "ls_fit",
-    "uniform_model",
-    "run_harness",
-    "model_to_json_dict",
-    "model_from_json_dict",
-    "load_model_file",
-    "read_samples_csv",
-    "split_periods",
+    "TriangularMf", "Rule", "AnfisModel", "Prediction", "TrainConfig", "HarnessResult",
+    "NoRuleFiresError", "DimensionMismatchError", "predict", "lms_update", "ls_fit",
+    "uniform_model", "run_harness", "model_to_json_dict", "model_from_json_dict",
+    "load_model_file", "read_samples_csv", "split_periods",
 ]
 
 
@@ -91,6 +81,10 @@ class Rule:
 
 @dataclass(frozen=True)
 class AnfisModel:
+    """The rules are also held as arrays, built once and shared by the models
+    that ``lms_update``, ``ls_fit`` and ``run_harness`` derive, which build
+    their ``Rule`` objects only when ``rules`` is read."""
+
     rules: tuple[Rule, ...]
     dim: int
     and_op: str = "min"  # "min" | "product"
@@ -108,6 +102,26 @@ class AnfisModel:
                 raise DimensionMismatchError(
                     f"rule has {len(rule.antecedents)} antecedents, model dim is {self.dim}"
                 )
+        # Each distinct (input, mf) is evaluated once; ``index`` gathers them.
+        antecedents = tuple(rule.antecedents for rule in self.rules)
+        mfs: dict = {}
+        index = [[mfs.setdefault(m, len(mfs)) for m in enumerate(ante)] for ante in antecedents]
+        k, a, b, c = np.array([(k, mf.a, mf.b, mf.c) for k, mf in mfs]).T
+        mf = (k.astype(int), a, b, c, b - a, c - b, np.array(index).T)
+        coef = np.array([rule.consequent for rule in self.rules])  # rules x (dim + 1)
+        self.__dict__.update(_antecedents=antecedents, _mf=mf, _coef=coef)
+
+    def _with(self, coef: np.ndarray) -> AnfisModel:  # same antecedents, new consequents
+        model = object.__new__(AnfisModel)
+        model.__dict__.update(self.__dict__, _coef=coef)
+        model.__dict__.pop("rules", None)  # built by __getattr__ when first read
+        return model
+
+    def __getattr__(self, name: str) -> Any:
+        if name != "rules":
+            raise AttributeError(name)
+        self.__dict__["rules"] = tuple(map(Rule, self._antecedents, self._coef.tolist()))
+        return self.rules
 
 
 @dataclass
@@ -118,76 +132,75 @@ class Prediction:
     rule_outputs: list[float]  # f_i(x)
 
 
+def _layers(model: AnfisModel, xs: Sequence[Sequence[float]]):
+    """Layers 1-3: inputs (n, dim), firing strengths and normalized ones (n, rules)."""
+    rows = [[float(v) for v in x] for x in xs]
+    for x in rows:
+        if len(x) != model.dim:
+            raise DimensionMismatchError(f"expected {model.dim} inputs, got {len(x)}")
+        if not all(map(math.isfinite, x)):
+            raise ValueError(f"input {x!r} is not finite")
+    X = np.array(rows, dtype=float).reshape(len(rows), model.dim)
+    dims, a, b, c, rise, fall, index = model._mf
+    x = X[:, dims]
+    # Shoulders' zero-width ramps divide by 0 in branches np.where drops.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        degrees = np.where(x == b, 1.0, np.where((x <= a) | (x >= c), 0.0, np.where(
+            x < b, (x - a) / rise, (c - x) / fall)))[:, index]
+    # Conjoin input by input, in order: w = ((mu_1 * mu_2) * mu_3) ...
+    w = (np.minimum if model.and_op == "min" else np.multiply).reduce(degrees, axis=1)
+    totals = [sum(row) for row in w.tolist()]
+    for x, total in zip(rows, totals):
+        if total <= 0.0:
+            raise NoRuleFiresError(f"input {x!r} fires no rule")
+    return X, w, w / np.array(totals).reshape(-1, 1)
+
+
+def _outputs(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Layer 4: f_i(x) = c_i0 + (0 + c_i1*x_1 + ... + c_id*x_d), added left
+    to right as ``Rule.output``'s ``sum`` does (CPython up to 3.11)."""
+    acc = 0.0
+    for term in (coef[:, 1:] * x).T:
+        acc = acc + term
+    return coef[:, 0] + acc
+
+
+def _lms(coef: np.ndarray, x: np.ndarray, nw: np.ndarray, e: float, mu: float) -> None:
+    """``lms_update``'s step on ``coef`` in place."""
+    g = (mu * e) * nw
+    coef[:, 0] += g
+    coef[:, 1:] += g[:, None] * x
+
+
 def predict(model: AnfisModel, x: Sequence[float]) -> Prediction:
     """Layers 1-5: memberships, firing strengths, normalization, weighted
-    consequents, sum.  Raises NoRuleFiresError when no rule covers ``x``."""
-    x = [float(v) for v in x]
-    if len(x) != model.dim:
-        raise DimensionMismatchError(f"expected {model.dim} inputs, got {len(x)}")
-    firing = []
-    for rule in model.rules:
-        degrees = [mf.membership(v) for mf, v in zip(rule.antecedents, x)]
-        if model.and_op == "min":
-            firing.append(min(degrees))
-        else:
-            w = 1.0
-            for d in degrees:
-                w *= d
-            firing.append(w)
-    total = sum(firing)
-    if total <= 0.0:
-        raise NoRuleFiresError(f"input {x!r} fires no rule")
-    normalized = [w / total for w in firing]
-    rule_outputs = [rule.output(x) for rule in model.rules]
-    output = sum(nw * f for nw, f in zip(normalized, rule_outputs))
-    return Prediction(output=output, firing=firing, normalized=normalized, rule_outputs=rule_outputs)
+    consequents, sum.  Raises NoRuleFiresError when no rule covers ``x`` and
+    ValueError when an input is NaN or infinite."""
+    X, w, nw = _layers(model, [x])
+    f = _outputs(model._coef, X[0])
+    return Prediction(sum((nw[0] * f).tolist()), w[0].tolist(), nw[0].tolist(), f.tolist())
 
 
 def lms_update(model: AnfisModel, x: Sequence[float], target: float, mu: float) -> AnfisModel:
-    """One stochastic-gradient step on this sample's squared error.
-
-    c(i,0) += mu*e*wbar_i and c(i,k) += mu*e*wbar_i*x_k with e the signed
-    prediction error; memberships are left untouched.
-    """
-    pred = predict(model, x)
-    e = float(target) - pred.output
-    x = [float(v) for v in x]
-    rules = []
-    for rule, nw in zip(model.rules, pred.normalized):
-        coeffs = list(rule.consequent)
-        coeffs[0] += mu * e * nw
-        for k, v in enumerate(x):
-            coeffs[k + 1] += mu * e * nw * v
-        rules.append(Rule(rule.antecedents, tuple(coeffs)))
-    return AnfisModel(tuple(rules), model.dim, model.and_op)
+    """One stochastic-gradient step on this sample's squared error:
+    c(i,0) += mu*e*wbar_i and c(i,k) += mu*e*wbar_i*x_k, e the signed error."""
+    X, _, nw = _layers(model, [x])
+    coef = model._coef.copy()
+    _lms(coef, X[0], nw[0], float(target) - sum((nw[0] * _outputs(coef, X[0])).tolist()), mu)
+    return model._with(coef)
 
 
 def ls_fit(model: AnfisModel, X: Sequence[Sequence[float]], Y: Sequence[float]) -> AnfisModel:
-    """Global linear least squares over every consequent coefficient jointly.
-
-    Each sample contributes the row [wbar_1*(1,x), ..., wbar_R*(1,x)]; the
-    system is solved with a rank-revealing method, so rank-deficient (e.g.
-    underdetermined) problems get the minimum-norm solution.
-    """
+    """Joint least squares over all consequents, one row [wbar_1*(1,x), ...,
+    wbar_R*(1,x)] per sample; rank-revealing, so minimum norm if underdetermined."""
     if len(X) != len(Y):
         raise DimensionMismatchError(f"{len(X)} samples but {len(Y)} targets")
-    if not X:
+    if len(X) == 0:
         raise ValueError("need at least one sample")
-    n_rules = len(model.rules)
-    width = n_rules * (model.dim + 1)
-    rows = np.zeros((len(X), width))
-    for i, sample in enumerate(X):
-        pred = predict(model, sample)  # raises if the sample fires no rule
-        basis = [1.0, *map(float, sample)]
-        for r, nw in enumerate(pred.normalized):
-            for k, v in enumerate(basis):
-                rows[i, r * (model.dim + 1) + k] = nw * v
+    X, _, nw = _layers(model, X)
+    rows = (nw[:, :, None] * np.insert(X, 0, 1.0, axis=1)[:, None, :]).reshape(len(X), -1)
     coeffs, *_ = np.linalg.lstsq(rows, np.asarray(Y, dtype=float), rcond=None)
-    rules = []
-    for r, rule in enumerate(model.rules):
-        chunk = coeffs[r * (model.dim + 1): (r + 1) * (model.dim + 1)]
-        rules.append(Rule(rule.antecedents, tuple(float(c) for c in chunk)))
-    return AnfisModel(tuple(rules), model.dim, model.and_op)
+    return model._with(coeffs.reshape(-1, model.dim + 1))
 
 
 def uniform_model(dim: int, mfs_per_dim: int = 3, and_op: str = "min") -> AnfisModel:
@@ -196,16 +209,10 @@ def uniform_model(dim: int, mfs_per_dim: int = 3, and_op: str = "min") -> AnfisM
     if dim < 1 or mfs_per_dim < 2:
         raise ValueError("need dim >= 1 and at least 2 membership functions per input")
     peaks = [i / (mfs_per_dim - 1) for i in range(mfs_per_dim)]
-    partition = []
-    for i, b in enumerate(peaks):
-        a = peaks[i - 1] if i > 0 else b
-        c = peaks[i + 1] if i + 1 < len(peaks) else b
-        partition.append(TriangularMf(a, b, c))
-    combos: list[tuple[TriangularMf, ...]] = [()]
-    for _ in range(dim):
-        combos = [combo + (mf,) for combo in combos for mf in partition]
+    ends = [peaks[0], *peaks, peaks[-1]]
+    partition = [TriangularMf(*ends[i : i + 3]) for i in range(mfs_per_dim)]
     zero = tuple(0.0 for _ in range(dim + 1))
-    return AnfisModel(tuple(Rule(combo, zero) for combo in combos), dim, and_op)
+    return AnfisModel([Rule(ante, zero) for ante in product(partition, repeat=dim)], dim, and_op)
 
 
 # -- decision harness ---------------------------------------------------------
@@ -220,9 +227,8 @@ class TrainConfig:
         if not self.mu > 0.0:
             raise ValueError(f"mu must be > 0, got {self.mu}")
         if not 0.0 <= self.retrain_error_threshold <= 1.0:
-            raise ValueError(
-                f"retrain_error_threshold must be in [0,1], got {self.retrain_error_threshold}"
-            )
+            threshold = self.retrain_error_threshold
+            raise ValueError(f"retrain_error_threshold must be in [0,1], got {threshold}")
 
 
 @dataclass
@@ -249,26 +255,31 @@ def run_harness(
     """
     if len(periods) != len(labels):
         raise DimensionMismatchError(f"{len(periods)} periods but {len(labels)} label groups")
+    # Layers 1-3 depend on the antecedents only, which models derived from one
+    # another share; the LMS steps update copied consequents in place.
+    coefs = [update_model._coef.copy(), leave_model._coef.copy()]
     rates: list[float] = []
     for xs, ys in zip(periods, labels):
         if len(xs) != len(ys):
             raise DimensionMismatchError("period and label lengths differ")
+        X, _, nu = _layers(update_model, xs)
+        nv = nu if leave_model._mf is update_model._mf else _layers(leave_model, xs)[2]
         errors = 0
-        for x, should_update in zip(xs, ys):
-            u = predict(update_model, x).output
-            v = predict(leave_model, x).output
+        for x, should_update, *nws in zip(X, ys, nu, nv):
+            u, v = (sum((nw * _outputs(coef, x)).tolist()) for nw, coef in zip(nws, coefs))
             correct = (u > v) if should_update else (v > u)
             if not correct:
                 errors += 1
-                tgt_u, tgt_v = (1.0, 0.0) if should_update else (0.0, 1.0)
-                update_model = lms_update(update_model, x, tgt_u, tc.mu)
-                leave_model = lms_update(leave_model, x, tgt_v, tc.mu)
-        rate = errors / len(xs) if xs else 0.0
+                targets = (1.0, 0.0) if should_update else (0.0, 1.0)
+                for coef, nw, target, out in zip(coefs, nws, targets, (u, v)):
+                    _lms(coef, x, nw, target - out, tc.mu)
+        rate = errors / len(xs) if len(xs) else 0.0
         rates.append(rate)
-        if xs and rate >= tc.retrain_error_threshold:
-            update_model = ls_fit(update_model, xs, [1.0 if y else 0.0 for y in ys])
-            leave_model = ls_fit(leave_model, xs, [0.0 if y else 1.0 for y in ys])
-    return HarnessResult(error_rates=rates, update_model=update_model, leave_model=leave_model)
+        if len(xs) and rate >= tc.retrain_error_threshold:
+            targets = [1.0 if y else 0.0 for y in ys]
+            coefs = [ls_fit(update_model, xs, targets)._coef,
+                     ls_fit(leave_model, xs, [1.0 - t for t in targets])._coef]
+    return HarnessResult(rates, update_model._with(coefs[0]), leave_model._with(coefs[1]))
 
 
 def split_periods(
@@ -289,52 +300,38 @@ def split_periods(
 
 
 def model_to_json_dict(model: AnfisModel) -> dict:
-    return {
-        "dim": model.dim,
-        "and_op": model.and_op,
-        "rules": [
-            {
-                "antecedents": [[mf.a, mf.b, mf.c] for mf in rule.antecedents],
-                "consequent": list(rule.consequent),
-            }
-            for rule in model.rules
-        ],
-    }
+    pairs = zip(model._antecedents, model._coef.tolist())
+    rules = [{"antecedents": [[m.a, m.b, m.c] for m in ante], "consequent": c} for ante, c in pairs]
+    return {"dim": model.dim, "and_op": model.and_op, "rules": rules}
 
 
 def model_from_json_dict(data: Any) -> AnfisModel:
+    """Every number must be a finite JSON number, ``dim`` an integer."""
     _jsonio.check_keys(data, "model", ["dim", "and_op", "rules"])
+    num = _jsonio.load_number
     try:
         rules = []
         for i, raw in enumerate(data["rules"]):
             _jsonio.check_keys(raw, f"rules[{i}]", ["antecedents", "consequent"])
-            antecedents = tuple(TriangularMf(*map(float, abc)) for abc in raw["antecedents"])
-            rules.append(Rule(antecedents, tuple(float(c) for c in raw["consequent"])))
-        return AnfisModel(tuple(rules), int(data["dim"]), str(data["and_op"]))
+            mfs = [[num(v, f"rules[{i}].antecedents") for v in abc] for abc in raw["antecedents"]]
+            consequent = [num(c, f"rules[{i}].consequent") for c in raw["consequent"]]
+            rules.append(Rule(tuple(TriangularMf(*abc) for abc in mfs), consequent))
+        return AnfisModel(rules, num(data["dim"], "dim", integer=True), str(data["and_op"]))
     except (TypeError, ValueError) as exc:
         raise FileFormatError(f"model: {exc}") from None
 
 
 def load_model_file(path: str) -> AnfisModel:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    return model_from_json_dict(data)
+    return model_from_json_dict(_jsonio.load_file(path))
 
 
 def read_samples_csv(path: str) -> tuple[list[list[float]], list[bool]]:
-    """Read harness samples: columns x1..xn plus a final 0/1 label column.
-
-    A header row is detected (and skipped) when its first cell is not
-    numeric.
-    """
-    X: list[list[float]] = []
-    labels: list[bool] = []
+    """Read harness samples: columns x1..xn plus a final 0/1 label column; a
+    first row with a non-numeric cell is a header and is skipped."""
+    X, labels = [], []
     with open(path, "r", encoding="utf-8", newline="") as handle:
         for row_no, row in enumerate(csv.reader(handle), start=1):
-            if not row or all(not cell.strip() for cell in row):
+            if not any(cell.strip() for cell in row):
                 continue
             try:
                 values = [float(cell) for cell in row]
@@ -342,6 +339,8 @@ def read_samples_csv(path: str) -> tuple[list[list[float]], list[bool]]:
                 if row_no == 1:
                     continue
                 raise FileFormatError(f"{path}: row {row_no}: non-numeric value") from None
+            if not all(map(math.isfinite, values)):
+                raise FileFormatError(f"{path}: row {row_no}: NaN or infinite value")
             if len(values) < 2:
                 raise FileFormatError(f"{path}: row {row_no}: need at least one input and a label")
             X.append(values[:-1])

@@ -10,7 +10,6 @@ are byte-identical.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Any
 
@@ -121,12 +120,7 @@ def _print_lcm_pretty(problem: lcm.LcmProblem, result: lcm.LcmResult, threshold:
 
 
 def _cmd_validate(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            print(f"error: {args.file}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr)
-            return 1
+    data = _jsonio.load_file(args.file)
     if isinstance(data, dict) and "blocks" in data:
         problem, settings = lcm.problem_from_json_dict(data)
         errors = lcm.validate_problem(problem, settings.mode)
@@ -175,12 +169,7 @@ def _cmd_anfis_predict(args) -> int:
 
 
 def _cmd_anfis_train(args) -> int:
-    with open(args.models, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            print(f"error: {args.models}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr)
-            return 1
+    data = _jsonio.load_file(args.models)
     _jsonio.check_keys(data, "models", ["update", "leave"])
     update_model = anfis.model_from_json_dict(data["update"])
     leave_model = anfis.model_from_json_dict(data["leave"])

@@ -14,7 +14,6 @@ recomputed.  Every source must therefore have a seed entry.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Union
 
@@ -297,9 +296,4 @@ def graph_to_json_dict(graph: FlowGraph, settings: GraphSettings | None = None) 
 
 
 def load_graph_file(path: str) -> tuple[FlowGraph, GraphSettings]:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    return graph_from_json_dict(data)
+    return graph_from_json_dict(_jsonio.load_file(path))

@@ -30,7 +30,6 @@ just its upward-exposed set, and nothing is "later" than the entry
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence, Union
 
@@ -277,7 +276,9 @@ def _stack(matrix: Mapping, keys: Sequence, n_exprs: int, width: int) -> np.ndar
             [(v.lo, v.hi) if isinstance(v, TruthInterval) else (v, v) for v in matrix[k]]
             for k in keys
         ]
-    out = np.array(rows, dtype=float).reshape(len(keys), n_exprs, width)
+    # Adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is,
+    # so library-built rows print as file-loaded ones (truth_value) do.
+    out = np.array(rows, dtype=float).reshape(len(keys), n_exprs, width) + 0.0
     if not ((out >= 0.0) & (out <= 1.0)).all():
         # Clamp rounding noise and reject the rest, as the scalar norms do.
         out = np.vectorize(truth_value, otypes=[float])(out)
@@ -676,9 +677,4 @@ def problem_to_json_dict(problem: LcmProblem, settings: LcmSettings | None = Non
 
 
 def load_problem_file(path: str) -> tuple[LcmProblem, LcmSettings]:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    return problem_from_json_dict(data)
+    return problem_from_json_dict(_jsonio.load_file(path))

@@ -33,6 +33,10 @@ _CLAMP_SLACK = 1e-12
 # Frank parameters this close to 1 are evaluated as the product logic: the
 # log formula has a removable singularity at s=1 and is unstable near it.
 _FRANK_PRODUCT_BAND = 1e-6
+# Smallest Frank parameter accepted: at or below 2**-54, s - 1 and
+# expm1(log s) round to -1 and the T-norm takes log1p(-1), a math domain
+# error; 2**-53 is the next binade up.
+_FRANK_MIN_S = 2.0**-53
 
 _FAMILY_KINDS = ("minmax", "product", "lukasiewicz", "nilpotent", "frank")
 
@@ -123,10 +127,11 @@ class LogicFamily:
             raise ValueError(f"unknown logic family {self.kind!r}")
         if self.kind == "frank":
             s = self.s
-            if s is None or not math.isfinite(s) or s <= 0.0 or s == 1.0:
+            if s is None or not math.isfinite(s) or s < _FRANK_MIN_S or s == 1.0:
                 raise ValueError(
-                    f"frank parameter must be finite, > 0 and != 1, got {s!r} "
-                    "(the limits 0, 1, inf are minmax, product and lukasiewicz)"
+                    f"frank parameter must be finite, >= 2**-53 (~1.1e-16) and != 1, "
+                    f"got {s!r} (the limits 0, 1, inf are minmax, product and "
+                    "lukasiewicz; below 2**-53, s - 1 rounds to -1)"
                 )
         elif self.s is not None:
             raise ValueError(f"{self.kind} takes no parameter")

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
 
+from fuzzydfa._jsonio import FileFormatError
 from fuzzydfa.anfis import (
     AnfisModel,
     DimensionMismatchError,
@@ -366,3 +368,221 @@ def test_uniform_model_covers_the_unit_box():
     model = uniform_model(2, 3)
     for _ in range(200):
         predict(model, [rng.random(), rng.random()])  # must not raise
+
+
+# -- array layers against the scalar definitions ----------------------------------
+
+
+def scalar_predict(model, x):
+    """Layers 1-5 rule by rule from TriangularMf.membership and Rule.output."""
+    x = [float(v) for v in x]
+    firing = []
+    for rule in model.rules:
+        degrees = [mf.membership(v) for mf, v in zip(rule.antecedents, x)]
+        w = min(degrees) if model.and_op == "min" else math.prod(degrees)
+        firing.append(w)
+    total = sum(firing)
+    if total <= 0.0:
+        return None
+    normalized = [w / total for w in firing]
+    outputs = [rule.output(x) for rule in model.rules]
+    return sum(nw * f for nw, f in zip(normalized, outputs)), firing, normalized, outputs
+
+
+def bits(values):
+    """Exact float identity, -0.0 told from 0.0."""
+    return [float(v).hex() for v in values]
+
+
+def random_model(rng, dim, and_op):
+    """Random triangles (shoulders, spikes and shared breakpoints included)
+    and random consequents, some of them 0.0 or -0.0."""
+    pool = [0.0, 0.25, 0.5, 0.75, 1.0]
+
+    def mf():
+        kind = rng.random()
+        if kind < 0.2:
+            return TriangularMf(*sorted(rng.sample(pool, 3)))
+        a, b, c = sorted(rng.random() for _ in range(3))
+        if kind < 0.3:
+            return TriangularMf(a, a, c)
+        if kind < 0.4:
+            return TriangularMf(a, c, c)
+        if kind < 0.45:
+            return TriangularMf(b, b, b)
+        return TriangularMf(a, b, c)
+
+    def coefficient():
+        return rng.choice([-0.0, 0.0]) if rng.random() < 0.3 else rng.uniform(-2, 2)
+
+    shared = [mf() for _ in range(3)]
+    rules = tuple(
+        Rule(
+            tuple(rng.choice(shared) if rng.random() < 0.5 else mf() for _ in range(dim)),
+            tuple(coefficient() for _ in range(dim + 1)),
+        )
+        for _ in range(rng.randint(1, 12))
+    )
+    return AnfisModel(rules, dim, and_op)
+
+
+def random_input(rng, dim):
+    return [rng.choice([0.0, 0.25, 0.5, 1.0]) if rng.random() < 0.2 else rng.random()
+            for _ in range(dim)]
+
+
+@pytest.mark.parametrize("and_op", ["min", "product"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_predict_matches_the_scalar_definitions_bit_for_bit(dim, and_op):
+    rng = random.Random(f"scalar-predict/{dim}/{and_op}")
+    fired = 0
+    for _ in range(40):
+        model = random_model(rng, dim, and_op)
+        for _ in range(10):
+            x = random_input(rng, dim)
+            expected = scalar_predict(model, x)
+            if expected is None:
+                with pytest.raises(NoRuleFiresError):
+                    predict(model, x)
+                continue
+            fired += 1
+            pred = predict(model, x)
+            assert bits([pred.output]) == bits(expected[:1])
+            assert bits(pred.firing) == bits(expected[1])
+            assert bits(pred.normalized) == bits(expected[2])
+            assert bits(pred.rule_outputs) == bits(expected[3])
+    assert fired > 40
+
+
+@pytest.mark.parametrize("and_op", ["min", "product"])
+def test_lms_and_ls_match_the_scalar_definitions_bit_for_bit(and_op):
+    rng = random.Random(f"scalar-fit/{and_op}")
+    for dim in (1, 2, 4):
+        model = uniform_model(dim, 3, and_op)
+        model = AnfisModel(
+            tuple(Rule(r.antecedents, tuple(rng.uniform(-1, 1) for _ in range(dim + 1)))
+                  for r in model.rules),
+            dim,
+            and_op,
+        )
+        X = [random_input(rng, dim) for _ in range(30)]
+        Y = [rng.random() for _ in X]
+        # lms_update: c(i,0) += mu*e*nw_i, c(i,k) += mu*e*nw_i*x_k, rule by rule.
+        for x, y in zip(X[:5], Y):
+            output, _, normalized, _ = scalar_predict(model, x)
+            e = y - output
+            expected = []
+            for rule, nw in zip(model.rules, normalized):
+                coeffs = list(rule.consequent)
+                coeffs[0] += 0.3 * e * nw
+                for k, v in enumerate(x):
+                    coeffs[k + 1] += 0.3 * e * nw * v
+                expected += coeffs
+            got = lms_update(model, x, y, 0.3)
+            assert bits(c for r in got.rules for c in r.consequent) == bits(expected)
+        # ls_fit: the design matrix row by row, then the same lstsq call.
+        rows = np.zeros((len(X), len(model.rules) * (dim + 1)))
+        for i, x in enumerate(X):
+            normalized = scalar_predict(model, x)[2]
+            for r, nw in enumerate(normalized):
+                for k, v in enumerate([1.0, *x]):
+                    rows[i, r * (dim + 1) + k] = nw * v
+        expected, *_ = np.linalg.lstsq(rows, np.array(Y), rcond=None)
+        got = ls_fit(model, X, Y)
+        assert bits(c for r in got.rules for c in r.consequent) == bits(expected)
+
+
+@pytest.mark.parametrize("and_op", ["min", "product"])
+def test_hot_path_never_evaluates_rule_objects(monkeypatch, and_op):
+    """predict, lms_update, ls_fit and run_harness run on the rule arrays, not
+    through TriangularMf.membership or Rule.output."""
+    rng = random.Random(f"guard/{and_op}")
+    update = uniform_model(3, 3, and_op)
+    leave = lms_update(update, [0.2, 0.4, 0.6], 1.0, 0.5)  # not sharing consequents
+    X = [random_input(rng, 3) for _ in range(60)]
+    labels = [sum(x) > 1.5 for x in X]
+    periods, period_labels = split_periods(X, labels, 10)
+    tc = TrainConfig(mu=0.1, retrain_error_threshold=0.3)
+
+    def outputs():
+        result = run_harness(update, leave, periods, period_labels, tc)
+        preds = [predict(result.update_model, x) for x in X[:5]]
+        fitted = ls_fit(leave, X, [float(y) for y in labels])
+        stepped = lms_update(leave, X[0], 0.7, 0.2)
+        return (result.error_rates, result.update_model, result.leave_model,
+                [(p.output, p.firing, p.normalized, p.rule_outputs) for p in preds],
+                fitted, stepped)
+
+    expected = outputs()
+
+    def scalar(*args):
+        raise AssertionError("scalar rule evaluation called")
+
+    monkeypatch.setattr(TriangularMf, "membership", scalar)
+    monkeypatch.setattr(Rule, "output", scalar)
+    assert outputs() == expected
+
+
+def test_derived_models_build_rules_only_when_read():
+    model = uniform_model(2, 3)
+    stepped = lms_update(model, [0.3, 0.6], 1.0, 0.5)
+    result = run_harness(model, model, [[[0.1, 0.2], [0.7, 0.9]]], [[True, False]],
+                         TrainConfig(mu=0.1, retrain_error_threshold=0.0))
+    for derived in (stepped, ls_fit(model, [[0.1, 0.2]], [1.0]), result.update_model):
+        assert "rules" not in vars(derived)
+        eager = AnfisModel(derived.rules, derived.dim, derived.and_op)
+        assert "rules" in vars(derived)
+        assert derived == eager and hash(derived) == hash(eager)
+        assert repr(derived) == repr(eager)
+        assert model_to_json_dict(derived) == model_to_json_dict(eager)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stepped.dim = 3
+    assert model != stepped and model == uniform_model(2, 3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_are_rejected(bad):
+    model = uniform_model(2, 3)
+    x = [0.5, bad]
+    for call in (
+        lambda: predict(model, x),
+        lambda: lms_update(model, x, 1.0, 0.1),
+        lambda: ls_fit(model, [[0.2, 0.3], x], [1.0, 0.0]),
+        lambda: run_harness(model, model, [[[0.2, 0.3], x]], [[True, False]], TrainConfig(0.1)),
+    ):
+        with pytest.raises(ValueError, match=r"^input \[0\.5, -?(nan|inf)\] is not finite$"):
+            call()
+
+
+def test_csv_rejects_non_finite_values_by_row(tmp_path):
+    path = tmp_path / "samples.csv"
+    path.write_text("x1,x2,label\n0.1,0.9,1\nnan,0.5,1\n", encoding="utf-8")
+    with pytest.raises(FileFormatError, match=r"row 3: NaN or infinite value$"):
+        read_samples_csv(str(path))
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda d: d.__setitem__("dim", 1.7),
+    lambda d: d.__setitem__("dim", True),
+    lambda d: d["rules"][0]["antecedents"][0].__setitem__(0, "0"),
+    lambda d: d["rules"][0]["consequent"].__setitem__(1, True),
+    lambda d: d["rules"][0]["consequent"].__setitem__(1, math.inf),
+])
+def test_model_json_numbers_are_strict(spoil):
+    # One input, so that dim 1.7 or true would coerce to a valid 1.
+    data = model_to_json_dict(uniform_model(1, 2))
+    assert model_from_json_dict(data) == uniform_model(1, 2)
+    spoil(data)
+    with pytest.raises(FileFormatError, match=r"^model: "):
+        model_from_json_dict(data)
+
+
+def test_array_inputs_are_accepted_like_lists():
+    model = uniform_model(2, 3)
+    X = [[0.1, 0.2], [0.3, 0.9], [0.5, 0.5]]
+    Y = [1.0, 0.0, 1.0]
+    assert ls_fit(model, np.array(X), np.array(Y)) == ls_fit(model, X, Y)
+    tc = TrainConfig(mu=0.1, retrain_error_threshold=0.0)
+    by_array = run_harness(model, model, [np.array(X)], [np.array([True, False, True])], tc)
+    by_list = run_harness(model, model, [X], [[True, False, True]], tc)
+    assert by_array == by_list

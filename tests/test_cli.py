@@ -290,3 +290,85 @@ def test_lcm_crisp_reports_are_exact_under_frank(data_dir, capsys):
             assert all(v in (0.0, 1.0) for row in report[name].values() for v in row), name
         for name in ("earliest", "later_out", "insert"):
             assert all(v in (0.0, 1.0) for row in report[name] for v in row["values"]), name
+
+
+def test_frank_parameter_below_the_range_is_exit_1(data_dir, capsys):
+    code, out, err = run(capsys, "lcm", str(data_dir / "diffpcm_t1.json"), "--logic", "frank:1e-17")
+    assert code == 1
+    assert out == ""
+    assert "frank parameter must be finite, >= 2**-53" in err
+    assert "math domain error" not in err
+
+
+@pytest.mark.parametrize("vector", ["nan,0.5", "0.5,inf", "-inf,0.2"])
+def test_anfis_predict_rejects_non_finite_input(data_dir, capsys, vector):
+    code, out, err = run(capsys, "anfis-predict", str(data_dir / "anfis_two_rule.json"),
+                         f"--input={vector}")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: input {[float(v) for v in vector.split(',')]!r} is not finite\n"
+
+
+@pytest.mark.parametrize("row", ["nan,0.5,1", "0.2,inf,0", "0.2,0.5,nan"])
+def test_anfis_train_names_a_non_finite_csv_row(data_dir, tmp_path, capsys, row):
+    data_path = tmp_path / "data.csv"
+    data_path.write_text(f"x1,x2,label\n0.1,0.9,1\n{row}\n")
+    code, out, err = run(
+        capsys, "anfis-train", str(data_dir / "anfis_models.json"), str(data_path), "--mu", "0.1"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {data_path}: row 3: NaN or infinite value\n"
+
+
+BAD_MODEL_NUMBERS = [
+    (lambda m: m.__setitem__("dim", 1.7), "dim: expected an integer, got 1.7"),
+    (lambda m: m.__setitem__("dim", True), "dim: expected an integer, got True"),
+    (lambda m: m.__setitem__("dim", "2"), "dim: expected an integer, got '2'"),
+    (lambda m: m["rules"][0]["antecedents"][0].__setitem__(1, "0.5"),
+     "rules[0].antecedents: expected a number, got '0.5'"),
+    (lambda m: m["rules"][1]["antecedents"][1].__setitem__(2, True),
+     "rules[1].antecedents: expected a number, got True"),
+    (lambda m: m["rules"][0]["consequent"].__setitem__(0, "0.5"),
+     "rules[0].consequent: expected a number, got '0.5'"),
+    (lambda m: m["rules"][1]["consequent"].__setitem__(2, False),
+     "rules[1].consequent: expected a number, got False"),
+    (lambda m: m["rules"][1]["consequent"].__setitem__(2, float("nan")),
+     "rules[1].consequent: expected a finite number, got nan"),
+]
+BAD_MODEL_IDS = ["dim-fraction", "dim-bool", "dim-string", "breakpoint-string", "breakpoint-bool",
+                 "coefficient-string", "coefficient-bool", "coefficient-nan"]
+
+
+@pytest.mark.parametrize("spoil, message", BAD_MODEL_NUMBERS, ids=BAD_MODEL_IDS)
+def test_model_files_reject_coerced_numbers(data_dir, tmp_path, capsys, spoil, message):
+    model = json.loads((data_dir / "anfis_two_rule.json").read_text())
+    spoil(model)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    pair = tmp_path / "models.json"
+    pair.write_text(json.dumps({"update": model, "leave": model}))
+    for argv in (
+        ["validate", str(path)],
+        ["anfis-predict", str(path), "--input", "0.6,0.2"],
+        ["anfis-train", str(pair), str(data_dir / "anfis_samples.csv"), "--mu", "0.1"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err == f"error: model: {message}\n", argv
+
+
+@pytest.mark.parametrize("pair, message", [
+    (["0.2", True], "[0]: expected a number, got '0.2'"),
+    ([0.2, True], "[1]: expected a number, got True"),
+    ([None, 0.5], "[0]: expected a number, got None"),
+])
+def test_interval_rows_reject_coerced_ends(data_dir, tmp_path, capsys, pair, message):
+    problem = json.loads((data_dir / "diffpcm_t2.json").read_text())
+    problem["dee"]["B1"][2] = pair
+    path = tmp_path / "t2.json"
+    path.write_text(json.dumps(problem))
+    for command in ("validate", "lcm"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (1, ""), command
+        assert err == f"error: dee['B1'][2]{message}\n", command

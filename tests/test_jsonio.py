@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fuzzydfa import TruthInterval
-from fuzzydfa._jsonio import FileFormatError, dumps, dump_row, load_row, load_value
+from fuzzydfa._jsonio import FileFormatError, dumps, dump_row, load_number, load_row, load_value
 
 
 @pytest.mark.parametrize("value, text", [
@@ -68,3 +68,34 @@ def test_load_row_errors_name_the_entry():
 
 def test_dump_row_lists_interval_ends():
     assert dump_row([TruthInterval(0.25, 0.5), 0.5]) == [[0.25, 0.5], 0.5]
+
+
+@pytest.mark.parametrize("raw, message", [
+    (["0.2", True], r"^x\[0\]: expected a number, got '0.2'$"),
+    ([0.2, True], r"^x\[1\]: expected a number, got True$"),
+    ([False, 1], r"^x\[0\]: expected a number, got False$"),
+    ([0.2, None], r"^x\[1\]: expected a number, got None$"),
+    ([float("nan"), 0.5], r"^x: not a truth value in \[0,1\]: nan$"),
+    ([0.2, 10**400], r"^x\[1\]: integer too large for a float$"),
+    ([0.5, 0.2], r"^x: interval endpoints out of order"),
+])
+def test_interval_pairs_take_numbers_only(raw, message):
+    with pytest.raises(FileFormatError, match=message):
+        load_value(raw, "x", interval=True)
+    with pytest.raises(FileFormatError, match=message.replace("x", r"x\[3\]", 1)):
+        load_row([0.0, 0.0, 0.0, raw], "x", interval=True)
+
+
+@pytest.mark.parametrize("raw, integer, message", [
+    (True, False, "expected a number, got True"),
+    ("1", False, "expected a number, got '1'"),
+    (None, False, "expected a number, got None"),
+    (float("inf"), False, "expected a finite number, got inf"),
+    (2.0, True, "expected an integer, got 2.0"),
+    (True, True, "expected an integer, got True"),
+])
+def test_load_number_rejects_what_it_would_coerce(raw, integer, message):
+    with pytest.raises(FileFormatError, match=f"^n: {message}$"):
+        load_number(raw, "n", integer=integer)
+    assert load_number(3, "n") == 3.0 and type(load_number(3, "n")) is float
+    assert load_number(3, "n", integer=True) == 3

@@ -4,6 +4,7 @@ import pytest
 
 from fuzzydfa import (LcmEdge, LcmProblem, LogicFamily, SolverConfig, TruthInterval,
                       TruthValueError, WidthMismatchError)
+from fuzzydfa import _jsonio
 from fuzzydfa import lcm as L
 from krs_oracle import krs_bitvector, random_crisp_problem
 
@@ -554,3 +555,21 @@ def test_bundled_t1_matches_in_memory_problem(data_dir):
     problem, _ = L.load_problem_file(str(data_dir / "diffpcm_t1.json"))
     assert problem == diffpcm_problem()
 
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("mode, logic", [("crisp", "minmax"), ("fuzzy", "product"),
+                                         ("fuzzy", "lukasiewicz"), ("interval", "product")])
+def test_negative_zero_rows_report_as_zero(seed, mode, logic):
+    """A library-built problem whose rows hold -0.0 reports exactly what the
+    same problem with 0.0 reports: no "-0" reaches the JSON."""
+    problem = random_crisp_problem(random.Random(f"negzero/{seed}"), max_blocks=10, max_exprs=5)
+    negated = random_crisp_problem(random.Random(f"negzero/{seed}"), max_blocks=10, max_exprs=5)
+    for name in ("dee", "uee", "kill"):
+        rows = getattr(problem, name)
+        setattr(negated, name, {b: [-0.0 if v == 0 else v for v in row] for b, row in rows.items()})
+    family = LogicFamily.parse(logic)
+    expected = _jsonio.dumps(L.lcm_pipeline(problem, mode, family).to_json_dict())
+    text = _jsonio.dumps(L.lcm_pipeline(negated, mode, family).to_json_dict())
+    assert "-0" not in text
+    assert text == expected

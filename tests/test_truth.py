@@ -324,3 +324,24 @@ def test_frank_construction_rejects_bad_parameters():
     for s in [0.0, -1.0, 1.0, float("inf"), float("nan")]:
         with pytest.raises(ValueError):
             LogicFamily.frank(s)
+
+
+@pytest.mark.parametrize("s", [1e-17, 1e-300, 2.0**-54, math.nextafter(2.0**-53, 0.0)])
+def test_frank_rejects_parameters_where_s_minus_1_rounds_to_minus_1(s):
+    with pytest.raises(ValueError, match=r">= 2\*\*-53"):
+        LogicFamily.frank(s)
+    with pytest.raises(ValueError, match=r">= 2\*\*-53"):
+        LogicFamily.parse(f"frank:{s!r}")
+
+
+@pytest.mark.parametrize("s", [2.0**-53, math.nextafter(2.0**-53, 1.0), 1.2e-16, 3e-16, 1e-15])
+def test_frank_at_the_smallest_parameters_stays_in_the_unit_interval(s):
+    # Down to the bound, log1p is never taken at -1 (a math domain error).
+    family = LogicFamily.frank(s)
+    rng = random.Random(f"frank-small/{s}")
+    xs = [rng.random() for _ in range(2000)] + [1.0, 1.0, 1.0 - 1e-16, 0.0, 1e-300]
+    ys = [rng.random() for _ in range(2000)] + [1.0, 0.5, 1.0 - 1e-16, 1.0, 1.0]
+    scalar = np.array([family.tnorm(x, y) for x, y in zip(xs, ys)])
+    assert ((scalar >= 0.0) & (scalar <= 1.0)).all()
+    got = family.tnorm_array(np.array(xs), np.array(ys))
+    assert np.array_equal(got.view(np.int64), scalar.view(np.int64))
