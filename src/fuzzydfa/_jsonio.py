@@ -11,6 +11,7 @@ from .truth import TruthInterval, truth_value
 
 __all__ = [
     "FileFormatError",
+    "LCM_MODES",
     "dumps",
     "load_file",
     "check_keys",
@@ -21,6 +22,10 @@ __all__ = [
     "dump_value",
     "dump_row",
 ]
+
+# The values of an LCM problem file's "mode"; here rather than in ``lcm`` so
+# the command line can list them without loading the engine.
+LCM_MODES = ("crisp", "fuzzy", "interval")
 
 
 class FileFormatError(ValueError):

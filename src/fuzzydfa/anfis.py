@@ -48,8 +48,12 @@ class TriangularMf:
     c: float
 
     def __post_init__(self) -> None:
+        points = (self.a, self.b, self.c)
+        # An infinite end makes a ramp inf/inf, so membership would be nan.
+        if not all(map(math.isfinite, points)):
+            raise ValueError(f"breakpoints must be finite: {points}")
         if not self.a <= self.b <= self.c:
-            raise ValueError(f"breakpoints out of order: {(self.a, self.b, self.c)}")
+            raise ValueError(f"breakpoints out of order: {points}")
 
     def membership(self, x: float) -> float:
         if x == self.b:

@@ -13,10 +13,11 @@ import argparse
 import sys
 from typing import Any
 
-from . import _jsonio, anfis, flowgraph, lcm
-from ._jsonio import FileFormatError
-from .solver import SolverConfig, solve, solve_interval
-from .truth import LogicFamily, TruthInterval
+# Each command imports the modules it runs, so that a run loads only those:
+# ``solve`` and graph ``validate`` never load numpy.  The docstring above is
+# the --help text.
+from . import _jsonio
+from .truth import LogicFamily, SolverConfig, TruthInterval
 
 __all__ = ["main"]
 
@@ -47,6 +48,9 @@ def _fmt3(value) -> str:
 
 
 def _cmd_solve(args) -> int:
+    from . import flowgraph
+    from .solver import solve, solve_interval
+
     graph, settings = flowgraph.load_graph_file(args.file)
     report = flowgraph.validate(graph)
     for warning in report.warnings:
@@ -74,6 +78,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_lcm(args) -> int:
+    from . import lcm
+
     problem, settings = lcm.load_problem_file(args.file)
     mode = args.mode or settings.mode
     errors = lcm.validate_problem(problem, mode)
@@ -84,13 +90,13 @@ def _cmd_lcm(args) -> int:
     cfg = _solver_config(args, settings)
     result = lcm.lcm_pipeline(problem, mode, cfg.family, cfg)
     if args.pretty:
-        _print_lcm_pretty(problem, result, args.motion_threshold)
+        _print_lcm_pretty(result, args.motion_threshold)
     else:
         _emit(result.to_json_dict())
     return 0 if result.converged else 2
 
 
-def _print_lcm_pretty(problem: lcm.LcmProblem, result: lcm.LcmResult, threshold: float) -> None:
+def _print_lcm_pretty(result, threshold: float) -> None:
     def exceeds(value) -> bool:
         lo = value.lo if isinstance(value, TruthInterval) else value
         return lo >= threshold
@@ -122,13 +128,19 @@ def _print_lcm_pretty(problem: lcm.LcmProblem, result: lcm.LcmResult, threshold:
 def _cmd_validate(args) -> int:
     data = _jsonio.load_file(args.file)
     if isinstance(data, dict) and "blocks" in data:
+        from . import lcm
+
         problem, settings = lcm.problem_from_json_dict(data)
         errors = lcm.validate_problem(problem, settings.mode)
         warnings: list[str] = []
     elif isinstance(data, dict) and "rules" in data:
+        from . import anfis
+
         anfis.model_from_json_dict(data)
         errors, warnings = [], []
     else:
+        from . import flowgraph
+
         graph, _ = flowgraph.graph_from_json_dict(data)
         report = flowgraph.validate(graph)
         errors, warnings = report.errors, report.warnings
@@ -143,6 +155,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_anfis_predict(args) -> int:
+    from . import anfis
+
     model = anfis.load_model_file(args.model)
     try:
         x = [float(part) for part in args.input.split(",") if part.strip()]
@@ -169,6 +183,8 @@ def _cmd_anfis_predict(args) -> int:
 
 
 def _cmd_anfis_train(args) -> int:
+    from . import anfis
+
     data = _jsonio.load_file(args.models)
     _jsonio.check_keys(data, "models", ["update", "leave"])
     update_model = anfis.model_from_json_dict(data["update"])
@@ -222,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lcm", help="run the four-stage lazy code motion pipeline")
     p.add_argument("file")
     common(p)
-    p.add_argument("--mode", choices=list(lcm.MODES), default=None,
+    p.add_argument("--mode", choices=list(_jsonio.LCM_MODES), default=None,
                    help="crisp | fuzzy | interval (default: from the file)")
     p.add_argument("--motion-threshold", type=float, default=0.95,
                    help="degree above which --pretty reports a motion as plausible")
@@ -256,10 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, anfis.NoRuleFiresError) as exc:
+    except (OSError, ValueError) as exc:  # FileFormatError and NoRuleFiresError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

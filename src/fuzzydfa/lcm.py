@@ -36,9 +36,8 @@ from typing import Any, Mapping, Sequence, Union
 import numpy as np
 
 from . import _jsonio
-from ._jsonio import FileFormatError
-from .solver import SolverConfig
-from .truth import LogicFamily, TruthInterval, truth_value
+from ._jsonio import LCM_MODES as MODES, FileFormatError
+from .truth import LogicFamily, SolverConfig, TruthInterval, truth_value
 
 __all__ = [
     "LcmEdge",
@@ -64,8 +63,6 @@ __all__ = [
 Value = Union[float, TruthInterval]
 BlockMatrix = dict[str, list[Value]]
 EdgeMatrix = dict[tuple[str, str], list[Value]]
-
-MODES = ("crisp", "fuzzy", "interval")
 
 
 class WidthMismatchError(ValueError):

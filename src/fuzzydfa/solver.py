@@ -16,25 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from .flowgraph import INPUT_NAME, FlowGraph, Valuation, Value, validate
 from .formula import evaluate, evaluate_interval
-from .truth import LogicFamily, TruthInterval, quantize
+from .truth import LogicFamily, SolverConfig, TruthInterval, quantize
 
 __all__ = ["SolverConfig", "SolveReport", "step", "step_interval", "solve", "solve_interval"]
 
 GlobalState = dict[str, Valuation]
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    family: LogicFamily
-    epsilon: float = 1e-6
-    max_iters: int = 100_000
-    quantize_bits: int | None = None
-
-    def __post_init__(self) -> None:
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 @dataclass

@@ -22,6 +22,7 @@ __all__ = [
     "TruthValueError",
     "TruthInterval",
     "LogicFamily",
+    "SolverConfig",
     "truth_value",
     "quantize",
 ]
@@ -33,10 +34,12 @@ _CLAMP_SLACK = 1e-12
 # Frank parameters this close to 1 are evaluated as the product logic: the
 # log formula has a removable singularity at s=1 and is unstable near it.
 _FRANK_PRODUCT_BAND = 1e-6
-# Smallest Frank parameter accepted: at or below 2**-54, s - 1 and
-# expm1(log s) round to -1 and the T-norm takes log1p(-1), a math domain
-# error; 2**-53 is the next binade up.
-_FRANK_MIN_S = 2.0**-53
+# Smallest Frank parameter accepted.  As s -> 0 the ratio handed to log1p
+# nears -1 and its rounding error is amplified by about 1/(s |log s|): at
+# 2**-53 the T-norm is off by 4e-3 (at 2**-54 log1p(-1) is a domain error).
+# 2**-28 is the smallest power of two where it agrees with a 50-digit
+# evaluation to 1e-9 on the 65 x 65 grid i/64 (6e-10; 1.2e-9 at 2**-29).
+_FRANK_MIN_S = 2.0**-28
 
 _FAMILY_KINDS = ("minmax", "product", "lukasiewicz", "nilpotent", "frank")
 
@@ -129,9 +132,9 @@ class LogicFamily:
             s = self.s
             if s is None or not math.isfinite(s) or s < _FRANK_MIN_S or s == 1.0:
                 raise ValueError(
-                    f"frank parameter must be finite, >= 2**-53 (~1.1e-16) and != 1, "
+                    f"frank parameter must be finite, >= 2**-28 (~3.7e-9) and != 1, "
                     f"got {s!r} (the limits 0, 1, inf are minmax, product and "
-                    "lukasiewicz; below 2**-53, s - 1 rounds to -1)"
+                    "lukasiewicz; below 2**-28 the T-norm is off by more than 1e-9)"
                 )
         elif self.s is not None:
             raise ValueError(f"{self.kind} takes no parameter")
@@ -263,3 +266,19 @@ class LogicFamily:
 
     def interval_cnorm(self, x: TruthInterval) -> TruthInterval:
         return TruthInterval(1.0 - x.hi, 1.0 - x.lo)
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """A logic family and the stopping rule of a fixed-point solve."""
+
+    family: LogicFamily
+    epsilon: float = 1e-6
+    max_iters: int = 100_000
+    quantize_bits: int | None = None
+
+    def __post_init__(self) -> None:
+        if not self.epsilon > 0.0:
+            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")

@@ -68,6 +68,13 @@ def test_degenerate_triangles():
         TriangularMf(0.6, 0.5, 0.7)
 
 
+@pytest.mark.parametrize("points", [(-math.inf, 0.0, 1.0), (0.0, 0.5, math.inf),
+                                    (0.0, math.nan, 1.0), (-math.inf, -math.inf, math.inf)])
+def test_non_finite_breakpoints_are_rejected(points):
+    with pytest.raises(ValueError, match=r"^breakpoints must be finite: "):
+        TriangularMf(*points)
+
+
 # -- predict ----------------------------------------------------------------------
 
 

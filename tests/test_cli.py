@@ -296,7 +296,7 @@ def test_frank_parameter_below_the_range_is_exit_1(data_dir, capsys):
     code, out, err = run(capsys, "lcm", str(data_dir / "diffpcm_t1.json"), "--logic", "frank:1e-17")
     assert code == 1
     assert out == ""
-    assert "frank parameter must be finite, >= 2**-53" in err
+    assert "frank parameter must be finite, >= 2**-28" in err
     assert "math domain error" not in err
 
 
@@ -307,6 +307,14 @@ def test_anfis_predict_rejects_non_finite_input(data_dir, capsys, vector):
     assert code == 1
     assert out == ""
     assert err == f"error: input {[float(v) for v in vector.split(',')]!r} is not finite\n"
+
+
+def test_anfis_predict_outside_every_rule_is_exit_1(data_dir, capsys):
+    code, out, err = run(capsys, "anfis-predict", str(data_dir / "anfis_two_rule.json"),
+                         "--input", "5,5")
+    assert code == 1
+    assert out == ""
+    assert err == "error: input [5.0, 5.0] fires no rule\n"
 
 
 @pytest.mark.parametrize("row", ["nan,0.5,1", "0.2,inf,0", "0.2,0.5,nan"])

@@ -169,7 +169,7 @@ def test_frank_small_s_approaches_minmax():
     grid = [i / 8 for i in range(9)]
     minmax = LogicFamily.minmax()
     last_worst = 1.0
-    for s in [1e-3, 1e-6, 1e-9, 1e-12]:
+    for s in [1e-3, 1e-5, 1e-7, 2.0**-28]:
         fam = LogicFamily.frank(s)
         bound = math.log(2.0) / abs(math.log(s)) + 1e-9
         worst = max(
@@ -328,15 +328,34 @@ def test_frank_construction_rejects_bad_parameters():
 
 @pytest.mark.parametrize("s", [1e-17, 1e-300, 2.0**-54, math.nextafter(2.0**-53, 0.0)])
 def test_frank_rejects_parameters_where_s_minus_1_rounds_to_minus_1(s):
-    with pytest.raises(ValueError, match=r">= 2\*\*-53"):
+    with pytest.raises(ValueError, match=r">= 2\*\*-28"):
         LogicFamily.frank(s)
-    with pytest.raises(ValueError, match=r">= 2\*\*-53"):
+    with pytest.raises(ValueError, match=r">= 2\*\*-28"):
         LogicFamily.parse(f"frank:{s!r}")
 
 
-@pytest.mark.parametrize("s", [2.0**-53, math.nextafter(2.0**-53, 1.0), 1.2e-16, 3e-16, 1e-15])
+@pytest.mark.parametrize("s", [math.nextafter(2.0**-28, 0.0), 2.0**-29, 1e-9, 1e-12, 2.0**-53])
+def test_frank_rejects_parameters_below_the_accuracy_bound(s):
+    with pytest.raises(ValueError, match=r">= 2\*\*-28 \(~3\.7e-9\).*off by more than 1e-9"):
+        LogicFamily.frank(s)
+
+
+@pytest.mark.parametrize("s", [2.0**-28, 2.0**-24, 2.0**-20])
+def test_frank_near_the_smallest_parameter_matches_high_precision_oracle(s):
+    # The bound is the smallest power of two where this holds.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    family = LogicFamily.frank(s)
+    ms = mpmath.mpf(s)
+    grid = [i / 64 for i in range(65)]
+    for x in grid:
+        for y in grid:
+            expected = mpmath.log(1 + (ms**x - 1) * (ms**y - 1) / (ms - 1)) / mpmath.log(ms)
+            assert abs(family.tnorm(x, y) - float(expected)) <= 1e-9, (x, y)
+
+
+@pytest.mark.parametrize("s", [2.0**-28, math.nextafter(2.0**-28, 1.0), 4e-9, 1e-8, 1e-6])
 def test_frank_at_the_smallest_parameters_stays_in_the_unit_interval(s):
-    # Down to the bound, log1p is never taken at -1 (a math domain error).
     family = LogicFamily.frank(s)
     rng = random.Random(f"frank-small/{s}")
     xs = [rng.random() for _ in range(2000)] + [1.0, 1.0, 1.0 - 1e-16, 0.0, 1e-300]
