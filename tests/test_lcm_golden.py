@@ -5,12 +5,17 @@ configuration; its digest is the SHA-256 of the deterministic JSON report.
 The digests in ``lcm_golden.json`` were frozen from the per-expression
 flow-graph engine that preceded the array engine, and the ``frank<i>``
 cases from the array engine while it still evaluated Frank through the
-scalar ``LogicFamily.tnorm``, so any change in any printed digit of any
-matrix fails here.
+scalar ``LogicFamily.tnorm``, and the ``wide<i>`` cases from the array
+engine while it still stacked rows from dicts per stage and met merges with
+per-slot scatter-adds, so any change in any printed digit of any matrix
+fails here.
 
-Regenerate (only for a deliberate, documented output change) with::
+Add the digests of new cases, keeping every frozen one, with::
 
     PYTHONPATH=src python tests/test_lcm_golden.py --write
+
+and replace every digest (only for a deliberate, documented output
+change) with ``--rewrite``.
 """
 
 import hashlib
@@ -36,6 +41,11 @@ RANDOM_CFGS = 20
 # Frank at both ends of its range, where expm1/log1p carry the evaluation.
 FRANK_FAMILIES = ["frank:0.01", "frank:100"]
 FRANK_CFGS = 10
+# Larger CFGs with extra edges, so some merges have four or more inputs and
+# the edges are not sorted: each merge must add its inputs in edge order.
+WIDE_FAMILIES = ["minmax", "product", "frank:2"]
+WIDE_CFGS = 6
+WIDE_FAN_IN = 4
 
 
 def _random_rows(rng: random.Random, problem, kind: str, ends: float = 0.0) -> None:
@@ -57,6 +67,32 @@ def _random_rows(rng: random.Random, problem, kind: str, ends: float = 0.0) -> N
     width = len(problem.exprs)
     for name in ("dee", "uee", "kill"):
         setattr(problem, name, {b: [cell() for _ in range(width)] for b in problem.blocks})
+
+
+def _widen(rng: random.Random, problem) -> None:
+    """Give a few blocks at least WIDE_FAN_IN predecessors, shuffle the edge
+    order and draw uneven weights that still sum to 1 per block."""
+    blocks, entry, exit_ = problem.blocks, problem.entry, problem.exit
+    pairs = {(e.src, e.dst) for e in problem.edges}
+    for dst in rng.sample(blocks[1:], min(4, len(blocks) - 1)):
+        sources = [b for b in blocks if b not in (dst, exit_) and (b, dst) not in pairs]
+        have = sum(1 for _, d in pairs if d == dst)
+        for src in rng.sample(sources, max(0, min(WIDE_FAN_IN - have, len(sources)))):
+            pairs.add((src, dst))
+    pairs = sorted(pairs)
+    rng.shuffle(pairs)
+    weight = [rng.uniform(0.1, 1.0) for _ in pairs]
+    weight_back = [rng.uniform(0.1, 1.0) for _ in pairs]
+    into: dict[str, float] = {}
+    out_of: dict[str, float] = {}
+    for (src, dst), w, wb in zip(pairs, weight, weight_back):
+        into[dst] = into.get(dst, 0.0) + w
+        out_of[src] = out_of.get(src, 0.0) + wb
+    problem.edges = [
+        L.LcmEdge(src, dst, w / into[dst], wb / out_of[src])
+        for (src, dst), w, wb in zip(pairs, weight, weight_back)
+    ]
+    assert entry not in into and exit_ not in out_of
 
 
 def golden_cases() -> dict:
@@ -85,6 +121,16 @@ def golden_cases() -> dict:
                 family = LogicFamily.parse(logic)
                 cfg = SolverConfig(family=family, max_iters=3000)
                 cases[f"frank{i}/{mode}/{logic}"] = (problem, mode, family, cfg)
+    for i in range(WIDE_CFGS):
+        for mode in ("crisp", "fuzzy", "interval"):
+            for logic in WIDE_FAMILIES:
+                rng = random.Random(f"golden/wide/{i}")
+                problem = random_crisp_problem(rng, max_blocks=40, max_exprs=12)
+                _widen(rng, problem)
+                _random_rows(random.Random(f"golden/wide/{i}/{mode}"), problem, mode, ends=0.2)
+                family = LogicFamily.parse(logic)
+                cfg = SolverConfig(family=family, max_iters=3000)
+                cases[f"wide{i}/{mode}/{logic}"] = (problem, mode, family, cfg)
     for stem, mode in (("diffpcm_t1", "fuzzy"), ("diffpcm_t2", "interval")):
         problem, _ = L.load_problem_file(str(DATA_DIR / f"{stem}.json"))
         family = LogicFamily.product()
@@ -115,8 +161,15 @@ def test_report_is_byte_identical_to_golden(name):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: test_lcm_golden.py --write")
-    digests = {name: report_digest(*case) for name, case in sorted(CASES.items())}
+    if sys.argv[1:] not in (["--write"], ["--rewrite"]):
+        sys.exit("usage: test_lcm_golden.py --write | --rewrite")
+    frozen = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    if sys.argv[1] == "--rewrite":
+        frozen = {}
+    digests = {
+        name: frozen[name] if name in frozen else report_digest(*case)
+        for name, case in sorted(CASES.items())
+    }
     GOLDEN.write_text(json.dumps(digests, indent=1) + "\n")
-    print(f"wrote {len(digests)} digests to {GOLDEN}")
+    added = len(digests.keys() - frozen.keys())
+    print(f"wrote {len(digests)} digests to {GOLDEN} ({added} new)")
