@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 from typing import Any, Iterable
 
@@ -49,11 +50,12 @@ def _write(obj: Any, parts: list[str]) -> None:
     elif isinstance(obj, (list, tuple)):
         # Rows of degrees or of [lo, hi] pairs, the bulk of every report, go
         # in one step ("%.17g" prints what format(v, ".17g") does).
-        if all(type(v) is float for v in obj):
+        kinds = set(map(type, obj))
+        pairs = kinds == {list} and set(map(len, obj)) == {2}
+        ends = tuple(chain.from_iterable(obj)) if pairs else ()
+        if kinds <= {float}:
             parts.append("[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj) + "]")
-        elif all(type(v) is list and len(v) == 2 and type(v[0]) is float and type(v[1]) is float
-                 for v in obj):
-            ends = tuple(x for pair in obj for x in pair)
+        elif pairs and set(map(type, ends)) == {float}:
             parts.append("[" + ", ".join(["[%.17g, %.17g]"] * len(obj)) % ends + "]")
         else:
             parts.append("[")
@@ -156,9 +158,15 @@ def load_value(raw: Any, context: str, *, interval: bool) -> Any:
 
 def load_row(raw: list, context: str, *, interval: bool) -> list:
     """``load_value`` on every entry of a list; entry k is ``context[k]``."""
+    if not isinstance(raw, list):
+        raise FileFormatError(f"{context}: expected a list")
     if not interval and all(type(v) is float and 0.0 <= v <= 1.0 for v in raw):
         # Already degrees: keep them, but as truth_value would (-0.0 to 0.0).
         return [v or 0.0 for v in raw]
+    if interval and all(type(v) is list and len(v) == 2 and type(v[0]) is float
+                        and type(v[1]) is float and 0.0 <= v[0] <= v[1] <= 1.0 for v in raw):
+        # Already intervals, as load_value would build them.
+        return [TruthInterval(lo, hi) for lo, hi in raw]
     return [load_value(v, f"{context}[{k}]", interval=interval) for k, v in enumerate(raw)]
 
 

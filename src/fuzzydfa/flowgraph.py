@@ -66,12 +66,6 @@ class FlowGraph:
     start: str
     seeds: dict[str, Valuation] = field(default_factory=dict)
 
-    def node_ids(self) -> list[str]:
-        return list(self.transfers)
-
-    def in_edges(self, node: str) -> list[Edge]:
-        return [e for e in self.edges if e.dst == node]
-
     def pinned(self) -> set[str]:
         """The start node plus every node with no incoming edges."""
         with_preds = {e.dst for e in self.edges}

@@ -31,6 +31,7 @@ just its upward-exposed set, and nothing is "later" than the entry
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Mapping, Sequence, Union
 
 import numpy as np
@@ -91,12 +92,6 @@ class LcmProblem:
     kill: BlockMatrix
     entry: str
     exit: str
-
-    def preds(self, block: str) -> list[LcmEdge]:
-        return [e for e in self.edges if e.dst == block]
-
-    def succs(self, block: str) -> list[LcmEdge]:
-        return [e for e in self.edges if e.src == block]
 
 
 def validate_problem(problem: LcmProblem, mode: str) -> list[str]:
@@ -164,12 +159,6 @@ def validate_problem(problem: LcmProblem, mode: str) -> list[str]:
     return errors
 
 
-def _require_valid(problem: LcmProblem, mode: str) -> None:
-    errors = validate_problem(problem, mode)
-    if errors:
-        raise ValueError("invalid LCM problem: " + "; ".join(errors))
-
-
 # -- stage results -------------------------------------------------------------
 
 
@@ -190,43 +179,48 @@ class LaterMatrices:
     converged: bool = True
 
 
-@dataclass
 class LcmResult:
-    mode: str
-    exprs: list[str]
-    av_out: BlockMatrix
-    an_in: BlockMatrix
-    an_out: BlockMatrix
-    earliest: EdgeMatrix
-    later_in: BlockMatrix
-    later_out: EdgeMatrix
-    insert: EdgeMatrix
-    delete: BlockMatrix
-    converged: bool
+    """Every matrix of a pipeline run, held as a read-only (rows, exprs, w)
+    array.  ``av_out`` ... ``delete`` are read-only views of them (block or
+    edge -> row, of ``TruthInterval``s in interval mode), each built on its
+    first read; ``to_json_dict`` prints from the arrays and builds none."""
+
+    _EDGE_ROWS = ("earliest", "later_out", "insert")
+
+    def __init__(self, mode: str, exprs: list[str], blocks: list[str],
+                 edges: list[tuple[str, str]], arrays: dict[str, np.ndarray], converged: bool):
+        self.mode, self.exprs, self.converged = mode, exprs, converged
+        self._blocks, self._edges, self._arrays = blocks, edges, arrays
+        self._views: dict[str, Mapping] = {}
+        for values in arrays.values():
+            values.flags.writeable = False
+
+    def _view(self, name: str) -> Mapping:
+        if name not in self._views:
+            keys = self._edges if name in self._EDGE_ROWS else self._blocks
+            self._views[name] = MappingProxyType(_unstack(keys, self._arrays[name]))
+        return self._views[name]
+
+    av_out = property(lambda self: self._view("av_out"))
+    an_in = property(lambda self: self._view("an_in"))
+    an_out = property(lambda self: self._view("an_out"))
+    earliest = property(lambda self: self._view("earliest"))
+    later_in = property(lambda self: self._view("later_in"))
+    later_out = property(lambda self: self._view("later_out"))
+    insert = property(lambda self: self._view("insert"))
+    delete = property(lambda self: self._view("delete"))
 
     def to_json_dict(self) -> dict:
-        def blocks(matrix: BlockMatrix) -> dict:
-            return {b: _jsonio.dump_row(row) for b, row in matrix.items()}
-
-        def edges(matrix: EdgeMatrix) -> list:
-            return [
-                {"from": src, "to": dst, "values": _jsonio.dump_row(row)}
-                for (src, dst), row in matrix.items()
-            ]
-
-        return {
-            "mode": self.mode,
-            "exprs": list(self.exprs),
-            "av_out": blocks(self.av_out),
-            "an_in": blocks(self.an_in),
-            "an_out": blocks(self.an_out),
-            "earliest": edges(self.earliest),
-            "later_in": blocks(self.later_in),
-            "later_out": edges(self.later_out),
-            "insert": edges(self.insert),
-            "delete": blocks(self.delete),
-            "converged": self.converged,
-        }
+        out: dict[str, Any] = {"mode": self.mode, "exprs": list(self.exprs)}
+        for name, values in self._arrays.items():
+            # Rows of floats, or of [lo, hi] lists: what dump_row prints.
+            rows = (values[..., 0] if values.shape[-1] == 1 else values).tolist()
+            if name in self._EDGE_ROWS:
+                out[name] = [{"from": s, "to": d, "values": row} for (s, d), row in zip(self._edges, rows)]
+            else:
+                out[name] = dict(zip(self._blocks, rows))
+        out["converged"] = self.converged
+        return out
 
 
 # -- connectives on (..., w) arrays ----------------------------------------------
@@ -238,15 +232,25 @@ class _Logic:
     works endpoint-wise and re-sorts the pair against rounding, as
     ``LogicFamily.interval_tnorm`` does.  ``LogicFamily.tnorm_array`` gives
     the scalar T-norm's bits on every element, Frank's included, without a
-    Python call per element beyond Frank's expm1/log1p."""
+    Python call per element beyond Frank's expm1/log1p.  ``conj_terms``
+    takes operands already passed through ``term``, which a fixed point does
+    once per solve for the operands that stay constant."""
 
     def __init__(self, family: LogicFamily, width: int):
         self.width = width
-        self._tnorm = family.tnorm_array
+        self.term = family._term
+        self._tnorm = family._tnorm_terms
+
+    def conj_terms(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = self._tnorm(x, y)
+        if self.width == 2:
+            swap = out[..., 0] > out[..., 1]
+            if swap.any():  # what np.sort does to the pairs, at less cost
+                out[swap] = out[swap][:, ::-1]
+        return out
 
     def conj(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = self._tnorm(x, y)
-        return np.sort(out, axis=-1) if self.width == 2 else out
+        return self.conj_terms(self.term(x), self.term(y))
 
     @staticmethod
     def neg(x: np.ndarray) -> np.ndarray:
@@ -264,24 +268,6 @@ def _logic(mode: str, family: LogicFamily) -> _Logic:
     return _Logic(family, 2 if mode == "interval" else 1)
 
 
-def _stack(matrix: Mapping, keys: Sequence, n_exprs: int, width: int) -> np.ndarray:
-    """``matrix[k]`` for each of ``keys`` as a (keys, exprs, width) array."""
-    if width == 1:
-        rows = [matrix[k] for k in keys]
-    else:
-        rows = [
-            [(v.lo, v.hi) if isinstance(v, TruthInterval) else (v, v) for v in matrix[k]]
-            for k in keys
-        ]
-    # Adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is,
-    # so library-built rows print as file-loaded ones (truth_value) do.
-    out = np.array(rows, dtype=float).reshape(len(keys), n_exprs, width) + 0.0
-    if not ((out >= 0.0) & (out <= 1.0)).all():
-        # Clamp rounding noise and reject the rest, as the scalar norms do.
-        out = np.vectorize(truth_value, otypes=[float])(out)
-    return out
-
-
 def _unstack(keys: Sequence, values: np.ndarray) -> dict:
     if values.shape[-1] == 1:
         return dict(zip(keys, values[..., 0].tolist()))
@@ -293,37 +279,41 @@ def _unstack(keys: Sequence, values: np.ndarray) -> dict:
 
 class _Links:
     """The inputs of each merge: link i carries row ``src[i]`` into merge
-    ``dst[i]`` with weight ``weight[i]``, in ``problem.edges`` order."""
+    ``dst[i]`` with weight ``weight[i]``, in ``problem.edges`` order.
+
+    They are held as (slots, merges) tables.  Slot j holds every merge's
+    j-th link, so meeting slot after slot adds each merge's inputs one by one
+    in edge order.  A merge with fewer links is padded with links of weight 0
+    from row 0 (x + 0 * v == x for x >= 0), which the crisp min reads as 1."""
 
     def __init__(self, n_merges: int, src: np.ndarray, dst: np.ndarray, weight: list[float]):
-        self.n_merges = n_merges
-        self.src = src
-        self.dst = dst
-        self.weight = np.array(weight, dtype=float)[:, None, None]
-        self.has_input = np.zeros((n_merges, 1, 1), dtype=bool)
-        self.has_input[self.dst] = True
-        # Slot j holds every merge's j-th link, so meeting slot after slot
-        # adds each merge's inputs one by one in edge order.
         rank, count = [], [0] * n_merges
-        for d in self.dst.tolist():
+        for d in dst.tolist():
             rank.append(count[d])
             count[d] += 1
-        rank = np.array(rank, dtype=int)
-        self.slots = [np.flatnonzero(rank == j) for j in range(max(count, default=0))]
+        shape = (max(count) or 1, n_merges)
+        self.src, self.weight = np.zeros(shape, dtype=int), np.zeros(shape + (1, 1))
+        self.pad, self.fresh = np.ones(shape + (1, 1), dtype=bool), np.zeros(shape + (1, 1), dtype=bool)
+        self.src[rank, dst], self.weight[rank, dst, 0, 0], self.pad[rank, dst] = src, weight, False
+        # Rows that a rows-first sweep (row b, merge b for each block b)
+        # computes before the merge they feed.
+        self.fresh[rank, dst, 0, 0] = src < dst
+        self.has_input = np.minimum(count, 1.0)[:, None, None]
 
-    def meet(self, inputs: np.ndarray, crisp: bool) -> np.ndarray:
-        """Per merge, from its links' values: the min (crisp) or the
-        weighted sum clamped to [0,1]; 0 for a merge with no links."""
-        shape = (self.n_merges,) + inputs.shape[1:]
+    def meet(self, rows: np.ndarray, crisp: bool, old: np.ndarray | None = None) -> np.ndarray:
+        """Per merge, from its links' rows: the min (crisp) or the weighted
+        sum clamped to [0,1]; 0 for a merge with no links.  With ``old``,
+        links from rows that are not fresh read ``old`` instead."""
+        values = rows[self.src]
+        if old is not None:
+            values = np.where(self.fresh, values, old[self.src])
         if crisp:
-            out = np.broadcast_to(self.has_input, shape).astype(float)
-            for j in self.slots:
-                out[self.dst[j]] = np.minimum(out[self.dst[j]], inputs[j])
-            return out
-        out = np.zeros(shape)
-        for j in self.slots:
-            out[self.dst[j]] += self.weight[j] * inputs[j]
-        return np.clip(out, 0.0, 1.0)
+            return np.minimum(np.where(self.pad, 1.0, values).min(axis=0), self.has_input)
+        terms = self.weight * values
+        out = terms[0]
+        for term in terms[1:]:
+            out += term
+        return np.clip(out, 0.0, 1.0, out=out)
 
 
 @dataclass(frozen=True)
@@ -357,7 +347,7 @@ def _fixpoint(
     eng: _Engine,
     gen: np.ndarray,
     keep: np.ndarray,
-    reads: np.ndarray,
+    reads: np.ndarray | None,
     links: _Links,
     *,
     rows_first: bool,
@@ -367,13 +357,13 @@ def _fixpoint(
         row[r]   = gen[r] | (merge[reads[r]] & keep[r])
         merge[m] = meet of the rows linked into m
 
-    by Gauss-Seidel sweeps in a fixed node order.  With ``rows_first`` the
-    order is row b, merge b for each block b: a sweep's rows read the last
-    sweep's merges, and a merge reads this sweep's rows only from blocks
-    before it.  Otherwise every merge comes first, reading the last sweep's
-    rows, and every row then reads this sweep's merges.  Each column
-    freezes at its first sweep whose change, summed in node order, is below
-    epsilon.
+    (``reads`` None: merge[r]) by Gauss-Seidel sweeps in a fixed node order.
+    With ``rows_first`` the order is row b, merge b for each block b: a
+    sweep's rows read the last sweep's merges, and a merge reads this sweep's
+    rows only from blocks before it.  Otherwise every merge comes first,
+    reading the last sweep's rows, and every row then reads this sweep's
+    merges.  Each column freezes at its first sweep whose change, summed in
+    node order, is below epsilon.
 
     Returns the rows, the merges recomputed from the final rows, and
     whether every column converged.
@@ -381,63 +371,132 @@ def _fixpoint(
     logic = eng.logic
     start = 1.0 if eng.crisp else 0.0
     rows = np.full(gen.shape, start)
-    merges = np.full((links.n_merges,) + gen.shape[1:], start)
-    fresh = (links.src < links.dst)[:, None, None]
+    merges = np.full((links.src.shape[1],) + gen.shape[1:], start)
+    # The T-norm operands that stay the same over the solve: !gen and keep.
+    not_gen, keep = logic.term(logic.neg(gen)), logic.term(keep)
+
+    def transfer(m: np.ndarray) -> np.ndarray:
+        held = logic.conj_terms(logic.term(m if reads is None else m[reads]), keep)
+        return eng.snap(logic.neg(logic.conj_terms(not_gen, logic.term(logic.neg(held)))))
+
+    n_merges = len(merges)
     # From top, every crisp sweep but the last clears at least one bit.
-    limit = len(rows) + len(merges) + 1 if eng.max_iters is None else eng.max_iters
+    limit = len(rows) + n_merges + 1 if eng.max_iters is None else eng.max_iters
     active = np.arange(gen.shape[1])
+    cur_rows, cur_merges = rows, merges
     for _ in range(limit):
         if not active.size:
             break
-        old_rows, old_merges = rows[:, active], merges[:, active]
-        g, k = gen[:, active], keep[:, active]
-
-        def transfer(m: np.ndarray) -> np.ndarray:
-            return eng.snap(logic.disj(g, logic.conj(m[reads], k)))
-
         if rows_first:
-            new_rows = transfer(old_merges)
-            inputs = np.where(fresh, new_rows[links.src], old_rows[links.src])
-            new_merges = eng.snap(links.meet(inputs, eng.crisp))
+            new_rows = transfer(cur_merges)
+            new_merges = eng.snap(links.meet(new_rows, eng.crisp, cur_rows))
         else:
-            new_merges = eng.snap(links.meet(old_rows[links.src], eng.crisp))
+            new_merges = eng.snap(links.meet(cur_rows, eng.crisp))
             new_rows = transfer(new_merges)
-        row_change = np.abs(new_rows - old_rows).sum(axis=-1)
-        merge_change = np.abs(new_merges - old_merges).sum(axis=-1)
-        if rows_first:
-            change = np.stack((row_change, merge_change), axis=1).reshape(-1, active.size)
+        # Each node's change, in node order.
+        steps = np.empty((len(rows) + n_merges, active.size))
+        np.abs(new_rows - cur_rows).sum(axis=-1, out=steps[0::2] if rows_first else steps[n_merges:])
+        np.abs(new_merges - cur_merges).sum(axis=-1, out=steps[1::2] if rows_first else steps[:n_merges])
+        cur_rows, cur_merges = new_rows, new_merges
+        done = np.cumsum(steps, axis=0)[-1] < eng.epsilon
+        if done.any():
+            rows[:, active[done]], merges[:, active[done]] = cur_rows[:, done], cur_merges[:, done]
+            more = ~done
+            active, cur_rows, cur_merges = active[more], cur_rows[:, more], cur_merges[:, more]
+            not_gen, keep = not_gen[:, more], keep[:, more]
+    rows[:, active], merges[:, active] = cur_rows, cur_merges
+    return rows, links.meet(rows, eng.crisp), not active.size
+
+
+# -- the stages on arrays --------------------------------------------------------
+
+
+class _Graph:
+    """A problem's edges as block indices and its rows as (rows, exprs,
+    width) arrays, in ``problem.blocks`` and ``problem.edges`` order."""
+
+    def __init__(self, problem: LcmProblem, width: int):
+        index = {b: i for i, b in enumerate(problem.blocks)}
+        self.blocks, self.edges, self.width = list(problem.blocks), problem.edges, width
+        self.n_exprs, self.entry = len(problem.exprs), problem.entry
+        self.keys = [(e.src, e.dst) for e in problem.edges]
+        self.src = np.array([index[s] for s, _ in self.keys], dtype=int)
+        self.dst = np.array([index[d] for _, d in self.keys], dtype=int)
+
+    def stack(self, matrix: Mapping, edges: bool = False) -> np.ndarray:
+        """``matrix[k]`` for each block (or edge) k as a (keys, exprs, width)
+        array."""
+        keys = self.keys if edges else self.blocks
+        if self.width == 1:
+            rows = [matrix[k] for k in keys]
         else:
-            change = np.concatenate((merge_change, row_change))
-        rows[:, active] = new_rows
-        merges[:, active] = new_merges
-        active = active[~(np.cumsum(change, axis=0)[-1] < eng.epsilon)]
-    return rows, links.meet(rows[links.src], eng.crisp), not active.size
+            rows = [
+                [(v.lo, v.hi) if isinstance(v, TruthInterval) else (v, v) for v in matrix[k]]
+                for k in keys
+            ]
+        # Adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is,
+        # so library-built rows print as file-loaded ones (truth_value) do.
+        out = np.array(rows, dtype=float).reshape(len(keys), self.n_exprs, self.width) + 0.0
+        if not ((out >= 0.0) & (out <= 1.0)).all():
+            # Clamp rounding noise and reject the rest, as the scalar norms do.
+            out = np.vectorize(truth_value, otypes=[float])(out)
+        return out
 
 
-def _edge_ends(problem: LcmProblem) -> tuple[list[tuple[str, str]], np.ndarray, np.ndarray]:
-    index = {b: i for i, b in enumerate(problem.blocks)}
-    keys = [(e.src, e.dst) for e in problem.edges]
-    src = np.array([index[s] for s, _ in keys], dtype=int)
-    dst = np.array([index[d] for _, d in keys], dtype=int)
-    return keys, src, dst
-
-
-def _stage1(problem, mode, family, cfg, backward: bool) -> StageMatrices:
-    _require_valid(problem, mode)
-    eng = _engine(mode, family, cfg)
-    blocks, n, width = problem.blocks, len(problem.exprs), eng.logic.width
-    _, src, dst = _edge_ends(problem)
+def _stage1(eng: _Engine, graph: _Graph, gen: np.ndarray, keep: np.ndarray, backward: bool):
+    """Availability, or (``backward``, gen UEE) anticipatability: the rows,
+    the merges and whether they converged."""
+    n = len(graph.blocks)
     if backward:
-        links = _Links(len(blocks), dst, src, [e.alpha_back for e in problem.edges])
+        links = _Links(n, graph.dst, graph.src, [e.alpha_back for e in graph.edges])
     else:
-        links = _Links(len(blocks), src, dst, [e.alpha for e in problem.edges])
-    gen = _stack(problem.uee if backward else problem.dee, blocks, n, width)
-    keep = eng.logic.neg(_stack(problem.kill, blocks, n, width))
-    out, merged, converged = _fixpoint(eng, gen, keep, np.arange(len(blocks)), links, rows_first=True)
-    return StageMatrices(_unstack(blocks, out), _unstack(blocks, merged), converged)
+        links = _Links(n, graph.src, graph.dst, [e.alpha for e in graph.edges])
+    return _fixpoint(eng, gen, keep, None, links, rows_first=True)
+
+
+def _earliest(logic: _Logic, graph: _Graph, av_out, an_in, an_out, kill) -> np.ndarray:
+    src = graph.src
+    first = logic.conj(an_out[graph.dst], logic.neg(av_out[src]))
+    blocked = logic.disj(kill[src], logic.neg(an_in[src]))
+    from_entry = np.array([s == graph.entry for s, _ in graph.keys])[:, None, None]
+    return np.where(from_entry, first, logic.conj(first, blocked))
+
+
+def _later(eng: _Engine, graph: _Graph, ear: np.ndarray, not_uee: np.ndarray):
+    """LaterOut per edge, LaterIn per block and whether they converged."""
+    alpha = [e.alpha for e in graph.edges]
+    links = _Links(len(graph.blocks), np.arange(len(graph.keys)), graph.dst, alpha)
+    return _fixpoint(eng, ear, not_uee[graph.src], graph.src, links, rows_first=False)
+
+
+def _insert_delete(logic: _Logic, graph: _Graph, later_in, later_out, uee):
+    not_later = logic.neg(later_in)
+    delete = logic.conj(uee, not_later)
+    delete[graph.blocks.index(graph.entry)] = 0.0
+    return logic.conj(later_out, not_later[graph.dst]), delete
 
 
 # -- public staged operations ---------------------------------------------------
+#
+# Each stage takes and returns dicts of rows; lcm_pipeline runs the same
+# stages on arrays, from the problem's rows to the report.
+
+
+def _prepare(problem: LcmProblem, mode: str, family: LogicFamily, cfg) -> tuple[_Engine, _Graph]:
+    """The engine and graph of a problem that must be valid (else ValueError)."""
+    errors = validate_problem(problem, mode)
+    if errors:
+        raise ValueError("invalid LCM problem: " + "; ".join(errors))
+    eng = _engine(mode, family, cfg)
+    return eng, _Graph(problem, eng.logic.width)
+
+
+def _stage1_matrices(problem, mode, family, cfg, backward: bool) -> StageMatrices:
+    eng, graph = _prepare(problem, mode, family, cfg)
+    gen = graph.stack(problem.uee if backward else problem.dee)
+    keep = eng.logic.neg(graph.stack(problem.kill))
+    out, merged, converged = _stage1(eng, graph, gen, keep, backward)
+    return StageMatrices(_unstack(graph.blocks, out), _unstack(graph.blocks, merged), converged)
 
 
 def availability(
@@ -447,7 +506,7 @@ def availability(
     cfg: SolverConfig | None = None,
 ) -> StageMatrices:
     """Forward must-analysis: AvOut(b) = DEE(b) | (AvIn(b) & !Kill(b))."""
-    return _stage1(problem, mode, family, cfg, backward=False)
+    return _stage1_matrices(problem, mode, family, cfg, backward=False)
 
 
 def anticipatability(
@@ -458,7 +517,7 @@ def anticipatability(
 ) -> StageMatrices:
     """Backward must-analysis: AnOut(b) = UEE(b) | (AnIn(b) & !Kill(b)),
     with AnIn the merge of AnOut over the block's successors."""
-    return _stage1(problem, mode, family, cfg, backward=True)
+    return _stage1_matrices(problem, mode, family, cfg, backward=True)
 
 
 def earliest(
@@ -477,16 +536,9 @@ def earliest(
         Earliest(entry,j) = AnOut(j) & !AvOut(entry)
     """
     logic = _logic(mode, family)
-    blocks, n, width = problem.blocks, len(problem.exprs), logic.width
-    keys, src, dst = _edge_ends(problem)
-
-    def at_src(matrix: BlockMatrix) -> np.ndarray:
-        return _stack(matrix, blocks, n, width)[src]
-
-    first = logic.conj(_stack(an_out, blocks, n, width)[dst], logic.neg(at_src(av_out)))
-    blocked = logic.disj(at_src(problem.kill), logic.neg(at_src(an_in)))
-    from_entry = np.array([s == problem.entry for s, _ in keys])[:, None, None]
-    return _unstack(keys, np.where(from_entry, first, logic.conj(first, blocked)))
+    graph = _Graph(problem, logic.width)
+    stacked = map(graph.stack, (av_out, an_in, an_out, problem.kill))
+    return _unstack(graph.keys, _earliest(logic, graph, *stacked))
 
 
 def later(
@@ -501,15 +553,10 @@ def later(
         LaterOut(i,j) = Earliest(i,j) | (LaterIn(i) & !UEE(i))
 
     with LaterIn(j) the forward merge of LaterOut over j's in-edges."""
-    _require_valid(problem, mode)
-    eng = _engine(mode, family, cfg)
-    blocks, n, width = problem.blocks, len(problem.exprs), eng.logic.width
-    keys, src, dst = _edge_ends(problem)
-    ear = _stack(earliest_m, keys, n, width)
-    hold = eng.logic.neg(_stack(problem.uee, blocks, n, width))[src]
-    links = _Links(len(blocks), np.arange(len(keys)), dst, [e.alpha for e in problem.edges])
-    out, later_in, converged = _fixpoint(eng, ear, hold, src, links, rows_first=False)
-    return LaterMatrices(_unstack(blocks, later_in), _unstack(keys, out), converged)
+    eng, graph = _prepare(problem, mode, family, cfg)
+    not_uee = eng.logic.neg(graph.stack(problem.uee))
+    out, later_in, converged = _later(eng, graph, graph.stack(earliest_m, edges=True), not_uee)
+    return LaterMatrices(_unstack(graph.blocks, later_in), _unstack(graph.keys, out), converged)
 
 
 def insert_delete(
@@ -522,13 +569,10 @@ def insert_delete(
     """Step (4): Insert(i,j) = LaterOut(i,j) & !LaterIn(j);
     Delete(k) = UEE(k) & !LaterIn(k) for k != entry, else 0."""
     logic = _logic(mode, family)
-    blocks, n, width = problem.blocks, len(problem.exprs), logic.width
-    keys, _, dst = _edge_ends(problem)
-    not_later = logic.neg(_stack(later_in, blocks, n, width))
-    insert = logic.conj(_stack(later_out, keys, n, width), not_later[dst])
-    delete = logic.conj(_stack(problem.uee, blocks, n, width), not_later)
-    delete[blocks.index(problem.entry)] = 0.0
-    return _unstack(keys, insert), _unstack(blocks, delete)
+    graph = _Graph(problem, logic.width)
+    insert, delete = _insert_delete(logic, graph, graph.stack(later_in),
+                                    graph.stack(later_out, edges=True), graph.stack(problem.uee))
+    return _unstack(graph.keys, insert), _unstack(graph.blocks, delete)
 
 
 def lcm_pipeline(
@@ -537,26 +581,23 @@ def lcm_pipeline(
     family: LogicFamily | None = None,
     cfg: SolverConfig | None = None,
 ) -> LcmResult:
-    """Run the four stages in order and collect every matrix."""
-    family = family or LogicFamily.minmax()
-    av = availability(problem, mode, family, cfg)
-    an = anticipatability(problem, mode, family, cfg)
-    earliest_m = earliest(problem, av.out, an.merged, an.out, mode, family)
-    lat = later(problem, earliest_m, mode, family, cfg)
-    insert, delete = insert_delete(problem, lat.later_in, lat.later_out, mode, family)
-    return LcmResult(
-        mode=mode,
-        exprs=list(problem.exprs),
-        av_out=av.out,
-        an_in=an.merged,
-        an_out=an.out,
-        earliest=earliest_m,
-        later_in=lat.later_in,
-        later_out=lat.later_out,
-        insert=insert,
-        delete=delete,
-        converged=av.converged and an.converged and lat.converged,
-    )
+    """Run the four stages in order and collect every matrix.
+
+    The problem is validated, and its rows stacked, once per call; nothing
+    is cached on it, so edits to its rows show in the next call."""
+    eng, graph = _prepare(problem, mode, family or LogicFamily.minmax(), cfg)
+    logic = eng.logic
+    dee, uee, kill = map(graph.stack, (problem.dee, problem.uee, problem.kill))
+    not_kill = logic.neg(kill)
+    av_out, _, av_ok = _stage1(eng, graph, dee, not_kill, backward=False)
+    an_out, an_in, an_ok = _stage1(eng, graph, uee, not_kill, backward=True)
+    ear = _earliest(logic, graph, av_out, an_in, an_out, kill)
+    later_out, later_in, later_ok = _later(eng, graph, ear, logic.neg(uee))
+    insert, delete = _insert_delete(logic, graph, later_in, later_out, uee)
+    arrays = dict(av_out=av_out, an_in=an_in, an_out=an_out, earliest=ear, later_in=later_in,
+                  later_out=later_out, insert=insert, delete=delete)
+    return LcmResult(mode, list(problem.exprs), graph.blocks, graph.keys, arrays,
+                     av_ok and an_ok and later_ok)
 
 
 def join_targets(rows: Sequence[Sequence[Value]]) -> list[TruthInterval]:
@@ -572,14 +613,11 @@ def join_targets(rows: Sequence[Sequence[Value]]) -> list[TruthInterval]:
     for row in rows:
         if len(row) != width:
             raise WidthMismatchError(f"row widths differ: {len(row)} vs {width}")
-    out = []
-    for k in range(width):
-        entries = [
-            v if isinstance(v, TruthInterval) else TruthInterval.degenerate(v)
-            for v in (row[k] for row in rows)
-        ]
-        out.append(TruthInterval(min(e.lo for e in entries), max(e.hi for e in entries)))
-    return out
+    columns = (
+        [v if isinstance(v, TruthInterval) else TruthInterval.degenerate(v) for v in column]
+        for column in zip(*rows)
+    )
+    return [TruthInterval(min(e.lo for e in c), max(e.hi for e in c)) for c in columns]
 
 
 # -- JSON problem format ----------------------------------------------------------
@@ -626,15 +664,12 @@ def problem_from_json_dict(data: Any) -> tuple[LcmProblem, LcmSettings]:
     exprs = [str(name) for name in data["exprs"]]
 
     def matrix(name: str) -> BlockMatrix:
-        raw = data[name]
-        if not isinstance(raw, dict):
+        if not isinstance(data[name], dict):
             raise FileFormatError(f"{name}: expected an object of block rows")
-        out: BlockMatrix = {}
-        for b, row in raw.items():
-            if not isinstance(row, list):
-                raise FileFormatError(f"{name}[{b!r}]: expected a list")
-            out[str(b)] = _jsonio.load_row(row, f"{name}[{b!r}]", interval=interval)
-        return out
+        return {
+            str(b): _jsonio.load_row(row, f"{name}[{b!r}]", interval=interval)
+            for b, row in data[name].items()
+        }
 
     problem = LcmProblem(
         blocks=blocks,

@@ -117,12 +117,13 @@ def _initial_state(graph: FlowGraph, domain) -> GlobalState:
 
 
 def _collect(graph: FlowGraph, state: GlobalState, family, domain, node: str, prop: str,
-             incoming=None):
-    """New value of (node, prop): the alpha-weighted average, over incoming
-    edges, of the node's transfer interpreted in each predecessor's state."""
+             incoming: list):
+    """New value of (node, prop): the alpha-weighted average, over the
+    ``incoming`` edges, of the node's transfer interpreted in each
+    predecessor's state."""
     f = graph.transfers[node][prop]
     contributions = []
-    for edge in (incoming if incoming is not None else graph.in_edges(node)):
+    for edge in incoming:
         env = dict(state[edge.src])
         if prop in env:
             env[INPUT_NAME] = env[prop]

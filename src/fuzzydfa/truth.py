@@ -214,31 +214,38 @@ class LogicFamily:
         ``tnorm``'s bit for bit wherever ``tnorm``'s checks leave an input as
         it is: on every degree but -0.0.
         """
+        return self._tnorm_terms(self._term(x), self._term(y))
+
+    def _term(self, x: np.ndarray) -> np.ndarray:
+        """What ``tnorm_array`` computes of one operand alone: expm1(x ln s)
+        for Frank outside the product band, ``x`` itself for the rest.  An
+        operand that stays the same over many T-norms needs it only once."""
+        if self.kind != "frank" or abs(self.s - 1.0) <= _FRANK_PRODUCT_BAND:
+            return x
+        # Only expm1 and log1p run per element, and through math: numpy's
+        # own expm1 and log1p round some inputs differently.
+        return _each(math.expm1, x * math.log(self.s))
+
+    def _tnorm_terms(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``tnorm_array`` from its operands' ``_term``s."""
         import numpy as np  # the module itself, scalar norms and all, needs no numpy
 
         kind = self.kind
         if kind == "minmax":
             return np.minimum(x, y)
-        if kind == "product":
-            return x * y
         if kind == "lukasiewicz":
             return np.maximum(x + y - 1.0, 0.0)
         if kind == "nilpotent":
             return np.where(x + y > 1.0, np.minimum(x, y), 0.0)
         s = self.s
-        if abs(s - 1.0) <= _FRANK_PRODUCT_BAND:
+        if kind == "product" or abs(s - 1.0) <= _FRANK_PRODUCT_BAND:
             return x * y
-        ls = math.log(s)
-        # The scalar's formula in the scalar's operation order.  Only expm1
-        # and log1p run per element, and through math: numpy's own expm1 and
-        # log1p round some inputs differently.
-        ex = _each(math.expm1, x * ls)
-        ey = _each(math.expm1, y * ls)
-        # ex * ey is at most about (s - 1)^2, so it can overflow only for a
-        # huge s; then it goes to inf silently, as Python floats do.
+        # The scalar's formula in the scalar's operation order.  x * y is at
+        # most about (s - 1)^2, so it can overflow only for a huge s; then it
+        # goes to inf silently, as Python floats do.
         with np.errstate(over="ignore") if s > 1e150 else contextlib.nullcontext():
-            ratio = ex * ey / (s - 1.0)
-        out = _each(math.log1p, ratio) / ls
+            ratio = x * y / (s - 1.0)
+        out = _each(math.log1p, ratio) / math.log(s)
         # min(1.0, max(0.0, out)) as Python evaluates it, -0.0 to 0.0 included.
         out = np.where(out > 0.0, out, 0.0)
         return np.where(out < 1.0, out, 1.0)

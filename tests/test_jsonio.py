@@ -49,6 +49,9 @@ def test_load_row_equals_load_value_on_every_entry():
         ([0, 1, 0.5], False),
         ([1.0 + 1e-13, 0.5], False),
         ([[0.0, 0.5], 0.25, [-0.0, 1]], True),
+        # Rows of [float, float] pairs only, which skip load_value.
+        ([[0.0, 0.5], [-0.0, -0.0], [0.25, 0.25], [1e-300, 1.0]], True),
+        ([[0.0, 0.5], [0.5, 1.0 + 1e-13]], True),
     ]:
         want = [load_value(v, "row", interval=interval) for v in raw]
         got = load_row(raw, "row", interval=interval)
@@ -84,6 +87,8 @@ def test_interval_pairs_take_numbers_only(raw, message):
         load_value(raw, "x", interval=True)
     with pytest.raises(FileFormatError, match=message.replace("x", r"x\[3\]", 1)):
         load_row([0.0, 0.0, 0.0, raw], "x", interval=True)
+    with pytest.raises(FileFormatError, match=message.replace("x", r"x\[1\]", 1)):
+        load_row([[0.0, 0.0], raw, [0.5, 0.5]], "x", interval=True)  # pairs only
 
 
 @pytest.mark.parametrize("raw, integer, message", [

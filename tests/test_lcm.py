@@ -53,8 +53,8 @@ def fuzzy_reference(problem: LcmProblem, expr: int, eps: float = 1e-12,
     else:
         AND, OR, NOT = family.tnorm, family.snorm, family.cnorm
     blocks = problem.blocks
-    preds = {b: [(e.src, e.alpha) for e in problem.preds(b)] for b in blocks}
-    succs = {b: [(e.dst, e.alpha_back) for e in problem.succs(b)] for b in blocks}
+    preds = {b: [(e.src, e.alpha) for e in problem.edges if e.dst == b] for b in blocks}
+    succs = {b: [(e.dst, e.alpha_back) for e in problem.edges if e.src == b] for b in blocks}
     dee = {b: problem.dee[b][expr] for b in blocks}
     uee = {b: problem.uee[b][expr] for b in blocks}
     kill = {b: problem.kill[b][expr] for b in blocks}
@@ -573,3 +573,102 @@ def test_negative_zero_rows_report_as_zero(seed, mode, logic):
     text = _jsonio.dumps(L.lcm_pipeline(negated, mode, family).to_json_dict())
     assert "-0" not in text
     assert text == expected
+
+
+# -- the pipeline on arrays ------------------------------------------------------------
+
+STAGED_FAMILIES = ["minmax", "product", "lukasiewicz", "frank:2", "nilpotent"]
+
+
+def moded_problem(seed: int, mode: str) -> LcmProblem:
+    """A random CFG with rows of the mode's kind."""
+    if mode == "crisp":
+        return random_crisp_problem(random.Random(seed), max_blocks=12, max_exprs=6)
+    problem = soft_problem(seed)
+    if mode == "interval":
+        rng = random.Random(f"interval/{seed}")
+        for name in ("dee", "uee", "kill"):
+            rows = getattr(problem, name)
+            for b, row in rows.items():
+                rows[b] = [TruthInterval(*sorted((v, rng.random()))) for v in row]
+    return problem
+
+
+@pytest.mark.parametrize("logic", STAGED_FAMILIES)
+@pytest.mark.parametrize("mode", ["crisp", "fuzzy", "interval"])
+def test_staged_functions_compose_to_the_pipeline_bit_for_bit(mode, logic):
+    family = LogicFamily.parse(logic)
+    cfg = SolverConfig(family=family, max_iters=3000)
+    for seed in range(300, 306):
+        problem = moded_problem(seed, mode)
+        result = L.lcm_pipeline(problem, mode, family, cfg)
+        av = L.availability(problem, mode, family, cfg)
+        an = L.anticipatability(problem, mode, family, cfg)
+        ear = L.earliest(problem, av.out, an.merged, an.out, mode, family)
+        lat = L.later(problem, ear, mode, family, cfg)
+        insert, delete = L.insert_delete(problem, lat.later_in, lat.later_out, mode, family)
+        staged = {"av_out": av.out, "an_in": an.merged, "an_out": an.out, "earliest": ear,
+                  "later_in": lat.later_in, "later_out": lat.later_out, "insert": insert,
+                  "delete": delete}
+        for name, matrix in staged.items():
+            # repr tells every float apart, -0.0 from 0.0 included.
+            assert repr(dict(getattr(result, name))) == repr(matrix), (seed, name)
+        assert result.converged == (av.converged and an.converged and lat.converged)
+
+
+def test_interval_pipeline_and_report_build_no_intervals_and_validate_once(monkeypatch, data_dir):
+    problems = [L.load_problem_file(str(data_dir / "diffpcm_t2.json"))[0]]
+    problems += [moded_problem(seed, "interval") for seed in range(310, 313)]
+    expected = [_jsonio.dumps(L.lcm_pipeline(p, "interval").to_json_dict()) for p in problems]
+    built, validated = [], []
+    post_init, validate = TruthInterval.__post_init__, L.validate_problem
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counting_validate(problem, mode):
+        validated.append(problem)
+        return validate(problem, mode)
+
+    monkeypatch.setattr(TruthInterval, "__post_init__", counting_post_init)
+    monkeypatch.setattr(L, "validate_problem", counting_validate)
+    for problem, text in zip(problems, expected):
+        result = L.lcm_pipeline(problem, "interval")
+        assert _jsonio.dumps(result.to_json_dict()) == text
+        assert validated == [problem] and not built
+        validated.clear()
+    result.delete  # a view is built on its first read ...
+    assert built  # ... and holds TruthIntervals
+
+
+def test_edited_rows_show_in_the_next_run():
+    """Rows are stacked per call, not cached on the problem."""
+    problem = diffpcm_problem()
+    before = L.lcm_pipeline(problem, "fuzzy", MINMAX).to_json_dict()
+    problem.dee["B4"][5] = 0.0  # Transform(b) no longer computed in the body
+    after = L.lcm_pipeline(problem, "fuzzy", MINMAX).to_json_dict()
+    assert after != before
+    fresh = diffpcm_problem()
+    fresh.dee["B4"] = list(problem.dee["B4"])
+    assert after == L.lcm_pipeline(fresh, "fuzzy", MINMAX).to_json_dict()
+
+
+@pytest.mark.parametrize("mode", ["fuzzy", "interval"])
+def test_views_are_cached_and_read_only_in_effect(mode):
+    problem = interval_problem() if mode == "interval" else diffpcm_problem()
+    result = L.lcm_pipeline(problem, mode, MINMAX)
+    report = _jsonio.dumps(result.to_json_dict())
+    names = ("av_out", "an_in", "an_out", "earliest", "later_in", "later_out", "insert", "delete")
+    for name in names:
+        view = getattr(result, name)
+        assert getattr(result, name) is view
+        key = next(iter(view))
+        with pytest.raises(TypeError):
+            view[key] = []
+        with pytest.raises(TypeError):
+            del view[key]
+        with pytest.raises(AttributeError):
+            setattr(result, name, {})
+        view[key][0] = 0.5  # a row is a fresh list: the report does not see it
+    assert _jsonio.dumps(result.to_json_dict()) == report

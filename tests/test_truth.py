@@ -222,6 +222,24 @@ def test_tnorm_array_matches_scalar_bit_for_bit(family):
     assert np.array_equal(got.view(np.int64), scalar_tnorms(family, x, y).view(np.int64))
 
 
+@pytest.mark.parametrize("family", ARRAY_FAMILIES, ids=str)
+def test_tnorm_from_terms_computed_once_matches_scalar_bit_for_bit(family):
+    """A fixed point computes ``_term`` of its constant operand once per solve
+    and slices it as expression columns converge; every T-norm built on that
+    term must still give the scalar's bits."""
+    rng = random.Random(f"tnorm_terms/{family}")
+    x = np.array([rng.random() for _ in range(3 * 8 * 8 * 2)]).reshape(3, 8, 8, 2)
+    y = np.array([rng.random() for _ in range(6 * 8 * 2)] + EDGE_DEGREES * 8).reshape(8, 8, 2)
+    y_term = family._term(y)  # once, for every sweep below
+    columns = np.arange(8)
+    for sweep in x:
+        sweep = sweep[:, columns]
+        got = family._tnorm_terms(family._term(sweep), y_term[:, columns])
+        assert np.array_equal(got.view(np.int64), scalar_tnorms(family, sweep, y[:, columns]).view(np.int64))
+        columns = columns[1:]  # a column converged
+    assert family.kind != "frank" or np.array_equal(family._term(y), y_term)
+
+
 def test_tnorm_array_overflows_silently_like_the_scalar():
     family = LogicFamily.frank(1e300)
     x = np.array([1.0, 0.5, 0.0])
