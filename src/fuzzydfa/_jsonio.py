@@ -50,13 +50,11 @@ def _write(obj: Any, parts: list[str]) -> None:
     elif isinstance(obj, (list, tuple)):
         # Rows of degrees or of [lo, hi] pairs, the bulk of every report, go
         # in one step ("%.17g" prints what format(v, ".17g") does).
-        kinds = set(map(type, obj))
-        pairs = kinds == {list} and set(map(len, obj)) == {2}
-        ends = tuple(chain.from_iterable(obj)) if pairs else ()
-        if kinds <= {float}:
+        kind = set(map(type, obj))
+        if kind <= {float}:
             parts.append("[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj) + "]")
-        elif pairs and set(map(type, ends)) == {float}:
-            parts.append("[" + ", ".join(["[%.17g, %.17g]"] * len(obj)) % ends + "]")
+        elif kind == {list} and set(map(len, obj)) == {2} and set(map(type, chain(*obj))) <= {float}:
+            parts.append("[" + ", ".join(["[%.17g, %.17g]"] * len(obj)) % tuple(chain(*obj)) + "]")
         else:
             parts.append("[")
             for i, value in enumerate(obj):

@@ -103,12 +103,12 @@ def _print_lcm_pretty(result, threshold: float) -> None:
 
     print(f"mode={result.mode} exprs={len(result.exprs)} converged={result.converged}")
     moves = []
-    for action, where, matrix in (("insert", "on", result.insert), ("delete", "from", result.delete)):
-        print(f"{action.capitalize()}:")
+    for verb, prep, matrix in (("insert", "on", result.insert), ("delete", "from", result.delete)):
+        print(f"{verb.capitalize()}:")
         for key, row in matrix.items():
-            label = f"{key[0]}->{key[1]}" if action == "insert" else key
+            label = f"{key[0]}->{key[1]}" if verb == "insert" else key
             print(f"  {label}: " + "  ".join(_fmt3(v) for v in row))
-            moves += [f"{action} {result.exprs[k]!r} {where} {label} ({_fmt3(v)})"
+            moves += [f"{verb} {result.exprs[k]!r} {prep} {label} ({_fmt3(v)})"
                       for k, v in enumerate(row) if exceeds(v)]
     if moves:
         print(f"plausible motions (>= {threshold}):")

@@ -20,7 +20,9 @@ bit-vector algorithm: start from top, meet = min, iterate until nothing
 changes, and exact connectives whatever the logic family.  Fuzzy and
 interval modes start from zero, replace the meet with the alpha-weighted
 average of the flow-graph framework, and stop each expression once a sweep
-moves it by less than epsilon.
+moves it by less than epsilon.  ``lcm_pipeline`` stacks the problem's rows
+once and passes arrays from stage to stage up to the report; the public
+staged functions wrap the same array stages in dicts of rows.
 
 Boundary conventions (identical in all modes): the entry block's available
 set is just its downward-exposed set, the exit block's anticipated set is
@@ -41,24 +43,10 @@ from ._jsonio import LCM_MODES as MODES, FileFormatError
 from .truth import LogicFamily, SolverConfig, TruthInterval, truth_value
 
 __all__ = [
-    "LcmEdge",
-    "LcmProblem",
-    "LcmResult",
-    "StageMatrices",
-    "LaterMatrices",
-    "WidthMismatchError",
-    "validate_problem",
-    "availability",
-    "anticipatability",
-    "earliest",
-    "later",
-    "insert_delete",
-    "lcm_pipeline",
-    "join_targets",
-    "load_problem_file",
-    "problem_from_json_dict",
-    "problem_to_json_dict",
-    "LcmSettings",
+    "LcmEdge", "LcmProblem", "LcmResult", "StageMatrices", "LaterMatrices", "WidthMismatchError",
+    "validate_problem", "availability", "anticipatability", "earliest", "later", "insert_delete",
+    "lcm_pipeline", "join_targets", "load_problem_file", "problem_from_json_dict",
+    "problem_to_json_dict", "LcmSettings",
 ]
 
 Value = Union[float, TruthInterval]
@@ -216,7 +204,8 @@ class LcmResult:
             # Rows of floats, or of [lo, hi] lists: what dump_row prints.
             rows = (values[..., 0] if values.shape[-1] == 1 else values).tolist()
             if name in self._EDGE_ROWS:
-                out[name] = [{"from": s, "to": d, "values": row} for (s, d), row in zip(self._edges, rows)]
+                out[name] = [{"from": s, "to": d, "values": r}
+                             for (s, d), r in zip(self._edges, rows)]
             else:
                 out[name] = dict(zip(self._blocks, rows))
         out["converged"] = self.converged
@@ -230,11 +219,9 @@ class _Logic:
     """A logic family's connectives on the last axis: one value (w = 1) or
     a (lo, hi) pair (w = 2).  The complement reverses a pair; the T-norm
     works endpoint-wise and re-sorts the pair against rounding, as
-    ``LogicFamily.interval_tnorm`` does.  ``LogicFamily.tnorm_array`` gives
-    the scalar T-norm's bits on every element, Frank's included, without a
-    Python call per element beyond Frank's expm1/log1p.  ``conj_terms``
-    takes operands already passed through ``term``, which a fixed point does
-    once per solve for the operands that stay constant."""
+    ``LogicFamily.interval_tnorm`` does.  The T-norm gives the scalar's bits
+    on every element, Frank's included; ``conj_terms`` takes operands that
+    went through ``term`` already, as a fixed point's constant ones do."""
 
     def __init__(self, family: LogicFamily, width: int):
         self.width = width
@@ -258,14 +245,6 @@ class _Logic:
 
     def disj(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.neg(self.conj(self.neg(x), self.neg(y)))
-
-
-def _logic(mode: str, family: LogicFamily) -> _Logic:
-    if mode == "crisp":
-        # min and 1-x are exact on 0/1; some families are not (Frank's
-        # T(1, 1) rounds below 1 for small s).
-        return _Logic(LogicFamily.minmax(), 1)
-    return _Logic(family, 2 if mode == "interval" else 1)
 
 
 def _unstack(keys: Sequence, values: np.ndarray) -> dict:
@@ -293,7 +272,8 @@ class _Links:
             count[d] += 1
         shape = (max(count) or 1, n_merges)
         self.src, self.weight = np.zeros(shape, dtype=int), np.zeros(shape + (1, 1))
-        self.pad, self.fresh = np.ones(shape + (1, 1), dtype=bool), np.zeros(shape + (1, 1), dtype=bool)
+        self.pad = np.ones(shape + (1, 1), dtype=bool)
+        self.fresh = np.zeros(shape + (1, 1), dtype=bool)
         self.src[rank, dst], self.weight[rank, dst, 0, 0], self.pad[rank, dst] = src, weight, False
         # Rows that a rows-first sweep (row b, merge b for each block b)
         # computes before the merge they feed.
@@ -333,25 +313,19 @@ class _Engine:
         return np.minimum(1.0, np.round(values * scale) / scale)
 
 
-def _engine(mode: str, family: LogicFamily, cfg: SolverConfig | None) -> _Engine:
-    logic = _logic(mode, family)
+def _engine(mode: str, family: LogicFamily, cfg: SolverConfig | None = None) -> _Engine:
     if mode == "crisp":
-        # A crisp residual counts flipped bits: below one, nothing changed.
-        return _Engine(logic, True, 1.0, None, None)
-    if cfg is None:
-        cfg = SolverConfig(family=family)
+        # min and 1-x are exact on 0/1; some families are not (Frank's T(1, 1)
+        # rounds below 1 for small s).  A crisp residual counts flipped bits:
+        # below one, nothing changed.
+        return _Engine(_Logic(LogicFamily.minmax(), 1), True, 1.0, None, None)
+    cfg = cfg or SolverConfig(family=family)
+    logic = _Logic(family, 2 if mode == "interval" else 1)
     return _Engine(logic, False, cfg.epsilon, cfg.max_iters, cfg.quantize_bits)
 
 
-def _fixpoint(
-    eng: _Engine,
-    gen: np.ndarray,
-    keep: np.ndarray,
-    reads: np.ndarray | None,
-    links: _Links,
-    *,
-    rows_first: bool,
-) -> tuple[np.ndarray, np.ndarray, bool]:
+def _fixpoint(eng: _Engine, gen: np.ndarray, keep: np.ndarray, reads: np.ndarray | None,
+              links: _Links, *, rows_first: bool) -> tuple[np.ndarray, np.ndarray, bool]:
     """Solve, for every expression column at once,
 
         row[r]   = gen[r] | (merge[reads[r]] & keep[r])
@@ -395,8 +369,9 @@ def _fixpoint(
             new_rows = transfer(new_merges)
         # Each node's change, in node order.
         steps = np.empty((len(rows) + n_merges, active.size))
-        np.abs(new_rows - cur_rows).sum(axis=-1, out=steps[0::2] if rows_first else steps[n_merges:])
-        np.abs(new_merges - cur_merges).sum(axis=-1, out=steps[1::2] if rows_first else steps[:n_merges])
+        at = (steps[0::2], steps[1::2]) if rows_first else (steps[n_merges:], steps[:n_merges])
+        np.abs(new_rows - cur_rows).sum(axis=-1, out=at[0])
+        np.abs(new_merges - cur_merges).sum(axis=-1, out=at[1])
         cur_rows, cur_merges = new_rows, new_merges
         done = np.cumsum(steps, axis=0)[-1] < eng.epsilon
         if done.any():
@@ -430,10 +405,8 @@ class _Graph:
         if self.width == 1:
             rows = [matrix[k] for k in keys]
         else:
-            rows = [
-                [(v.lo, v.hi) if isinstance(v, TruthInterval) else (v, v) for v in matrix[k]]
-                for k in keys
-            ]
+            rows = [[(v.lo, v.hi) if isinstance(v, TruthInterval) else (v, v) for v in matrix[k]]
+                    for k in keys]
         # Adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is,
         # so library-built rows print as file-loaded ones (truth_value) do.
         out = np.array(rows, dtype=float).reshape(len(keys), self.n_exprs, self.width) + 0.0
@@ -446,18 +419,15 @@ class _Graph:
 def _stage1(eng: _Engine, graph: _Graph, gen: np.ndarray, keep: np.ndarray, backward: bool):
     """Availability, or (``backward``, gen UEE) anticipatability: the rows,
     the merges and whether they converged."""
-    n = len(graph.blocks)
-    if backward:
-        links = _Links(n, graph.dst, graph.src, [e.alpha_back for e in graph.edges])
-    else:
-        links = _Links(n, graph.src, graph.dst, [e.alpha for e in graph.edges])
+    src, dst = (graph.dst, graph.src) if backward else (graph.src, graph.dst)
+    alpha = [e.alpha_back if backward else e.alpha for e in graph.edges]
+    links = _Links(len(graph.blocks), src, dst, alpha)
     return _fixpoint(eng, gen, keep, None, links, rows_first=True)
 
 
 def _earliest(logic: _Logic, graph: _Graph, av_out, an_in, an_out, kill) -> np.ndarray:
-    src = graph.src
-    first = logic.conj(an_out[graph.dst], logic.neg(av_out[src]))
-    blocked = logic.disj(kill[src], logic.neg(an_in[src]))
+    first = logic.conj(an_out[graph.dst], logic.neg(av_out[graph.src]))
+    blocked = logic.disj(kill[graph.src], logic.neg(an_in[graph.src]))
     from_entry = np.array([s == graph.entry for s, _ in graph.keys])[:, None, None]
     return np.where(from_entry, first, logic.conj(first, blocked))
 
@@ -477,9 +447,6 @@ def _insert_delete(logic: _Logic, graph: _Graph, later_in, later_out, uee):
 
 
 # -- public staged operations ---------------------------------------------------
-#
-# Each stage takes and returns dicts of rows; lcm_pipeline runs the same
-# stages on arrays, from the problem's rows to the report.
 
 
 def _prepare(problem: LcmProblem, mode: str, family: LogicFamily, cfg) -> tuple[_Engine, _Graph]:
@@ -535,7 +502,7 @@ def earliest(
         Earliest(i,j) = AnOut(j) & !AvOut(i) & (Kill(i) | !AnIn(i))
         Earliest(entry,j) = AnOut(j) & !AvOut(entry)
     """
-    logic = _logic(mode, family)
+    logic = _engine(mode, family).logic
     graph = _Graph(problem, logic.width)
     stacked = map(graph.stack, (av_out, an_in, an_out, problem.kill))
     return _unstack(graph.keys, _earliest(logic, graph, *stacked))
@@ -568,7 +535,7 @@ def insert_delete(
 ) -> tuple[EdgeMatrix, BlockMatrix]:
     """Step (4): Insert(i,j) = LaterOut(i,j) & !LaterIn(j);
     Delete(k) = UEE(k) & !LaterIn(k) for k != entry, else 0."""
-    logic = _logic(mode, family)
+    logic = _engine(mode, family).logic
     graph = _Graph(problem, logic.width)
     insert, delete = _insert_delete(logic, graph, graph.stack(later_in),
                                     graph.stack(later_out, edges=True), graph.stack(problem.uee))

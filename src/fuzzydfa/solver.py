@@ -118,9 +118,8 @@ def _initial_state(graph: FlowGraph, domain) -> GlobalState:
 
 def _collect(graph: FlowGraph, state: GlobalState, family, domain, node: str, prop: str,
              incoming: list):
-    """New value of (node, prop): the alpha-weighted average, over the
-    ``incoming`` edges, of the node's transfer interpreted in each
-    predecessor's state."""
+    """New value of (node, prop): the alpha-weighted average, over
+    ``incoming``, of the node's transfer interpreted in each predecessor's state."""
     f = graph.transfers[node][prop]
     contributions = []
     for edge in incoming:

@@ -217,9 +217,8 @@ class LogicFamily:
         return self._tnorm_terms(self._term(x), self._term(y))
 
     def _term(self, x: np.ndarray) -> np.ndarray:
-        """What ``tnorm_array`` computes of one operand alone: expm1(x ln s)
-        for Frank outside the product band, ``x`` itself for the rest.  An
-        operand that stays the same over many T-norms needs it only once."""
+        """What ``tnorm_array`` computes of one operand alone: expm1(x ln s) for
+        Frank off the product band, else ``x``; a fixed operand needs it once."""
         if self.kind != "frank" or abs(self.s - 1.0) <= _FRANK_PRODUCT_BAND:
             return x
         # Only expm1 and log1p run per element, and through math: numpy's
