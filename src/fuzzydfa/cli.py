@@ -102,14 +102,23 @@ def _print_lcm_pretty(result, threshold: float) -> None:
         return lo >= threshold
 
     print(f"mode={result.mode} exprs={len(result.exprs)} converged={result.converged}")
+    print("Insert:")
+    for (src, dst), row in result.insert.items():
+        cells = "  ".join(_fmt3(v) for v in row)
+        print(f"  {src}->{dst}: {cells}")
+    print("Delete:")
+    for block, row in result.delete.items():
+        cells = "  ".join(_fmt3(v) for v in row)
+        print(f"  {block}: {cells}")
     moves = []
-    for verb, prep, matrix in (("insert", "on", result.insert), ("delete", "from", result.delete)):
-        print(f"{verb.capitalize()}:")
-        for key, row in matrix.items():
-            label = f"{key[0]}->{key[1]}" if verb == "insert" else key
-            print(f"  {label}: " + "  ".join(_fmt3(v) for v in row))
-            moves += [f"{verb} {result.exprs[k]!r} {prep} {label} ({_fmt3(v)})"
-                      for k, v in enumerate(row) if exceeds(v)]
+    for (src, dst), row in result.insert.items():
+        for k, v in enumerate(row):
+            if exceeds(v):
+                moves.append(f"insert {result.exprs[k]!r} on {src}->{dst} ({_fmt3(v)})")
+    for block, row in result.delete.items():
+        for k, v in enumerate(row):
+            if exceeds(v):
+                moves.append(f"delete {result.exprs[k]!r} from {block} ({_fmt3(v)})")
     if moves:
         print(f"plausible motions (>= {threshold}):")
         for move in moves:

@@ -43,10 +43,24 @@ from ._jsonio import LCM_MODES as MODES, FileFormatError
 from .truth import LogicFamily, SolverConfig, TruthInterval, truth_value
 
 __all__ = [
-    "LcmEdge", "LcmProblem", "LcmResult", "StageMatrices", "LaterMatrices", "WidthMismatchError",
-    "validate_problem", "availability", "anticipatability", "earliest", "later", "insert_delete",
-    "lcm_pipeline", "join_targets", "load_problem_file", "problem_from_json_dict",
-    "problem_to_json_dict", "LcmSettings",
+    "LcmEdge",
+    "LcmProblem",
+    "LcmResult",
+    "StageMatrices",
+    "LaterMatrices",
+    "WidthMismatchError",
+    "validate_problem",
+    "availability",
+    "anticipatability",
+    "earliest",
+    "later",
+    "insert_delete",
+    "lcm_pipeline",
+    "join_targets",
+    "load_problem_file",
+    "problem_from_json_dict",
+    "problem_to_json_dict",
+    "LcmSettings",
 ]
 
 Value = Union[float, TruthInterval]
@@ -167,43 +181,41 @@ class LaterMatrices:
     converged: bool = True
 
 
+_MATRICES = ("av_out", "an_in", "an_out", "earliest", "later_in", "later_out", "insert", "delete")
+_EDGE_MATRICES = ("earliest", "later_out", "insert")
+
+
+@dataclass(frozen=True, eq=False)
 class LcmResult:
     """Every matrix of a pipeline run, held as a read-only (rows, exprs, w)
     array.  ``av_out`` ... ``delete`` are read-only views of them (block or
     edge -> row, of ``TruthInterval``s in interval mode), each built on its
     first read; ``to_json_dict`` prints from the arrays and builds none."""
 
-    _EDGE_ROWS = ("earliest", "later_out", "insert")
+    mode: str
+    exprs: list[str]
+    converged: bool
+    _blocks: list[str]
+    _edges: list[tuple[str, str]]
+    _arrays: dict[str, np.ndarray]   # av_out ... delete, in report order
 
-    def __init__(self, mode: str, exprs: list[str], blocks: list[str],
-                 edges: list[tuple[str, str]], arrays: dict[str, np.ndarray], converged: bool):
-        self.mode, self.exprs, self.converged = mode, exprs, converged
-        self._blocks, self._edges, self._arrays = blocks, edges, arrays
-        self._views: dict[str, Mapping] = {}
-        for values in arrays.values():
+    def __post_init__(self) -> None:
+        for values in self._arrays.values():
             values.flags.writeable = False
 
-    def _view(self, name: str) -> Mapping:
-        if name not in self._views:
-            keys = self._edges if name in self._EDGE_ROWS else self._blocks
-            self._views[name] = MappingProxyType(_unstack(keys, self._arrays[name]))
-        return self._views[name]
-
-    av_out = property(lambda self: self._view("av_out"))
-    an_in = property(lambda self: self._view("an_in"))
-    an_out = property(lambda self: self._view("an_out"))
-    earliest = property(lambda self: self._view("earliest"))
-    later_in = property(lambda self: self._view("later_in"))
-    later_out = property(lambda self: self._view("later_out"))
-    insert = property(lambda self: self._view("insert"))
-    delete = property(lambda self: self._view("delete"))
+    def __getattr__(self, name: str) -> Mapping:
+        if name not in _MATRICES:
+            raise AttributeError(name)
+        keys = self._edges if name in _EDGE_MATRICES else self._blocks
+        self.__dict__[name] = MappingProxyType(_unstack(keys, self._arrays[name]))
+        return self.__dict__[name]
 
     def to_json_dict(self) -> dict:
         out: dict[str, Any] = {"mode": self.mode, "exprs": list(self.exprs)}
         for name, values in self._arrays.items():
             # Rows of floats, or of [lo, hi] lists: what dump_row prints.
             rows = (values[..., 0] if values.shape[-1] == 1 else values).tolist()
-            if name in self._EDGE_ROWS:
+            if name in _EDGE_MATRICES:
                 out[name] = [{"from": s, "to": d, "values": r}
                              for (s, d), r in zip(self._edges, rows)]
             else:
@@ -324,8 +336,15 @@ def _engine(mode: str, family: LogicFamily, cfg: SolverConfig | None = None) -> 
     return _Engine(logic, False, cfg.epsilon, cfg.max_iters, cfg.quantize_bits)
 
 
-def _fixpoint(eng: _Engine, gen: np.ndarray, keep: np.ndarray, reads: np.ndarray | None,
-              links: _Links, *, rows_first: bool) -> tuple[np.ndarray, np.ndarray, bool]:
+def _fixpoint(
+    eng: _Engine,
+    gen: np.ndarray,
+    keep: np.ndarray,
+    reads: np.ndarray | None,
+    links: _Links,
+    *,
+    rows_first: bool,
+) -> tuple[np.ndarray, np.ndarray, bool]:
     """Solve, for every expression column at once,
 
         row[r]   = gen[r] | (merge[reads[r]] & keep[r])
@@ -561,10 +580,9 @@ def lcm_pipeline(
     ear = _earliest(logic, graph, av_out, an_in, an_out, kill)
     later_out, later_in, later_ok = _later(eng, graph, ear, logic.neg(uee))
     insert, delete = _insert_delete(logic, graph, later_in, later_out, uee)
-    arrays = dict(av_out=av_out, an_in=an_in, an_out=an_out, earliest=ear, later_in=later_in,
-                  later_out=later_out, insert=insert, delete=delete)
-    return LcmResult(mode, list(problem.exprs), graph.blocks, graph.keys, arrays,
-                     av_ok and an_ok and later_ok)
+    arrays = (av_out, an_in, an_out, ear, later_in, later_out, insert, delete)
+    return LcmResult(mode, list(problem.exprs), av_ok and an_ok and later_ok, graph.blocks,
+                     graph.keys, dict(zip(_MATRICES, arrays)))
 
 
 def join_targets(rows: Sequence[Sequence[Value]]) -> list[TruthInterval]:
@@ -580,11 +598,14 @@ def join_targets(rows: Sequence[Sequence[Value]]) -> list[TruthInterval]:
     for row in rows:
         if len(row) != width:
             raise WidthMismatchError(f"row widths differ: {len(row)} vs {width}")
-    columns = (
-        [v if isinstance(v, TruthInterval) else TruthInterval.degenerate(v) for v in column]
-        for column in zip(*rows)
-    )
-    return [TruthInterval(min(e.lo for e in c), max(e.hi for e in c)) for c in columns]
+    out = []
+    for k in range(width):
+        entries = [
+            v if isinstance(v, TruthInterval) else TruthInterval.degenerate(v)
+            for v in (row[k] for row in rows)
+        ]
+        out.append(TruthInterval(min(e.lo for e in entries), max(e.hi for e in entries)))
+    return out
 
 
 # -- JSON problem format ----------------------------------------------------------
