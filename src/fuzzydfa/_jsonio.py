@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 from typing import Any, Iterable
 
@@ -50,11 +49,12 @@ def _write(obj: Any, parts: list[str]) -> None:
     elif isinstance(obj, (list, tuple)):
         # Rows of degrees or of [lo, hi] pairs, the bulk of every report, go
         # in one step ("%.17g" prints what format(v, ".17g") does).
-        kind = set(map(type, obj))
-        if kind <= {float}:
+        if all(type(v) is float for v in obj):
             parts.append("[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj) + "]")
-        elif kind == {list} and set(map(len, obj)) == {2} and set(map(type, chain(*obj))) <= {float}:
-            parts.append("[" + ", ".join(["[%.17g, %.17g]"] * len(obj)) % tuple(chain(*obj)) + "]")
+        elif all(type(v) is list and len(v) == 2 and type(v[0]) is float and type(v[1]) is float
+                 for v in obj):
+            ends = tuple(x for pair in obj for x in pair)
+            parts.append("[" + ", ".join(["[%.17g, %.17g]"] * len(obj)) % ends + "]")
         else:
             parts.append("[")
             for i, value in enumerate(obj):
