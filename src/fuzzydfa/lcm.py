@@ -340,7 +340,7 @@ def _fixpoint(
     eng: _Engine,
     gen: np.ndarray,
     keep: np.ndarray,
-    reads: np.ndarray | None,
+    reads: np.ndarray,
     links: _Links,
     *,
     rows_first: bool,
@@ -350,13 +350,13 @@ def _fixpoint(
         row[r]   = gen[r] | (merge[reads[r]] & keep[r])
         merge[m] = meet of the rows linked into m
 
-    (``reads`` None: merge[r]) by Gauss-Seidel sweeps in a fixed node order.
-    With ``rows_first`` the order is row b, merge b for each block b: a
-    sweep's rows read the last sweep's merges, and a merge reads this sweep's
-    rows only from blocks before it.  Otherwise every merge comes first,
-    reading the last sweep's rows, and every row then reads this sweep's
-    merges.  Each column freezes at its first sweep whose change, summed in
-    node order, is below epsilon.
+    by Gauss-Seidel sweeps in a fixed node order.  With ``rows_first`` the
+    order is row b, merge b for each block b: a sweep's rows read the last
+    sweep's merges, and a merge reads this sweep's rows only from blocks
+    before it.  Otherwise every merge comes first, reading the last sweep's
+    rows, and every row then reads this sweep's merges.  Each column
+    freezes at its first sweep whose change, summed in node order, is below
+    epsilon.
 
     Returns the rows, the merges recomputed from the final rows, and
     whether every column converged.
@@ -369,7 +369,7 @@ def _fixpoint(
     not_gen, keep = logic.term(logic.neg(gen)), logic.term(keep)
 
     def transfer(m: np.ndarray) -> np.ndarray:
-        held = logic.conj_terms(logic.term(m if reads is None else m[reads]), keep)
+        held = logic.conj_terms(logic.term(m[reads]), keep)
         return eng.snap(logic.neg(logic.conj_terms(not_gen, logic.term(logic.neg(held)))))
 
     n_merges = len(merges)
@@ -441,7 +441,7 @@ def _stage1(eng: _Engine, graph: _Graph, gen: np.ndarray, keep: np.ndarray, back
     src, dst = (graph.dst, graph.src) if backward else (graph.src, graph.dst)
     alpha = [e.alpha_back if backward else e.alpha for e in graph.edges]
     links = _Links(len(graph.blocks), src, dst, alpha)
-    return _fixpoint(eng, gen, keep, None, links, rows_first=True)
+    return _fixpoint(eng, gen, keep, np.arange(len(gen)), links, rows_first=True)
 
 
 def _earliest(logic: _Logic, graph: _Graph, av_out, an_in, an_out, kill) -> np.ndarray:
