@@ -20,9 +20,8 @@ bit-vector algorithm: start from top, meet = min, iterate until nothing
 changes, and exact connectives whatever the logic family.  Fuzzy and
 interval modes start from zero, replace the meet with the alpha-weighted
 average of the flow-graph framework, and stop each expression once a sweep
-moves it by less than epsilon.  ``lcm_pipeline`` stacks the problem's rows
-once and passes arrays from stage to stage up to the report; the public
-staged functions wrap the same array stages in dicts of rows.
+moves it by less than epsilon.  ``lcm_pipeline`` passes these arrays from
+the problem's rows up to the report; the staged functions wrap its stages.
 
 Boundary conventions (identical in all modes): the entry block's available
 set is just its downward-exposed set, the exit block's anticipated set is
@@ -188,9 +187,11 @@ _EDGE_MATRICES = ("earliest", "later_out", "insert")
 @dataclass(frozen=True, eq=False)
 class LcmResult:
     """Every matrix of a pipeline run, held as a read-only (rows, exprs, w)
-    array.  ``av_out`` ... ``delete`` are read-only views of them (block or
-    edge -> row, of ``TruthInterval``s in interval mode), each built on its
-    first read; ``to_json_dict`` prints from the arrays and builds none."""
+    array keyed by matrix name, with the block ids and (src, dst) edge keys
+    that index its rows.  ``av_out`` ... ``delete`` are read-only views of
+    them (block or edge -> row, of ``TruthInterval``s in interval mode), each
+    built on its first read; ``to_json_dict`` prints from the arrays and
+    builds none.  Two results are equal when their reports are."""
 
     mode: str
     exprs: list[str]
@@ -210,6 +211,9 @@ class LcmResult:
         self.__dict__[name] = MappingProxyType(_unstack(keys, self._arrays[name]))
         return self.__dict__[name]
 
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, LcmResult) and self.to_json_dict() == other.to_json_dict()
+
     def to_json_dict(self) -> dict:
         out: dict[str, Any] = {"mode": self.mode, "exprs": list(self.exprs)}
         for name, values in self._arrays.items():
@@ -224,32 +228,70 @@ class LcmResult:
         return out
 
 
-# -- connectives on (..., w) arrays ----------------------------------------------
+def _unstack(keys: Sequence, values: np.ndarray) -> dict:
+    if values.shape[-1] == 1:
+        return dict(zip(keys, values[..., 0].tolist()))
+    return {k: [TruthInterval(lo, hi) for lo, hi in row] for k, row in zip(keys, values.tolist())}
 
 
-class _Logic:
-    """A logic family's connectives on the last axis: one value (w = 1) or
-    a (lo, hi) pair (w = 2).  The complement reverses a pair; the T-norm
-    works endpoint-wise and re-sorts the pair against rounding, as
-    ``LogicFamily.interval_tnorm`` does.  The T-norm gives the scalar's bits
-    on every element, Frank's included; ``conj_terms`` takes operands that
-    went through ``term`` already, as a fixed point's constant ones do."""
+# -- one problem in one mode ------------------------------------------------------
 
-    def __init__(self, family: LogicFamily, width: int):
-        self.width = width
-        self.term = family._term
-        self._tnorm = family._tnorm_terms
 
-    def conj_terms(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = self._tnorm(x, y)
+class _Run:
+    """One problem in one mode: the mode's connectives and fixed-point
+    settings (``cfg``, by default ``SolverConfig(family)``; crisp mode ignores
+    it), the edges as block indices, and rows as (rows, exprs, w) arrays in
+    ``problem.blocks`` and ``problem.edges`` order.  The complement reverses a
+    (lo, hi) pair; the T-norm works endpoint-wise, re-sorts the pair against
+    rounding as ``LogicFamily.interval_tnorm`` does, and gives the scalar's
+    bits on every element.  Crisp mode takes min whatever the family: some
+    are not exact on 0/1 (Frank's T(1, 1) rounds below 1 for small s)."""
+
+    def __init__(self, problem: LcmProblem, mode: str, family: LogicFamily,
+                 cfg: SolverConfig | None = None):
+        self.problem, self.crisp = problem, mode == "crisp"
+        self.width = 2 if mode == "interval" else 1
+        self.cfg = cfg or SolverConfig(family=family)
+        family = LogicFamily.minmax() if self.crisp else family
+        self.term, self._tnorm = family._term, family._tnorm_terms
+        index = {b: i for i, b in enumerate(problem.blocks)}
+        self.keys = [(e.src, e.dst) for e in problem.edges]
+        self.src = np.array([index[s] for s, _ in self.keys], dtype=int)
+        self.dst = np.array([index[d] for _, d in self.keys], dtype=int)
+
+    @classmethod
+    def valid(cls, problem: LcmProblem, mode: str, family: LogicFamily, cfg=None) -> _Run:
+        """A run of ``problem``, which must be valid (else ValueError)."""
+        errors = validate_problem(problem, mode)
+        if errors:
+            raise ValueError("invalid LCM problem: " + "; ".join(errors))
+        return cls(problem, mode, family, cfg)
+
+    def stack(self, matrix: Mapping, edges: bool = False) -> np.ndarray:
+        """``matrix[k]`` for each block (or edge) k as a (keys, exprs, w) array."""
+        keys = self.keys if edges else self.problem.blocks
+        if self.width == 1:
+            rows = [matrix[k] for k in keys]
+        else:
+            rows = [[(v.lo, v.hi) if isinstance(v, TruthInterval) else (v, v) for v in matrix[k]]
+                    for k in keys]
+        # Adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is,
+        # so library-built rows print as file-loaded ones (truth_value) do.
+        shape = (len(keys), len(self.problem.exprs), self.width)
+        out = np.array(rows, dtype=float).reshape(shape) + 0.0
+        if not ((out >= 0.0) & (out <= 1.0)).all():
+            # Clamp rounding noise and reject the rest, as the scalar norms do.
+            out = np.vectorize(truth_value, otypes=[float])(out)
+        return out
+
+    def conj(self, x: np.ndarray, y: np.ndarray, *, terms: bool = False) -> np.ndarray:
+        """x & y; with ``terms``, x and y went through ``term`` already."""
+        out = self._tnorm(x, y) if terms else self._tnorm(self.term(x), self.term(y))
         if self.width == 2:
             swap = out[..., 0] > out[..., 1]
             if swap.any():  # what np.sort does to the pairs, at less cost
                 out[swap] = out[swap][:, ::-1]
         return out
-
-    def conj(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.conj_terms(self.term(x), self.term(y))
 
     @staticmethod
     def neg(x: np.ndarray) -> np.ndarray:
@@ -258,11 +300,11 @@ class _Logic:
     def disj(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.neg(self.conj(self.neg(x), self.neg(y)))
 
-
-def _unstack(keys: Sequence, values: np.ndarray) -> dict:
-    if values.shape[-1] == 1:
-        return dict(zip(keys, values[..., 0].tolist()))
-    return {k: [TruthInterval(lo, hi) for lo, hi in row] for k, row in zip(keys, values.tolist())}
+    def snap(self, values: np.ndarray) -> np.ndarray:
+        if self.crisp or self.cfg.quantize_bits is None:
+            return values
+        scale = float(2**self.cfg.quantize_bits)
+        return np.minimum(1.0, np.round(values * scale) / scale)
 
 
 # -- the fixed-point engine --------------------------------------------------------
@@ -275,18 +317,17 @@ class _Links:
     They are held as (slots, merges) tables.  Slot j holds every merge's
     j-th link, so meeting slot after slot adds each merge's inputs one by one
     in edge order.  A merge with fewer links is padded with links of weight 0
-    from row 0 (x + 0 * v == x for x >= 0), which the crisp min reads as 1."""
+    from row 0 (x + 0 * v == x for x >= 0), which the crisp min skips."""
 
     def __init__(self, n_merges: int, src: np.ndarray, dst: np.ndarray, weight: list[float]):
         rank, count = [], [0] * n_merges
         for d in dst.tolist():
             rank.append(count[d])
             count[d] += 1
-        shape = (max(count) or 1, n_merges)
+        shape = (max(count, default=0), n_merges)
         self.src, self.weight = np.zeros(shape, dtype=int), np.zeros(shape + (1, 1))
-        self.pad = np.ones(shape + (1, 1), dtype=bool)
-        self.fresh = np.zeros(shape + (1, 1), dtype=bool)
-        self.src[rank, dst], self.weight[rank, dst, 0, 0], self.pad[rank, dst] = src, weight, False
+        self.link, self.fresh = np.zeros((2,) + shape + (1, 1), dtype=bool)
+        self.src[rank, dst], self.weight[rank, dst, 0, 0], self.link[rank, dst] = src, weight, True
         # Rows that a rows-first sweep (row b, merge b for each block b)
         # computes before the merge they feed.
         self.fresh[rank, dst, 0, 0] = src < dst
@@ -300,44 +341,15 @@ class _Links:
         if old is not None:
             values = np.where(self.fresh, values, old[self.src])
         if crisp:
-            return np.minimum(np.where(self.pad, 1.0, values).min(axis=0), self.has_input)
-        terms = self.weight * values
-        out = terms[0]
-        for term in terms[1:]:
+            return np.minimum(values.min(axis=0, initial=1.0, where=self.link), self.has_input)
+        out = np.zeros(values.shape[1:])
+        for term in self.weight * values:
             out += term
         return np.clip(out, 0.0, 1.0, out=out)
 
 
-@dataclass(frozen=True)
-class _Engine:
-    """What separates the modes: connectives, meet, start and stopping."""
-
-    logic: _Logic
-    crisp: bool
-    epsilon: float
-    max_iters: int | None   # None: until nothing changes
-    quantize_bits: int | None
-
-    def snap(self, values: np.ndarray) -> np.ndarray:
-        if self.quantize_bits is None:
-            return values
-        scale = float(2**self.quantize_bits)
-        return np.minimum(1.0, np.round(values * scale) / scale)
-
-
-def _engine(mode: str, family: LogicFamily, cfg: SolverConfig | None = None) -> _Engine:
-    if mode == "crisp":
-        # min and 1-x are exact on 0/1; some families are not (Frank's T(1, 1)
-        # rounds below 1 for small s).  A crisp residual counts flipped bits:
-        # below one, nothing changed.
-        return _Engine(_Logic(LogicFamily.minmax(), 1), True, 1.0, None, None)
-    cfg = cfg or SolverConfig(family=family)
-    logic = _Logic(family, 2 if mode == "interval" else 1)
-    return _Engine(logic, False, cfg.epsilon, cfg.max_iters, cfg.quantize_bits)
-
-
 def _fixpoint(
-    eng: _Engine,
+    run: _Run,
     gen: np.ndarray,
     keep: np.ndarray,
     reads: np.ndarray,
@@ -361,20 +373,22 @@ def _fixpoint(
     Returns the rows, the merges recomputed from the final rows, and
     whether every column converged.
     """
-    logic = eng.logic
-    start = 1.0 if eng.crisp else 0.0
+    crisp = run.crisp
+    start = 1.0 if crisp else 0.0
     rows = np.full(gen.shape, start)
     merges = np.full((links.src.shape[1],) + gen.shape[1:], start)
     # The T-norm operands that stay the same over the solve: !gen and keep.
-    not_gen, keep = logic.term(logic.neg(gen)), logic.term(keep)
+    not_gen, keep = run.term(run.neg(gen)), run.term(keep)
 
     def transfer(m: np.ndarray) -> np.ndarray:
-        held = logic.conj_terms(logic.term(m[reads]), keep)
-        return eng.snap(logic.neg(logic.conj_terms(not_gen, logic.term(logic.neg(held)))))
+        held = run.conj(run.term(m[reads]), keep, terms=True)
+        return run.snap(run.neg(run.conj(not_gen, run.term(run.neg(held)), terms=True)))
 
     n_merges = len(merges)
-    # From top, every crisp sweep but the last clears at least one bit.
-    limit = len(rows) + n_merges + 1 if eng.max_iters is None else eng.max_iters
+    # From top, every crisp sweep but the last clears at least one bit; a
+    # crisp residual counts flipped bits: below one, nothing changed.
+    limit = len(rows) + n_merges + 1 if crisp else run.cfg.max_iters
+    epsilon = 1.0 if crisp else run.cfg.epsilon
     active = np.arange(gen.shape[1])
     cur_rows, cur_merges = rows, merges
     for _ in range(limit):
@@ -382,9 +396,9 @@ def _fixpoint(
             break
         if rows_first:
             new_rows = transfer(cur_merges)
-            new_merges = eng.snap(links.meet(new_rows, eng.crisp, cur_rows))
+            new_merges = run.snap(links.meet(new_rows, crisp, cur_rows))
         else:
-            new_merges = eng.snap(links.meet(cur_rows, eng.crisp))
+            new_merges = run.snap(links.meet(cur_rows, crisp))
             new_rows = transfer(new_merges)
         # Each node's change, in node order.
         steps = np.empty((len(rows) + n_merges, active.size))
@@ -392,97 +406,57 @@ def _fixpoint(
         np.abs(new_rows - cur_rows).sum(axis=-1, out=at[0])
         np.abs(new_merges - cur_merges).sum(axis=-1, out=at[1])
         cur_rows, cur_merges = new_rows, new_merges
-        done = np.cumsum(steps, axis=0)[-1] < eng.epsilon
+        done = np.cumsum(steps, axis=0)[-1] < epsilon
         if done.any():
             rows[:, active[done]], merges[:, active[done]] = cur_rows[:, done], cur_merges[:, done]
             more = ~done
             active, cur_rows, cur_merges = active[more], cur_rows[:, more], cur_merges[:, more]
             not_gen, keep = not_gen[:, more], keep[:, more]
     rows[:, active], merges[:, active] = cur_rows, cur_merges
-    return rows, links.meet(rows, eng.crisp), not active.size
+    return rows, links.meet(rows, crisp), not active.size
 
 
 # -- the stages on arrays --------------------------------------------------------
 
 
-class _Graph:
-    """A problem's edges as block indices and its rows as (rows, exprs,
-    width) arrays, in ``problem.blocks`` and ``problem.edges`` order."""
-
-    def __init__(self, problem: LcmProblem, width: int):
-        index = {b: i for i, b in enumerate(problem.blocks)}
-        self.blocks, self.edges, self.width = list(problem.blocks), problem.edges, width
-        self.n_exprs, self.entry = len(problem.exprs), problem.entry
-        self.keys = [(e.src, e.dst) for e in problem.edges]
-        self.src = np.array([index[s] for s, _ in self.keys], dtype=int)
-        self.dst = np.array([index[d] for _, d in self.keys], dtype=int)
-
-    def stack(self, matrix: Mapping, edges: bool = False) -> np.ndarray:
-        """``matrix[k]`` for each block (or edge) k as a (keys, exprs, width)
-        array."""
-        keys = self.keys if edges else self.blocks
-        if self.width == 1:
-            rows = [matrix[k] for k in keys]
-        else:
-            rows = [[(v.lo, v.hi) if isinstance(v, TruthInterval) else (v, v) for v in matrix[k]]
-                    for k in keys]
-        # Adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is,
-        # so library-built rows print as file-loaded ones (truth_value) do.
-        out = np.array(rows, dtype=float).reshape(len(keys), self.n_exprs, self.width) + 0.0
-        if not ((out >= 0.0) & (out <= 1.0)).all():
-            # Clamp rounding noise and reject the rest, as the scalar norms do.
-            out = np.vectorize(truth_value, otypes=[float])(out)
-        return out
-
-
-def _stage1(eng: _Engine, graph: _Graph, gen: np.ndarray, keep: np.ndarray, backward: bool):
+def _stage1(run: _Run, gen: np.ndarray, keep: np.ndarray, backward: bool):
     """Availability, or (``backward``, gen UEE) anticipatability: the rows,
     the merges and whether they converged."""
-    src, dst = (graph.dst, graph.src) if backward else (graph.src, graph.dst)
-    alpha = [e.alpha_back if backward else e.alpha for e in graph.edges]
-    links = _Links(len(graph.blocks), src, dst, alpha)
-    return _fixpoint(eng, gen, keep, np.arange(len(gen)), links, rows_first=True)
+    src, dst = (run.dst, run.src) if backward else (run.src, run.dst)
+    alpha = [e.alpha_back if backward else e.alpha for e in run.problem.edges]
+    links = _Links(len(gen), src, dst, alpha)
+    return _fixpoint(run, gen, keep, np.arange(len(gen)), links, rows_first=True)
 
 
-def _earliest(logic: _Logic, graph: _Graph, av_out, an_in, an_out, kill) -> np.ndarray:
-    first = logic.conj(an_out[graph.dst], logic.neg(av_out[graph.src]))
-    blocked = logic.disj(kill[graph.src], logic.neg(an_in[graph.src]))
-    from_entry = np.array([s == graph.entry for s, _ in graph.keys])[:, None, None]
-    return np.where(from_entry, first, logic.conj(first, blocked))
+def _earliest(run: _Run, av_out, an_in, an_out, kill) -> np.ndarray:
+    first = run.conj(an_out[run.dst], run.neg(av_out[run.src]))
+    blocked = run.disj(kill[run.src], run.neg(an_in[run.src]))
+    from_entry = np.array([s == run.problem.entry for s, _ in run.keys])[:, None, None]
+    return np.where(from_entry, first, run.conj(first, blocked))
 
 
-def _later(eng: _Engine, graph: _Graph, ear: np.ndarray, not_uee: np.ndarray):
+def _later(run: _Run, ear: np.ndarray, not_uee: np.ndarray):
     """LaterOut per edge, LaterIn per block and whether they converged."""
-    alpha = [e.alpha for e in graph.edges]
-    links = _Links(len(graph.blocks), np.arange(len(graph.keys)), graph.dst, alpha)
-    return _fixpoint(eng, ear, not_uee[graph.src], graph.src, links, rows_first=False)
+    alpha = [e.alpha for e in run.problem.edges]
+    links = _Links(len(not_uee), np.arange(len(run.keys)), run.dst, alpha)
+    return _fixpoint(run, ear, not_uee[run.src], run.src, links, rows_first=False)
 
 
-def _insert_delete(logic: _Logic, graph: _Graph, later_in, later_out, uee):
-    not_later = logic.neg(later_in)
-    delete = logic.conj(uee, not_later)
-    delete[graph.blocks.index(graph.entry)] = 0.0
-    return logic.conj(later_out, not_later[graph.dst]), delete
+def _insert_delete(run: _Run, later_in, later_out, uee):
+    not_later = run.neg(later_in)
+    delete = run.conj(uee, not_later)
+    delete[run.problem.blocks.index(run.problem.entry)] = 0.0
+    return run.conj(later_out, not_later[run.dst]), delete
 
 
 # -- public staged operations ---------------------------------------------------
 
 
-def _prepare(problem: LcmProblem, mode: str, family: LogicFamily, cfg) -> tuple[_Engine, _Graph]:
-    """The engine and graph of a problem that must be valid (else ValueError)."""
-    errors = validate_problem(problem, mode)
-    if errors:
-        raise ValueError("invalid LCM problem: " + "; ".join(errors))
-    eng = _engine(mode, family, cfg)
-    return eng, _Graph(problem, eng.logic.width)
-
-
 def _stage1_matrices(problem, mode, family, cfg, backward: bool) -> StageMatrices:
-    eng, graph = _prepare(problem, mode, family, cfg)
-    gen = graph.stack(problem.uee if backward else problem.dee)
-    keep = eng.logic.neg(graph.stack(problem.kill))
-    out, merged, converged = _stage1(eng, graph, gen, keep, backward)
-    return StageMatrices(_unstack(graph.blocks, out), _unstack(graph.blocks, merged), converged)
+    run = _Run.valid(problem, mode, family, cfg)
+    gen = run.stack(problem.uee if backward else problem.dee)
+    out, merged, converged = _stage1(run, gen, run.neg(run.stack(problem.kill)), backward)
+    return StageMatrices(_unstack(problem.blocks, out), _unstack(problem.blocks, merged), converged)
 
 
 def availability(
@@ -521,10 +495,9 @@ def earliest(
         Earliest(i,j) = AnOut(j) & !AvOut(i) & (Kill(i) | !AnIn(i))
         Earliest(entry,j) = AnOut(j) & !AvOut(entry)
     """
-    logic = _engine(mode, family).logic
-    graph = _Graph(problem, logic.width)
-    stacked = map(graph.stack, (av_out, an_in, an_out, problem.kill))
-    return _unstack(graph.keys, _earliest(logic, graph, *stacked))
+    run = _Run(problem, mode, family)
+    stacked = map(run.stack, (av_out, an_in, an_out, problem.kill))
+    return _unstack(run.keys, _earliest(run, *stacked))
 
 
 def later(
@@ -539,10 +512,10 @@ def later(
         LaterOut(i,j) = Earliest(i,j) | (LaterIn(i) & !UEE(i))
 
     with LaterIn(j) the forward merge of LaterOut over j's in-edges."""
-    eng, graph = _prepare(problem, mode, family, cfg)
-    not_uee = eng.logic.neg(graph.stack(problem.uee))
-    out, later_in, converged = _later(eng, graph, graph.stack(earliest_m, edges=True), not_uee)
-    return LaterMatrices(_unstack(graph.blocks, later_in), _unstack(graph.keys, out), converged)
+    run = _Run.valid(problem, mode, family, cfg)
+    not_uee = run.neg(run.stack(problem.uee))
+    out, later_in, converged = _later(run, run.stack(earliest_m, edges=True), not_uee)
+    return LaterMatrices(_unstack(problem.blocks, later_in), _unstack(run.keys, out), converged)
 
 
 def insert_delete(
@@ -554,11 +527,10 @@ def insert_delete(
 ) -> tuple[EdgeMatrix, BlockMatrix]:
     """Step (4): Insert(i,j) = LaterOut(i,j) & !LaterIn(j);
     Delete(k) = UEE(k) & !LaterIn(k) for k != entry, else 0."""
-    logic = _engine(mode, family).logic
-    graph = _Graph(problem, logic.width)
-    insert, delete = _insert_delete(logic, graph, graph.stack(later_in),
-                                    graph.stack(later_out, edges=True), graph.stack(problem.uee))
-    return _unstack(graph.keys, insert), _unstack(graph.blocks, delete)
+    run = _Run(problem, mode, family)
+    insert, delete = _insert_delete(run, run.stack(later_in), run.stack(later_out, edges=True),
+                                    run.stack(problem.uee))
+    return _unstack(run.keys, insert), _unstack(problem.blocks, delete)
 
 
 def lcm_pipeline(
@@ -571,18 +543,17 @@ def lcm_pipeline(
 
     The problem is validated, and its rows stacked, once per call; nothing
     is cached on it, so edits to its rows show in the next call."""
-    eng, graph = _prepare(problem, mode, family or LogicFamily.minmax(), cfg)
-    logic = eng.logic
-    dee, uee, kill = map(graph.stack, (problem.dee, problem.uee, problem.kill))
-    not_kill = logic.neg(kill)
-    av_out, _, av_ok = _stage1(eng, graph, dee, not_kill, backward=False)
-    an_out, an_in, an_ok = _stage1(eng, graph, uee, not_kill, backward=True)
-    ear = _earliest(logic, graph, av_out, an_in, an_out, kill)
-    later_out, later_in, later_ok = _later(eng, graph, ear, logic.neg(uee))
-    insert, delete = _insert_delete(logic, graph, later_in, later_out, uee)
+    run = _Run.valid(problem, mode, family or LogicFamily.minmax(), cfg)
+    dee, uee, kill = map(run.stack, (problem.dee, problem.uee, problem.kill))
+    not_kill = run.neg(kill)
+    av_out, _, av_ok = _stage1(run, dee, not_kill, backward=False)
+    an_out, an_in, an_ok = _stage1(run, uee, not_kill, backward=True)
+    ear = _earliest(run, av_out, an_in, an_out, kill)
+    later_out, later_in, later_ok = _later(run, ear, run.neg(uee))
+    insert, delete = _insert_delete(run, later_in, later_out, uee)
     arrays = (av_out, an_in, an_out, ear, later_in, later_out, insert, delete)
-    return LcmResult(mode, list(problem.exprs), av_ok and an_ok and later_ok, graph.blocks,
-                     graph.keys, dict(zip(_MATRICES, arrays)))
+    return LcmResult(mode, list(problem.exprs), av_ok and an_ok and later_ok, list(problem.blocks),
+                     run.keys, dict(zip(_MATRICES, arrays)))
 
 
 def join_targets(rows: Sequence[Sequence[Value]]) -> list[TruthInterval]:

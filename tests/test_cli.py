@@ -280,6 +280,24 @@ def test_lcm_honours_file_settings(data_dir, tmp_path, capsys):
     assert loose != out  # the option overrides the file
 
 
+def test_lcm_on_a_single_block_file(tmp_path, capsys):
+    """One block, both entry and exit: no edges, so no merge has an input."""
+    path = tmp_path / "single.json"
+    rows = {name: {"only": [1.0, 0.0]} for name in ("dee", "uee", "kill")}
+    path.write_text(json.dumps({"entry": "only", "exit": "only", "blocks": ["only"],
+                                "edges": [], "exprs": ["a", "b"], **rows}))
+    for mode in ("crisp", "fuzzy", "interval"):
+        code, out, err = run(capsys, "lcm", str(path), "--mode", mode)
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["earliest"] == report["later_out"] == report["insert"] == []
+        one, zero = ([1.0, 1.0], [0.0, 0.0]) if mode == "interval" else (1.0, 0.0)
+        assert report["av_out"] == report["an_out"] == {"only": [one, zero]}
+        assert report["an_in"] == report["later_in"] == report["delete"] == {"only": [zero, zero]}
+        code, out, err = run(capsys, "lcm", str(path), "--mode", mode, "--pretty")
+        assert code == 0, err
+
+
 def test_lcm_crisp_reports_are_exact_under_frank(data_dir, capsys):
     for logic in ("frank:0.01", "frank:0.001"):
         code, out, _ = run(capsys, "lcm", str(data_dir / "diffpcm_t1.json"),

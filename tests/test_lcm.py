@@ -642,6 +642,15 @@ def test_interval_pipeline_and_report_build_no_intervals_and_validate_once(monke
     assert built  # ... and holds TruthIntervals
 
 
+def test_results_are_equal_when_their_reports_are():
+    problem = diffpcm_problem()
+    first, second = (L.lcm_pipeline(problem, "fuzzy", MINMAX) for _ in range(2))
+    assert first == second and first is not second
+    assert first != L.lcm_pipeline(problem, "crisp", MINMAX)
+    problem.dee["B4"][5] = 0.0
+    assert L.lcm_pipeline(problem, "fuzzy", MINMAX) != first
+
+
 def test_edited_rows_show_in_the_next_run():
     """Rows are stacked per call, not cached on the problem."""
     problem = diffpcm_problem()

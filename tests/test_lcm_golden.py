@@ -7,8 +7,8 @@ flow-graph engine that preceded the array engine, and the ``frank<i>``
 cases from the array engine while it still evaluated Frank through the
 scalar ``LogicFamily.tnorm``, and the ``wide<i>`` cases from the array
 engine while it still stacked rows from dicts per stage and met merges with
-per-slot scatter-adds, so any change in any printed digit of any matrix
-fails here.
+per-slot scatter-adds, as were the ``single`` and ``no_exprs`` cases, so any
+change in any printed digit of any matrix fails here.
 
 Add the digests of new cases, keeping every frozen one, with::
 
@@ -131,6 +131,18 @@ def golden_cases() -> dict:
                 family = LogicFamily.parse(logic)
                 cfg = SolverConfig(family=family, max_iters=3000)
                 cases[f"wide{i}/{mode}/{logic}"] = (problem, mode, family, cfg)
+    for mode in ("crisp", "fuzzy", "interval"):
+        for logic in WIDE_FAMILIES:
+            family = LogicFamily.parse(logic)
+            # One block, both entry and exit: no edge, so no merge has a link.
+            problem = L.LcmProblem(["only"], [], ["a", "b", "c"], {}, {}, {}, "only", "only")
+            _random_rows(random.Random(f"golden/single/{mode}"), problem, mode, ends=0.3)
+            cases[f"single/{mode}/{logic}"] = (problem, mode, family, None)
+            # Edges but no expression: every array has an empty middle axis.
+            problem = random_crisp_problem(random.Random("golden/no_exprs"), max_blocks=8)
+            problem.exprs = []
+            _random_rows(random.Random("golden/no_exprs/rows"), problem, mode)
+            cases[f"no_exprs/{mode}/{logic}"] = (problem, mode, family, None)
     for stem, mode in (("diffpcm_t1", "fuzzy"), ("diffpcm_t2", "interval")):
         problem, _ = L.load_problem_file(str(DATA_DIR / f"{stem}.json"))
         family = LogicFamily.product()
