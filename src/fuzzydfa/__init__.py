@@ -22,12 +22,11 @@ _EXPORTS = {
     ),
     "formula": (
         "And", "Const", "Formula", "FormulaSyntaxError", "Not", "Or", "UnboundVariableError",
-        "Var", "and_all", "evaluate", "evaluate_interval", "format_formula", "free_vars",
-        "or_all", "parse_formula",
+        "Var", "evaluate", "evaluate_interval", "format_formula", "free_vars", "parse_formula",
     ),
     "flowgraph": (
-        "Edge", "FlowGraph", "InvalidStartError", "ValidationReport", "graph_from_json_dict",
-        "graph_to_json_dict", "load_graph_file", "reverse", "validate",
+        "Edge", "FlowGraph", "ValidationReport", "graph_from_json_dict", "graph_to_json_dict",
+        "load_graph_file", "validate",
     ),
     "solver": ("SolveReport", "solve", "solve_interval", "step", "step_interval"),
     "lcm": (

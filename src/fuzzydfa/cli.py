@@ -82,13 +82,13 @@ def _cmd_lcm(args) -> int:
 
     problem, settings = lcm.load_problem_file(args.file)
     mode = args.mode or settings.mode
-    errors = lcm.validate_problem(problem, mode)
-    if errors:
-        for error in errors:
+    cfg = _solver_config(args, settings)
+    try:
+        result = lcm.lcm_pipeline(problem, mode, cfg.family, cfg)
+    except ValueError as exc:  # an invalid problem carries its violations
+        for error in getattr(exc, "errors", [exc]):
             print(f"error: {error}", file=sys.stderr)
         return 1
-    cfg = _solver_config(args, settings)
-    result = lcm.lcm_pipeline(problem, mode, cfg.family, cfg)
     if args.pretty:
         _print_lcm_pretty(result, args.motion_threshold)
     else:

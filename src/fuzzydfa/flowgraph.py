@@ -15,27 +15,24 @@ recomputed.  Every source must therefore have a seed entry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Union
+from typing import Any
 
 from . import _jsonio
 from ._jsonio import FileFormatError
-from .formula import Formula, format_formula, free_vars, parse_formula
-from .truth import LogicFamily, TruthInterval, truth_value
+from .formula import Formula, Value, format_formula, free_vars, parse_formula
+from .truth import LogicFamily, truth_value
 
 __all__ = [
     "Edge",
     "FlowGraph",
     "ValidationReport",
-    "InvalidStartError",
     "validate",
-    "reverse",
     "graph_from_json_dict",
     "graph_to_json_dict",
     "load_graph_file",
     "GraphSettings",
 ]
 
-Value = Union[float, TruthInterval]
 Valuation = dict[str, Value]
 
 WEIGHT_SUM_TOL = 1e-9
@@ -43,10 +40,6 @@ WEIGHT_SUM_TOL = 1e-9
 # Reserved: inside a transfer formula, "In" names the predecessor's value of
 # the property being computed, so it cannot itself be a property.
 INPUT_NAME = "In"
-
-
-class InvalidStartError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -71,14 +64,6 @@ class FlowGraph:
         with_preds = {e.dst for e in self.edges}
         return {self.start} | (set(self.transfers) - with_preds)
 
-    def properties(self, node: str) -> list[str]:
-        """State properties of ``node``: seed keys for pinned nodes, transfer
-        keys otherwise."""
-        if node in self.pinned():
-            seed = self.seeds.get(node, {})
-            return list(seed) if seed else list(self.transfers[node])
-        return list(self.transfers[node])
-
 
 @dataclass
 class ValidationReport:
@@ -93,35 +78,41 @@ class ValidationReport:
 def validate(graph: FlowGraph) -> ValidationReport:
     """Check structural invariants; violations are data, not exceptions."""
     report = ValidationReport()
-    nodes = set(graph.transfers)
+    nodes = graph.transfers
 
     if graph.start not in nodes:
         report.errors.append(f"start node {graph.start!r} does not exist")
         return report
 
+    # The edges between existing nodes, indexed both ways.
+    incoming: dict[str, list[Edge]] = {node: [] for node in nodes}
+    successors: dict[str, list[str]] = {node: [] for node in nodes}
     for edge in graph.edges:
         for endpoint in (edge.src, edge.dst):
             if endpoint not in nodes:
                 report.errors.append(f"dangling edge {edge.src}->{edge.dst}: no node {endpoint!r}")
+        if edge.src in nodes and edge.dst in nodes:
+            incoming[edge.dst].append(edge)
+            successors[edge.src].append(edge.dst)
 
     pinned = graph.pinned()
 
     # Incoming weights of every collected node must form a convex combination.
-    for node in graph.transfers:
+    for node in nodes:
         if node in pinned:
             continue
-        total = sum(e.alpha for e in graph.edges if e.dst == node and e.src in nodes)
+        total = sum(e.alpha for e in incoming[node])
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             report.errors.append(f"incoming weights of {node!r} sum to {total!r}, expected 1")
 
     # Pinned nodes are held at their seed, so the seed must cover every
     # property their transfer declares.
-    for node in sorted(pinned & nodes):
+    for node in sorted(pinned & nodes.keys()):
         seed = graph.seeds.get(node)
         if seed is None:
             report.errors.append(f"source node {node!r} has no seed entry")
             continue
-        missing = set(graph.transfers[node]) - set(seed)
+        missing = set(nodes[node]) - set(seed)
         if missing:
             report.errors.append(f"seed for {node!r} is missing properties {sorted(missing)}")
     for node in graph.seeds:
@@ -130,13 +121,22 @@ def validate(graph: FlowGraph) -> ValidationReport:
         elif node not in pinned:
             report.warnings.append(f"seed for {node!r} is ignored (node has incoming edges)")
 
-    # Transfer formulas must be resolvable against every predecessor.
+    # Transfer formulas must be resolvable against every predecessor, whose
+    # state properties are its seed keys if pinned, else its transfer keys.
+    props = {
+        node: set(graph.seeds.get(node) or transfer) if node in pinned else set(transfer)
+        for node, transfer in nodes.items()
+    }
+    reads = {
+        node: [(prop, sorted(free_vars(f))) for prop, f in transfer.items()]
+        for node, transfer in nodes.items() if node not in pinned
+    }
     for edge in graph.edges:
-        if edge.src not in nodes or edge.dst not in nodes or edge.dst in pinned:
+        if edge.src not in nodes or edge.dst not in reads:
             continue
-        src_props = set(graph.properties(edge.src))
-        for prop, f in graph.transfers[edge.dst].items():
-            for name in sorted(free_vars(f)):
+        src_props = props[edge.src]
+        for prop, names in reads[edge.dst]:
+            for name in names:
                 if name == INPUT_NAME:
                     if prop not in src_props:
                         report.errors.append(
@@ -153,49 +153,15 @@ def validate(graph: FlowGraph) -> ValidationReport:
     reachable = {graph.start}
     frontier = [graph.start]
     while frontier:
-        node = frontier.pop()
-        for edge in graph.edges:
-            if edge.src == node and edge.dst in nodes and edge.dst not in reachable:
-                reachable.add(edge.dst)
-                frontier.append(edge.dst)
-    for node in graph.transfers:
+        for dst in successors[frontier.pop()]:
+            if dst not in reachable:
+                reachable.add(dst)
+                frontier.append(dst)
+    for node in nodes:
         if node not in reachable and node not in pinned:
             report.warnings.append(f"node {node!r} is unreachable from start")
 
     return report
-
-
-def reverse(
-    graph: FlowGraph,
-    new_start: str,
-    new_seeds: Mapping[str, Valuation],
-    alpha_overrides: Mapping[tuple[str, str], float] | None = None,
-) -> FlowGraph:
-    """Flip every edge, keeping weights unless overridden.
-
-    ``alpha_overrides`` is keyed by (src, dst) in the reversed orientation;
-    backward analyses usually need their own weights, since the backward
-    contributions are read off branch probabilities rather than join
-    frequencies.  The result must validate; a ValueError lists violations
-    otherwise.
-    """
-    if new_start not in graph.transfers:
-        raise InvalidStartError(f"no node {new_start!r} in graph")
-    overrides = dict(alpha_overrides or {})
-    flipped = []
-    for edge in graph.edges:
-        key = (edge.dst, edge.src)
-        flipped.append(Edge(edge.dst, edge.src, overrides.get(key, edge.alpha)))
-    out = FlowGraph(
-        transfers={k: dict(v) for k, v in graph.transfers.items()},
-        edges=flipped,
-        start=new_start,
-        seeds={k: dict(v) for k, v in new_seeds.items()},
-    )
-    report = validate(out)
-    if not report.ok:
-        raise ValueError("reversed graph is invalid: " + "; ".join(report.errors))
-    return out
 
 
 # -- JSON problem format ------------------------------------------------------

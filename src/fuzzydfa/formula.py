@@ -1,9 +1,11 @@
 """ASTs for fuzzy transfer functions, plus parsing, printing and evaluation.
 
 The connectives are interpreted through a :class:`~fuzzydfa.truth.LogicFamily`:
-``And`` -> T-norm, ``Or`` -> S-norm, ``Not`` -> complement.  Evaluation comes
-in a scalar and an interval flavour; the interval flavour lifts scalar
-constants to degenerate intervals.
+``And`` -> T-norm, ``Or`` -> S-norm, ``Not`` -> complement.  One interpreter
+serves the scalar and the interval reading: a formula is compiled once into a
+closure over values held as tuples of ends, ``(x,)`` for a degree and
+``(lo, hi)`` for an interval (scalars are lifted to ``(c, c)``).  Values are
+checked once on entry, so out-of-range ones raise TruthValueError.
 
 Text syntax (used by problem files)::
 
@@ -19,9 +21,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .truth import LogicFamily, TruthInterval, truth_value
+
+Value = Union[float, TruthInterval]
 
 __all__ = [
     "Formula",
@@ -30,8 +34,6 @@ __all__ = [
     "Not",
     "And",
     "Or",
-    "and_all",
-    "or_all",
     "free_vars",
     "evaluate",
     "evaluate_interval",
@@ -84,7 +86,7 @@ class Var(Formula):
 
 @dataclass(frozen=True)
 class Const(Formula):
-    value: Union[float, TruthInterval]
+    value: Value
 
     def __post_init__(self) -> None:
         if not isinstance(self.value, TruthInterval):
@@ -108,22 +110,6 @@ class Or(Formula):
     right: Formula
 
 
-def and_all(parts: Iterable[Formula]) -> Formula:
-    """Left fold of ``&`` over ``parts``; empty input is the AND identity 1."""
-    acc = None
-    for part in parts:
-        acc = part if acc is None else And(acc, part)
-    return Const(1.0) if acc is None else acc
-
-
-def or_all(parts: Iterable[Formula]) -> Formula:
-    """Left fold of ``|`` over ``parts``; empty input is the OR identity 0."""
-    acc = None
-    for part in parts:
-        acc = part if acc is None else Or(acc, part)
-    return Const(0.0) if acc is None else acc
-
-
 def free_vars(f: Formula) -> frozenset[str]:
     out: set[str] = set()
     stack = [f]
@@ -142,53 +128,80 @@ def free_vars(f: Formula) -> frozenset[str]:
 def evaluate(f: Formula, family: LogicFamily, valuation: Mapping[str, float]) -> float:
     """Scalar interpretation of ``f`` under ``valuation``.
 
-    Raises UnboundVariableError for missing properties and TypeError if the
-    formula contains interval constants.
+    Raises UnboundVariableError for missing properties, TruthValueError for
+    values outside [0,1] and TypeError for interval values or constants.
     """
-    if isinstance(f, Var):
-        try:
-            return valuation[f.name]
-        except KeyError:
-            raise UnboundVariableError(f.name) from None
-    if isinstance(f, Const):
-        if isinstance(f.value, TruthInterval):
-            raise TypeError("interval constant in scalar evaluation")
-        return f.value
-    if isinstance(f, Not):
-        return family.cnorm(evaluate(f.arg, family, valuation))
-    if isinstance(f, And):
-        return family.tnorm(evaluate(f.left, family, valuation), evaluate(f.right, family, valuation))
-    if isinstance(f, Or):
-        return family.snorm(evaluate(f.left, family, valuation), evaluate(f.right, family, valuation))
-    raise TypeError(f"not a formula node: {f!r}")
+    return _Ops(family, 1).run(f, valuation)
 
 
-def evaluate_interval(
-    f: Formula, family: LogicFamily, valuation: Mapping[str, TruthInterval]
-) -> TruthInterval:
-    """Interval interpretation; scalar constants are lifted to [c, c]."""
-    if isinstance(f, Var):
-        try:
-            return valuation[f.name]
-        except KeyError:
-            raise UnboundVariableError(f.name) from None
-    if isinstance(f, Const):
-        if isinstance(f.value, TruthInterval):
-            return f.value
-        return TruthInterval(f.value, f.value)
-    if isinstance(f, Not):
-        return family.interval_cnorm(evaluate_interval(f.arg, family, valuation))
-    if isinstance(f, And):
-        return family.interval_tnorm(
-            evaluate_interval(f.left, family, valuation),
-            evaluate_interval(f.right, family, valuation),
-        )
-    if isinstance(f, Or):
-        return family.interval_snorm(
-            evaluate_interval(f.left, family, valuation),
-            evaluate_interval(f.right, family, valuation),
-        )
-    raise TypeError(f"not a formula node: {f!r}")
+def evaluate_interval(f: Formula, family: LogicFamily, valuation: Mapping[str, Value]) -> TruthInterval:
+    """Interval interpretation; scalar values and constants are lifted to [c, c]."""
+    return _Ops(family, 2).run(f, valuation)
+
+
+# -- the compiled interpreter --------------------------------------------------
+# A value is a tuple of ends: (x,) for a degree, (lo, hi) for an interval.
+
+
+class _Ops:
+    """One logic family's connectives on values of one width.  The T-norm works
+    end by end, the complement reverses a pair and the S-norm is their De
+    Morgan dual; values are checked once, by ``lift``, so the norms skip it."""
+
+    def __init__(self, family: LogicFamily, width: int):
+        self.width, t = width, family._tnorm
+        if width == 1:
+            tnorm = lambda x, y: (t(x[0], y[0]),)  # noqa: E731
+            cnorm = lambda x: (1.0 - x[0],)  # noqa: E731
+        else:
+            def tnorm(x, y):
+                lo, hi = t(x[0], y[0]), t(x[1], y[1])
+                # Monotonicity makes lo <= hi in exact arithmetic; guard the rounding.
+                return (lo, hi) if lo <= hi else (hi, lo)
+
+            cnorm = lambda x: (1.0 - x[1], 1.0 - x[0])  # noqa: E731
+        self.tnorm, self.cnorm = tnorm, cnorm
+        self.snorm = lambda x, y: cnorm(tnorm(cnorm(x), cnorm(y)))
+
+    def lift(self, value: Value, what: str = "value in scalar evaluation") -> tuple:
+        """``value`` checked and as ends; a scalar in an interval is [x, x]."""
+        if isinstance(value, TruthInterval):
+            if self.width == 1:
+                raise TypeError(f"interval {what}")
+            return (value.lo, value.hi)
+        return (truth_value(value),) * self.width
+
+    def unlift(self, value: tuple) -> Value:
+        return value[0] if self.width == 1 else TruthInterval(*value)
+
+    def compile(self, f: Formula, names: Mapping[str, str]):
+        """``f`` as a function of a valuation of ends; variable v reads names.get(v, v)."""
+        if isinstance(f, Var):
+            name = f.name
+            key = names.get(name, name)
+
+            def read(env):
+                try:
+                    return env[key]
+                except KeyError:
+                    raise UnboundVariableError(name) from None
+
+            return read
+        if isinstance(f, Const):
+            value = self.lift(f.value, "constant in scalar evaluation")
+            return lambda env: value
+        if isinstance(f, Not):
+            arg, cnorm = self.compile(f.arg, names), self.cnorm
+            return lambda env: cnorm(arg(env))
+        if isinstance(f, (And, Or)):
+            left, right = self.compile(f.left, names), self.compile(f.right, names)
+            op = self.tnorm if isinstance(f, And) else self.snorm
+            return lambda env: op(left(env), right(env))
+        raise TypeError(f"not a formula node: {f!r}")
+
+    def run(self, f: Formula, valuation: Mapping[str, Value]) -> Value:
+        env = {name: self.lift(value) for name, value in valuation.items()}
+        return self.unlift(self.compile(f, {})(env))
 
 
 # -- printing ---------------------------------------------------------------

@@ -243,9 +243,10 @@ class _Run:
     it), the edges as block indices, and rows as (rows, exprs, w) arrays in
     ``problem.blocks`` and ``problem.edges`` order.  The complement reverses a
     (lo, hi) pair; the T-norm works endpoint-wise, re-sorts the pair against
-    rounding as ``LogicFamily.interval_tnorm`` does, and gives the scalar's
-    bits on every element.  Crisp mode takes min whatever the family: some
-    are not exact on 0/1 (Frank's T(1, 1) rounds below 1 for small s)."""
+    rounding as the interval reading of ``formula`` does, and gives the
+    scalar's bits on every element.  Crisp mode takes min whatever the
+    family: some are not exact on 0/1 (Frank's T(1, 1) rounds below 1 for
+    small s)."""
 
     def __init__(self, problem: LcmProblem, mode: str, family: LogicFamily,
                  cfg: SolverConfig | None = None):
@@ -261,10 +262,13 @@ class _Run:
 
     @classmethod
     def valid(cls, problem: LcmProblem, mode: str, family: LogicFamily, cfg=None) -> _Run:
-        """A run of ``problem``, which must be valid (else ValueError)."""
+        """A run of ``problem``, which must be valid (else a ValueError whose
+        ``errors`` lists the violations)."""
         errors = validate_problem(problem, mode)
         if errors:
-            raise ValueError("invalid LCM problem: " + "; ".join(errors))
+            exc = ValueError("invalid LCM problem: " + "; ".join(errors))
+            exc.errors = errors
+            raise exc
         return cls(problem, mode, family, cfg)
 
     def stack(self, matrix: Mapping, edges: bool = False) -> np.ndarray:

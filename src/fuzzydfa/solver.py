@@ -9,19 +9,22 @@ per-node update but reads already-updated values, which keeps the residual
 of the bundled examples monotone once the transient has passed.  Both reach
 the same fixed point whenever the functional contracts (the start node's
 influence damps every cycle).
+
+Both flavours run one code path: seeds and given states are checked once on
+entry and held as tuples of ends, and each transfer is compiled once per call
+with ``In`` bound to the property it computes (see ``formula``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from .flowgraph import INPUT_NAME, FlowGraph, Valuation, Value, validate
-from .formula import evaluate, evaluate_interval
-from .truth import LogicFamily, SolverConfig, TruthInterval, quantize
+from .flowgraph import INPUT_NAME, FlowGraph, Valuation, validate
+from .formula import _Ops
+from .truth import LogicFamily, SolverConfig, quantize
 
 __all__ = ["SolverConfig", "SolveReport", "step", "step_interval", "solve", "solve_interval"]
 
 GlobalState = dict[str, Valuation]
-
 
 @dataclass
 class SolveReport:
@@ -44,113 +47,50 @@ class SolveReport:
         }
 
 
-# -- value domains -----------------------------------------------------------
-# One code path serves both scalar and interval analyses; the domain supplies
-# the handful of operations that differ.
+def _lift(state, ops: _Ops) -> dict:
+    what = "seed in a scalar solve"
+    return {node: {p: ops.lift(v, what) for p, v in val.items()} for node, val in state.items()}
 
 
-class _ScalarDomain:
-    zero = 0.0
-
-    @staticmethod
-    def lift(value: Value) -> float:
-        if isinstance(value, TruthInterval):
-            raise TypeError("interval seed in a scalar solve")
-        return float(value)
-
-    @staticmethod
-    def eval(f, family, env):
-        return evaluate(f, family, env)
-
-    @staticmethod
-    def weighted_sum(pairs) -> float:
-        total = sum(alpha * value for alpha, value in pairs)
-        # Weight sums may be off by the validation tolerance (1e-9); keep the
-        # state inside the unit interval without masking larger errors.
-        return min(1.0, max(0.0, total))
-
-    @staticmethod
-    def distance(a: float, b: float) -> float:
-        return abs(a - b)
-
-    @staticmethod
-    def snap(value: float, bits: int) -> float:
-        return quantize(value, bits)
+def _unlift(state: dict, ops: _Ops) -> GlobalState:
+    return {node: {p: ops.unlift(v) for p, v in val.items()} for node, val in state.items()}
 
 
-class _IntervalDomain:
-    zero = TruthInterval(0.0, 0.0)
-
-    @staticmethod
-    def lift(value: Value) -> TruthInterval:
-        return value if isinstance(value, TruthInterval) else TruthInterval.degenerate(value)
-
-    @staticmethod
-    def eval(f, family, env):
-        return evaluate_interval(f, family, env)
-
-    @staticmethod
-    def weighted_sum(pairs) -> TruthInterval:
-        pairs = list(pairs)
-        lo = sum(alpha * value.lo for alpha, value in pairs)
-        hi = sum(alpha * value.hi for alpha, value in pairs)
-        return TruthInterval(min(1.0, max(0.0, lo)), min(1.0, max(0.0, hi)))
-
-    @staticmethod
-    def distance(a: TruthInterval, b: TruthInterval) -> float:
-        return abs(a.lo - b.lo) + abs(a.hi - b.hi)
-
-    @staticmethod
-    def snap(value: TruthInterval, bits: int) -> TruthInterval:
-        return TruthInterval(quantize(value.lo, bits), quantize(value.hi, bits))
-
-
-def _initial_state(graph: FlowGraph, domain) -> GlobalState:
-    state: GlobalState = {}
+def _updates(graph: FlowGraph, state: dict, ops: _Ops) -> list:
+    """(node, property, transfer compiled with ``In`` bound to the property,
+    [(alpha, predecessor's valuation in ``state``)]) per unpinned property."""
     pinned = graph.pinned()
-    for node in graph.transfers:
-        if node in pinned:
-            state[node] = {p: domain.lift(v) for p, v in graph.seeds.get(node, {}).items()}
-        else:
-            state[node] = {p: domain.zero for p in graph.transfers[node]}
-    return state
-
-
-def _collect(graph: FlowGraph, state: GlobalState, family, domain, node: str, prop: str,
-             incoming: list):
-    """New value of (node, prop): the alpha-weighted average, over
-    ``incoming``, of the node's transfer interpreted in each predecessor's state."""
-    f = graph.transfers[node][prop]
-    contributions = []
-    for edge in incoming:
-        env = dict(state[edge.src])
-        if prop in env:
-            env[INPUT_NAME] = env[prop]
-        contributions.append((edge.alpha, domain.eval(f, family, env)))
-    return domain.weighted_sum(contributions)
-
-
-def _in_edge_map(graph: FlowGraph) -> dict[str, list]:
-    incoming: dict[str, list] = {node: [] for node in graph.transfers}
+    inputs: dict[str, list] = {node: [] for node in graph.transfers if node not in pinned}
     for edge in graph.edges:
-        if edge.dst in incoming:
-            incoming[edge.dst].append(edge)
-    return incoming
+        if edge.dst in inputs:
+            inputs[edge.dst].append((edge.alpha, state[edge.src]))
+    return [
+        (node, prop, ops.compile(f, {INPUT_NAME: prop}), inputs[node])
+        for node in inputs
+        for prop, f in graph.transfers[node].items()
+    ]
 
 
-def _step(graph: FlowGraph, state: GlobalState, family: LogicFamily, domain) -> GlobalState:
+def _average(transfer, inputs: list, width: int) -> tuple:
+    """The alpha-weighted average, over ``inputs``, of the transfer
+    interpreted in each predecessor's valuation."""
+    values = [(alpha, transfer(src)) for alpha, src in inputs]
+    # Weight sums may be off by the validation tolerance (1e-9); keep the
+    # state inside the unit interval without masking larger errors.
+    return tuple(
+        min(1.0, max(0.0, sum(alpha * value[i] for alpha, value in values)))
+        for i in range(width)
+    )
+
+
+def _step(graph: FlowGraph, state: GlobalState, family: LogicFamily, width: int) -> GlobalState:
+    ops = _Ops(family, width)
+    old = _lift(state, ops)
     pinned = graph.pinned()
-    incoming = _in_edge_map(graph)
-    new: GlobalState = {}
-    for node in graph.transfers:
-        if node in pinned:
-            new[node] = dict(state[node])
-        else:
-            new[node] = {
-                prop: _collect(graph, state, family, domain, node, prop, incoming[node])
-                for prop in graph.transfers[node]
-            }
-    return new
+    new = {node: dict(old[node]) if node in pinned else {} for node in graph.transfers}
+    for node, prop, transfer, inputs in _updates(graph, old, ops):
+        new[node][prop] = _average(transfer, inputs, width)
+    return _unlift(new, ops)
 
 
 def step(graph: FlowGraph, state: GlobalState, family: LogicFamily) -> GlobalState:
@@ -159,42 +99,46 @@ def step(graph: FlowGraph, state: GlobalState, family: LogicFamily) -> GlobalSta
     All reads come from ``state``, all writes go to the result; pinned nodes
     keep their valuation.
     """
-    return _step(graph, state, family, _ScalarDomain)
+    return _step(graph, state, family, 1)
 
 
 def step_interval(graph: FlowGraph, state: GlobalState, family: LogicFamily) -> GlobalState:
-    return _step(graph, state, family, _IntervalDomain)
+    return _step(graph, state, family, 2)
 
 
-def _solve(graph: FlowGraph, cfg: SolverConfig, domain, initial: GlobalState | None) -> SolveReport:
+def _solve(graph: FlowGraph, cfg: SolverConfig, width: int, initial: GlobalState | None) -> SolveReport:
     report = validate(graph)
     if not report.ok:
         raise ValueError("graph is invalid: " + "; ".join(report.errors))
 
+    ops = _Ops(cfg.family, width)
     if initial is None:
-        state = _initial_state(graph, domain)
-    else:
-        state = {node: dict(valuation) for node, valuation in initial.items()}
-    pinned = graph.pinned()
-    order = [node for node in graph.transfers if node not in pinned]
-    incoming = _in_edge_map(graph)
+        pinned = graph.pinned()
+        initial = {
+            node: graph.seeds.get(node, {}) if node in pinned else dict.fromkeys(transfer, 0.0)
+            for node, transfer in graph.transfers.items()
+        }
+    state = _lift(initial, ops)
+    updates = _updates(graph, state, ops)
+    bits = cfg.quantize_bits
 
     trace: list[float] = []
     converged = False
     for _ in range(cfg.max_iters):
         residual = 0.0
-        for node in order:
-            for prop in graph.transfers[node]:
-                new = _collect(graph, state, cfg.family, domain, node, prop, incoming[node])
-                if cfg.quantize_bits is not None:
-                    new = domain.snap(new, cfg.quantize_bits)
-                residual += domain.distance(new, state[node][prop])
-                state[node][prop] = new
+        for node, prop, transfer, inputs in updates:
+            new = _average(transfer, inputs, width)
+            if bits is not None:
+                new = tuple(quantize(end, bits) for end in new)
+            valuation = state[node]
+            residual += sum(abs(a - b) for a, b in zip(new, valuation[prop]))
+            valuation[prop] = new
         trace.append(residual)
         if residual < cfg.epsilon:
             converged = True
             break
-    return SolveReport(final=state, iterations=len(trace), residual_trace=trace, converged=converged)
+    return SolveReport(final=_unlift(state, ops), iterations=len(trace), residual_trace=trace,
+                       converged=converged)
 
 
 def solve(graph: FlowGraph, cfg: SolverConfig, initial: GlobalState | None = None) -> SolveReport:
@@ -204,9 +148,9 @@ def solve(graph: FlowGraph, cfg: SolverConfig, initial: GlobalState | None = Non
     Non-convergence is not an error; it is reported as ``converged=False``
     (the fixed point is only guaranteed when the functional contracts).
     """
-    return _solve(graph, cfg, _ScalarDomain, initial)
+    return _solve(graph, cfg, 1, initial)
 
 
 def solve_interval(graph: FlowGraph, cfg: SolverConfig, initial: GlobalState | None = None) -> SolveReport:
     """Interval-valued ``solve``; the residual sums over both endpoints."""
-    return _solve(graph, cfg, _IntervalDomain, initial)
+    return _solve(graph, cfg, 2, initial)

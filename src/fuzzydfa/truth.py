@@ -1,4 +1,4 @@
-"""Truth-value arithmetic: De Morgan triples on [0,1] and their interval lifting.
+"""Truth-value arithmetic: De Morgan triples on [0,1], and the intervals of [0,1].
 
 A logic family bundles a T-norm (fuzzy AND), its De Morgan dual S-norm
 (fuzzy OR) and the standard complement 1-x.  The Frank parametric family
@@ -106,10 +106,6 @@ class TruthInterval:
         return self.lo - slack <= other.lo and other.hi <= self.hi + slack
 
 
-BOTTOM = TruthInterval(0.0, 0.0)
-TOP = TruthInterval(1.0, 1.0)
-
-
 def _each(fn, x: np.ndarray) -> np.ndarray:
     """``fn`` applied to every element of the float array ``x``."""
     import numpy as np
@@ -187,8 +183,10 @@ class LogicFamily:
 
     def tnorm(self, x: float, y: float) -> float:
         """Fuzzy conjunction; commutative, associative, monotone, identity 1."""
-        x = truth_value(x)
-        y = truth_value(y)
+        return self._tnorm(truth_value(x), truth_value(y))
+
+    def _tnorm(self, x: float, y: float) -> float:
+        """``tnorm`` of two degrees already checked."""
         kind = self.kind
         if kind == "minmax":
             return min(x, y)
@@ -256,22 +254,6 @@ class LogicFamily:
     def cnorm(self, x: float) -> float:
         """Involutive complement 1-x."""
         return 1.0 - truth_value(x)
-
-    # -- interval lifting ---------------------------------------------------
-
-    def interval_tnorm(self, x: TruthInterval, y: TruthInterval) -> TruthInterval:
-        lo = self.tnorm(x.lo, y.lo)
-        hi = self.tnorm(x.hi, y.hi)
-        # Monotonicity makes lo <= hi in exact arithmetic; guard the rounding.
-        return TruthInterval(min(lo, hi), max(lo, hi))
-
-    def interval_snorm(self, x: TruthInterval, y: TruthInterval) -> TruthInterval:
-        lo = self.snorm(x.lo, y.lo)
-        hi = self.snorm(x.hi, y.hi)
-        return TruthInterval(min(lo, hi), max(lo, hi))
-
-    def interval_cnorm(self, x: TruthInterval) -> TruthInterval:
-        return TruthInterval(1.0 - x.hi, 1.0 - x.lo)
 
 
 @dataclass(frozen=True)

@@ -298,6 +298,37 @@ def test_lcm_on_a_single_block_file(tmp_path, capsys):
         assert code == 0, err
 
 
+@pytest.mark.parametrize("invalid", [False, True])
+def test_lcm_validates_the_problem_once(data_dir, tmp_path, capsys, monkeypatch, invalid):
+    from fuzzydfa import lcm
+
+    data = json.loads((data_dir / "diffpcm_t1.json").read_text())
+    if invalid:
+        data["edges"][0]["alpha"] = 0.5  # forward weights into B1 no longer sum to 1
+        data["dee"]["B1"][0] = 0.5  # not 0 or 1, which crisp mode needs
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    problem, _ = lcm.load_problem_file(str(path))
+    expected = lcm.validate_problem(problem, "crisp")
+    assert len(expected) == (2 if invalid else 0)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return validate_problem(*args)
+
+    validate_problem = lcm.validate_problem
+    monkeypatch.setattr(lcm, "validate_problem", counted)
+    code, out, err = run(capsys, "lcm", str(path), "--mode", "crisp")
+    assert len(calls) == 1
+    if invalid:
+        assert (code, out) == (1, "")
+        assert err == "".join(f"error: {e}\n" for e in expected)
+        assert err.startswith("error: forward weights into 'B1' sum to")
+    else:
+        assert code == 0 and err == ""
+
+
 def test_lcm_crisp_reports_are_exact_under_frank(data_dir, capsys):
     for logic in ("frank:0.01", "frank:0.001"):
         code, out, _ = run(capsys, "lcm", str(data_dir / "diffpcm_t1.json"),

@@ -1,6 +1,6 @@
 import pytest
 
-from fuzzydfa import Edge, FlowGraph, InvalidStartError, Var, parse_formula, reverse, validate
+from fuzzydfa import Edge, FlowGraph, Var, parse_formula, validate
 from fuzzydfa._jsonio import FileFormatError
 from fuzzydfa.flowgraph import graph_from_json_dict, graph_to_json_dict, load_graph_file
 
@@ -73,68 +73,6 @@ def test_unresolvable_variable_is_an_error():
     g.transfers["B3"] = {"Out": Var("Mystery")}
     report = validate(g)
     assert any("Mystery" in e for e in report.errors)
-
-
-def test_reverse_two_node_chain():
-    g = FlowGraph(
-        transfers={"a": {"Out": parse_formula("0.3")}, "b": {"Out": parse_formula("In")}},
-        edges=[Edge("a", "b", 1.0)],
-        start="a",
-        seeds={"a": {"Out": 0.3}},
-    )
-    r = reverse(g, "b", {"b": {"Out": 0.0}})
-    assert r.edges == [Edge("b", "a", 1.0)]
-    assert r.start == "b"
-
-
-def test_reverse_applies_backward_weight_overrides():
-    # Loop-shaped graph: forward B1 branches to B2 and B5; the backward
-    # analysis reads its collection weights off the branch probabilities.
-    n = 1000.0
-    g = FlowGraph(
-        transfers={
-            "B1": {"Out": parse_formula("In")},
-            "B2": {"Out": parse_formula("In")},
-            "B5": {"Out": parse_formula("In")},
-        },
-        edges=[Edge("B1", "B2", 1.0), Edge("B1", "B5", 1.0)],
-        start="B1",
-        seeds={"B1": {"Out": 0.0}},
-    )
-    r = reverse(
-        g,
-        "B5",
-        {"B5": {"Out": 0.0}, "B2": {"Out": 0.0}},
-        alpha_overrides={("B2", "B1"): (n - 1.0) / n, ("B5", "B1"): 1.0 / n},
-    )
-    weights = {(e.src, e.dst): e.alpha for e in r.edges}
-    assert weights[("B2", "B1")] == pytest.approx((n - 1.0) / n)
-    assert weights[("B5", "B1")] == pytest.approx(1.0 / n)
-    assert validate(r).ok
-
-
-def test_reverse_twice_restores_edge_set():
-    # Backward weights differ from forward ones, so both directions carry
-    # their own overrides; flipping twice with the original weights restores
-    # the original edge set.
-    g = fig1_graph()
-    backward = {("B1", "B0"): 1.0, ("B1", "B2"): 1.0, ("B2", "B1"): 0.9, ("B3", "B1"): 0.1}
-    once = reverse(g, "B3", {"B3": {"Out": 0.0}}, alpha_overrides=backward)
-    assert {(e.src, e.dst): e.alpha for e in once.edges} == backward
-    twice = reverse(
-        once,
-        "B0",
-        {"B0": {"Out": 0.0}},
-        alpha_overrides={(e.src, e.dst): e.alpha for e in g.edges},
-    )
-    assert sorted((e.src, e.dst, e.alpha) for e in twice.edges) == sorted(
-        (e.src, e.dst, e.alpha) for e in g.edges
-    )
-
-
-def test_reverse_rejects_unknown_start():
-    with pytest.raises(InvalidStartError):
-        reverse(fig1_graph(), "missing", {})
 
 
 def test_json_round_trip(data_dir):

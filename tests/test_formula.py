@@ -12,12 +12,10 @@ from fuzzydfa import (
     TruthInterval,
     UnboundVariableError,
     Var,
-    and_all,
     evaluate,
     evaluate_interval,
     format_formula,
     free_vars,
-    or_all,
     parse_formula,
 )
 from conftest import random_family, random_formula
@@ -70,15 +68,6 @@ def test_free_vars():
     assert free_vars(Const(0.5)) == frozenset()
     assert free_vars(And(Var("a"), Not(Var("b")))) == {"a", "b"}
     assert free_vars(Or(Var("a"), Var("a"))) == {"a"}
-
-
-def test_nary_constructors_fold_left():
-    a, b, c = Var("a"), Var("b"), Var("c")
-    assert and_all([a, b, c]) == And(And(a, b), c)
-    assert or_all([a, b, c]) == Or(Or(a, b), c)
-    assert and_all([]) == Const(1.0)
-    assert or_all([]) == Const(0.0)
-    assert and_all([a]) == a
 
 
 # -- parser ---------------------------------------------------------------------

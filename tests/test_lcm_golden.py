@@ -1,14 +1,23 @@
-"""Byte-for-byte regression corpus for ``lcm_pipeline``.
+"""Byte-for-byte regression corpus for ``lcm_pipeline`` and the flow-graph
+solver.
 
-Each case is a problem, a mode, a logic family and an optional solver
-configuration; its digest is the SHA-256 of the deterministic JSON report.
-The digests in ``lcm_golden.json`` were frozen from the per-expression
+Each case is a function that builds one report; its digest is the SHA-256 of
+the deterministic JSON text of that report.  An LCM case runs a problem in
+one mode under one logic family and an optional solver configuration.  The
+digests in ``lcm_golden.json`` were frozen from the per-expression
 flow-graph engine that preceded the array engine, and the ``frank<i>``
 cases from the array engine while it still evaluated Frank through the
 scalar ``LogicFamily.tnorm``, and the ``wide<i>`` cases from the array
 engine while it still stacked rows from dicts per stage and met merges with
 per-slot scatter-adds, as were the ``single`` and ``no_exprs`` cases, so any
 change in any printed digit of any matrix fails here.
+
+The ``solve/``, ``fig1/`` and ``evaluate/`` cases were frozen from the
+solver that interpreted formulas by recursion, with a scalar and an interval
+copy of each layer.  A ``solve/`` or ``fig1/`` case holds the ``solve`` or
+``solve_interval`` report and one ``step`` from its last state; an
+``evaluate/`` case holds ``evaluate`` and ``evaluate_interval`` of random
+formulas.
 
 Add the digests of new cases, keeping every frozen one, with::
 
@@ -22,6 +31,7 @@ import hashlib
 import json
 import random
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -29,6 +39,10 @@ import pytest
 from fuzzydfa import LogicFamily, SolverConfig, TruthInterval
 from fuzzydfa import _jsonio
 from fuzzydfa import lcm as L
+from fuzzydfa import solver as S
+from fuzzydfa.flowgraph import load_graph_file
+from fuzzydfa.formula import evaluate, evaluate_interval
+from conftest import random_flowgraph, random_formula
 from krs_oracle import random_crisp_problem
 
 HERE = Path(__file__).resolve().parent
@@ -46,6 +60,15 @@ FRANK_CFGS = 10
 WIDE_FAMILIES = ["minmax", "product", "frank:2"]
 WIDE_CFGS = 6
 WIDE_FAN_IN = 4
+# The flow-graph solver: every family above, plus nilpotent.
+SOLVE_FAMILIES = list(dict.fromkeys(
+    BUNDLED_FAMILIES + RANDOM_FAMILIES + FRANK_FAMILIES + WIDE_FAMILIES + ["nilpotent"]
+))
+SOLVE_SIZES = [3, 6, 12, 25]
+SOLVE_START_WEIGHTS = [0.0, 0.2]
+SOLVE_MAX_ITERS = 200
+# fig1 converges in 137 sweeps under its own minmax logic; nilpotent never does.
+FIG1_MAX_ITERS = 1000
 
 
 def _random_rows(rng: random.Random, problem, kind: str, ends: float = 0.0) -> None:
@@ -95,14 +118,100 @@ def _widen(rng: random.Random, problem) -> None:
     assert entry not in into and exit_ not in out_of
 
 
+def lcm_report(problem, mode, family, cfg) -> dict:
+    return L.lcm_pipeline(problem, mode, family, cfg).to_json_dict()
+
+
+def _widen_seeds(rng: random.Random, graph) -> None:
+    """Replace every scalar seed x by an interval around it."""
+    graph.seeds = {
+        node: {
+            prop: TruthInterval(max(0.0, x - rng.random() * 0.2), min(1.0, x + rng.random() * 0.2))
+            for prop, x in valuation.items()
+        }
+        for node, valuation in graph.seeds.items()
+    }
+
+
+def _two_properties(rng: random.Random, graph) -> None:
+    """Give every node a second property "Aux", and let each property's
+    transfer read the other one of the predecessor by name."""
+    for node in graph.transfers:
+        graph.transfers[node] = {
+            "Out": random_formula(rng, ["In", "Aux"], 3, linear=True),
+            "Aux": random_formula(rng, ["In", "Out"], 3, linear=True),
+        }
+    graph.seeds[graph.start]["Aux"] = rng.random()
+
+
+def solve_report(graph, cfg, interval: bool) -> dict:
+    """The solve report and one ``step`` from its last state."""
+    run, step = (S.solve_interval, S.step_interval) if interval else (S.solve, S.step)
+    report = run(graph, cfg)
+    after = step(graph, report.final, cfg.family)
+    return {"solve": report.to_json_dict(), "step": S.SolveReport(after, 0).to_json_dict()}
+
+
+def evaluate_report(family, seed: str) -> list:
+    """``evaluate`` and ``evaluate_interval`` of random formulas over x, y, z."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(60):
+        f = random_formula(rng, ["x", "y", "z"], 4)
+        point = {name: rng.random() for name in "xyz"}
+        box = {name: TruthInterval(*sorted((rng.random(), rng.random()))) for name in "xyz"}
+        out.append([
+            evaluate(f, family, point),
+            _jsonio.dump_value(evaluate_interval(f, family, box)),
+        ])
+    return out
+
+
+def solve_cases() -> dict:
+    """name -> report function for the flow-graph solver."""
+    cases = {}
+    for logic in SOLVE_FAMILIES:
+        family = LogicFamily.parse(logic)
+        for width in ("scalar", "interval"):
+            interval = width == "interval"
+            for n in SOLVE_SIZES:
+                for w in SOLVE_START_WEIGHTS:
+                    for bits in (None, 8):
+                        key = f"{n}/{w}/{logic}/{width}"
+                        rng = random.Random(f"golden/solve/{key}")
+                        graph = random_flowgraph(rng, n, start_weight=w)
+                        if interval:
+                            _widen_seeds(rng, graph)
+                        cfg = SolverConfig(family, max_iters=SOLVE_MAX_ITERS, quantize_bits=bits)
+                        cases[f"solve/{key}/q{bits}"] = partial(solve_report, graph, cfg, interval)
+            for n in (6, 12):
+                key = f"{n}/two_props/{logic}/{width}"
+                rng = random.Random(f"golden/solve/{key}")
+                graph = random_flowgraph(rng, n, start_weight=0.2)
+                _two_properties(rng, graph)
+                if interval:
+                    _widen_seeds(rng, graph)
+                cfg = SolverConfig(family, max_iters=SOLVE_MAX_ITERS)
+                cases[f"solve/{key}"] = partial(solve_report, graph, cfg, interval)
+            graph, _ = load_graph_file(str(DATA_DIR / "fig1.json"))
+            if interval:
+                _widen_seeds(random.Random("golden/fig1"), graph)
+            cfg = SolverConfig(family, max_iters=FIG1_MAX_ITERS)
+            cases[f"fig1/{logic}/{width}"] = partial(solve_report, graph, cfg, interval)
+        cases[f"evaluate/{logic}"] = partial(evaluate_report, family, f"golden/evaluate/{logic}")
+    return cases
+
+
 def golden_cases() -> dict:
-    """name -> (problem, mode, family, cfg)."""
+    """name -> function that builds the report to digest."""
     cases = {}
     for stem, modes in (("diffpcm_t1", ("crisp", "fuzzy")), ("diffpcm_t2", ("interval",))):
         problem, _ = L.load_problem_file(str(DATA_DIR / f"{stem}.json"))
         for mode in modes:
             for logic in BUNDLED_FAMILIES:
-                cases[f"{stem}/{mode}/{logic}"] = (problem, mode, LogicFamily.parse(logic), None)
+                cases[f"{stem}/{mode}/{logic}"] = partial(
+                    lcm_report, problem, mode, LogicFamily.parse(logic), None
+                )
     for i in range(RANDOM_CFGS):
         logic = RANDOM_FAMILIES[i % len(RANDOM_FAMILIES)]
         for mode in ("crisp", "fuzzy", "interval"):
@@ -111,7 +220,7 @@ def golden_cases() -> dict:
             _random_rows(random.Random(f"golden/{i}/{mode}"), problem, mode)
             family = LogicFamily.parse(logic)
             cfg = SolverConfig(family=family, max_iters=3000)
-            cases[f"random{i}/{mode}/{logic}"] = (problem, mode, family, cfg)
+            cases[f"random{i}/{mode}/{logic}"] = partial(lcm_report, problem, mode, family, cfg)
     for i in range(FRANK_CFGS):
         for mode in ("fuzzy", "interval"):
             for logic in FRANK_FAMILIES:
@@ -120,7 +229,7 @@ def golden_cases() -> dict:
                 _random_rows(random.Random(f"golden/frank/{i}/{mode}"), problem, mode, ends=0.3)
                 family = LogicFamily.parse(logic)
                 cfg = SolverConfig(family=family, max_iters=3000)
-                cases[f"frank{i}/{mode}/{logic}"] = (problem, mode, family, cfg)
+                cases[f"frank{i}/{mode}/{logic}"] = partial(lcm_report, problem, mode, family, cfg)
     for i in range(WIDE_CFGS):
         for mode in ("crisp", "fuzzy", "interval"):
             for logic in WIDE_FAMILIES:
@@ -130,32 +239,33 @@ def golden_cases() -> dict:
                 _random_rows(random.Random(f"golden/wide/{i}/{mode}"), problem, mode, ends=0.2)
                 family = LogicFamily.parse(logic)
                 cfg = SolverConfig(family=family, max_iters=3000)
-                cases[f"wide{i}/{mode}/{logic}"] = (problem, mode, family, cfg)
+                cases[f"wide{i}/{mode}/{logic}"] = partial(lcm_report, problem, mode, family, cfg)
     for mode in ("crisp", "fuzzy", "interval"):
         for logic in WIDE_FAMILIES:
             family = LogicFamily.parse(logic)
             # One block, both entry and exit: no edge, so no merge has a link.
             problem = L.LcmProblem(["only"], [], ["a", "b", "c"], {}, {}, {}, "only", "only")
             _random_rows(random.Random(f"golden/single/{mode}"), problem, mode, ends=0.3)
-            cases[f"single/{mode}/{logic}"] = (problem, mode, family, None)
+            cases[f"single/{mode}/{logic}"] = partial(lcm_report, problem, mode, family, None)
             # Edges but no expression: every array has an empty middle axis.
             problem = random_crisp_problem(random.Random("golden/no_exprs"), max_blocks=8)
             problem.exprs = []
             _random_rows(random.Random("golden/no_exprs/rows"), problem, mode)
-            cases[f"no_exprs/{mode}/{logic}"] = (problem, mode, family, None)
+            cases[f"no_exprs/{mode}/{logic}"] = partial(lcm_report, problem, mode, family, None)
     for stem, mode in (("diffpcm_t1", "fuzzy"), ("diffpcm_t2", "interval")):
         problem, _ = L.load_problem_file(str(DATA_DIR / f"{stem}.json"))
         family = LogicFamily.product()
         cfg = SolverConfig(family=family, quantize_bits=20)
-        cases[f"{stem}/{mode}/product/q20"] = (problem, mode, family, cfg)
+        cases[f"{stem}/{mode}/product/q20"] = partial(lcm_report, problem, mode, family, cfg)
         # Some columns converge within the cap and some do not.
         cfg = SolverConfig(family=family, max_iters=40)
-        cases[f"{stem}/{mode}/product/cap40"] = (problem, mode, family, cfg)
+        cases[f"{stem}/{mode}/product/cap40"] = partial(lcm_report, problem, mode, family, cfg)
+    cases.update(solve_cases())
     return cases
 
 
-def report_digest(problem, mode, family, cfg) -> str:
-    text = _jsonio.dumps(L.lcm_pipeline(problem, mode, family, cfg).to_json_dict())
+def report_digest(report) -> str:
+    text = _jsonio.dumps(report())
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -169,7 +279,7 @@ def test_golden_corpus_covers_every_case():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_is_byte_identical_to_golden(name):
     expected = json.loads(GOLDEN.read_text())[name]
-    assert report_digest(*CASES[name]) == expected
+    assert report_digest(CASES[name]) == expected
 
 
 if __name__ == "__main__":
@@ -179,7 +289,7 @@ if __name__ == "__main__":
     if sys.argv[1] == "--rewrite":
         frozen = {}
     digests = {
-        name: frozen[name] if name in frozen else report_digest(*case)
+        name: frozen[name] if name in frozen else report_digest(case)
         for name, case in sorted(CASES.items())
     }
     GOLDEN.write_text(json.dumps(digests, indent=1) + "\n")

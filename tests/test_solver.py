@@ -2,7 +2,10 @@ import random
 
 import pytest
 
-from fuzzydfa import Edge, FlowGraph, LogicFamily, TruthInterval, parse_formula
+from fuzzydfa import (
+    Edge, FlowGraph, LogicFamily, TruthInterval, TruthValueError, Var, evaluate,
+    evaluate_interval, parse_formula,
+)
 from fuzzydfa.solver import SolverConfig, solve, solve_interval, step, step_interval
 from conftest import random_flowgraph
 from test_flowgraph import fig1_graph
@@ -339,3 +342,60 @@ def test_report_serializes_to_json_dict():
     assert set(data) == {"final", "iterations", "residual_trace", "converged"}
     assert data["final"]["B1"]["Out"] == report.final["B1"]["Out"]
     assert data["converged"] is True
+
+
+# -- values checked on entry ----------------------------------------------------------
+
+
+def pass_through_graph(seed) -> FlowGraph:
+    """s -> a, where a only copies its input: nothing but the entry check
+    sees the seed."""
+    return FlowGraph(
+        transfers={"s": {"Out": parse_formula("0.0")}, "a": {"Out": parse_formula("In")}},
+        edges=[Edge("s", "a", 1.0)],
+        start="s",
+        seeds={"s": {"Out": seed}},
+    )
+
+
+BAD_VALUES = [1.5, -0.1, float("nan")]
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES)
+@pytest.mark.parametrize("runner", [solve, solve_interval])
+def test_out_of_range_seeds_are_rejected(runner, bad):
+    with pytest.raises(TruthValueError):
+        runner(pass_through_graph(bad), SolverConfig(family=MINMAX))
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES)
+@pytest.mark.parametrize("runner", [solve, solve_interval])
+def test_out_of_range_initial_values_are_rejected(runner, bad):
+    for node in ("s", "a"):
+        initial = {"s": {"Out": 0.5}, "a": {"Out": 0.0}}
+        initial[node]["Out"] = bad
+        with pytest.raises(TruthValueError):
+            runner(pass_through_graph(0.5), SolverConfig(family=MINMAX), initial=initial)
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES)
+def test_out_of_range_values_are_rejected_by_step_and_evaluate(bad):
+    state = {"s": {"Out": bad}, "a": {"Out": 0.0}}
+    for run in (step, step_interval):
+        with pytest.raises(TruthValueError):
+            run(pass_through_graph(0.5), state, MINMAX)
+    for run in (evaluate, evaluate_interval):
+        with pytest.raises(TruthValueError):
+            run(Var("x"), MINMAX, {"x": bad})
+
+
+def test_entry_check_clamps_rounding_noise():
+    for runner in (solve, solve_interval):
+        report = runner(pass_through_graph(1.0 + 1e-13), SolverConfig(family=MINMAX))
+        assert report.final["a"]["Out"] in (1.0, TruthInterval(1.0, 1.0))
+    assert evaluate(Var("x"), MINMAX, {"x": -1e-13}) == 0.0
+
+
+def test_interval_seed_in_a_scalar_solve_is_a_type_error():
+    with pytest.raises(TypeError, match="^interval seed in a scalar solve$"):
+        solve(pass_through_graph(TruthInterval(0.2, 0.4)), SolverConfig(family=MINMAX))

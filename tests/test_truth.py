@@ -5,7 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from fuzzydfa import LogicFamily, TruthInterval, TruthValueError, quantize, truth_value
+from fuzzydfa import (
+    And, LogicFamily, Not, Or, TruthInterval, TruthValueError, Var, evaluate_interval, quantize,
+    truth_value,
+)
 from conftest import FAMILIES, random_family
 
 # log_2(1 + (2^0.5 - 1)^2), frozen from a 50-digit evaluation of the Frank
@@ -288,25 +291,30 @@ def test_interval_rejects_bad_ends(lo, hi):
 
 
 def test_interval_op_examples():
+    # The interval connectives are reached through evaluate_interval.
+    x, y = Var("x"), Var("y")
     fam = LogicFamily.minmax()
-    assert fam.interval_tnorm(TruthInterval(0.2, 0.4), TruthInterval(0.3, 0.5)) == TruthInterval(0.2, 0.4)
-    assert fam.interval_cnorm(TruthInterval(0.1, 0.6)) == TruthInterval(0.4, 0.9)
+    v = {"x": TruthInterval(0.2, 0.4), "y": TruthInterval(0.3, 0.5)}
+    assert evaluate_interval(And(x, y), fam, v) == TruthInterval(0.2, 0.4)
+    assert evaluate_interval(Not(x), fam, {"x": TruthInterval(0.1, 0.6)}) == TruthInterval(0.4, 0.9)
     prod = LogicFamily.product()
-    assert prod.interval_tnorm(TruthInterval(0, 1), TruthInterval(0, 1)) == TruthInterval(0, 1)
+    whole = {"x": TruthInterval(0, 1), "y": TruthInterval(0, 1)}
+    assert evaluate_interval(And(x, y), prod, whole) == TruthInterval(0, 1)
 
 
 def test_interval_ops_contain_pointwise_results():
     rng = random.Random(19)
+    x, y = Var("x"), Var("y")
     for _ in range(500):
         family = random_family(rng)
         lx, ux = sorted((rng.random(), rng.random()))
         ly, uy = sorted((rng.random(), rng.random()))
-        ix, iy = TruthInterval(lx, ux), TruthInterval(ly, uy)
-        x = rng.uniform(lx, ux)
-        y = rng.uniform(ly, uy)
-        assert family.interval_tnorm(ix, iy).contains(family.tnorm(x, y), slack=1e-9)
-        assert family.interval_snorm(ix, iy).contains(family.snorm(x, y), slack=1e-9)
-        assert family.interval_cnorm(ix).contains(family.cnorm(x), slack=1e-12)
+        boxes = {"x": TruthInterval(lx, ux), "y": TruthInterval(ly, uy)}
+        px = rng.uniform(lx, ux)
+        py = rng.uniform(ly, uy)
+        assert evaluate_interval(And(x, y), family, boxes).contains(family.tnorm(px, py), slack=1e-9)
+        assert evaluate_interval(Or(x, y), family, boxes).contains(family.snorm(px, py), slack=1e-9)
+        assert evaluate_interval(Not(x), family, boxes).contains(family.cnorm(px), slack=1e-12)
 
 
 # -- quantization ------------------------------------------------------------------
