@@ -30,8 +30,7 @@ _EXPORTS = {
     ),
     "solver": ("SolveReport", "solve", "solve_interval", "step", "step_interval"),
     "lcm": (
-        "LcmEdge", "LcmProblem", "LcmResult", "WidthMismatchError", "availability",
-        "anticipatability", "earliest", "insert_delete", "join_targets", "later",
+        "LcmEdge", "LcmProblem", "LcmResult", "WidthMismatchError", "join_targets",
         "lcm_pipeline", "load_problem_file", "validate_problem",
     ),
     "anfis": (

@@ -15,6 +15,7 @@ __all__ = [
     "dumps",
     "load_file",
     "check_keys",
+    "load_list",
     "load_number",
     "load_setting",
     "load_value",
@@ -110,6 +111,13 @@ def check_keys(obj: Any, context: str, required: Iterable[str], optional: Iterab
         raise FileFormatError(f"{context}: unknown keys {sorted(unknown)}")
 
 
+def load_list(raw: Any, context: str) -> list:
+    """Return ``raw``, which must be a JSON array."""
+    if not isinstance(raw, list):
+        raise FileFormatError(f"{context}: expected a list, got {type(raw).__name__}")
+    return raw
+
+
 def load_number(raw: Any, context: str, *, integer: bool = False) -> Any:
     """Read a JSON number as a finite float (with ``integer``, as an int).
 
@@ -156,8 +164,7 @@ def load_value(raw: Any, context: str, *, interval: bool) -> Any:
 
 def load_row(raw: list, context: str, *, interval: bool) -> list:
     """``load_value`` on every entry of a list; entry k is ``context[k]``."""
-    if not isinstance(raw, list):
-        raise FileFormatError(f"{context}: expected a list")
+    load_list(raw, context)
     if not interval and all(type(v) is float and 0.0 <= v <= 1.0 for v in raw):
         # Already degrees: keep them, but as truth_value would (-0.0 to 0.0).
         return [v or 0.0 for v in raw]

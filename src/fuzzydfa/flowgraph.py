@@ -197,7 +197,7 @@ def graph_from_json_dict(data: Any) -> tuple[FlowGraph, GraphSettings]:
     interval = settings.mode == "interval"
 
     transfers: dict[str, dict[str, Formula]] = {}
-    for i, node in enumerate(data["nodes"]):
+    for i, node in enumerate(_jsonio.load_list(data["nodes"], "nodes")):
         _jsonio.check_keys(node, f"nodes[{i}]", ["id", "transfer"])
         node_id = str(node["id"])
         if node_id in transfers:
@@ -217,15 +217,19 @@ def graph_from_json_dict(data: Any) -> tuple[FlowGraph, GraphSettings]:
         transfers[node_id] = transfer
 
     edges = []
-    for i, raw in enumerate(data["edges"]):
+    for i, raw in enumerate(_jsonio.load_list(data["edges"], "edges")):
         _jsonio.check_keys(raw, f"edges[{i}]", ["from", "to", "alpha"])
+        alpha = _jsonio.load_number(raw["alpha"], f"edges[{i}].alpha")
         try:
-            edges.append(Edge(str(raw["from"]), str(raw["to"]), float(raw["alpha"])))
+            edges.append(Edge(str(raw["from"]), str(raw["to"]), alpha))
         except ValueError as exc:
             raise FileFormatError(f"edges[{i}]: {exc}") from None
 
     seeds: dict[str, Valuation] = {}
-    for node_id, valuation in (data.get("seed") or {}).items():
+    seed = data.get("seed", {})
+    if not isinstance(seed, dict):
+        raise FileFormatError(f"seed: expected an object, got {type(seed).__name__}")
+    for node_id, valuation in seed.items():
         if not isinstance(valuation, dict):
             raise FileFormatError(f"seed[{node_id!r}]: expected an object")
         seeds[str(node_id)] = {

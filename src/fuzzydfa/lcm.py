@@ -21,7 +21,8 @@ changes, and exact connectives whatever the logic family.  Fuzzy and
 interval modes start from zero, replace the meet with the alpha-weighted
 average of the flow-graph framework, and stop each expression once a sweep
 moves it by less than epsilon.  ``lcm_pipeline`` passes these arrays from
-the problem's rows up to the report; the staged functions wrap its stages.
+the problem's rows up to the report, and its ``LcmResult`` holds every
+stage's matrices.
 
 Boundary conventions (identical in all modes): the entry block's available
 set is just its downward-exposed set, the exit block's anticipated set is
@@ -45,15 +46,8 @@ __all__ = [
     "LcmEdge",
     "LcmProblem",
     "LcmResult",
-    "StageMatrices",
-    "LaterMatrices",
     "WidthMismatchError",
     "validate_problem",
-    "availability",
-    "anticipatability",
-    "earliest",
-    "later",
-    "insert_delete",
     "lcm_pipeline",
     "join_targets",
     "load_problem_file",
@@ -64,7 +58,6 @@ __all__ = [
 
 Value = Union[float, TruthInterval]
 BlockMatrix = dict[str, list[Value]]
-EdgeMatrix = dict[tuple[str, str], list[Value]]
 
 
 class WidthMismatchError(ValueError):
@@ -160,24 +153,7 @@ def validate_problem(problem: LcmProblem, mode: str) -> list[str]:
     return errors
 
 
-# -- stage results -------------------------------------------------------------
-
-
-@dataclass
-class StageMatrices:
-    """A step-(1) analysis: per-block solved values plus the merged
-    (pre-transfer) values the pointwise stages consume."""
-
-    out: BlockMatrix      # availability: AvOut(b);   anticipatability: AnOut(b)
-    merged: BlockMatrix   # availability: AvIn(b);    anticipatability: AnIn(b)
-    converged: bool = True
-
-
-@dataclass
-class LaterMatrices:
-    later_in: BlockMatrix
-    later_out: EdgeMatrix
-    converged: bool = True
+# -- the result -----------------------------------------------------------------
 
 
 _MATRICES = ("av_out", "an_in", "an_out", "earliest", "later_in", "later_out", "insert", "delete")
@@ -208,7 +184,12 @@ class LcmResult:
         if name not in _MATRICES:
             raise AttributeError(name)
         keys = self._edges if name in _EDGE_MATRICES else self._blocks
-        self.__dict__[name] = MappingProxyType(_unstack(keys, self._arrays[name]))
+        values = self._arrays[name]
+        if values.shape[-1] == 1:
+            rows = values[..., 0].tolist()
+        else:
+            rows = [[TruthInterval(lo, hi) for lo, hi in row] for row in values.tolist()]
+        self.__dict__[name] = MappingProxyType(dict(zip(keys, rows)))
         return self.__dict__[name]
 
     def __eq__(self, other: object) -> bool:
@@ -228,28 +209,28 @@ class LcmResult:
         return out
 
 
-def _unstack(keys: Sequence, values: np.ndarray) -> dict:
-    if values.shape[-1] == 1:
-        return dict(zip(keys, values[..., 0].tolist()))
-    return {k: [TruthInterval(lo, hi) for lo, hi in row] for k, row in zip(keys, values.tolist())}
-
-
 # -- one problem in one mode ------------------------------------------------------
 
 
 class _Run:
-    """One problem in one mode: the mode's connectives and fixed-point
-    settings (``cfg``, by default ``SolverConfig(family)``; crisp mode ignores
-    it), the edges as block indices, and rows as (rows, exprs, w) arrays in
-    ``problem.blocks`` and ``problem.edges`` order.  The complement reverses a
-    (lo, hi) pair; the T-norm works endpoint-wise, re-sorts the pair against
-    rounding as the interval reading of ``formula`` does, and gives the
-    scalar's bits on every element.  Crisp mode takes min whatever the
-    family: some are not exact on 0/1 (Frank's T(1, 1) rounds below 1 for
-    small s)."""
+    """One problem in one mode, validated on construction (an invalid one
+    raises a ValueError whose ``errors`` lists the violations): the mode's
+    connectives and fixed-point settings (``cfg``, by default
+    ``SolverConfig(family)``; crisp mode ignores it), the edges as block
+    indices, and rows as (blocks, exprs, w) arrays in ``problem.blocks``
+    order.  The complement reverses a (lo, hi) pair; the T-norm works
+    endpoint-wise, re-sorts the pair against rounding as the interval reading
+    of ``formula`` does, and gives the scalar's bits on every element.  Crisp
+    mode takes min whatever the family: some are not exact on 0/1 (Frank's
+    T(1, 1) rounds below 1 for small s)."""
 
     def __init__(self, problem: LcmProblem, mode: str, family: LogicFamily,
                  cfg: SolverConfig | None = None):
+        errors = validate_problem(problem, mode)
+        if errors:
+            exc = ValueError("invalid LCM problem: " + "; ".join(errors))
+            exc.errors = errors
+            raise exc
         self.problem, self.crisp = problem, mode == "crisp"
         self.width = 2 if mode == "interval" else 1
         self.cfg = cfg or SolverConfig(family=family)
@@ -260,28 +241,17 @@ class _Run:
         self.src = np.array([index[s] for s, _ in self.keys], dtype=int)
         self.dst = np.array([index[d] for _, d in self.keys], dtype=int)
 
-    @classmethod
-    def valid(cls, problem: LcmProblem, mode: str, family: LogicFamily, cfg=None) -> _Run:
-        """A run of ``problem``, which must be valid (else a ValueError whose
-        ``errors`` lists the violations)."""
-        errors = validate_problem(problem, mode)
-        if errors:
-            exc = ValueError("invalid LCM problem: " + "; ".join(errors))
-            exc.errors = errors
-            raise exc
-        return cls(problem, mode, family, cfg)
-
-    def stack(self, matrix: Mapping, edges: bool = False) -> np.ndarray:
-        """``matrix[k]`` for each block (or edge) k as a (keys, exprs, w) array."""
-        keys = self.keys if edges else self.problem.blocks
+    def stack(self, matrix: Mapping) -> np.ndarray:
+        """``matrix[b]`` for each block b as a (blocks, exprs, w) array."""
+        blocks = self.problem.blocks
         if self.width == 1:
-            rows = [matrix[k] for k in keys]
+            rows = [matrix[b] for b in blocks]
         else:
-            rows = [[(v.lo, v.hi) if isinstance(v, TruthInterval) else (v, v) for v in matrix[k]]
-                    for k in keys]
+            rows = [[(v.lo, v.hi) if isinstance(v, TruthInterval) else (v, v) for v in matrix[b]]
+                    for b in blocks]
         # Adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is,
         # so library-built rows print as file-loaded ones (truth_value) do.
-        shape = (len(keys), len(self.problem.exprs), self.width)
+        shape = (len(blocks), len(self.problem.exprs), self.width)
         out = np.array(rows, dtype=float).reshape(shape) + 0.0
         if not ((out >= 0.0) & (out <= 1.0)).all():
             # Clamp rounding noise and reject the rest, as the scalar norms do.
@@ -424,8 +394,8 @@ def _fixpoint(
 
 
 def _stage1(run: _Run, gen: np.ndarray, keep: np.ndarray, backward: bool):
-    """Availability, or (``backward``, gen UEE) anticipatability: the rows,
-    the merges and whether they converged."""
+    """AvOut(b) = DEE(b) | (AvIn(b) & !Kill(b)), or (``backward``) AnOut with UEE
+    for DEE and AnIn over successors: the rows, merges and convergence."""
     src, dst = (run.dst, run.src) if backward else (run.src, run.dst)
     alpha = [e.alpha_back if backward else e.alpha for e in run.problem.edges]
     links = _Links(len(gen), src, dst, alpha)
@@ -433,6 +403,8 @@ def _stage1(run: _Run, gen: np.ndarray, keep: np.ndarray, backward: bool):
 
 
 def _earliest(run: _Run, av_out, an_in, an_out, kill) -> np.ndarray:
+    """Earliest(i,j) = AnOut(j) & !AvOut(i) & (Kill(i) | !AnIn(i)), without
+    the last factor when i is the entry."""
     first = run.conj(an_out[run.dst], run.neg(av_out[run.src]))
     blocked = run.disj(kill[run.src], run.neg(an_in[run.src]))
     from_entry = np.array([s == run.problem.entry for s, _ in run.keys])[:, None, None]
@@ -440,101 +412,20 @@ def _earliest(run: _Run, av_out, an_in, an_out, kill) -> np.ndarray:
 
 
 def _later(run: _Run, ear: np.ndarray, not_uee: np.ndarray):
-    """LaterOut per edge, LaterIn per block and whether they converged."""
+    """LaterOut(i,j) = Earliest(i,j) | (LaterIn(i) & !UEE(i)) per edge, LaterIn
+    per block (the forward merge of LaterOut) and whether they converged."""
     alpha = [e.alpha for e in run.problem.edges]
     links = _Links(len(not_uee), np.arange(len(run.keys)), run.dst, alpha)
     return _fixpoint(run, ear, not_uee[run.src], run.src, links, rows_first=False)
 
 
 def _insert_delete(run: _Run, later_in, later_out, uee):
+    """Insert(i,j) = LaterOut(i,j) & !LaterIn(j); Delete(k) = UEE(k) &
+    !LaterIn(k), and 0 for the entry."""
     not_later = run.neg(later_in)
     delete = run.conj(uee, not_later)
     delete[run.problem.blocks.index(run.problem.entry)] = 0.0
     return run.conj(later_out, not_later[run.dst]), delete
-
-
-# -- public staged operations ---------------------------------------------------
-
-
-def _stage1_matrices(problem, mode, family, cfg, backward: bool) -> StageMatrices:
-    run = _Run.valid(problem, mode, family, cfg)
-    gen = run.stack(problem.uee if backward else problem.dee)
-    out, merged, converged = _stage1(run, gen, run.neg(run.stack(problem.kill)), backward)
-    return StageMatrices(_unstack(problem.blocks, out), _unstack(problem.blocks, merged), converged)
-
-
-def availability(
-    problem: LcmProblem,
-    mode: str,
-    family: LogicFamily,
-    cfg: SolverConfig | None = None,
-) -> StageMatrices:
-    """Forward must-analysis: AvOut(b) = DEE(b) | (AvIn(b) & !Kill(b))."""
-    return _stage1_matrices(problem, mode, family, cfg, backward=False)
-
-
-def anticipatability(
-    problem: LcmProblem,
-    mode: str,
-    family: LogicFamily,
-    cfg: SolverConfig | None = None,
-) -> StageMatrices:
-    """Backward must-analysis: AnOut(b) = UEE(b) | (AnIn(b) & !Kill(b)),
-    with AnIn the merge of AnOut over the block's successors."""
-    return _stage1_matrices(problem, mode, family, cfg, backward=True)
-
-
-def earliest(
-    problem: LcmProblem,
-    av_out: BlockMatrix,
-    an_in: BlockMatrix,
-    an_out: BlockMatrix,
-    mode: str,
-    family: LogicFamily,
-) -> EdgeMatrix:
-    """Pointwise per edge (i,j): the expression is anticipated at j, not
-    available after i, and cannot move above i (killed there, or not
-    anticipated on leaving i):
-
-        Earliest(i,j) = AnOut(j) & !AvOut(i) & (Kill(i) | !AnIn(i))
-        Earliest(entry,j) = AnOut(j) & !AvOut(entry)
-    """
-    run = _Run(problem, mode, family)
-    stacked = map(run.stack, (av_out, an_in, an_out, problem.kill))
-    return _unstack(run.keys, _earliest(run, *stacked))
-
-
-def later(
-    problem: LcmProblem,
-    earliest_m: EdgeMatrix,
-    mode: str,
-    family: LogicFamily,
-    cfg: SolverConfig | None = None,
-) -> LaterMatrices:
-    """Step (3): the fixed point placing evaluations as late as possible.
-
-        LaterOut(i,j) = Earliest(i,j) | (LaterIn(i) & !UEE(i))
-
-    with LaterIn(j) the forward merge of LaterOut over j's in-edges."""
-    run = _Run.valid(problem, mode, family, cfg)
-    not_uee = run.neg(run.stack(problem.uee))
-    out, later_in, converged = _later(run, run.stack(earliest_m, edges=True), not_uee)
-    return LaterMatrices(_unstack(problem.blocks, later_in), _unstack(run.keys, out), converged)
-
-
-def insert_delete(
-    problem: LcmProblem,
-    later_in: BlockMatrix,
-    later_out: EdgeMatrix,
-    mode: str,
-    family: LogicFamily,
-) -> tuple[EdgeMatrix, BlockMatrix]:
-    """Step (4): Insert(i,j) = LaterOut(i,j) & !LaterIn(j);
-    Delete(k) = UEE(k) & !LaterIn(k) for k != entry, else 0."""
-    run = _Run(problem, mode, family)
-    insert, delete = _insert_delete(run, run.stack(later_in), run.stack(later_out, edges=True),
-                                    run.stack(problem.uee))
-    return _unstack(run.keys, insert), _unstack(problem.blocks, delete)
 
 
 def lcm_pipeline(
@@ -547,7 +438,7 @@ def lcm_pipeline(
 
     The problem is validated, and its rows stacked, once per call; nothing
     is cached on it, so edits to its rows show in the next call."""
-    run = _Run.valid(problem, mode, family or LogicFamily.minmax(), cfg)
+    run = _Run(problem, mode, family or LogicFamily.minmax(), cfg)
     dee, uee, kill = map(run.stack, (problem.dee, problem.uee, problem.kill))
     not_kill = run.neg(kill)
     av_out, _, av_ok = _stage1(run, dee, not_kill, backward=False)
@@ -614,17 +505,16 @@ def problem_from_json_dict(data: Any) -> tuple[LcmProblem, LcmSettings]:
     settings.max_iters = _jsonio.load_setting(data, "max_iters", integer=True)
     interval = settings.mode == "interval"
 
-    blocks = [str(b) for b in data["blocks"]]
+    blocks = [str(b) for b in _jsonio.load_list(data["blocks"], "blocks")]
     edges = []
-    for i, raw in enumerate(data["edges"]):
+    for i, raw in enumerate(_jsonio.load_list(data["edges"], "edges")):
         _jsonio.check_keys(raw, f"edges[{i}]", ["from", "to", "alpha", "alpha_back"])
+        alpha = [_jsonio.load_number(raw[k], f"edges[{i}].{k}") for k in ("alpha", "alpha_back")]
         try:
-            edges.append(
-                LcmEdge(str(raw["from"]), str(raw["to"]), float(raw["alpha"]), float(raw["alpha_back"]))
-            )
+            edges.append(LcmEdge(str(raw["from"]), str(raw["to"]), *alpha))
         except ValueError as exc:
             raise FileFormatError(f"edges[{i}]: {exc}") from None
-    exprs = [str(name) for name in data["exprs"]]
+    exprs = [str(name) for name in _jsonio.load_list(data["exprs"], "exprs")]
 
     def matrix(name: str) -> BlockMatrix:
         if not isinstance(data[name], dict):

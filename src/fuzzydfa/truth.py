@@ -268,5 +268,10 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not self.epsilon > 0.0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if type(self.max_iters) is not int:  # bools are not counts
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        bits = self.quantize_bits
+        if bits is not None and (type(bits) is not int or bits < 1):
+            raise ValueError(f"quantize_bits must be None or an integer >= 1, got {bits!r}")

@@ -240,12 +240,16 @@ def test_missing_file_is_exit_1(capsys):
     assert err
 
 
-def _with_settings(data_dir, tmp_path, name, **settings):
+def _spoiled(data_dir, tmp_path, name, spoil):
     data = json.loads((data_dir / name).read_text())
-    data.update(settings)
+    spoil(data)
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def _with_settings(data_dir, tmp_path, name, **settings):
+    return _spoiled(data_dir, tmp_path, name, lambda data: data.update(settings))
 
 
 @pytest.mark.parametrize("command, name", [("solve", "fig1.json"), ("lcm", "diffpcm_t1.json")])
@@ -278,6 +282,57 @@ def test_lcm_honours_file_settings(data_dir, tmp_path, capsys):
     assert out == expected
     _, loose, _ = run(capsys, "lcm", path, "--epsilon", "1e-6")
     assert loose != out  # the option overrides the file
+
+
+@pytest.mark.parametrize("name", ["diffpcm_t1.json", "diffpcm_t2.json"])
+def test_lcm_that_does_not_converge_prints_its_report_and_exits_2(data_dir, capsys, name):
+    code, out, err = run(capsys, "lcm", str(data_dir / name), "--logic", "product",
+                         "--max-iters", "40")
+    assert (code, err) == (2, "")
+    assert out.endswith('"converged": false}\n')
+    assert json.loads(out)["converged"] is False
+
+
+def _set_alpha(value, key="alpha"):
+    return lambda data: data["edges"][0].__setitem__(key, value)
+
+
+MALFORMED_ALPHAS = [
+    (_set_alpha(None), "edges[0].alpha: expected a number, got None"),
+    (_set_alpha([0.5]), "edges[0].alpha: expected a number, got [0.5]"),
+    (_set_alpha("1"), "edges[0].alpha: expected a number, got '1'"),
+    (_set_alpha(True), "edges[0].alpha: expected a number, got True"),
+]
+MALFORMED_ALPHA_IDS = ["alpha-null", "alpha-list", "alpha-string", "alpha-bool"]
+MALFORMED_PROBLEMS = MALFORMED_ALPHAS + [
+    (_set_alpha("1", "alpha_back"), "edges[0].alpha_back: expected a number, got '1'"),
+    (lambda data: data.__setitem__("blocks", 5), "blocks: expected a list, got int"),
+    (lambda data: data.__setitem__("exprs", 7), "exprs: expected a list, got int"),
+    (lambda data: data.__setitem__("edges", None), "edges: expected a list, got NoneType"),
+]
+MALFORMED_GRAPHS = MALFORMED_ALPHAS + [
+    (lambda data: data.__setitem__("nodes", 3), "nodes: expected a list, got int"),
+    (lambda data: data.__setitem__("edges", None), "edges: expected a list, got NoneType"),
+    (lambda data: data.__setitem__("seed", [1]), "seed: expected an object, got list"),
+]
+
+
+@pytest.mark.parametrize("spoil, message", MALFORMED_PROBLEMS, ids=MALFORMED_ALPHA_IDS + [
+    "alpha_back-string", "blocks-int", "exprs-int", "edges-null"])
+def test_malformed_problem_files_are_format_errors(data_dir, tmp_path, capsys, spoil, message):
+    path = _spoiled(data_dir, tmp_path, "diffpcm_t1.json", spoil)
+    for command in ("lcm", "validate"):
+        code, out, err = run(capsys, command, path)
+        assert (code, out, err) == (1, "", f"error: {message}\n"), command
+
+
+@pytest.mark.parametrize("spoil, message", MALFORMED_GRAPHS, ids=MALFORMED_ALPHA_IDS + [
+    "nodes-int", "edges-null", "seed-list"])
+def test_malformed_graph_files_are_format_errors(data_dir, tmp_path, capsys, spoil, message):
+    path = _spoiled(data_dir, tmp_path, "fig1.json", spoil)
+    for command in ("solve", "validate"):
+        code, out, err = run(capsys, command, path)
+        assert (code, out, err) == (1, "", f"error: {message}\n"), command
 
 
 def test_lcm_on_a_single_block_file(tmp_path, capsys):

@@ -226,25 +226,19 @@ def test_fuzzy_headline_numbers(fuzzy_result):
     assert fuzzy_result.converged
 
 
-def test_anticipatability_diffpcm_values():
-    problem = diffpcm_problem()
-    stage = L.anticipatability(problem, "fuzzy", MINMAX)
+def test_anticipatability_diffpcm_values(fuzzy_result):
     transform = 5
     # The loop header anticipates the transform on nearly every path.
-    assert stage.out["B1"][transform] == pytest.approx(0.998001, abs=1e-4)
-    assert stage.merged["B1"][transform] == pytest.approx(0.998001, abs=1e-4)
-    assert stage.out["B5"][transform] == 0.0
-    assert stage.out["B4"][transform] == pytest.approx(1.0, abs=1e-9)
+    assert fuzzy_result.an_out["B1"][transform] == pytest.approx(0.998001, abs=1e-4)
+    assert fuzzy_result.an_in["B1"][transform] == pytest.approx(0.998001, abs=1e-4)
+    assert fuzzy_result.an_out["B5"][transform] == 0.0
+    assert fuzzy_result.an_out["B4"][transform] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_earliest_entry_edge_case(fuzzy_result):
-    problem = diffpcm_problem()
-    stage_av = L.availability(problem, "fuzzy", MINMAX)
-    stage_an = L.anticipatability(problem, "fuzzy", MINMAX)
-    ear = L.earliest(problem, stage_av.out, stage_an.merged, stage_an.out, "fuzzy", MINMAX)
-    for k in range(len(problem.exprs)):
-        expected = min(stage_an.out["B1"][k], 1.0 - stage_av.out["B0"][k])
-        assert ear[("B0", "B1")][k] == pytest.approx(expected, abs=1e-12)
+    for k in range(len(fuzzy_result.exprs)):
+        expected = min(fuzzy_result.an_out["B1"][k], 1.0 - fuzzy_result.av_out["B0"][k])
+        assert fuzzy_result.earliest[("B0", "B1")][k] == pytest.approx(expected, abs=1e-12)
 
 
 def test_delete_of_entry_block_is_zero(fuzzy_result):
@@ -333,17 +327,16 @@ def single_block_problem(dee: float, uee: float = 0.0, kill: float = 0.0) -> Lcm
 
 
 def test_single_block_availability_is_its_dee():
-    stage = L.availability(single_block_problem(dee=1.0), "fuzzy", MINMAX)
-    assert stage.out["only"] == [1.0]
-    crisp = L.availability(single_block_problem(dee=1.0), "crisp", MINMAX)
-    assert crisp.out["only"] == [1.0]
+    for mode in ("fuzzy", "crisp"):
+        result = L.lcm_pipeline(single_block_problem(dee=1.0), mode, MINMAX)
+        assert result.av_out["only"] == [1.0]
 
 
 def test_rows_outside_the_unit_interval_are_rejected():
     with pytest.raises(TruthValueError):
-        L.availability(single_block_problem(dee=1.5), "fuzzy", MINMAX)
-    stage = L.availability(single_block_problem(dee=1.0 + 1e-13), "fuzzy", MINMAX)
-    assert stage.out["only"] == [1.0]
+        L.lcm_pipeline(single_block_problem(dee=1.5), "fuzzy", MINMAX)
+    result = L.lcm_pipeline(single_block_problem(dee=1.0 + 1e-13), "fuzzy", MINMAX)
+    assert result.av_out["only"] == [1.0]
 
 
 def test_all_kill_availability_equals_dee():
@@ -354,9 +347,9 @@ def test_all_kill_availability_equals_dee():
     uee = {b: [0.0] * 3 for b in blocks}
     kill = {b: [1.0] * 3 for b in blocks}
     problem = LcmProblem(blocks, edges, ["a", "b", "c"], dee, uee, kill, "x0", "x2")
-    stage = L.availability(problem, "fuzzy", MINMAX)
+    av_out = L.lcm_pipeline(problem, "fuzzy", MINMAX).av_out
     for b in blocks:
-        for got, want in zip(stage.out[b], dee[b]):
+        for got, want in zip(av_out[b], dee[b]):
             assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -366,8 +359,8 @@ def test_saturated_uee_saturates_anticipatability():
     ones = {b: [1.0] for b in blocks}
     zeros = {b: [0.0] for b in blocks}
     problem = LcmProblem(blocks, edges, ["e"], zeros, ones, zeros, "x0", "x2")
-    stage = L.anticipatability(problem, "fuzzy", MINMAX)
-    assert all(stage.out[b] == [1.0] for b in blocks)
+    an_out = L.lcm_pipeline(problem, "fuzzy", MINMAX).an_out
+    assert all(an_out[b] == [1.0] for b in blocks)
 
 
 def test_crisp_earliest_edge_saturates_later_out():
@@ -383,15 +376,13 @@ def test_chain_with_no_earliest_keeps_later_at_zero():
     edges = [LcmEdge("x0", "x1", 1.0, 1.0), LcmEdge("x1", "x2", 1.0, 1.0)]
     zeros = {b: [0.0] for b in blocks}
     problem = LcmProblem(blocks, edges, ["e"], zeros, zeros, zeros, "x0", "x2")
-    ear = {(e.src, e.dst): [0.0] for e in problem.edges}
-    lat = L.later(problem, ear, "fuzzy", MINMAX)
-    assert all(v == 0.0 for row in lat.later_out.values() for v in row)
-    assert all(v == 0.0 for row in lat.later_in.values() for v in row)
+    result = L.lcm_pipeline(problem, "fuzzy", MINMAX)
+    for matrix in (result.earliest, result.later_out, result.later_in):
+        assert all(v == 0.0 for row in matrix.values() for v in row)
 
 
 def test_saturated_later_in_blocks_deletion():
-    problem = single_block_problem(dee=0.0, uee=1.0)
-    problem2 = LcmProblem(
+    problem = LcmProblem(
         blocks=["a", "b"],
         edges=[LcmEdge("a", "b", 1.0, 1.0)],
         exprs=["e"],
@@ -401,11 +392,11 @@ def test_saturated_later_in_blocks_deletion():
         entry="a",
         exit="b",
     )
-    insert, delete = L.insert_delete(
-        problem2, {"a": [0.0], "b": [1.0]}, {("a", "b"): [1.0]}, "crisp", MINMAX
-    )
-    assert delete["b"] == [0.0]
-    assert insert[("a", "b")] == [0.0]
+    result = L.lcm_pipeline(problem, "crisp", MINMAX)
+    assert result.later_in["b"] == [1.0]
+    assert result.later_out[("a", "b")] == [1.0]
+    assert result.delete["b"] == [0.0]
+    assert result.insert[("a", "b")] == [0.0]
 
 
 def test_empty_expression_list_gives_empty_matrices():
@@ -577,8 +568,6 @@ def test_negative_zero_rows_report_as_zero(seed, mode, logic):
 
 # -- the pipeline on arrays ------------------------------------------------------------
 
-STAGED_FAMILIES = ["minmax", "product", "lukasiewicz", "frank:2", "nilpotent"]
-
 
 def moded_problem(seed: int, mode: str) -> LcmProblem:
     """A random CFG with rows of the mode's kind."""
@@ -592,28 +581,6 @@ def moded_problem(seed: int, mode: str) -> LcmProblem:
             for b, row in rows.items():
                 rows[b] = [TruthInterval(*sorted((v, rng.random()))) for v in row]
     return problem
-
-
-@pytest.mark.parametrize("logic", STAGED_FAMILIES)
-@pytest.mark.parametrize("mode", ["crisp", "fuzzy", "interval"])
-def test_staged_functions_compose_to_the_pipeline_bit_for_bit(mode, logic):
-    family = LogicFamily.parse(logic)
-    cfg = SolverConfig(family=family, max_iters=3000)
-    for seed in range(300, 306):
-        problem = moded_problem(seed, mode)
-        result = L.lcm_pipeline(problem, mode, family, cfg)
-        av = L.availability(problem, mode, family, cfg)
-        an = L.anticipatability(problem, mode, family, cfg)
-        ear = L.earliest(problem, av.out, an.merged, an.out, mode, family)
-        lat = L.later(problem, ear, mode, family, cfg)
-        insert, delete = L.insert_delete(problem, lat.later_in, lat.later_out, mode, family)
-        staged = {"av_out": av.out, "an_in": an.merged, "an_out": an.out, "earliest": ear,
-                  "later_in": lat.later_in, "later_out": lat.later_out, "insert": insert,
-                  "delete": delete}
-        for name, matrix in staged.items():
-            # repr tells every float apart, -0.0 from 0.0 included.
-            assert repr(dict(getattr(result, name))) == repr(matrix), (seed, name)
-        assert result.converged == (av.converged and an.converged and lat.converged)
 
 
 def test_interval_pipeline_and_report_build_no_intervals_and_validate_once(monkeypatch, data_dir):

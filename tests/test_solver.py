@@ -164,6 +164,26 @@ def test_solver_config_validation():
         SolverConfig(family=MINMAX, max_iters=0)
 
 
+@pytest.mark.parametrize("settings, message", [
+    ({"quantize_bits": 0}, "quantize_bits must be None or an integer >= 1, got 0"),
+    ({"quantize_bits": -1}, "quantize_bits must be None or an integer >= 1, got -1"),
+    ({"quantize_bits": True}, "quantize_bits must be None or an integer >= 1, got True"),
+    ({"quantize_bits": 2.0}, "quantize_bits must be None or an integer >= 1, got 2.0"),
+    ({"max_iters": 2.5}, "max_iters must be an integer, got 2.5"),
+    ({"max_iters": True}, "max_iters must be an integer, got True"),
+], ids=["bits-0", "bits-negative", "bits-bool", "bits-float", "iters-fraction", "iters-bool"])
+def test_solver_config_checks_integer_settings_on_construction(settings, message):
+    with pytest.raises(ValueError) as info:
+        SolverConfig(family=MINMAX, **settings)
+    assert str(info.value) == message
+
+
+def test_solver_config_accepts_integer_settings():
+    cfg = SolverConfig(family=MINMAX, max_iters=1, quantize_bits=1)
+    assert (cfg.max_iters, cfg.quantize_bits) == (1, 1)
+    assert SolverConfig(family=MINMAX).quantize_bits is None
+
+
 # -- framework properties ---------------------------------------------------------
 
 
