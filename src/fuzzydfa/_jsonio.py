@@ -16,6 +16,7 @@ __all__ = [
     "load_file",
     "check_keys",
     "load_list",
+    "load_string",
     "load_number",
     "load_setting",
     "load_value",
@@ -115,6 +116,13 @@ def load_list(raw: Any, context: str) -> list:
     """Return ``raw``, which must be a JSON array."""
     if not isinstance(raw, list):
         raise FileFormatError(f"{context}: expected a list, got {type(raw).__name__}")
+    return raw
+
+
+def load_string(raw: Any, context: str) -> str:
+    """Return ``raw``, which must be a JSON string: names are not coerced."""
+    if not isinstance(raw, str):
+        raise FileFormatError(f"{context}: expected a string, got {raw!r}")
     return raw
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from itertools import product
 from typing import Any, Sequence
 
@@ -22,6 +21,7 @@ import numpy as np
 
 from . import _jsonio
 from ._jsonio import FileFormatError
+from .truth import _Frozen, _Record, _set
 
 __all__ = [
     "TriangularMf", "Rule", "AnfisModel", "Prediction", "TrainConfig", "HarnessResult",
@@ -39,21 +39,23 @@ class DimensionMismatchError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TriangularMf:
+class TriangularMf(_Frozen):
     """Triangular membership: 0 outside [a, c], peak 1 at b, linear ramps."""
 
+    _fields = ("a", "b", "c")
     a: float
     b: float
     c: float
 
-    def __post_init__(self) -> None:
-        points = (self.a, self.b, self.c)
+    def __init__(self, a: float, b: float, c: float) -> None:
         # An infinite end makes a ramp inf/inf, so membership would be nan.
-        if not all(map(math.isfinite, points)):
-            raise ValueError(f"breakpoints must be finite: {points}")
-        if not self.a <= self.b <= self.c:
-            raise ValueError(f"breakpoints out of order: {points}")
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+            raise ValueError(f"breakpoints must be finite: {(a, b, c)}")
+        if not a <= b <= c:
+            raise ValueError(f"breakpoints out of order: {(a, b, c)}")
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
 
     def membership(self, x: float) -> float:
         if x == self.b:
@@ -65,55 +67,57 @@ class TriangularMf:
         return (self.c - x) / (self.c - self.b)
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(_Frozen):
+    _fields = ("antecedents", "consequent")
     antecedents: tuple[TriangularMf, ...]
     consequent: tuple[float, ...]  # c0 + c1*x1 + ... + cn*xn
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "antecedents", tuple(self.antecedents))
-        object.__setattr__(self, "consequent", tuple(float(c) for c in self.consequent))
-        if len(self.consequent) != len(self.antecedents) + 1:
+    def __init__(self, antecedents: Sequence[TriangularMf], consequent: Sequence[float]) -> None:
+        antecedents, consequent = tuple(antecedents), tuple(map(float, consequent))
+        if len(consequent) != len(antecedents) + 1:
             raise DimensionMismatchError(
-                f"rule with {len(self.antecedents)} antecedents needs "
-                f"{len(self.antecedents) + 1} consequent coefficients"
+                f"rule with {len(antecedents)} antecedents needs "
+                f"{len(antecedents) + 1} consequent coefficients"
             )
+        _set(self, "antecedents", antecedents)
+        _set(self, "consequent", consequent)
 
     def output(self, x: Sequence[float]) -> float:
         return self.consequent[0] + sum(c * v for c, v in zip(self.consequent[1:], x))
 
 
-@dataclass(frozen=True)
-class AnfisModel:
+class AnfisModel(_Frozen):
     """The rules are also held as arrays, built once and shared by the models
     that ``lms_update``, ``ls_fit`` and ``run_harness`` derive, which build
     their ``Rule`` objects only when ``rules`` is read."""
 
+    _fields = ("rules", "dim", "and_op")
     rules: tuple[Rule, ...]
     dim: int
-    and_op: str = "min"  # "min" | "product"
+    and_op: str  # "min" | "product"
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rules", tuple(self.rules))
-        if not self.rules:
+    def __init__(self, rules: Sequence[Rule], dim: int, and_op: str = "min") -> None:
+        rules = tuple(rules)
+        if not rules:
             raise ValueError("model needs at least one rule")
-        if self.dim < 1:
-            raise ValueError(f"input dimension must be >= 1, got {self.dim}")
-        if self.and_op not in ("min", "product"):
-            raise ValueError(f"and_op must be 'min' or 'product', got {self.and_op!r}")
-        for rule in self.rules:
-            if len(rule.antecedents) != self.dim:
+        if dim < 1:
+            raise ValueError(f"input dimension must be >= 1, got {dim}")
+        if and_op not in ("min", "product"):
+            raise ValueError(f"and_op must be 'min' or 'product', got {and_op!r}")
+        for rule in rules:
+            if len(rule.antecedents) != dim:
                 raise DimensionMismatchError(
-                    f"rule has {len(rule.antecedents)} antecedents, model dim is {self.dim}"
+                    f"rule has {len(rule.antecedents)} antecedents, model dim is {dim}"
                 )
         # Each distinct (input, mf) is evaluated once; ``index`` gathers them.
-        antecedents = tuple(rule.antecedents for rule in self.rules)
+        antecedents = tuple(rule.antecedents for rule in rules)
         mfs: dict = {}
         index = [[mfs.setdefault(m, len(mfs)) for m in enumerate(ante)] for ante in antecedents]
         k, a, b, c = np.array([(k, mf.a, mf.b, mf.c) for k, mf in mfs]).T
         mf = (k.astype(int), a, b, c, b - a, c - b, np.array(index).T)
-        coef = np.array([rule.consequent for rule in self.rules])  # rules x (dim + 1)
-        self.__dict__.update(_antecedents=antecedents, _mf=mf, _coef=coef)
+        coef = np.array([rule.consequent for rule in rules])  # rules x (dim + 1)
+        self.__dict__.update(rules=rules, dim=dim, and_op=and_op, _antecedents=antecedents, _mf=mf,
+                             _coef=coef)
 
     def _with(self, coef: np.ndarray) -> AnfisModel:  # same antecedents, new consequents
         model = object.__new__(AnfisModel)
@@ -128,12 +132,15 @@ class AnfisModel:
         return self.rules
 
 
-@dataclass
-class Prediction:
-    output: float
-    firing: list[float]       # layer 2: w_i
-    normalized: list[float]   # layer 3: w_i / sum_j w_j
-    rule_outputs: list[float]  # f_i(x)
+class Prediction(_Record):
+    _fields = ("output", "firing", "normalized", "rule_outputs")
+
+    def __init__(self, output: float, firing: list[float], normalized: list[float],
+                 rule_outputs: list[float]) -> None:
+        self.output = output
+        self.firing = firing              # layer 2: w_i
+        self.normalized = normalized      # layer 3: w_i / sum_j w_j
+        self.rule_outputs = rule_outputs  # f_i(x)
 
 
 def _layers(model: AnfisModel, xs: Sequence[Sequence[float]]):
@@ -222,24 +229,29 @@ def uniform_model(dim: int, mfs_per_dim: int = 3, and_op: str = "min") -> AnfisM
 # -- decision harness ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(_Frozen):
+    _fields = ("mu", "retrain_error_threshold")
     mu: float
-    retrain_error_threshold: float = 0.8
+    retrain_error_threshold: float
 
-    def __post_init__(self) -> None:
-        if not self.mu > 0.0:
-            raise ValueError(f"mu must be > 0, got {self.mu}")
-        if not 0.0 <= self.retrain_error_threshold <= 1.0:
-            threshold = self.retrain_error_threshold
-            raise ValueError(f"retrain_error_threshold must be in [0,1], got {threshold}")
+    def __init__(self, mu: float, retrain_error_threshold: float = 0.8) -> None:
+        if not mu > 0.0:
+            raise ValueError(f"mu must be > 0, got {mu}")
+        if not 0.0 <= retrain_error_threshold <= 1.0:
+            raise ValueError(
+                f"retrain_error_threshold must be in [0,1], got {retrain_error_threshold}")
+        _set(self, "mu", mu)
+        _set(self, "retrain_error_threshold", retrain_error_threshold)
 
 
-@dataclass
-class HarnessResult:
-    error_rates: list[float]
-    update_model: AnfisModel
-    leave_model: AnfisModel
+class HarnessResult(_Record):
+    _fields = ("error_rates", "update_model", "leave_model")
+
+    def __init__(self, error_rates: list[float], update_model: AnfisModel,
+                 leave_model: AnfisModel) -> None:
+        self.error_rates = error_rates
+        self.update_model = update_model
+        self.leave_model = leave_model
 
 
 def run_harness(

@@ -14,13 +14,12 @@ recomputed.  Every source must therefore have a seed entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
 from . import _jsonio
 from ._jsonio import FileFormatError
 from .formula import Formula, Value, format_formula, free_vars, parse_formula
-from .truth import LogicFamily, truth_value
+from .truth import LogicFamily, _Frozen, _Record, _set, truth_value
 
 __all__ = [
     "Edge",
@@ -42,22 +41,27 @@ WEIGHT_SUM_TOL = 1e-9
 INPUT_NAME = "In"
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(_Frozen):
+    _fields = ("src", "dst", "alpha")
     src: str
     dst: str
     alpha: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", truth_value(self.alpha))
+    def __init__(self, src: str, dst: str, alpha: float) -> None:
+        _set(self, "src", src)
+        _set(self, "dst", dst)
+        _set(self, "alpha", truth_value(alpha))
 
 
-@dataclass
-class FlowGraph:
-    transfers: dict[str, dict[str, Formula]]  # node id -> property -> formula
-    edges: list[Edge]
-    start: str
-    seeds: dict[str, Valuation] = field(default_factory=dict)
+class FlowGraph(_Record):
+    _fields = ("transfers", "edges", "start", "seeds")
+
+    def __init__(self, transfers: dict[str, dict[str, Formula]], edges: list[Edge], start: str,
+                 seeds: dict[str, Valuation] | None = None) -> None:
+        self.transfers = transfers  # node id -> property -> formula
+        self.edges = edges
+        self.start = start
+        self.seeds = {} if seeds is None else seeds
 
     def pinned(self) -> set[str]:
         """The start node plus every node with no incoming edges."""
@@ -65,10 +69,12 @@ class FlowGraph:
         return {self.start} | (set(self.transfers) - with_preds)
 
 
-@dataclass
-class ValidationReport:
-    errors: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+class ValidationReport(_Record):
+    _fields = ("errors", "warnings")
+
+    def __init__(self, errors: list[str] | None = None, warnings: list[str] | None = None) -> None:
+        self.errors = [] if errors is None else errors
+        self.warnings = [] if warnings is None else warnings
 
     @property
     def ok(self) -> bool:
@@ -167,14 +173,14 @@ def validate(graph: FlowGraph) -> ValidationReport:
 # -- JSON problem format ------------------------------------------------------
 
 
-@dataclass
-class GraphSettings:
+class GraphSettings(_Record):
     """Solver-facing settings carried by a graph problem file."""
 
-    logic: LogicFamily | None = None
-    mode: str = "scalar"  # "scalar" | "interval"
-    epsilon: float | None = None
-    max_iters: int | None = None
+    _fields = ("logic", "mode", "epsilon", "max_iters")
+
+    def __init__(self, logic: LogicFamily | None = None, mode: str = "scalar",  # | "interval"
+                 epsilon: float | None = None, max_iters: int | None = None) -> None:
+        self.logic, self.mode, self.epsilon, self.max_iters = logic, mode, epsilon, max_iters
 
 
 def graph_from_json_dict(data: Any) -> tuple[FlowGraph, GraphSettings]:
@@ -199,7 +205,7 @@ def graph_from_json_dict(data: Any) -> tuple[FlowGraph, GraphSettings]:
     transfers: dict[str, dict[str, Formula]] = {}
     for i, node in enumerate(_jsonio.load_list(data["nodes"], "nodes")):
         _jsonio.check_keys(node, f"nodes[{i}]", ["id", "transfer"])
-        node_id = str(node["id"])
+        node_id = _jsonio.load_string(node["id"], f"nodes[{i}].id")
         if node_id in transfers:
             raise FileFormatError(f"nodes[{i}]: duplicate node id {node_id!r}")
         if not isinstance(node["transfer"], dict) or not node["transfer"]:
@@ -210,8 +216,9 @@ def graph_from_json_dict(data: Any) -> tuple[FlowGraph, GraphSettings]:
                 raise FileFormatError(
                     f"nodes[{i}].transfer: property name {INPUT_NAME!r} is reserved"
                 )
+            text = _jsonio.load_string(text, f"nodes[{i}].transfer[{prop!r}]")
             try:
-                transfer[str(prop)] = parse_formula(str(text))
+                transfer[str(prop)] = parse_formula(text)
             except ValueError as exc:
                 raise FileFormatError(f"nodes[{i}].transfer[{prop!r}]: {exc}") from None
         transfers[node_id] = transfer
@@ -219,9 +226,10 @@ def graph_from_json_dict(data: Any) -> tuple[FlowGraph, GraphSettings]:
     edges = []
     for i, raw in enumerate(_jsonio.load_list(data["edges"], "edges")):
         _jsonio.check_keys(raw, f"edges[{i}]", ["from", "to", "alpha"])
+        src, dst = (_jsonio.load_string(raw[k], f"edges[{i}].{k}") for k in ("from", "to"))
         alpha = _jsonio.load_number(raw["alpha"], f"edges[{i}].alpha")
         try:
-            edges.append(Edge(str(raw["from"]), str(raw["to"]), alpha))
+            edges.append(Edge(src, dst, alpha))
         except ValueError as exc:
             raise FileFormatError(f"edges[{i}]: {exc}") from None
 
@@ -237,7 +245,8 @@ def graph_from_json_dict(data: Any) -> tuple[FlowGraph, GraphSettings]:
             for prop, v in valuation.items()
         }
 
-    return FlowGraph(transfers, edges, str(data["start"]), seeds), settings
+    start = _jsonio.load_string(data["start"], "start")
+    return FlowGraph(transfers, edges, start, seeds), settings
 
 
 def graph_to_json_dict(graph: FlowGraph, settings: GraphSettings | None = None) -> dict:

@@ -20,10 +20,9 @@ Precedence is ``!`` > ``&`` > ``|``; both binary connectives fold left.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .truth import LogicFamily, TruthInterval, truth_value
+from .truth import LogicFamily, TruthInterval, _Frozen, _set, truth_value
 
 Value = Union[float, TruthInterval]
 
@@ -61,8 +60,7 @@ class FormulaSyntaxError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Formula:
+class Formula(_Frozen):
     """Base class; concrete nodes are Var, Const, Not, And, Or."""
 
     def __and__(self, other: "Formula") -> "Formula":
@@ -75,39 +73,48 @@ class Formula:
         return Not(self)
 
 
-@dataclass(frozen=True)
 class Var(Formula):
+    _fields = ("name",)
     name: str
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(self, name: str) -> None:
+        if not name:
             raise ValueError("variable name must be nonempty")
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Const(Formula):
+    _fields = ("value",)
     value: Value
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, TruthInterval):
-            object.__setattr__(self, "value", truth_value(self.value))
+    def __init__(self, value: Value) -> None:
+        _set(self, "value", value if isinstance(value, TruthInterval) else truth_value(value))
 
 
-@dataclass(frozen=True)
 class Not(Formula):
+    _fields = ("arg",)
     arg: Formula
 
+    def __init__(self, arg: Formula) -> None:
+        _set(self, "arg", arg)
 
-@dataclass(frozen=True)
-class And(Formula):
+
+class _Binary(Formula):
+    _fields = ("left", "right")
     left: Formula
     right: Formula
 
+    def __init__(self, left: Formula, right: Formula) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+
+class And(_Binary):
+    pass
+
+
+class Or(_Binary):
+    pass
 
 
 def free_vars(f: Formula) -> frozenset[str]:

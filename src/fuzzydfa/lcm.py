@@ -32,7 +32,6 @@ just its upward-exposed set, and nothing is "later" than the entry
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Mapping, Sequence, Union
 
@@ -40,7 +39,7 @@ import numpy as np
 
 from . import _jsonio
 from ._jsonio import LCM_MODES as MODES, FileFormatError
-from .truth import LogicFamily, SolverConfig, TruthInterval, truth_value
+from .truth import LogicFamily, SolverConfig, TruthInterval, _Frozen, _Record, _set, truth_value
 
 __all__ = [
     "LcmEdge",
@@ -64,28 +63,29 @@ class WidthMismatchError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LcmEdge:
+class LcmEdge(_Frozen):
+    _fields = ("src", "dst", "alpha", "alpha_back")
     src: str
     dst: str
     alpha: float         # forward contribution, normalized over dst's in-edges
     alpha_back: float    # backward contribution, normalized over src's out-edges
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", truth_value(self.alpha))
-        object.__setattr__(self, "alpha_back", truth_value(self.alpha_back))
+    def __init__(self, src: str, dst: str, alpha: float, alpha_back: float) -> None:
+        _set(self, "src", src)
+        _set(self, "dst", dst)
+        _set(self, "alpha", truth_value(alpha))
+        _set(self, "alpha_back", truth_value(alpha_back))
 
 
-@dataclass
-class LcmProblem:
-    blocks: list[str]
-    edges: list[LcmEdge]
-    exprs: list[str]
-    dee: BlockMatrix
-    uee: BlockMatrix
-    kill: BlockMatrix
-    entry: str
-    exit: str
+class LcmProblem(_Record):
+    _fields = ("blocks", "edges", "exprs", "dee", "uee", "kill", "entry", "exit")
+
+    def __init__(self, blocks: list[str], edges: list[LcmEdge], exprs: list[str],
+                 dee: BlockMatrix, uee: BlockMatrix, kill: BlockMatrix, entry: str,
+                 exit: str) -> None:
+        self.blocks, self.edges, self.exprs = blocks, edges, exprs
+        self.dee, self.uee, self.kill = dee, uee, kill
+        self.entry, self.exit = entry, exit
 
 
 def validate_problem(problem: LcmProblem, mode: str) -> list[str]:
@@ -160,8 +160,7 @@ _MATRICES = ("av_out", "an_in", "an_out", "earliest", "later_in", "later_out", "
 _EDGE_MATRICES = ("earliest", "later_out", "insert")
 
 
-@dataclass(frozen=True, eq=False)
-class LcmResult:
+class LcmResult(_Frozen):
     """Every matrix of a pipeline run, held as a read-only (rows, exprs, w)
     array keyed by matrix name, with the block ids and (src, dst) edge keys
     that index its rows.  ``av_out`` ... ``delete`` are read-only views of
@@ -169,16 +168,15 @@ class LcmResult:
     built on its first read; ``to_json_dict`` prints from the arrays and
     builds none.  Two results are equal when their reports are."""
 
-    mode: str
-    exprs: list[str]
-    converged: bool
-    _blocks: list[str]
-    _edges: list[tuple[str, str]]
-    _arrays: dict[str, np.ndarray]   # av_out ... delete, in report order
+    _fields = ("mode", "exprs", "converged", "_blocks", "_edges", "_arrays")
 
-    def __post_init__(self) -> None:
-        for values in self._arrays.values():
+    def __init__(self, mode: str, exprs: list[str], converged: bool, _blocks: list[str],
+                 _edges: list[tuple[str, str]],
+                 _arrays: dict[str, np.ndarray]) -> None:  # av_out ... delete, in report order
+        for values in _arrays.values():
             values.flags.writeable = False
+        self.__dict__.update(mode=mode, exprs=exprs, converged=converged, _blocks=_blocks,
+                             _edges=_edges, _arrays=_arrays)
 
     def __getattr__(self, name: str) -> Mapping:
         if name not in _MATRICES:
@@ -477,12 +475,12 @@ def join_targets(rows: Sequence[Sequence[Value]]) -> list[TruthInterval]:
 # -- JSON problem format ----------------------------------------------------------
 
 
-@dataclass
-class LcmSettings:
-    mode: str = "fuzzy"
-    logic: LogicFamily | None = None
-    epsilon: float | None = None
-    max_iters: int | None = None
+class LcmSettings(_Record):
+    _fields = ("mode", "logic", "epsilon", "max_iters")
+
+    def __init__(self, mode: str = "fuzzy", logic: LogicFamily | None = None,
+                 epsilon: float | None = None, max_iters: int | None = None) -> None:
+        self.mode, self.logic, self.epsilon, self.max_iters = mode, logic, epsilon, max_iters
 
 
 def problem_from_json_dict(data: Any) -> tuple[LcmProblem, LcmSettings]:
@@ -505,16 +503,19 @@ def problem_from_json_dict(data: Any) -> tuple[LcmProblem, LcmSettings]:
     settings.max_iters = _jsonio.load_setting(data, "max_iters", integer=True)
     interval = settings.mode == "interval"
 
-    blocks = [str(b) for b in _jsonio.load_list(data["blocks"], "blocks")]
+    blocks = [_jsonio.load_string(b, f"blocks[{k}]")
+              for k, b in enumerate(_jsonio.load_list(data["blocks"], "blocks"))]
     edges = []
     for i, raw in enumerate(_jsonio.load_list(data["edges"], "edges")):
         _jsonio.check_keys(raw, f"edges[{i}]", ["from", "to", "alpha", "alpha_back"])
+        ends = [_jsonio.load_string(raw[k], f"edges[{i}].{k}") for k in ("from", "to")]
         alpha = [_jsonio.load_number(raw[k], f"edges[{i}].{k}") for k in ("alpha", "alpha_back")]
         try:
-            edges.append(LcmEdge(str(raw["from"]), str(raw["to"]), *alpha))
+            edges.append(LcmEdge(*ends, *alpha))
         except ValueError as exc:
             raise FileFormatError(f"edges[{i}]: {exc}") from None
-    exprs = [str(name) for name in _jsonio.load_list(data["exprs"], "exprs")]
+    exprs = [_jsonio.load_string(name, f"exprs[{k}]")
+             for k, name in enumerate(_jsonio.load_list(data["exprs"], "exprs"))]
 
     def matrix(name: str) -> BlockMatrix:
         if not isinstance(data[name], dict):
@@ -531,8 +532,8 @@ def problem_from_json_dict(data: Any) -> tuple[LcmProblem, LcmSettings]:
         dee=matrix("dee"),
         uee=matrix("uee"),
         kill=matrix("kill"),
-        entry=str(data["entry"]),
-        exit=str(data["exit"]),
+        entry=_jsonio.load_string(data["entry"], "entry"),
+        exit=_jsonio.load_string(data["exit"], "exit"),
     )
     return problem, settings
 

@@ -17,21 +17,24 @@ with ``In`` bound to the property it computes (see ``formula``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from .flowgraph import INPUT_NAME, FlowGraph, Valuation, validate
 from .formula import _Ops
-from .truth import LogicFamily, SolverConfig, quantize
+from .truth import LogicFamily, SolverConfig, _Record, quantize
 
 __all__ = ["SolverConfig", "SolveReport", "step", "step_interval", "solve", "solve_interval"]
 
 GlobalState = dict[str, Valuation]
 
-@dataclass
-class SolveReport:
-    final: GlobalState
-    iterations: int
-    residual_trace: list[float] = field(default_factory=list)
-    converged: bool = False
+
+class SolveReport(_Record):
+    _fields = ("final", "iterations", "residual_trace", "converged")
+
+    def __init__(self, final: GlobalState, iterations: int,
+                 residual_trace: list[float] | None = None, converged: bool = False) -> None:
+        self.final = final
+        self.iterations = iterations
+        self.residual_trace = [] if residual_trace is None else residual_trace
+        self.converged = converged
 
     def to_json_dict(self) -> dict:
         from ._jsonio import dump_value

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -43,6 +42,49 @@ _FRANK_MIN_S = 2.0**-28
 
 _FAMILY_KINDS = ("minmax", "product", "lukasiewicz", "nilpotent", "frank")
 
+# Sets a frozen record's field in its ``__init__``, past the refusing
+# __setattr__.  Unlike a write to ``self.__dict__``, it leaves the fields in
+# the instance's compact inline storage: smaller, and faster to read.
+_set = object.__setattr__
+
+
+class _Record:
+    """A record over the fields named in ``_fields``: ``==`` compares them,
+    and only between instances of one class, and the repr is
+    ``Name(field=value, ...)``.  Like any class with ``__eq__``, a record is
+    unhashable unless it is ``_Frozen``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls._fields  # ``case Name(a, b)`` binds fields by position
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Frozen(_Record):
+    """A record whose fields ``__init__`` sets once (with ``_set``); it hashes
+    by them and refuses any later assignment or deletion."""
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
 
 class TruthValueError(ValueError):
     """Raised when a number cannot be interpreted as a degree in [0,1]."""
@@ -65,30 +107,28 @@ def quantize(x: float, q: int) -> float:
     return min(1.0, round(truth_value(x) * scale) / scale)
 
 
-@dataclass(frozen=True)
-class TruthInterval:
+class TruthInterval(_Frozen):
     """A sub-interval [lo, hi] of the unit interval.
 
     Used as the value domain of interval (type-2) analyses: the width of
     the interval measures uncertainty about the degree itself.
     """
 
+    _fields = ("lo", "hi")
     lo: float
     hi: float
 
-    def __post_init__(self) -> None:
-        lo, hi = self.lo, self.hi
+    def __init__(self, lo: float, hi: float) -> None:
         if type(lo) is float and type(hi) is float and 0.0 <= lo <= hi <= 1.0:
             # Already valid; truth_value would change only a -0.0.
             if lo == 0.0:
-                object.__setattr__(self, "lo", 0.0)
-                if hi == 0.0:
-                    object.__setattr__(self, "hi", 0.0)
-            return
-        object.__setattr__(self, "lo", truth_value(lo))
-        object.__setattr__(self, "hi", truth_value(hi))
-        if self.lo > self.hi:
-            raise TruthValueError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
+                lo, hi = 0.0, hi or 0.0
+        else:
+            lo, hi = truth_value(lo), truth_value(hi)
+            if lo > hi:
+                raise TruthValueError(f"interval endpoints out of order: [{lo}, {hi}]")
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
 
     @staticmethod
     def degenerate(x: float) -> "TruthInterval":
@@ -113,27 +153,28 @@ def _each(fn, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-@dataclass(frozen=True)
-class LogicFamily:
+class LogicFamily(_Frozen):
     """A (T-norm, S-norm, C-norm) triple; the S-norm is always the De Morgan
     dual of the T-norm, so duality holds bit-exactly by construction."""
 
+    _fields = ("kind", "s")
     kind: str
-    s: float | None = None
+    s: float | None
 
-    def __post_init__(self) -> None:
-        if self.kind not in _FAMILY_KINDS:
-            raise ValueError(f"unknown logic family {self.kind!r}")
-        if self.kind == "frank":
-            s = self.s
+    def __init__(self, kind: str, s: float | None = None) -> None:
+        if kind not in _FAMILY_KINDS:
+            raise ValueError(f"unknown logic family {kind!r}")
+        if kind == "frank":
             if s is None or not math.isfinite(s) or s < _FRANK_MIN_S or s == 1.0:
                 raise ValueError(
                     f"frank parameter must be finite, >= 2**-28 (~3.7e-9) and != 1, "
                     f"got {s!r} (the limits 0, 1, inf are minmax, product and "
                     "lukasiewicz; below 2**-28 the T-norm is off by more than 1e-9)"
                 )
-        elif self.s is not None:
-            raise ValueError(f"{self.kind} takes no parameter")
+        elif s is not None:
+            raise ValueError(f"{kind} takes no parameter")
+        _set(self, "kind", kind)
+        _set(self, "s", s)
 
     # -- construction ------------------------------------------------------
 
@@ -256,22 +297,29 @@ class LogicFamily:
         return 1.0 - truth_value(x)
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(_Frozen):
     """A logic family and the stopping rule of a fixed-point solve."""
 
+    _fields = ("family", "epsilon", "max_iters", "quantize_bits")
     family: LogicFamily
-    epsilon: float = 1e-6
-    max_iters: int = 100_000
-    quantize_bits: int | None = None
+    epsilon: float
+    max_iters: int
+    quantize_bits: int | None
 
-    def __post_init__(self) -> None:
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if type(self.max_iters) is not int:  # bools are not counts
-            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        bits = self.quantize_bits
-        if bits is not None and (type(bits) is not int or bits < 1):
-            raise ValueError(f"quantize_bits must be None or an integer >= 1, got {bits!r}")
+    def __init__(self, family: LogicFamily, epsilon: float = 1e-6, max_iters: int = 100_000,
+                 quantize_bits: int | None = None) -> None:
+        # A tolerance is a finite real number: not a bool, inf or nan.
+        if (isinstance(epsilon, bool) or not isinstance(epsilon, (int, float))
+                or not 0.0 < epsilon < math.inf):
+            raise ValueError(f"epsilon must be > 0 and finite, got {epsilon!r}")
+        if type(max_iters) is not int:  # bools are not counts
+            raise ValueError(f"max_iters must be an integer, got {max_iters!r}")
+        if max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+        if quantize_bits is not None and (type(quantize_bits) is not int or quantize_bits < 1):
+            raise ValueError(
+                f"quantize_bits must be None or an integer >= 1, got {quantize_bits!r}")
+        _set(self, "family", family)
+        _set(self, "epsilon", epsilon)
+        _set(self, "max_iters", max_iters)
+        _set(self, "quantize_bits", quantize_bits)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -542,7 +541,7 @@ def test_derived_models_build_rules_only_when_read():
         assert derived == eager and hash(derived) == hash(eager)
         assert repr(derived) == repr(eager)
         assert model_to_json_dict(derived) == model_to_json_dict(eager)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="^cannot assign to field 'dim'$"):
         stepped.dim = 3
     assert model != stepped and model == uniform_model(2, 3)
 

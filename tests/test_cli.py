@@ -274,6 +274,15 @@ def test_bad_file_settings_are_rejected_not_defaulted(
     assert message in err
 
 
+@pytest.mark.parametrize("command, name", [("solve", "fig1.json"), ("lcm", "diffpcm_t1.json")])
+@pytest.mark.parametrize("epsilon", ["inf", "nan", "0"])
+def test_epsilon_options_that_are_not_finite_and_positive_are_rejected(data_dir, capsys, command,
+                                                                       name, epsilon):
+    code, out, err = run(capsys, command, str(data_dir / name), "--epsilon", epsilon)
+    message = f"epsilon must be > 0 and finite, got {float(epsilon)!r}"
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_lcm_honours_file_settings(data_dir, tmp_path, capsys):
     path = _with_settings(data_dir, tmp_path, "diffpcm_t1.json", max_iters=3, epsilon=0.5)
     _, expected, _ = run(capsys, "lcm", str(data_dir / "diffpcm_t1.json"),
@@ -304,21 +313,38 @@ MALFORMED_ALPHAS = [
     (_set_alpha(True), "edges[0].alpha: expected a number, got True"),
 ]
 MALFORMED_ALPHA_IDS = ["alpha-null", "alpha-list", "alpha-string", "alpha-bool"]
+# Names are strings in the file; a number is not turned into one.
+MALFORMED_ENDPOINTS = [
+    (_set_alpha(1, "from"), "edges[0].from: expected a string, got 1"),
+    (_set_alpha(["B1"], "to"), "edges[0].to: expected a string, got ['B1']"),
+]
 MALFORMED_PROBLEMS = MALFORMED_ALPHAS + [
     (_set_alpha("1", "alpha_back"), "edges[0].alpha_back: expected a number, got '1'"),
     (lambda data: data.__setitem__("blocks", 5), "blocks: expected a list, got int"),
     (lambda data: data.__setitem__("exprs", 7), "exprs: expected a list, got int"),
     (lambda data: data.__setitem__("edges", None), "edges: expected a list, got NoneType"),
+    *MALFORMED_ENDPOINTS,
+    (lambda data: data["exprs"].__setitem__(0, 1), "exprs[0]: expected a string, got 1"),
+    (lambda data: data["blocks"].__setitem__(1, 2.0), "blocks[1]: expected a string, got 2.0"),
+    (lambda data: data.__setitem__("entry", 0), "entry: expected a string, got 0"),
+    (lambda data: data.__setitem__("exit", None), "exit: expected a string, got None"),
 ]
 MALFORMED_GRAPHS = MALFORMED_ALPHAS + [
     (lambda data: data.__setitem__("nodes", 3), "nodes: expected a list, got int"),
     (lambda data: data.__setitem__("edges", None), "edges: expected a list, got NoneType"),
     (lambda data: data.__setitem__("seed", [1]), "seed: expected an object, got list"),
+    *MALFORMED_ENDPOINTS,
+    (lambda data: data["nodes"][0].__setitem__("id", 0), "nodes[0].id: expected a string, got 0"),
+    (lambda data: data.__setitem__("start", 0), "start: expected a string, got 0"),
+    (lambda data: data["nodes"][2]["transfer"].__setitem__("Out", 0.5),
+     "nodes[2].transfer['Out']: expected a string, got 0.5"),
 ]
+MALFORMED_ENDPOINT_IDS = ["from-int", "to-list"]
 
 
 @pytest.mark.parametrize("spoil, message", MALFORMED_PROBLEMS, ids=MALFORMED_ALPHA_IDS + [
-    "alpha_back-string", "blocks-int", "exprs-int", "edges-null"])
+    "alpha_back-string", "blocks-int", "exprs-int", "edges-null", *MALFORMED_ENDPOINT_IDS,
+    "expr-int", "block-float", "entry-int", "exit-null"])
 def test_malformed_problem_files_are_format_errors(data_dir, tmp_path, capsys, spoil, message):
     path = _spoiled(data_dir, tmp_path, "diffpcm_t1.json", spoil)
     for command in ("lcm", "validate"):
@@ -327,7 +353,8 @@ def test_malformed_problem_files_are_format_errors(data_dir, tmp_path, capsys, s
 
 
 @pytest.mark.parametrize("spoil, message", MALFORMED_GRAPHS, ids=MALFORMED_ALPHA_IDS + [
-    "nodes-int", "edges-null", "seed-list"])
+    "nodes-int", "edges-null", "seed-list", *MALFORMED_ENDPOINT_IDS, "node-id-int", "start-int",
+    "transfer-number"])
 def test_malformed_graph_files_are_format_errors(data_dir, tmp_path, capsys, spoil, message):
     path = _spoiled(data_dir, tmp_path, "fig1.json", spoil)
     for command in ("solve", "validate"):

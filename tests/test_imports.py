@@ -2,8 +2,10 @@
 
 ``import fuzzydfa`` loads no submodule; the command line imports per
 command, so ``solve`` and graph ``validate`` never load numpy, ``lcm`` loads
-none of the flow-graph stack and the ANFIS commands load neither.  Each
-case runs in a fresh interpreter, since this one has imported everything.
+none of the flow-graph stack and the ANFIS commands load neither.  No
+command loads ``dataclasses``, and ``solve`` and graph ``validate`` load no
+``inspect`` either (numpy imports it, so the other commands do).  Each case
+runs in a fresh interpreter, since this one has imported everything.
 """
 
 import json
@@ -21,7 +23,7 @@ ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "demos" / "data"
 
 # Prints the exit code of ``cli.main(argv)`` (None for a bare import) and
-# the fuzzydfa submodules and numpy that the run loaded.
+# the fuzzydfa submodules, numpy, dataclasses and inspect that the run loaded.
 _CHILD = """
 import contextlib, io, json, sys
 sys.path.insert(0, {src!r})
@@ -32,7 +34,8 @@ if argv is not None:
     from fuzzydfa.cli import main
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-loaded = [m for m in sys.modules if m == "numpy" or m.startswith("fuzzydfa.")]
+loaded = [m for m in sys.modules
+          if m in ("numpy", "dataclasses", "inspect") or m.startswith("fuzzydfa.")]
 print(json.dumps({{"code": code, "loaded": sorted(loaded)}}))
 """
 
@@ -50,8 +53,8 @@ def _loaded(argv):
 GRAPH_STACK = {"solver", "flowgraph", "formula"}
 COMMANDS = {
     # The benchmark's six commands.
-    "solve": (["solve", "fig1.json"], {"numpy", "lcm", "anfis"}),
-    "validate": (["validate", "fig1.json"], {"numpy", "lcm", "anfis"}),
+    "solve": (["solve", "fig1.json"], {"numpy", "inspect", "lcm", "anfis"}),
+    "validate": (["validate", "fig1.json"], {"numpy", "inspect", "lcm", "anfis"}),
     "lcm_fuzzy": (["lcm", "diffpcm_t1.json", "--mode", "fuzzy"], {"anfis"} | GRAPH_STACK),
     "lcm_crisp": (["lcm", "diffpcm_t1.json", "--mode", "crisp"], {"anfis"} | GRAPH_STACK),
     "lcm_interval": (["lcm", "diffpcm_t2.json"], {"anfis"} | GRAPH_STACK),
@@ -75,6 +78,7 @@ def test_each_command_loads_only_what_it_runs(name):
     argv = [str(DATA / a) if a.endswith((".json", ".csv")) else a for a in argv]
     loaded = _loaded(argv)
     assert "cli" in loaded
+    forbidden = forbidden | {"dataclasses"}
     assert not loaded & forbidden, f"{name} loaded {sorted(loaded & forbidden)}"
 
 

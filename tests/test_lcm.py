@@ -588,17 +588,17 @@ def test_interval_pipeline_and_report_build_no_intervals_and_validate_once(monke
     problems += [moded_problem(seed, "interval") for seed in range(310, 313)]
     expected = [_jsonio.dumps(L.lcm_pipeline(p, "interval").to_json_dict()) for p in problems]
     built, validated = [], []
-    post_init, validate = TruthInterval.__post_init__, L.validate_problem
+    init, validate = TruthInterval.__init__, L.validate_problem
 
-    def counting_post_init(self):
+    def counting_init(self, lo, hi):
         built.append(self)
-        post_init(self)
+        init(self, lo, hi)
 
     def counting_validate(problem, mode):
         validated.append(problem)
         return validate(problem, mode)
 
-    monkeypatch.setattr(TruthInterval, "__post_init__", counting_post_init)
+    monkeypatch.setattr(TruthInterval, "__init__", counting_init)
     monkeypatch.setattr(L, "validate_problem", counting_validate)
     for problem, text in zip(problems, expected):
         result = L.lcm_pipeline(problem, "interval")

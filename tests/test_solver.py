@@ -1,5 +1,7 @@
+import math
 import random
 
+import numpy as np
 import pytest
 
 from fuzzydfa import (
@@ -176,6 +178,19 @@ def test_solver_config_checks_integer_settings_on_construction(settings, message
     with pytest.raises(ValueError) as info:
         SolverConfig(family=MINMAX, **settings)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("epsilon", [math.inf, math.nan, -1e-6, 0, True, "1e-6", None],
+                         ids=["inf", "nan", "negative", "zero", "bool", "string", "none"])
+def test_solver_config_requires_a_finite_positive_epsilon(epsilon):
+    with pytest.raises(ValueError) as info:
+        SolverConfig(family=MINMAX, epsilon=epsilon)
+    assert str(info.value) == f"epsilon must be > 0 and finite, got {epsilon!r}"
+
+
+def test_solver_config_accepts_finite_positive_epsilons():
+    for epsilon in (1e-300, 1, 0.5, np.float64(1e-6), 1e300):
+        assert SolverConfig(family=MINMAX, epsilon=epsilon).epsilon == epsilon
 
 
 def test_solver_config_accepts_integer_settings():
