@@ -340,6 +340,93 @@ def test_harness_ties_count_as_errors():
     assert result.error_rates[0] == 1.0
 
 
+def reference_harness(update, leave, periods, labels, tc):
+    """``run_harness`` sample by sample through the public layers: score the
+    sample under both models; on a misclassification (a tie included) take
+    one LMS step per model before the next sample; when a period's error
+    rate reaches the threshold, refit both models by least squares."""
+    rates = []
+    for xs, ys in zip(periods, labels):
+        errors = 0
+        for x, should_update in zip(xs, ys):
+            u, v = predict(update, x).output, predict(leave, x).output
+            if not ((u > v) if should_update else (v > u)):
+                errors += 1
+                target = 1.0 if should_update else 0.0
+                update = lms_update(update, x, target, tc.mu)
+                leave = lms_update(leave, x, 1.0 - target, tc.mu)
+        rate = errors / len(xs) if len(xs) else 0.0
+        rates.append(rate)
+        if len(xs) and rate >= tc.retrain_error_threshold:
+            targets = [1.0 if y else 0.0 for y in ys]
+            update = ls_fit(update, xs, targets)
+            leave = ls_fit(leave, xs, [1.0 - t for t in targets])
+    return rates, update, leave
+
+
+def assert_harness_matches_reference(update, leave, periods, labels, tc):
+    result = run_harness(update, leave, periods, labels, tc)
+    rates, ref_update, ref_leave = reference_harness(update, leave, periods, labels, tc)
+    assert bits(result.error_rates) == bits(rates)
+    assert result.update_model._coef.tobytes() == ref_update._coef.tobytes()
+    assert result.leave_model._coef.tobytes() == ref_leave._coef.tobytes()
+    return result.error_rates
+
+
+def with_consequents(model, consequent):
+    """A model built afresh (its antecedent arrays not shared with ``model``)
+    with ``consequent()`` for each rule."""
+    rules = tuple(Rule(rule.antecedents, consequent()) for rule in model.rules)
+    return AnfisModel(rules, model.dim, model.and_op)
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.8, 1.0])
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("and_op", ["min", "product"])
+def test_harness_matches_the_per_sample_reference_bit_for_bit(and_op, shared, threshold):
+    rng = random.Random(f"harness-oracle/{and_op}/{shared}/{threshold}")
+    dim = 3
+
+    def consequent():
+        return tuple(rng.uniform(-1, 1) for _ in range(dim + 1))
+
+    update = with_consequents(uniform_model(dim, 3, and_op), consequent)
+    if shared:  # derived, so both models share their antecedent arrays
+        leave = lms_update(update, [0.2, 0.4, 0.6], 1.0, 0.5)
+    else:
+        leave = with_consequents(uniform_model(dim, 4, and_op), consequent)
+    normal = [rng.uniform(-1, 1) for _ in range(dim)]
+    periods, labels = [], []
+    for length in (6, 0, 1, 1, 25, 13, 1, 25, 0, 9):
+        xs = [random_input(rng, dim) for _ in range(length)]
+        flip = rng.random() < 0.4
+        periods.append(xs)
+        labels.append([(sum(a * v for a, v in zip(normal, x)) > 0.0) != flip for x in xs])
+    rates = assert_harness_matches_reference(
+        update, leave, periods, labels, TrainConfig(mu=0.3, retrain_error_threshold=threshold))
+    assert 0.0 < max(rates) and 0.0 in rates
+
+
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("and_op", ["min", "product"])
+def test_harness_all_correct_and_all_wrong_periods_match_the_reference(and_op, shared):
+    # The update model scores 2 and the leave model -2 on every input, and the
+    # steps are too small to turn a verdict: a period labelled all "update" is
+    # all correct, one labelled all "leave" all wrong.
+    rng = random.Random(f"harness-extremes/{and_op}/{shared}")
+    update = with_consequents(uniform_model(2, 3, and_op), lambda: (2.0, 0.0, 0.0))
+    X = [random_input(rng, 2) for _ in range(30)]
+    leave = (ls_fit(update, X, [-2.0] * len(X)) if shared
+             else with_consequents(uniform_model(2, 3, and_op), lambda: (-2.0, 0.0, 0.0)))
+    periods = [X[:10], X[10:20], X[20:], X[:5]]
+    labels = [[True] * 10, [False] * 10, [True] * 10, [False] * 5]
+    for threshold in (0.0, 0.8, 1.0):
+        tc = TrainConfig(mu=1e-6, retrain_error_threshold=threshold)
+        rates = assert_harness_matches_reference(update, leave, periods[:2], labels[:2], tc)
+        assert rates == [0.0, 1.0]
+        assert_harness_matches_reference(update, leave, periods, labels, tc)
+
+
 def test_model_rejects_zero_dimension():
     with pytest.raises(ValueError):
         AnfisModel(rules=(Rule((), (0.5,)),), dim=0, and_op="min")
