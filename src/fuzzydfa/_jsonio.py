@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from .truth import TruthInterval, truth_value
 
@@ -16,7 +16,9 @@ __all__ = [
     "load_file",
     "check_keys",
     "load_list",
+    "load_items",
     "load_string",
+    "load_strings",
     "load_number",
     "load_setting",
     "load_value",
@@ -119,11 +121,34 @@ def load_list(raw: Any, context: str) -> list:
     return raw
 
 
+def load_items(raw: Any, context: str, load: Callable[[Any], Any]) -> list:
+    """``load`` on each item of the JSON array ``raw``.  The messages of
+    ``load`` name what is wrong inside the item (``.alpha: ...``, or ``: ...``
+    for the item itself); item i's ``context[i]`` is put in front only when
+    it fails, so no context is formatted for an item that loads."""
+    out = []
+    for i, item in enumerate(load_list(raw, context)):
+        try:
+            out.append(load(item))
+        except FileFormatError as exc:
+            raise FileFormatError(f"{context}[{i}]{exc}") from None
+    return out
+
+
 def load_string(raw: Any, context: str) -> str:
     """Return ``raw``, which must be a JSON string: names are not coerced."""
     if not isinstance(raw, str):
         raise FileFormatError(f"{context}: expected a string, got {raw!r}")
     return raw
+
+
+def load_strings(raw: Any, context: str) -> list[str]:
+    """A copy of ``raw``, which must be a JSON array of strings; item k is
+    ``context[k]`` in a message."""
+    for k, item in enumerate(load_list(raw, context)):
+        if not isinstance(item, str):
+            load_string(item, f"{context}[{k}]")
+    return list(raw)
 
 
 def load_number(raw: Any, context: str, *, integer: bool = False) -> Any:

@@ -6,8 +6,10 @@ stream in.
 Only the affine consequents adapt; the antecedent membership functions are
 fixed (supplied by the caller or a uniform triangular partition of [0,1]).
 The layers run on arrays across rules in the scalar definitions' operation
-order and sum over rules with Python's ``sum`` (``np.sum`` adds pairwise),
-so every number is bit-identical to evaluating the rules one by one.
+order and add over rules left to right from 0.0, as ``Rule.output`` and the
+scalar definitions do (``np.sum`` adds pairwise, and the built-in ``sum``
+compensates from Python 3.12 on), so every number is bit-identical to
+evaluating the rules one by one.
 """
 
 from __future__ import annotations
@@ -83,7 +85,10 @@ class Rule(_Frozen):
         _set(self, "consequent", consequent)
 
     def output(self, x: Sequence[float]) -> float:
-        return self.consequent[0] + sum(c * v for c, v in zip(self.consequent[1:], x))
+        acc = 0.0
+        for c, v in zip(self.consequent[1:], x):
+            acc += c * v
+        return self.consequent[0] + acc
 
 
 class AnfisModel(_Frozen):
@@ -114,7 +119,8 @@ class AnfisModel(_Frozen):
         mfs: dict = {}
         index = [[mfs.setdefault(m, len(mfs)) for m in enumerate(ante)] for ante in antecedents]
         k, a, b, c = np.array([(k, mf.a, mf.b, mf.c) for k, mf in mfs]).T
-        mf = (k.astype(int), a, b, c, b - a, c - b, np.array(index).T)
+        # Input k is column k + 1 of the (1, x) rows that ``_layers`` builds.
+        mf = (k.astype(int) + 1, a, b, c, b - a, c - b, np.array(index).T)
         coef = np.array([rule.consequent for rule in rules])  # rules x (dim + 1)
         self.__dict__.update(rules=rules, dim=dim, and_op=and_op, _antecedents=antecedents, _mf=mf,
                              _coef=coef)
@@ -143,44 +149,56 @@ class Prediction(_Record):
         self.rule_outputs = rule_outputs  # f_i(x)
 
 
+def _total(a: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, added left to right (a cumulative sum is
+    sequential); ``+ 0.0`` makes a sum of -0.0 terms 0.0, as a sum from 0.0
+    does."""
+    return np.cumsum(a, axis=-1)[..., -1] + 0.0
+
+
 def _layers(model: AnfisModel, xs: Sequence[Sequence[float]]):
-    """Layers 1-3: inputs (n, dim), firing strengths and normalized ones (n, rules)."""
+    """Layers 1-3: inputs as (1, x) rows (n, 1 + dim), firing strengths and
+    normalized ones (n, rules)."""
     rows = [[float(v) for v in x] for x in xs]
     for x in rows:
         if len(x) != model.dim:
             raise DimensionMismatchError(f"expected {model.dim} inputs, got {len(x)}")
         if not all(map(math.isfinite, x)):
             raise ValueError(f"input {x!r} is not finite")
-    X = np.array(rows, dtype=float).reshape(len(rows), model.dim)
-    dims, a, b, c, rise, fall, index = model._mf
-    x = X[:, dims]
+    X1 = np.ones((len(rows), 1 + model.dim))
+    X1[:, 1:] = np.array(rows, dtype=float).reshape(len(rows), model.dim)
+    columns, a, b, c, rise, fall, index = model._mf
+    x = X1[:, columns]
     # Shoulders' zero-width ramps divide by 0 in branches np.where drops.
     with np.errstate(divide="ignore", invalid="ignore"):
         degrees = np.where(x == b, 1.0, np.where((x <= a) | (x >= c), 0.0, np.where(
             x < b, (x - a) / rise, (c - x) / fall)))[:, index]
     # Conjoin input by input, in order: w = ((mu_1 * mu_2) * mu_3) ...
     w = (np.minimum if model.and_op == "min" else np.multiply).reduce(degrees, axis=1)
-    totals = [sum(row) for row in w.tolist()]
-    for x, total in zip(rows, totals):
-        if total <= 0.0:
-            raise NoRuleFiresError(f"input {x!r} fires no rule")
-    return X, w, w / np.array(totals).reshape(-1, 1)
+    totals = _total(w)
+    for k in np.flatnonzero(totals <= 0.0)[:1].tolist():
+        raise NoRuleFiresError(f"input {rows[k]!r} fires no rule")
+    return X1, w, w / totals[:, None]
 
 
-def _outputs(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Layer 4: f_i(x) = c_i0 + (0 + c_i1*x_1 + ... + c_id*x_d), added left
-    to right as ``Rule.output``'s ``sum`` does (CPython up to 3.11)."""
-    acc = 0.0
-    for term in (coef[:, 1:] * x).T:
-        acc = acc + term
-    return coef[:, 0] + acc
+def _outputs(coef: np.ndarray, x1: np.ndarray) -> np.ndarray:
+    """Layer 4: f_i(x) = c_i0 + (((0.0 + c_i1*x_1) + c_i2*x_2) + ...), added
+    as ``Rule.output`` adds.  ``coef`` (..., rules, 1 + dim) and the (1, x)
+    rows ``x1`` (..., 1 + dim) broadcast against each other, giving
+    (..., rules)."""
+    acc = coef[..., 1] * x1[..., 1, None]
+    acc += 0.0
+    for k in range(2, x1.shape[-1]):
+        acc += coef[..., k] * x1[..., k, None]
+    return np.add(coef[..., 0], acc, out=acc)
 
 
-def _lms(coef: np.ndarray, x: np.ndarray, nw: np.ndarray, e: float, mu: float) -> None:
-    """``lms_update``'s step on ``coef`` in place."""
-    g = (mu * e) * nw
-    coef[:, 0] += g
-    coef[:, 1:] += g[:, None] * x
+def _lms(coef: np.ndarray, x1: np.ndarray, nw: np.ndarray, e: np.ndarray | float,
+         mu: float) -> None:
+    """``lms_update``'s step on ``coef`` (..., rules, 1 + dim) in place, with
+    one error in ``e`` (...) per model and ``x1`` = (1, x): g = (mu*e)*nw,
+    c0 += g * 1.0 (which is g) and ck += g * xk."""
+    coef += ((mu * np.asarray(e))[..., None] * nw)[..., None] * x1
 
 
 def predict(model: AnfisModel, x: Sequence[float]) -> Prediction:
@@ -189,7 +207,7 @@ def predict(model: AnfisModel, x: Sequence[float]) -> Prediction:
     ValueError when an input is NaN or infinite."""
     X, w, nw = _layers(model, [x])
     f = _outputs(model._coef, X[0])
-    return Prediction(sum((nw[0] * f).tolist()), w[0].tolist(), nw[0].tolist(), f.tolist())
+    return Prediction(float(_total(nw[0] * f)), w[0].tolist(), nw[0].tolist(), f.tolist())
 
 
 def lms_update(model: AnfisModel, x: Sequence[float], target: float, mu: float) -> AnfisModel:
@@ -197,7 +215,7 @@ def lms_update(model: AnfisModel, x: Sequence[float], target: float, mu: float) 
     c(i,0) += mu*e*wbar_i and c(i,k) += mu*e*wbar_i*x_k, e the signed error."""
     X, _, nw = _layers(model, [x])
     coef = model._coef.copy()
-    _lms(coef, X[0], nw[0], float(target) - sum((nw[0] * _outputs(coef, X[0])).tolist()), mu)
+    _lms(coef, X[0], nw[0], float(target) - _total(nw[0] * _outputs(coef, X[0])), mu)
     return model._with(coef)
 
 
@@ -209,7 +227,7 @@ def ls_fit(model: AnfisModel, X: Sequence[Sequence[float]], Y: Sequence[float]) 
     if len(X) == 0:
         raise ValueError("need at least one sample")
     X, _, nw = _layers(model, X)
-    rows = (nw[:, :, None] * np.insert(X, 0, 1.0, axis=1)[:, None, :]).reshape(len(X), -1)
+    rows = (nw[:, :, None] * X[:, None, :]).reshape(len(X), -1)
     coeffs, *_ = np.linalg.lstsq(rows, np.asarray(Y, dtype=float), rcond=None)
     return model._with(coeffs.reshape(-1, model.dim + 1))
 
@@ -271,31 +289,53 @@ def run_harness(
     """
     if len(periods) != len(labels):
         raise DimensionMismatchError(f"{len(periods)} periods but {len(labels)} label groups")
-    # Layers 1-3 depend on the antecedents only, which models derived from one
-    # another share; the LMS steps update copied consequents in place.
-    coefs = [update_model._coef.copy(), leave_model._coef.copy()]
+    # Both models' consequents are one (2, rules, 1 + dim) array.
+    n_rules = (len(update_model._coef), len(leave_model._coef))
+    coefs = _pair(update_model._coef, leave_model._coef)
+    padding = np.arange(coefs.shape[1]) >= np.array(n_rules)[:, None]
     rates: list[float] = []
     for xs, ys in zip(periods, labels):
         if len(xs) != len(ys):
             raise DimensionMismatchError("period and label lengths differ")
+        # Layers 1-3 depend on the antecedents only, which models derived from
+        # one another share.
         X, _, nu = _layers(update_model, xs)
         nv = nu if leave_model._mf is update_model._mf else _layers(leave_model, xs)[2]
-        errors = 0
-        for x, should_update, *nws in zip(X, ys, nu, nv):
-            u, v = (sum((nw * _outputs(coef, x)).tolist()) for nw, coef in zip(nws, coefs))
-            correct = (u > v) if should_update else (v > u)
-            if not correct:
-                errors += 1
-                targets = (1.0, 0.0) if should_update else (0.0, 1.0)
-                for coef, nw, target, out in zip(coefs, nws, targets, (u, v)):
-                    _lms(coef, x, nw, target - out, tc.mu)
+        nws = _pair(nu.T, nv.T).transpose(2, 0, 1)  # (samples, 2, rules)
+        should_update = np.array(ys, dtype=bool)
+        errors = start = 0
+        # Only a misclassified sample changes the consequents, so the rest of
+        # the period is scored at once, up to the first misclassification.
+        while start < len(X):
+            scores = _total(nws[start:] * _outputs(coefs, X[start:, None]))  # (samples, 2)
+            u, v = scores[:, 0], scores[:, 1]
+            wrong = ~np.where(should_update[start:], u > v, v > u)  # a tie is an error
+            if not wrong.any():
+                break
+            k = int(wrong.argmax())
+            i = start + k
+            errors += 1
+            targets = np.array((1.0, 0.0) if should_update[i] else (0.0, 1.0))
+            _lms(coefs, X[i], nws[i], targets - scores[k], tc.mu)
+            coefs[padding] = 0.0  # also where mu*e is infinite, as 0 * inf is nan
+            start = i + 1
         rate = errors / len(xs) if len(xs) else 0.0
         rates.append(rate)
         if len(xs) and rate >= tc.retrain_error_threshold:
             targets = [1.0 if y else 0.0 for y in ys]
-            coefs = [ls_fit(update_model, xs, targets)._coef,
-                     ls_fit(leave_model, xs, [1.0 - t for t in targets])._coef]
-    return HarnessResult(rates, update_model._with(coefs[0]), leave_model._with(coefs[1]))
+            coefs = _pair(ls_fit(update_model, xs, targets)._coef,
+                          ls_fit(leave_model, xs, [1.0 - t for t in targets])._coef)
+    return HarnessResult(rates, update_model._with(coefs[0, :n_rules[0]]),
+                         leave_model._with(coefs[1, :n_rules[1]]))
+
+
+def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a`` and ``b`` (rules, ...) stacked as (2, rules, ...), the one with
+    fewer rules padded with zeros.  A padding rule fires with strength 0 and
+    outputs 0.0, so it adds 0.0 to a score, which leaves it as it is."""
+    out = np.zeros((2, max(len(a), len(b))) + a.shape[1:])
+    out[0, :len(a)], out[1, :len(b)] = a, b
+    return out
 
 
 def split_periods(

@@ -107,7 +107,9 @@ def validate(graph: FlowGraph) -> ValidationReport:
     for node in nodes:
         if node in pinned:
             continue
-        total = sum(e.alpha for e in incoming[node])
+        total = 0  # added left to right; an int, so no edge reads "sum to 0"
+        for edge in incoming[node]:
+            total += edge.alpha
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             report.errors.append(f"incoming weights of {node!r} sum to {total!r}, expected 1")
 
@@ -223,15 +225,7 @@ def graph_from_json_dict(data: Any) -> tuple[FlowGraph, GraphSettings]:
                 raise FileFormatError(f"nodes[{i}].transfer[{prop!r}]: {exc}") from None
         transfers[node_id] = transfer
 
-    edges = []
-    for i, raw in enumerate(_jsonio.load_list(data["edges"], "edges")):
-        _jsonio.check_keys(raw, f"edges[{i}]", ["from", "to", "alpha"])
-        src, dst = (_jsonio.load_string(raw[k], f"edges[{i}].{k}") for k in ("from", "to"))
-        alpha = _jsonio.load_number(raw["alpha"], f"edges[{i}].alpha")
-        try:
-            edges.append(Edge(src, dst, alpha))
-        except ValueError as exc:
-            raise FileFormatError(f"edges[{i}]: {exc}") from None
+    edges = _jsonio.load_items(data["edges"], "edges", _edge_from_json)
 
     seeds: dict[str, Valuation] = {}
     seed = data.get("seed", {})
@@ -247,6 +241,17 @@ def graph_from_json_dict(data: Any) -> tuple[FlowGraph, GraphSettings]:
 
     start = _jsonio.load_string(data["start"], "start")
     return FlowGraph(transfers, edges, start, seeds), settings
+
+
+def _edge_from_json(raw: Any) -> Edge:
+    """One edge of a graph file, for ``_jsonio.load_items``."""
+    _jsonio.check_keys(raw, "", ["from", "to", "alpha"])
+    src, dst = _jsonio.load_string(raw["from"], ".from"), _jsonio.load_string(raw["to"], ".to")
+    alpha = _jsonio.load_number(raw["alpha"], ".alpha")
+    try:
+        return Edge(src, dst, alpha)
+    except ValueError as exc:
+        raise FileFormatError(f": {exc}") from None
 
 
 def graph_to_json_dict(graph: FlowGraph, settings: GraphSettings | None = None) -> dict:

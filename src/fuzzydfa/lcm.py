@@ -324,23 +324,25 @@ def _fixpoint(
     run: _Run,
     gen: np.ndarray,
     keep: np.ndarray,
-    reads: np.ndarray,
+    reads: np.ndarray | None,
     links: _Links,
     *,
     rows_first: bool,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Solve, for every expression column at once,
 
-        row[r]   = gen[r] | (merge[reads[r]] & keep[r])
+        row[r]   = gen[r] | held[reads[r]],  held[m] = merge[m] & keep[m]
         merge[m] = meet of the rows linked into m
 
-    by Gauss-Seidel sweeps in a fixed node order.  With ``rows_first`` the
-    order is row b, merge b for each block b: a sweep's rows read the last
-    sweep's merges, and a merge reads this sweep's rows only from blocks
-    before it.  Otherwise every merge comes first, reading the last sweep's
-    rows, and every row then reads this sweep's merges.  Each column
-    freezes at its first sweep whose change, summed in node order, is below
-    epsilon.
+    by Gauss-Seidel sweeps in a fixed node order (with ``reads`` None, row r
+    reads merge r).  ``held`` is taken per merge and then gathered, so each
+    merge's T-norm is evaluated once however many rows read it.  With
+    ``rows_first`` the order is row b, merge b for each block b: a sweep's
+    rows read the last sweep's merges, and a merge reads this sweep's rows
+    only from blocks before it.  Otherwise every merge comes first, reading
+    the last sweep's rows, and every row then reads this sweep's merges.
+    Each column freezes at its first sweep whose change, summed in node
+    order, is below epsilon.
 
     Returns the rows, the merges recomputed from the final rows, and
     whether every column converged.
@@ -353,8 +355,10 @@ def _fixpoint(
     not_gen, keep = run.term(run.neg(gen)), run.term(keep)
 
     def transfer(m: np.ndarray) -> np.ndarray:
-        held = run.conj(run.term(m[reads]), keep, terms=True)
-        return run.snap(run.neg(run.conj(not_gen, run.term(run.neg(held)), terms=True)))
+        not_held = run.term(run.neg(run.conj(run.term(m), keep, terms=True)))
+        if reads is not None:
+            not_held = not_held[reads]
+        return run.snap(run.neg(run.conj(not_gen, not_held, terms=True)))
 
     n_merges = len(merges)
     # From top, every crisp sweep but the last clears at least one bit; a
@@ -397,7 +401,7 @@ def _stage1(run: _Run, gen: np.ndarray, keep: np.ndarray, backward: bool):
     src, dst = (run.dst, run.src) if backward else (run.src, run.dst)
     alpha = [e.alpha_back if backward else e.alpha for e in run.problem.edges]
     links = _Links(len(gen), src, dst, alpha)
-    return _fixpoint(run, gen, keep, np.arange(len(gen)), links, rows_first=True)
+    return _fixpoint(run, gen, keep, None, links, rows_first=True)
 
 
 def _earliest(run: _Run, av_out, an_in, an_out, kill) -> np.ndarray:
@@ -414,7 +418,7 @@ def _later(run: _Run, ear: np.ndarray, not_uee: np.ndarray):
     per block (the forward merge of LaterOut) and whether they converged."""
     alpha = [e.alpha for e in run.problem.edges]
     links = _Links(len(not_uee), np.arange(len(run.keys)), run.dst, alpha)
-    return _fixpoint(run, ear, not_uee[run.src], run.src, links, rows_first=False)
+    return _fixpoint(run, ear, not_uee, run.src, links, rows_first=False)
 
 
 def _insert_delete(run: _Run, later_in, later_out, uee):
@@ -503,19 +507,9 @@ def problem_from_json_dict(data: Any) -> tuple[LcmProblem, LcmSettings]:
     settings.max_iters = _jsonio.load_setting(data, "max_iters", integer=True)
     interval = settings.mode == "interval"
 
-    blocks = [_jsonio.load_string(b, f"blocks[{k}]")
-              for k, b in enumerate(_jsonio.load_list(data["blocks"], "blocks"))]
-    edges = []
-    for i, raw in enumerate(_jsonio.load_list(data["edges"], "edges")):
-        _jsonio.check_keys(raw, f"edges[{i}]", ["from", "to", "alpha", "alpha_back"])
-        ends = [_jsonio.load_string(raw[k], f"edges[{i}].{k}") for k in ("from", "to")]
-        alpha = [_jsonio.load_number(raw[k], f"edges[{i}].{k}") for k in ("alpha", "alpha_back")]
-        try:
-            edges.append(LcmEdge(*ends, *alpha))
-        except ValueError as exc:
-            raise FileFormatError(f"edges[{i}]: {exc}") from None
-    exprs = [_jsonio.load_string(name, f"exprs[{k}]")
-             for k, name in enumerate(_jsonio.load_list(data["exprs"], "exprs"))]
+    blocks = _jsonio.load_strings(data["blocks"], "blocks")
+    edges = _jsonio.load_items(data["edges"], "edges", _edge_from_json)
+    exprs = _jsonio.load_strings(data["exprs"], "exprs")
 
     def matrix(name: str) -> BlockMatrix:
         if not isinstance(data[name], dict):
@@ -536,6 +530,18 @@ def problem_from_json_dict(data: Any) -> tuple[LcmProblem, LcmSettings]:
         exit=_jsonio.load_string(data["exit"], "exit"),
     )
     return problem, settings
+
+
+def _edge_from_json(raw: Any) -> LcmEdge:
+    """One edge of a problem file, for ``_jsonio.load_items``."""
+    _jsonio.check_keys(raw, "", ["from", "to", "alpha", "alpha_back"])
+    ends = _jsonio.load_string(raw["from"], ".from"), _jsonio.load_string(raw["to"], ".to")
+    alpha = (_jsonio.load_number(raw["alpha"], ".alpha"),
+             _jsonio.load_number(raw["alpha_back"], ".alpha_back"))
+    try:
+        return LcmEdge(*ends, *alpha)
+    except ValueError as exc:
+        raise FileFormatError(f": {exc}") from None
 
 
 def problem_to_json_dict(problem: LcmProblem, settings: LcmSettings | None = None) -> dict:

@@ -77,13 +77,14 @@ def _updates(graph: FlowGraph, state: dict, ops: _Ops) -> list:
 def _average(transfer, inputs: list, width: int) -> tuple:
     """The alpha-weighted average, over ``inputs``, of the transfer
     interpreted in each predecessor's valuation."""
-    values = [(alpha, transfer(src)) for alpha, src in inputs]
+    totals = [0.0] * width  # added left to right, end by end
+    for alpha, src in inputs:
+        value = transfer(src)
+        for i in range(width):
+            totals[i] += alpha * value[i]
     # Weight sums may be off by the validation tolerance (1e-9); keep the
     # state inside the unit interval without masking larger errors.
-    return tuple(
-        min(1.0, max(0.0, sum(alpha * value[i] for alpha, value in values)))
-        for i in range(width)
-    )
+    return tuple(min(1.0, max(0.0, total)) for total in totals)
 
 
 def _step(graph: FlowGraph, state: GlobalState, family: LogicFamily, width: int) -> GlobalState:
@@ -134,7 +135,10 @@ def _solve(graph: FlowGraph, cfg: SolverConfig, width: int, initial: GlobalState
             if bits is not None:
                 new = tuple(quantize(end, bits) for end in new)
             valuation = state[node]
-            residual += sum(abs(a - b) for a, b in zip(new, valuation[prop]))
+            change = 0.0
+            for a, b in zip(new, valuation[prop]):
+                change += abs(a - b)
+            residual += change
             valuation[prop] = new
         trace.append(residual)
         if residual < cfg.epsilon:

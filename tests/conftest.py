@@ -13,6 +13,16 @@ def data_dir() -> Path:
     return DATA_DIR
 
 
+def ltr_sum(values):
+    """Added left to right from 0.0, as the built-in ``sum`` of floats does
+    before Python 3.12 (it compensates from 3.12 on), so that generated data
+    and oracles are the same on every Python version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 FAMILIES = [
     LogicFamily.minmax(),
     LogicFamily.product(),
@@ -88,7 +98,7 @@ def random_flowgraph(
             preds.append("start")
         weights = [rng.random() + 0.05 for _ in preds]
         if start_weight > 0.0:
-            rest = sum(w for p, w in zip(preds, weights) if p != "start")
+            rest = ltr_sum(w for p, w in zip(preds, weights) if p != "start")
             if rest == 0.0:
                 weights = [1.0 for _ in preds]  # start is the only predecessor
             else:
@@ -97,7 +107,7 @@ def random_flowgraph(
                     start_weight if p == "start" else w * scale for p, w in zip(preds, weights)
                 ]
         else:
-            total = sum(weights)
+            total = ltr_sum(weights)
             weights = [w / total for w in weights]
         for pred, weight in zip(preds, weights):
             edges.append(Edge(pred, name, weight))

@@ -22,6 +22,7 @@ from fuzzydfa.anfis import (
     split_periods,
     uniform_model,
 )
+from conftest import ltr_sum
 
 
 def two_rule_model(and_op: str = "min") -> AnfisModel:
@@ -474,12 +475,12 @@ def scalar_predict(model, x):
         degrees = [mf.membership(v) for mf, v in zip(rule.antecedents, x)]
         w = min(degrees) if model.and_op == "min" else math.prod(degrees)
         firing.append(w)
-    total = sum(firing)
+    total = ltr_sum(firing)
     if total <= 0.0:
         return None
     normalized = [w / total for w in firing]
     outputs = [rule.output(x) for rule in model.rules]
-    return sum(nw * f for nw, f in zip(normalized, outputs)), firing, normalized, outputs
+    return ltr_sum(nw * f for nw, f in zip(normalized, outputs)), firing, normalized, outputs
 
 
 def bits(values):

@@ -27,6 +27,7 @@ import pytest
 
 from fuzzydfa import _jsonio
 from fuzzydfa import anfis as A
+from conftest import ltr_sum
 
 HERE = Path(__file__).resolve().parent
 DATA_DIR = HERE.parents[0] / "demos" / "data"
@@ -51,7 +52,7 @@ def stream(seed: int, dim: int):
         xs, ys = [], []
         for _ in range(PERIOD_LENGTH):
             x = [rng.choice(GRID) if rng.random() < 0.2 else rng.random() for _ in range(dim)]
-            above = sum(a * v for a, v in zip(normal, x)) + bias > 0.0
+            above = ltr_sum(a * v for a, v in zip(normal, x)) + bias > 0.0
             xs.append(x)
             ys.append(above != ((p // FLIP_EVERY) % 2 == 1))
         periods.append(xs)

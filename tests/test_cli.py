@@ -302,8 +302,8 @@ def test_lcm_that_does_not_converge_prints_its_report_and_exits_2(data_dir, caps
     assert json.loads(out)["converged"] is False
 
 
-def _set_alpha(value, key="alpha"):
-    return lambda data: data["edges"][0].__setitem__(key, value)
+def _set_alpha(value, key="alpha", edge=0):
+    return lambda data: data["edges"][edge].__setitem__(key, value)
 
 
 MALFORMED_ALPHAS = [
@@ -318,6 +318,17 @@ MALFORMED_ENDPOINTS = [
     (_set_alpha(1, "from"), "edges[0].from: expected a string, got 1"),
     (_set_alpha(["B1"], "to"), "edges[0].to: expected a string, got ['B1']"),
 ]
+# The same checks on a later edge: its index is in the message.
+MALFORMED_LATER_EDGES = [
+    (_set_alpha(None, edge=3), "edges[3].alpha: expected a number, got None"),
+    (_set_alpha(1.5, edge=3), "edges[3]: not a truth value in [0,1]: 1.5"),
+    (_set_alpha(7, "to", edge=3), "edges[3].to: expected a string, got 7"),
+    (_set_alpha(1, "weight", edge=3), "edges[3]: unknown keys ['weight']"),
+    (lambda data: data["edges"][3].pop("alpha"), "edges[3]: missing keys ['alpha']"),
+    (lambda data: data["edges"].__setitem__(3, 5), "edges[3]: expected an object, got int"),
+]
+MALFORMED_LATER_EDGE_IDS = ["edge3-alpha-null", "edge3-alpha-range", "edge3-to-int",
+                            "edge3-unknown-key", "edge3-missing-key", "edge3-int"]
 MALFORMED_PROBLEMS = MALFORMED_ALPHAS + [
     (_set_alpha("1", "alpha_back"), "edges[0].alpha_back: expected a number, got '1'"),
     (lambda data: data.__setitem__("blocks", 5), "blocks: expected a list, got int"),
@@ -328,6 +339,9 @@ MALFORMED_PROBLEMS = MALFORMED_ALPHAS + [
     (lambda data: data["blocks"].__setitem__(1, 2.0), "blocks[1]: expected a string, got 2.0"),
     (lambda data: data.__setitem__("entry", 0), "entry: expected a string, got 0"),
     (lambda data: data.__setitem__("exit", None), "exit: expected a string, got None"),
+    *MALFORMED_LATER_EDGES,
+    (lambda data: data["blocks"].__setitem__(4, None), "blocks[4]: expected a string, got None"),
+    (lambda data: data["exprs"].__setitem__(3, 3.5), "exprs[3]: expected a string, got 3.5"),
 ]
 MALFORMED_GRAPHS = MALFORMED_ALPHAS + [
     (lambda data: data.__setitem__("nodes", 3), "nodes: expected a list, got int"),
@@ -338,13 +352,15 @@ MALFORMED_GRAPHS = MALFORMED_ALPHAS + [
     (lambda data: data.__setitem__("start", 0), "start: expected a string, got 0"),
     (lambda data: data["nodes"][2]["transfer"].__setitem__("Out", 0.5),
      "nodes[2].transfer['Out']: expected a string, got 0.5"),
+    *MALFORMED_LATER_EDGES,
 ]
 MALFORMED_ENDPOINT_IDS = ["from-int", "to-list"]
 
 
 @pytest.mark.parametrize("spoil, message", MALFORMED_PROBLEMS, ids=MALFORMED_ALPHA_IDS + [
     "alpha_back-string", "blocks-int", "exprs-int", "edges-null", *MALFORMED_ENDPOINT_IDS,
-    "expr-int", "block-float", "entry-int", "exit-null"])
+    "expr-int", "block-float", "entry-int", "exit-null", *MALFORMED_LATER_EDGE_IDS, "block4-null",
+    "expr3-float"])
 def test_malformed_problem_files_are_format_errors(data_dir, tmp_path, capsys, spoil, message):
     path = _spoiled(data_dir, tmp_path, "diffpcm_t1.json", spoil)
     for command in ("lcm", "validate"):
@@ -354,7 +370,7 @@ def test_malformed_problem_files_are_format_errors(data_dir, tmp_path, capsys, s
 
 @pytest.mark.parametrize("spoil, message", MALFORMED_GRAPHS, ids=MALFORMED_ALPHA_IDS + [
     "nodes-int", "edges-null", "seed-list", *MALFORMED_ENDPOINT_IDS, "node-id-int", "start-int",
-    "transfer-number"])
+    "transfer-number", *MALFORMED_LATER_EDGE_IDS])
 def test_malformed_graph_files_are_format_errors(data_dir, tmp_path, capsys, spoil, message):
     path = _spoiled(data_dir, tmp_path, "fig1.json", spoil)
     for command in ("solve", "validate"):
