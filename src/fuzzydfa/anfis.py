@@ -176,8 +176,9 @@ def _layers(model: AnfisModel, xs: Sequence[Sequence[float]]):
     # Conjoin input by input, in order: w = ((mu_1 * mu_2) * mu_3) ...
     w = (np.minimum if model.and_op == "min" else np.multiply).reduce(degrees, axis=1)
     totals = _total(w)
-    for k in np.flatnonzero(totals <= 0.0)[:1].tolist():
-        raise NoRuleFiresError(f"input {rows[k]!r} fires no rule")
+    unfired = np.flatnonzero(totals <= 0.0)
+    if unfired.size:
+        raise NoRuleFiresError(f"input {rows[unfired[0]]!r} fires no rule")
     return X1, w, w / totals[:, None]
 
 
@@ -332,7 +333,8 @@ def run_harness(
 def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a`` and ``b`` (rules, ...) stacked as (2, rules, ...), the one with
     fewer rules padded with zeros.  A padding rule fires with strength 0 and
-    outputs 0.0, so it adds 0.0 to a score, which leaves it as it is."""
+    outputs 0.0, so its terms in a score are 0.0 and change no sum that
+    ``_total`` returns."""
     out = np.zeros((2, max(len(a), len(b))) + a.shape[1:])
     out[0, :len(a)], out[1, :len(b)] = a, b
     return out

@@ -107,7 +107,7 @@ def validate(graph: FlowGraph) -> ValidationReport:
     for node in nodes:
         if node in pinned:
             continue
-        total = 0  # added left to right; an int, so no edge reads "sum to 0"
+        total = 0  # an int: a node with no valid in-edge reads "sum to 0"
         for edge in incoming[node]:
             total += edge.alpha
         if abs(total - 1.0) > WEIGHT_SUM_TOL:

@@ -130,6 +130,15 @@ def test_output_is_a_convex_combination_of_rule_outputs():
         assert min(pred.rule_outputs) - 1e-12 <= pred.output <= max(pred.rule_outputs) + 1e-12
 
 
+def test_output_is_positive_zero_when_every_weighted_output_underflows():
+    # 0.5 * -5e-324 rounds to -0.0 in both rules; a sum from 0.0 gives 0.0.
+    rule = Rule((TriangularMf(0.0, 0.5, 1.0),), (-5e-324, 0.0))
+    model = AnfisModel((rule, rule), 1)
+    pred = predict(model, [0.5])
+    assert bits(pred.rule_outputs) == bits([-5e-324, -5e-324])
+    assert bits([pred.output]) == bits(scalar_predict(model, [0.5])[:1]) == bits([0.0])
+
+
 def test_no_rule_fires():
     model = two_rule_model()
     with pytest.raises(NoRuleFiresError):
@@ -426,6 +435,21 @@ def test_harness_all_correct_and_all_wrong_periods_match_the_reference(and_op, s
         rates = assert_harness_matches_reference(update, leave, periods[:2], labels[:2], tc)
         assert rates == [0.0, 1.0]
         assert_harness_matches_reference(update, leave, periods, labels, tc)
+
+
+def test_harness_with_fewer_update_rules_matches_the_reference_after_an_overflow():
+    # One rule that always fires fully against a two-rule leave model.  The
+    # first step overflows (mu*e = -inf), so the update model outputs -inf
+    # and the next "leave" sample is classified correctly; the step on the
+    # "update" sample after it adds inf to -inf, and a nan score is an error
+    # whatever the label.
+    update = AnfisModel((Rule((TriangularMf(-1.0, 0.5, 2.0),), (1e308, 0.0)),), 1)
+    leave = uniform_model(1, 2)
+    periods, labels = [[[0.3], [0.6], [0.9], [0.4]]], [[False, False, True, False]]
+    with np.errstate(all="ignore"):
+        rates = assert_harness_matches_reference(update, leave, periods, labels,
+                                                 TrainConfig(mu=10.0, retrain_error_threshold=1.0))
+    assert rates == [3 / 4]
 
 
 def test_model_rejects_zero_dimension():

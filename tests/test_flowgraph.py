@@ -58,6 +58,13 @@ def test_dangling_edge_and_missing_seed():
     assert any("seed" in e for e in report.errors)
 
 
+def test_node_whose_only_in_edge_dangles_has_weights_summing_to_0():
+    g = fig1_graph()
+    g.edges[3] = Edge("nowhere", "B3", 1.0)
+    report = validate(g)
+    assert "incoming weights of 'B3' sum to 0, expected 1" in report.errors
+
+
 def test_unreachable_node_is_a_warning_only():
     g = fig1_graph()
     g.transfers["island"] = {"Out": parse_formula("In")}
