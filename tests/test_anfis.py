@@ -672,6 +672,43 @@ def test_non_finite_inputs_are_rejected(bad):
             call()
 
 
+def test_a_bad_sample_after_good_ones_is_named():
+    model = uniform_model(2, 3)
+    good = [[0.2, 0.3], [0.9, 0.1]]
+    cases = [
+        ([*good, [0.5], [0.5, math.nan]], DimensionMismatchError, "expected 2 inputs, got 1"),
+        ([*good, [0.5, 0.5, 0.5]], DimensionMismatchError, "expected 2 inputs, got 3"),
+        ([*good, [0.5, 0.25], [math.inf, 0.5], [0.5]], ValueError, "input [inf, 0.5] is not finite"),
+        ([*good, ["0.5", "nan"]], ValueError, "input [0.5, nan] is not finite"),
+        ([*good, [0.5, "x"]], ValueError, "could not convert string to float: 'x'"),
+        ([*good, [0.5, 1j]], TypeError,
+         "float() argument must be a string or a real number, not 'complex'"),
+        ([*good, [1.5, 0.5], [0.5, 0.5]], NoRuleFiresError, "input [1.5, 0.5] fires no rule"),
+    ]
+    for xs, kind, message in cases:
+        with pytest.raises(kind) as raised:
+            ls_fit(model, xs, [1.0] * len(xs))
+        assert type(raised.value) is kind and str(raised.value) == message
+        with pytest.raises(kind) as raised:
+            run_harness(model, model, [good, xs], [[True, False], [True] * len(xs)],
+                        TrainConfig(0.1))
+        assert type(raised.value) is kind and str(raised.value) == message
+
+
+def test_samples_of_any_number_type_fit_as_floats():
+    model = uniform_model(2, 3)
+    xs = [[0.2, 0.3], [0.9, 0.1], [0.5, 0.75], [0.0, 1.0]]
+    ys = [1.0, 0.0, 0.5, 0.25]
+    want = ls_fit(model, xs, ys)._coef.tobytes()
+    for same in (
+        np.array(xs), np.array(xs, dtype=object), [tuple(x) for x in xs],
+        [(v for v in x) for x in xs], [[str(v) for v in x] for x in xs],
+        [[np.float64(v) for v in x] for x in xs], [xs[0], xs[1], xs[2], [0, 1]],
+        [xs[0], xs[1], xs[2], [False, True]],
+    ):
+        assert ls_fit(model, same, ys)._coef.tobytes() == want
+
+
 def test_csv_rejects_non_finite_values_by_row(tmp_path):
     path = tmp_path / "samples.csv"
     path.write_text("x1,x2,label\n0.1,0.9,1\nnan,0.5,1\n", encoding="utf-8")

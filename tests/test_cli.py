@@ -527,3 +527,86 @@ def test_interval_rows_reject_coerced_ends(data_dir, tmp_path, capsys, pair, mes
         code, out, err = run(capsys, command, str(path))
         assert (code, out) == (1, ""), command
         assert err == f"error: dee['B1'][2]{message}\n", command
+
+
+def _set_entry(matrix, block, k, value):
+    return lambda data: data[matrix][block].__setitem__(k, value)
+
+
+def _crisp(spoil):
+    return lambda data: (spoil(data), data.__setitem__("mode", "crisp"))
+
+
+# Rows are accepted in bulk and walked only when that check fails; the walk
+# names the entry, so a bad row at a later block reads as it always did.
+BAD_ROWS = [
+    ("diffpcm_t1.json", _set_entry("uee", "B3", 2, True),
+     "uee['B3'][2]: expected a number, got True"),
+    ("diffpcm_t1.json", _set_entry("uee", "B3", 2, "0.5"),
+     "uee['B3'][2]: expected a number, got '0.5'"),
+    ("diffpcm_t1.json", _set_entry("uee", "B3", 2, None),
+     "uee['B3'][2]: expected a number, got None"),
+    ("diffpcm_t1.json", _crisp(_set_entry("kill", "B4", 3, 0.5)),
+     "kill['B4'][3]: crisp mode needs 0or1, got 0.5"),
+    ("diffpcm_t1.json", _set_entry("dee", "B3", 1, [0.2, 0.4]),
+     "dee['B3'][1]: expected a number, got [0.2, 0.4]"),
+    ("diffpcm_t2.json", _set_entry("dee", "B3", 1, [0.6, 0.4]),
+     "dee['B3'][1]: interval endpoints out of order: [0.6, 0.4]"),
+    ("diffpcm_t1.json", _set_entry("uee", "B3", 4, 1.5),
+     "uee['B3'][4]: not a truth value in [0,1]: 1.5"),
+    ("diffpcm_t2.json", _set_entry("uee", "B3", 4, 1.5),
+     "uee['B3'][4]: not a truth value in [0,1]: 1.5"),
+    ("diffpcm_t1.json", _set_entry("uee", "B3", 6, float("nan")),
+     "uee['B3'][6]: not a truth value in [0,1]: nan"),
+    ("diffpcm_t2.json", _set_entry("uee", "B3", 6, [0.2, float("nan")]),
+     "uee['B3'][6]: not a truth value in [0,1]: nan"),
+    ("diffpcm_t2.json", _set_entry("uee", "B3", 6, [0.2, 0.3, 0.4]),
+     "uee['B3'][6]: expected a number or a [lo, hi] pair, got [0.2, 0.3, 0.4]"),
+    ("diffpcm_t1.json", lambda data: data["kill"]["B3"].pop(),
+     "kill['B3']: expected 7 entries, got 6"),
+    ("diffpcm_t1.json", lambda data: data["kill"].__setitem__("B9", [0.0] * 7),
+     "kill: row for unknown block 'B9'"),
+    ("diffpcm_t1.json", lambda data: data["uee"].__setitem__("B3", 0.5),
+     "uee['B3']: expected a list, got float"),
+    ("diffpcm_t1.json", lambda data: data.__setitem__("dee", [0.0]),
+     "dee: expected an object of block rows"),
+]
+BAD_ROW_IDS = ["bool", "string", "null", "crisp-half", "pair-in-fuzzy", "reversed-pair",
+               "fuzzy-1.5", "interval-1.5", "fuzzy-nan", "interval-nan", "triple",
+               "short-row", "unknown-block", "row-not-a-list", "dee-not-an-object"]
+
+
+@pytest.mark.parametrize("name, spoil, message", BAD_ROWS, ids=BAD_ROW_IDS)
+def test_bad_rows_name_the_entry(data_dir, tmp_path, capsys, name, spoil, message):
+    path = _spoiled(data_dir, tmp_path, name, spoil)
+    for command in ("lcm", "validate"):
+        code, out, err = run(capsys, command, path)
+        assert (code, out, err) == (1, "", f"error: {message}\n"), command
+
+
+def test_crisp_value_errors_keep_their_order(data_dir, tmp_path, capsys):
+    def spoil(data):
+        data["mode"] = "crisp"
+        data["kill"]["B4"][3] = 0.5
+        data["dee"]["B2"][5] = 0.25
+        data["dee"]["B2"][6] = 1
+        data["uee"]["B1"].pop()
+        data["dee"]["B5"][0] = 1.0
+        data["kill"]["B4"][6] = 0.75
+        data["kill"]["Z"] = [0.0]
+
+    path = _spoiled(data_dir, tmp_path, "diffpcm_t1.json", spoil)
+    expected = "".join(f"error: {m}\n" for m in [
+        "dee['B2'][5]: crisp mode needs 0or1, got 0.25",
+        "uee['B1']: expected 7 entries, got 6",
+        "kill['B4'][3]: crisp mode needs 0or1, got 0.5",
+        "kill['B4'][6]: crisp mode needs 0or1, got 0.75",
+        "kill: row for unknown block 'Z'",
+    ])
+    for command in ("lcm", "validate"):
+        assert run(capsys, command, path) == (1, "", expected), command
+    code, out, err = run(capsys, "lcm", str(data_dir / "diffpcm_t1.json"), "--mode", "crisp")
+    assert code == 0 and err == ""
+    path = _spoiled(data_dir, tmp_path, "diffpcm_t1.json", _set_entry("kill", "B4", 3, 0.5))
+    code, out, err = run(capsys, "lcm", path, "--mode", "crisp")
+    assert (code, out, err) == (1, "", "error: kill['B4'][3]: crisp mode needs 0or1, got 0.5\n")

@@ -104,3 +104,148 @@ def test_load_number_rejects_what_it_would_coerce(raw, integer, message):
         load_number(raw, "n", integer=integer)
     assert load_number(3, "n") == 3.0 and type(load_number(3, "n")) is float
     assert load_number(3, "n", integer=True) == 3
+
+
+# -- the writer against a frozen reference ---------------------------------------
+
+
+def reference_dumps(obj):
+    """The per-value writer that ``dumps`` replaced, kept as an oracle:
+    ``dumps`` must print every value byte for byte as this does."""
+    from json.encoder import encode_basestring_ascii as quote
+
+    parts = []
+
+    def write(obj):
+        if type(obj) is float:
+            parts.append(format(obj, ".17g"))
+        elif isinstance(obj, (list, tuple)):
+            if all(type(v) is float for v in obj):
+                parts.append("[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj) + "]")
+            elif all(type(v) is list and len(v) == 2 and type(v[0]) is float
+                     and type(v[1]) is float for v in obj):
+                ends = tuple(x for pair in obj for x in pair)
+                parts.append("[" + ", ".join(["[%.17g, %.17g]"] * len(obj)) % ends + "]")
+            else:
+                parts.append("[")
+                for i, value in enumerate(obj):
+                    if i:
+                        parts.append(", ")
+                    write(value)
+                parts.append("]")
+        elif isinstance(obj, dict):
+            parts.append("{")
+            for i, (key, value) in enumerate(obj.items()):
+                if i:
+                    parts.append(", ")
+                parts.append(quote(str(key)))
+                parts.append(": ")
+                write(value)
+            parts.append("}")
+        elif isinstance(obj, str):
+            parts.append(quote(obj))
+        elif isinstance(obj, TruthInterval):
+            write([obj.lo, obj.hi])
+        elif isinstance(obj, bool):
+            parts.append("true" if obj else "false")
+        elif obj is None:
+            parts.append("null")
+        elif isinstance(obj, int):
+            parts.append(repr(obj))
+        elif isinstance(obj, float):
+            parts.append(format(obj, ".17g"))
+        else:
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+    write(obj)
+    return "".join(parts)
+
+
+class Degree(float):
+    """A float subclass: printed by ``format``, not by a ``%.17g`` slot."""
+
+    def __format__(self, spec):
+        return "%deg" + float.__format__(self, spec)
+
+
+class Count(int):
+    def __repr__(self):
+        return f"%d{int(self)}%"
+
+
+NAN, INF = float("nan"), float("inf")
+WRITER_CASES = [
+    {"100%": "%s %% %d %(x)s %", "%%": ["%", "%%"], "a%b": 0.5},
+    ["%.17g", 0.25, "%"],
+    [-0.0, NAN, INF, -INF, 5e-324, 1e16, 0.1 + 0.2],
+    [[-0.0, NAN], [INF, -INF]],
+    [0.5, 1, 0.25], [1, 0.5], [0.5, True], [True, 0.5], [0.5, False, None],
+    [[0.5, 1], [0.25, 0.75]], [[0.5, True], [0.25, 0.75]],
+    (0.5, 0.25), [(0.5, 0.25), (0.75, 1.0)], ((0.5, 0.25),), [[0.5, 0.25], (0.75, 1.0)],
+    [TruthInterval(0.25, 0.5), TruthInterval(0.0, 1.0)], [TruthInterval(0.0, 0.0), 0.5],
+    {"a": TruthInterval(0.5, 0.5)},
+    [], {}, [[]], [{}], [[], []], {"": []}, [[[]]],
+    [[0.5], [0.25, 0.5, 0.75]], [[0.5, 0.25], [0.75]], [[0.5, 0.25, 0.75], [0.0, 1.0, 0.5]],
+    [[0.5, 0.25], [0.75, 1.0, 0.5]], [[0.5, 0.25], 0.75],
+    [Degree(0.5), 0.25], Degree(0.1), [[Degree(0.5), 0.25]], [np.float64(0.1), 0.5],
+    [Count(3), 0.5], {"n": Count(7)},
+    {1: 0.5, 2: [0.25], None: "x", True: False, 0.5: 1.5},
+    [[[[[[{"deep": [[[0.5, [0.25, {"%": "%%"}]]]]}]]]]]],
+    {"mode": "fuzzy", "rows": {"b0": [0.5, 0.25], "b1": [0.0, 1.0]},
+     "edges": [{"from": "b0", "to": "b1", "values": [[0.0, 0.5], [0.25, 1.0]]}],
+     "converged": True},
+    "é%\n\"\\", 12345678901234567890, -0.0, NAN, True, None, 0.5, 3,
+]
+
+
+@pytest.mark.parametrize("value", WRITER_CASES, ids=range(len(WRITER_CASES)))
+def test_dumps_matches_the_reference_writer(value):
+    assert dumps(value) == reference_dumps(value)
+
+
+def test_dumps_rejects_what_the_reference_rejects():
+    for value in ([0.5, object()], {"a": [0.25, {1, 2}]}, b"x", [[0.5, 0.25], [0.75, b"x"]]):
+        with pytest.raises(TypeError) as want:
+            reference_dumps(value)
+        with pytest.raises(TypeError) as got:
+            dumps(value)
+        assert str(got.value) == str(want.value)
+
+
+def _json_like():
+    from hypothesis import strategies as st
+
+    floats = st.floats(allow_nan=True, allow_infinity=True)
+    unit = st.floats(0.0, 1.0)
+    texts = st.text(alphabet=st.sampled_from('ab%"\\\né\x00 '), max_size=6)
+    scalars = st.one_of(
+        floats, floats, unit, st.integers(-10**20, 10**20), st.booleans(), st.none(), texts,
+        floats.map(Degree), st.integers(-5, 5).map(Count),
+        st.tuples(unit, unit).map(lambda p: TruthInterval(min(p), max(p))),
+    )
+    rows = st.one_of(
+        st.lists(floats, max_size=5),
+        st.lists(st.lists(floats, min_size=2, max_size=2), max_size=4),
+        st.lists(st.lists(floats, min_size=1, max_size=3), max_size=3),
+    )
+    keys = st.one_of(texts, st.integers(-3, 3), st.booleans(), st.none(), floats)
+    return st.recursive(
+        st.one_of(scalars, rows),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=3).map(tuple),
+            st.dictionaries(keys, inner, max_size=4),
+        ),
+        max_leaves=24,
+    )
+
+
+def test_dumps_matches_the_reference_writer_on_drawn_values():
+    from hypothesis import HealthCheck, given, settings
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=list(HealthCheck))
+    @given(_json_like())
+    def check(value):
+        assert dumps(value) == reference_dumps(value)
+
+    check()

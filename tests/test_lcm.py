@@ -523,6 +523,26 @@ def test_validate_reports_every_block_error_in_order():
     ]
 
 
+def test_validate_walks_only_rows_whose_bulk_check_fails():
+    problem = diffpcm_problem()
+    problem.dee["B3"][2] = TruthInterval(0.25, 0.5)
+    problem.uee["B4"][1] = 0.5
+    problem.uee["B4"][5] = TruthInterval(0.0, 0.0)
+    problem.kill["B2"] = [1, True, 0, False, -0.0, 1.0, 0.0]  # 0 and 1 in other types
+    assert L.validate_problem(problem, "crisp") == [
+        "dee['B3'][2]: interval value in crisp mode",
+        "uee['B4'][1]: crisp mode needs 0or1, got 0.5",
+        "uee['B4'][5]: interval value in crisp mode",
+    ]
+    assert L.validate_problem(problem, "fuzzy") == [
+        "dee['B3'][2]: interval value in fuzzy mode",
+        "uee['B4'][5]: interval value in fuzzy mode",
+    ]
+    assert L.validate_problem(problem, "interval") == []
+    problem.kill["B2"][3] = float("nan")
+    assert L.validate_problem(problem, "crisp")[-1] == "kill['B2'][3]: crisp mode needs 0or1, got nan"
+
+
 def test_pipeline_mode_must_match_values():
     with pytest.raises(ValueError):
         L.lcm_pipeline(interval_problem(), "fuzzy", MINMAX)
