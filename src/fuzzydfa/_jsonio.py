@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+from functools import lru_cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from .truth import TruthInterval, truth_value
 
@@ -40,53 +42,58 @@ def dumps(obj: Any) -> str:
     """Serialize to JSON with floats at 17 significant digits.
 
     Key order is preserved, so identical inputs produce byte-identical output.
-    """
+    One pass writes a ``%.17g`` slot per float (other ``%`` doubled), and one
+    ``%`` formats the collected floats; a row of floats or of [float, float]
+    lists takes one type check and one cached row of slots."""
     parts: list[str] = []
-    _write(obj, parts)
-    return "".join(parts)
+    floats: list[float] = []
+    _write(obj, parts, floats)
+    return "".join(parts) % tuple(floats)
 
 
-def _write(obj: Any, parts: list[str]) -> None:
-    # Most frequent first: floats, rows of floats, lists and dicts.
+_slots = lru_cache(maxsize=64)(lambda n, item: "[" + ", ".join([item] * n) + "]")  # n items
+_key = lru_cache(maxsize=1024)(lambda key: _quote(key).replace("%", "%%") + ": ")
+
+
+def _write(obj: Any, parts: list[str], floats: list[float]) -> None:
     if type(obj) is float:
-        parts.append(format(obj, ".17g"))
+        parts.append("%.17g")
+        floats.append(obj)
     elif isinstance(obj, (list, tuple)):
-        # Rows of degrees or of [lo, hi] pairs, the bulk of every report, go
-        # in one step ("%.17g" prints what format(v, ".17g") does).
-        if all(type(v) is float for v in obj):
-            parts.append("[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj) + "]")
-        elif all(type(v) is list and len(v) == 2 and type(v[0]) is float and type(v[1]) is float
-                 for v in obj):
-            ends = tuple(x for pair in obj for x in pair)
-            parts.append("[" + ", ".join(["[%.17g, %.17g]"] * len(obj)) % ends + "]")
+        if obj and all_of(float, obj):
+            parts.append(_slots(len(obj), "%.17g"))
+            floats.extend(obj)
+        elif ends := _float_pairs(obj):
+            parts.append(_slots(len(obj), "[%.17g, %.17g]"))
+            floats.extend(ends)
         else:
             parts.append("[")
-            for i, value in enumerate(obj):
-                if i:
-                    parts.append(", ")
-                _write(value, parts)
-            parts.append("]")
+            for value in obj:
+                _write(value, parts, floats)
+                parts.append(", ")
+            parts[-1] = "]" if obj else "[]"
     elif isinstance(obj, dict):
         parts.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                parts.append(", ")
-            parts.append(_quote(str(key)))
-            parts.append(": ")
-            _write(value, parts)
-        parts.append("}")
+        for key, value in obj.items():
+            parts.append(_key(str(key)))
+            if type(value) is str:  # edge ends: written here, without a call
+                parts.append(_quote(value).replace("%", "%%"))
+            else:
+                _write(value, parts, floats)
+            parts.append(", ")
+        parts[-1] = "}" if obj else "{}"
     elif isinstance(obj, str):
-        parts.append(_quote(obj))
+        parts.append(_quote(obj).replace("%", "%%"))
     elif isinstance(obj, TruthInterval):
-        _write([obj.lo, obj.hi], parts)
+        _write([obj.lo, obj.hi], parts, floats)
     elif isinstance(obj, bool):
         parts.append("true" if obj else "false")
     elif obj is None:
         parts.append("null")
     elif isinstance(obj, int):
-        parts.append(repr(obj))
+        parts.append(repr(obj).replace("%", "%%"))
     elif isinstance(obj, float):
-        parts.append(format(obj, ".17g"))
+        parts.append(format(obj, ".17g").replace("%", "%%"))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -104,7 +111,8 @@ def check_keys(obj: Any, context: str, required: Iterable[str], optional: Iterab
     """Reject non-dict values, missing required keys and unknown keys."""
     if not isinstance(obj, dict):
         raise FileFormatError(f"{context}: expected an object, got {type(obj).__name__}")
-    required = set(required)
+    if obj.keys() == (required := set(required)):
+        return  # exactly the required keys, as most objects have
     allowed = required | set(optional)
     missing = required - obj.keys()
     if missing:
@@ -122,16 +130,16 @@ def load_list(raw: Any, context: str) -> list:
 
 
 def load_items(raw: Any, context: str, load: Callable[[Any], Any]) -> list:
-    """``load`` on each item of the JSON array ``raw``.  The messages of
-    ``load`` name what is wrong inside the item (``.alpha: ...``, or ``: ...``
-    for the item itself); item i's ``context[i]`` is put in front only when
-    it fails, so no context is formatted for an item that loads."""
+    """``load`` on each item of the JSON array (or value of the JSON object)
+    ``raw``.  Its messages name what is wrong inside the item (``.alpha: ...``,
+    or ``: ...`` for the item itself); ``context[i]`` (``context[k!r]`` for a
+    key k) is put in front of them, and formatted, only when item i fails."""
     out = []
-    for i, item in enumerate(load_list(raw, context)):
+    for i, item in raw.items() if isinstance(raw, dict) else enumerate(load_list(raw, context)):
         try:
             out.append(load(item))
         except FileFormatError as exc:
-            raise FileFormatError(f"{context}[{i}]{exc}") from None
+            raise FileFormatError(f"{context}[{i!r}]{exc}") from None
     return out
 
 
@@ -145,9 +153,8 @@ def load_string(raw: Any, context: str) -> str:
 def load_strings(raw: Any, context: str) -> list[str]:
     """A copy of ``raw``, which must be a JSON array of strings; item k is
     ``context[k]`` in a message."""
-    for k, item in enumerate(load_list(raw, context)):
-        if not isinstance(item, str):
-            load_string(item, f"{context}[{k}]")
+    if not all_of(str, load_list(raw, context)):  # walked to name the bad item
+        load_items(raw, context, lambda item: load_string(item, ""))
     return list(raw)
 
 
@@ -196,16 +203,33 @@ def load_value(raw: Any, context: str, *, interval: bool) -> Any:
 
 
 def load_row(raw: list, context: str, *, interval: bool) -> list:
-    """``load_value`` on every entry of a list; entry k is ``context[k]``."""
+    """``load_value`` on every entry of a list; entry k is ``context[k]``.
+    A row of floats (pairs of floats in interval mode) is accepted in bulk,
+    with one type check and one range check (``TruthInterval``'s for pairs);
+    only a row that fails is walked, to convert it or to name the bad entry."""
     load_list(raw, context)
-    if not interval and all(type(v) is float and 0.0 <= v <= 1.0 for v in raw):
-        # Already degrees: keep them, but as truth_value would (-0.0 to 0.0).
-        return [v or 0.0 for v in raw]
-    if interval and all(type(v) is list and len(v) == 2 and type(v[0]) is float
-                        and type(v[1]) is float and 0.0 <= v[0] <= v[1] <= 1.0 for v in raw):
-        # Already intervals, as load_value would build them.
-        return [TruthInterval(lo, hi) for lo, hi in raw]
+    if not interval and raw and all_of(float, raw):
+        ends = sorted(raw)  # the min and the max, by native float compares
+        if 0.0 <= ends[0] and ends[-1] <= 1.0 and not math.isnan(sum(raw)):
+            return [v or 0.0 for v in raw]  # as truth_value gives them (-0.0 to 0.0)
+    if interval and (ends := _float_pairs(raw)):
+        try:  # TruthInterval checks the range of [float, float] as load_value would
+            return list(map(TruthInterval, ends[::2], ends[1::2]))
+        except ValueError:
+            pass
     return [load_value(v, f"{context}[{k}]", interval=interval) for k, v in enumerate(raw)]
+
+
+def all_of(kind: type, values: Sequence) -> bool:
+    """Whether the type of every value is ``kind`` itself (not a subclass)."""
+    return list(map(type, values)).count(kind) == len(values)
+
+
+def _float_pairs(rows: Sequence) -> list[float]:
+    """The ends of ``rows`` in order if every entry is a [float, float] list, else []."""
+    pairs = all_of(list, rows) and list(map(len, rows)).count(2) == len(rows)
+    ends = list(chain.from_iterable(rows)) if pairs else []
+    return ends if all_of(float, ends) else []
 
 
 def dump_value(value: Any) -> Any:

@@ -156,17 +156,28 @@ def _total(a: np.ndarray) -> np.ndarray:
     return np.cumsum(a, axis=-1)[..., -1] + 0.0
 
 
+def _inputs(xs: Sequence[Sequence[float]], dim: int) -> np.ndarray:
+    """The samples as an (n, dim) array; walked only to name a bad one."""
+    try:
+        x = np.asarray(xs)
+        if x.dtype.kind in "fib" and x.shape == (len(xs), dim) and np.isfinite(x).all():
+            return x
+    except (TypeError, ValueError, OverflowError):
+        pass  # ragged, say
+    rows = [[float(v) for v in x] for x in xs]
+    for x in rows:
+        if len(x) != dim:
+            raise DimensionMismatchError(f"expected {dim} inputs, got {len(x)}")
+        if not all(map(math.isfinite, x)):
+            raise ValueError(f"input {x!r} is not finite")
+    return np.array(rows, dtype=float).reshape(len(rows), dim)
+
+
 def _layers(model: AnfisModel, xs: Sequence[Sequence[float]]):
     """Layers 1-3: inputs as (1, x) rows (n, 1 + dim), firing strengths and
     normalized ones (n, rules)."""
-    rows = [[float(v) for v in x] for x in xs]
-    for x in rows:
-        if len(x) != model.dim:
-            raise DimensionMismatchError(f"expected {model.dim} inputs, got {len(x)}")
-        if not all(map(math.isfinite, x)):
-            raise ValueError(f"input {x!r} is not finite")
-    X1 = np.ones((len(rows), 1 + model.dim))
-    X1[:, 1:] = np.array(rows, dtype=float).reshape(len(rows), model.dim)
+    X1 = np.ones((len(xs), 1 + model.dim))
+    X1[:, 1:] = _inputs(xs, model.dim)
     columns, a, b, c, rise, fall, index = model._mf
     x = X1[:, columns]
     # Shoulders' zero-width ramps divide by 0 in branches np.where drops.
@@ -178,7 +189,7 @@ def _layers(model: AnfisModel, xs: Sequence[Sequence[float]]):
     totals = _total(w)
     unfired = np.flatnonzero(totals <= 0.0)
     if unfired.size:
-        raise NoRuleFiresError(f"input {rows[unfired[0]]!r} fires no rule")
+        raise NoRuleFiresError(f"input {X1[unfired[0], 1:].tolist()!r} fires no rule")
     return X1, w, w / totals[:, None]
 
 
@@ -228,9 +239,14 @@ def ls_fit(model: AnfisModel, X: Sequence[Sequence[float]], Y: Sequence[float]) 
     if len(X) == 0:
         raise ValueError("need at least one sample")
     X, _, nw = _layers(model, X)
-    rows = (nw[:, :, None] * X[:, None, :]).reshape(len(X), -1)
+    return model._with(_ls(X, nw, Y))
+
+
+def _ls(x1: np.ndarray, nw: np.ndarray, Y: Sequence[float]) -> np.ndarray:
+    """``ls_fit``'s consequents from the (1, x) rows and strengths of ``_layers``."""
+    rows = (nw[:, :, None] * x1[:, None, :]).reshape(len(x1), -1)
     coeffs, *_ = np.linalg.lstsq(rows, np.asarray(Y, dtype=float), rcond=None)
-    return model._with(coeffs.reshape(-1, model.dim + 1))
+    return coeffs.reshape(-1, x1.shape[1])
 
 
 def uniform_model(dim: int, mfs_per_dim: int = 3, and_op: str = "min") -> AnfisModel:
@@ -323,9 +339,8 @@ def run_harness(
         rate = errors / len(xs) if len(xs) else 0.0
         rates.append(rate)
         if len(xs) and rate >= tc.retrain_error_threshold:
-            targets = [1.0 if y else 0.0 for y in ys]
-            coefs = _pair(ls_fit(update_model, xs, targets)._coef,
-                          ls_fit(leave_model, xs, [1.0 - t for t in targets])._coef)
+            targets = should_update.astype(float)
+            coefs = _pair(_ls(X, nu, targets), _ls(X, nv, 1.0 - targets))
     return HarnessResult(rates, update_model._with(coefs[0, :n_rules[0]]),
                          leave_model._with(coefs[1, :n_rules[1]]))
 

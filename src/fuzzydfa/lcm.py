@@ -32,6 +32,7 @@ just its upward-exposed set, and nothing is "later" than the entry
 
 from __future__ import annotations
 
+from functools import partial
 from types import MappingProxyType
 from typing import Any, Mapping, Sequence, Union
 
@@ -89,7 +90,7 @@ class LcmProblem(_Record):
 
 
 def validate_problem(problem: LcmProblem, mode: str) -> list[str]:
-    """Structural and per-mode value-domain checks; returns error strings."""
+    """Structural and per-mode value checks (rows in bulk, walked on failure); returns errors."""
     errors: list[str] = []
     if mode not in MODES:
         return [f"unknown mode {mode!r}; expected one of {MODES}"]
@@ -141,10 +142,12 @@ def validate_problem(problem: LcmProblem, mode: str) -> list[str]:
             if len(row) != width:
                 errors.append(f"{name}[{b!r}]: expected {width} entries, got {len(row)}")
                 continue
+            if mode == "interval" or _jsonio.all_of(float, row) and (
+                    mode == "fuzzy" or row.count(0.0) + row.count(1.0) == width):
+                continue  # nothing to name
             for k, v in enumerate(row):
                 if isinstance(v, TruthInterval):
-                    if mode != "interval":
-                        errors.append(f"{name}[{b!r}][{k}]: interval value in {mode} mode")
+                    errors.append(f"{name}[{b!r}][{k}]: interval value in {mode} mode")
                 elif mode == "crisp" and v not in (0.0, 1.0):
                     errors.append(f"{name}[{b!r}][{k}]: crisp mode needs 0or1, got {v!r}")
         for b in matrix:
@@ -514,10 +517,8 @@ def problem_from_json_dict(data: Any) -> tuple[LcmProblem, LcmSettings]:
     def matrix(name: str) -> BlockMatrix:
         if not isinstance(data[name], dict):
             raise FileFormatError(f"{name}: expected an object of block rows")
-        return {
-            str(b): _jsonio.load_row(row, f"{name}[{b!r}]", interval=interval)
-            for b, row in data[name].items()
-        }
+        load = partial(_jsonio.load_row, context="", interval=interval)
+        return dict(zip(map(str, data[name]), _jsonio.load_items(data[name], name, load)))
 
     problem = LcmProblem(
         blocks=blocks,

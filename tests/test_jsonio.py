@@ -1,10 +1,12 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
 from fuzzydfa import TruthInterval
-from fuzzydfa._jsonio import FileFormatError, dumps, dump_row, load_number, load_row, load_value
+from fuzzydfa._jsonio import (FileFormatError, check_keys, dumps, dump_row, load_number, load_row,
+                              load_value)
 
 
 @pytest.mark.parametrize("value, text", [
@@ -67,6 +69,40 @@ def test_load_row_errors_name_the_entry():
         load_row([0.5, 1.5], "dee['b1']", interval=False)
     with pytest.raises(FileFormatError, match=r"^kill\['b1'\]\[0\]: expected a number"):
         load_row(["0.5"], "kill['b1']", interval=False)
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 28])
+def test_load_row_rejects_nan_and_out_of_range_entries_anywhere(width):
+    rng = random.Random(width)
+    for bad, message in [(math.nan, "not a truth value in [0,1]: nan"),
+                         (-0.25, "not a truth value in [0,1]: -0.25"),
+                         (1.5, "not a truth value in [0,1]: 1.5")]:
+        for k in range(width):
+            row = [rng.choice([0.0, 1.0, rng.random()]) for _ in range(width)]
+            row[k] = bad
+            with pytest.raises(FileFormatError) as raised:
+                load_row(row, "r", interval=False)
+            assert str(raised.value) == f"r[{k}]: {message}"
+            pairs = [[v, v] for v in row]
+            with pytest.raises(FileFormatError) as raised:
+                load_row(pairs, "r", interval=True)
+            assert str(raised.value) == f"r[{k}]: {message}"
+    # Rounding noise outside [0, 1] is clamped, in bulk or not.
+    assert load_row([0.5, -1e-13, 1.0 + 1e-13], "r", interval=False) == [0.5, 0.0, 1.0]
+
+
+def test_check_keys_accepts_exact_keys_and_names_the_rest():
+    check_keys({"b": 1, "a": 2}, "x", ["a", "b"])
+    check_keys({"a": 1, "b": 2, "o": 3}, "x", ["a", "b"], ["o"])
+    for obj, message in [
+        ({"a": 1, "c": 2}, "x: missing keys ['b']"),
+        ({"a": 1, "b": 2, "c": 3}, "x: unknown keys ['c']"),
+        ({"a": 1, "o": 2}, "x: missing keys ['b']"),
+        ([1, 2], "x: expected an object, got list"),
+    ]:
+        with pytest.raises(FileFormatError) as raised:
+            check_keys(obj, "x", ["a", "b"], ["o"])
+        assert str(raised.value) == message
 
 
 def test_dump_row_lists_interval_ends():
