@@ -51,7 +51,7 @@ def dumps(obj: Any) -> str:
     return "".join(parts) % tuple(floats)
 
 
-_slots = lru_cache(maxsize=64)(lambda n, item: "[" + ", ".join([item] * n) + "]")  # n items
+_slots = lru_cache(maxsize=64)(lambda n, item: "[" + ", ".join([item] * n) + "]")
 _key = lru_cache(maxsize=1024)(lambda key: _quote(key).replace("%", "%%") + ": ")
 
 

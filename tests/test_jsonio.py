@@ -279,7 +279,8 @@ def _json_like():
 def test_dumps_matches_the_reference_writer_on_drawn_values():
     from hypothesis import HealthCheck, given, settings
 
-    @settings(max_examples=400, deadline=None, suppress_health_check=list(HealthCheck))
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None,
+              suppress_health_check=list(HealthCheck))
     @given(_json_like())
     def check(value):
         assert dumps(value) == reference_dumps(value)
