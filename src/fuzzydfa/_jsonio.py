@@ -51,8 +51,8 @@ def dumps(obj: Any) -> str:
     return "".join(parts) % tuple(floats)
 
 
+# An LCM report's rows all have its expression count as length: one per report.
 _slots = lru_cache(maxsize=64)(lambda n, item: "[" + ", ".join([item] * n) + "]")
-_key = lru_cache(maxsize=1024)(lambda key: _quote(key).replace("%", "%%") + ": ")
 
 
 def _write(obj: Any, parts: list[str], floats: list[float]) -> None:
@@ -75,11 +75,8 @@ def _write(obj: Any, parts: list[str], floats: list[float]) -> None:
     elif isinstance(obj, dict):
         parts.append("{")
         for key, value in obj.items():
-            parts.append(_key(str(key)))
-            if type(value) is str:  # edge ends: written here, without a call
-                parts.append(_quote(value).replace("%", "%%"))
-            else:
-                _write(value, parts, floats)
+            parts.append(_quote(str(key)).replace("%", "%%") + ": ")
+            _write(value, parts, floats)
             parts.append(", ")
         parts[-1] = "}" if obj else "{}"
     elif isinstance(obj, str):
@@ -130,16 +127,16 @@ def load_list(raw: Any, context: str) -> list:
 
 
 def load_items(raw: Any, context: str, load: Callable[[Any], Any]) -> list:
-    """``load`` on each item of the JSON array (or value of the JSON object)
-    ``raw``.  Its messages name what is wrong inside the item (``.alpha: ...``,
-    or ``: ...`` for the item itself); ``context[i]`` (``context[k!r]`` for a
-    key k) is put in front of them, and formatted, only when item i fails."""
+    """``load`` on each item of the JSON array ``raw``.  The messages of
+    ``load`` name what is wrong inside the item (``.alpha: ...``, or ``: ...``
+    for the item itself); item i's ``context[i]`` is put in front only when
+    it fails, so no context is formatted for an item that loads."""
     out = []
-    for i, item in raw.items() if isinstance(raw, dict) else enumerate(load_list(raw, context)):
+    for i, item in enumerate(load_list(raw, context)):
         try:
             out.append(load(item))
         except FileFormatError as exc:
-            raise FileFormatError(f"{context}[{i!r}]{exc}") from None
+            raise FileFormatError(f"{context}[{i}]{exc}") from None
     return out
 
 
@@ -204,19 +201,17 @@ def load_value(raw: Any, context: str, *, interval: bool) -> Any:
 
 def load_row(raw: list, context: str, *, interval: bool) -> list:
     """``load_value`` on every entry of a list; entry k is ``context[k]``.
-    A row of floats (pairs of floats in interval mode) is accepted in bulk,
-    with one type check and one range check (``TruthInterval``'s for pairs);
-    only a row that fails is walked, to convert it or to name the bad entry."""
+    A row of floats in [0, 1] (ordered pairs of them in interval mode) passes
+    one generator check that builds no context; any other row is walked with
+    ``load_value``, to convert it or to name the bad entry."""
     load_list(raw, context)
-    if not interval and raw and all_of(float, raw):
-        ends = sorted(raw)  # the min and the max, by native float compares
-        if 0.0 <= ends[0] and ends[-1] <= 1.0 and not math.isnan(sum(raw)):
-            return [v or 0.0 for v in raw]  # as truth_value gives them (-0.0 to 0.0)
-    if interval and (ends := _float_pairs(raw)):
-        try:  # TruthInterval checks the range of [float, float] as load_value would
-            return list(map(TruthInterval, ends[::2], ends[1::2]))
-        except ValueError:
-            pass
+    if not interval and all(type(v) is float and 0.0 <= v <= 1.0 for v in raw):
+        # Already degrees: keep them, but as truth_value would (-0.0 to 0.0).
+        return [v or 0.0 for v in raw]
+    if interval and all(type(v) is list and len(v) == 2 and type(v[0]) is float
+                        and type(v[1]) is float and 0.0 <= v[0] <= v[1] <= 1.0 for v in raw):
+        # Already intervals, as load_value would build them.
+        return [TruthInterval(lo, hi) for lo, hi in raw]
     return [load_value(v, f"{context}[{k}]", interval=interval) for k, v in enumerate(raw)]
 
 

@@ -32,7 +32,6 @@ just its upward-exposed set, and nothing is "later" than the entry
 
 from __future__ import annotations
 
-from functools import partial
 from types import MappingProxyType
 from typing import Any, Mapping, Sequence, Union
 
@@ -517,8 +516,13 @@ def problem_from_json_dict(data: Any) -> tuple[LcmProblem, LcmSettings]:
     def matrix(name: str) -> BlockMatrix:
         if not isinstance(data[name], dict):
             raise FileFormatError(f"{name}: expected an object of block rows")
-        load = partial(_jsonio.load_row, context="", interval=interval)
-        return dict(zip(map(str, data[name]), _jsonio.load_items(data[name], name, load)))
+        rows = {}
+        for b, row in data[name].items():
+            try:  # the row's context is formatted only when it fails
+                rows[str(b)] = _jsonio.load_row(row, "", interval=interval)
+            except FileFormatError as exc:
+                raise FileFormatError(f"{name}[{b!r}]{exc}") from None
+        return rows
 
     problem = LcmProblem(
         blocks=blocks,

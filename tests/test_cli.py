@@ -329,11 +329,19 @@ MALFORMED_LATER_EDGES = [
 ]
 MALFORMED_LATER_EDGE_IDS = ["edge3-alpha-null", "edge3-alpha-range", "edge3-to-int",
                             "edge3-unknown-key", "edge3-missing-key", "edge3-int"]
+# Edges are a list; an object, even of valid edges, is not read as one.
+EDGES_AS_OBJECTS = [
+    (lambda data: data.__setitem__("edges", {}), "edges: expected a list, got dict"),
+    (lambda data: data.__setitem__("edges", {"e": data["edges"][0]}),
+     "edges: expected a list, got dict"),
+]
+EDGES_AS_OBJECT_IDS = ["edges-empty-object", "edges-object"]
 MALFORMED_PROBLEMS = MALFORMED_ALPHAS + [
     (_set_alpha("1", "alpha_back"), "edges[0].alpha_back: expected a number, got '1'"),
     (lambda data: data.__setitem__("blocks", 5), "blocks: expected a list, got int"),
     (lambda data: data.__setitem__("exprs", 7), "exprs: expected a list, got int"),
     (lambda data: data.__setitem__("edges", None), "edges: expected a list, got NoneType"),
+    *EDGES_AS_OBJECTS,
     *MALFORMED_ENDPOINTS,
     (lambda data: data["exprs"].__setitem__(0, 1), "exprs[0]: expected a string, got 1"),
     (lambda data: data["blocks"].__setitem__(1, 2.0), "blocks[1]: expected a string, got 2.0"),
@@ -346,6 +354,7 @@ MALFORMED_PROBLEMS = MALFORMED_ALPHAS + [
 MALFORMED_GRAPHS = MALFORMED_ALPHAS + [
     (lambda data: data.__setitem__("nodes", 3), "nodes: expected a list, got int"),
     (lambda data: data.__setitem__("edges", None), "edges: expected a list, got NoneType"),
+    *EDGES_AS_OBJECTS,
     (lambda data: data.__setitem__("seed", [1]), "seed: expected an object, got list"),
     *MALFORMED_ENDPOINTS,
     (lambda data: data["nodes"][0].__setitem__("id", 0), "nodes[0].id: expected a string, got 0"),
@@ -358,7 +367,7 @@ MALFORMED_ENDPOINT_IDS = ["from-int", "to-list"]
 
 
 @pytest.mark.parametrize("spoil, message", MALFORMED_PROBLEMS, ids=MALFORMED_ALPHA_IDS + [
-    "alpha_back-string", "blocks-int", "exprs-int", "edges-null", *MALFORMED_ENDPOINT_IDS,
+    "alpha_back-string", "blocks-int", "exprs-int", "edges-null", *EDGES_AS_OBJECT_IDS, *MALFORMED_ENDPOINT_IDS,
     "expr-int", "block-float", "entry-int", "exit-null", *MALFORMED_LATER_EDGE_IDS, "block4-null",
     "expr3-float"])
 def test_malformed_problem_files_are_format_errors(data_dir, tmp_path, capsys, spoil, message):
@@ -369,7 +378,7 @@ def test_malformed_problem_files_are_format_errors(data_dir, tmp_path, capsys, s
 
 
 @pytest.mark.parametrize("spoil, message", MALFORMED_GRAPHS, ids=MALFORMED_ALPHA_IDS + [
-    "nodes-int", "edges-null", "seed-list", *MALFORMED_ENDPOINT_IDS, "node-id-int", "start-int",
+    "nodes-int", "edges-null", *EDGES_AS_OBJECT_IDS, "seed-list", *MALFORMED_ENDPOINT_IDS, "node-id-int", "start-int",
     "transfer-number", *MALFORMED_LATER_EDGE_IDS])
 def test_malformed_graph_files_are_format_errors(data_dir, tmp_path, capsys, spoil, message):
     path = _spoiled(data_dir, tmp_path, "fig1.json", spoil)
