@@ -217,12 +217,14 @@ class _Run:
     raises a ValueError whose ``errors`` lists the violations): the mode's
     connectives and fixed-point settings (``cfg``, by default
     ``SolverConfig(family)``; crisp mode ignores it), the edges as block
-    indices, and rows as (blocks, exprs, w) arrays in ``problem.blocks``
-    order.  The complement reverses a (lo, hi) pair; the T-norm works
-    endpoint-wise, re-sorts the pair against rounding as the interval reading
-    of ``formula`` does, and gives the scalar's bits on every element.  Crisp
-    mode takes min whatever the family: some are not exact on 0/1 (Frank's
-    T(1, 1) rounds below 1 for small s)."""
+    indices with each direction's ``_Merges``, and rows as (blocks, exprs, w)
+    arrays in ``problem.blocks`` order.  The complement reverses a (lo, hi)
+    pair; the T-norm works endpoint-wise and gives the scalar's bits on every
+    element.  Only Frank's pairs are re-sorted against rounding, as the
+    interval reading of ``formula`` does: the other T-norms are monotone in
+    floating point, so they keep ordered pairs ordered.  Crisp mode takes min
+    whatever the family: some are not exact on 0/1 (Frank's T(1, 1) rounds
+    below 1 for small s)."""
 
     def __init__(self, problem: LcmProblem, mode: str, family: LogicFamily,
                  cfg: SolverConfig | None = None):
@@ -236,10 +238,14 @@ class _Run:
         self.cfg = cfg or SolverConfig(family=family)
         family = LogicFamily.minmax() if self.crisp else family
         self.term, self._tnorm = family._term, family._tnorm_terms
+        self.resort = self.width == 2 and family.kind == "frank"
         index = {b: i for i, b in enumerate(problem.blocks)}
+        self.entry = index[problem.entry]
         self.keys = [(e.src, e.dst) for e in problem.edges]
         self.src = np.array([index[s] for s, _ in self.keys], dtype=int)
         self.dst = np.array([index[d] for _, d in self.keys], dtype=int)
+        self.forward = _Merges(self.dst, len(index), [e.alpha for e in problem.edges])
+        self.backward = _Merges(self.src, len(index), [e.alpha_back for e in problem.edges])
 
     def stack(self, matrix: Mapping) -> np.ndarray:
         """``matrix[b]`` for each block b as a (blocks, exprs, w) array."""
@@ -261,15 +267,14 @@ class _Run:
     def conj(self, x: np.ndarray, y: np.ndarray, *, terms: bool = False) -> np.ndarray:
         """x & y; with ``terms``, x and y went through ``term`` already."""
         out = self._tnorm(x, y) if terms else self._tnorm(self.term(x), self.term(y))
-        if self.width == 2:
+        if self.resort:
             swap = out[..., 0] > out[..., 1]
             if swap.any():  # what np.sort does to the pairs, at less cost
                 out[swap] = out[swap][:, ::-1]
         return out
 
-    @staticmethod
-    def neg(x: np.ndarray) -> np.ndarray:
-        return 1.0 - x[..., ::-1]
+    def neg(self, x: np.ndarray) -> np.ndarray:
+        return 1.0 - (x[..., ::-1] if self.width == 2 else x)
 
     def disj(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.neg(self.conj(self.neg(x), self.neg(y)))
@@ -284,42 +289,53 @@ class _Run:
 # -- the fixed-point engine --------------------------------------------------------
 
 
+class _Merges:
+    """One direction's merges: edge i feeds merge ``dst[i]`` with weight
+    ``weight[i]``, as its ``rank[i]``-th link; ``count`` links go into each."""
+
+    def __init__(self, dst: np.ndarray, n_merges: int, weight: list[float]):
+        self.dst, self.weight, self.count = dst, weight, np.bincount(dst, minlength=n_merges)
+        order, first = np.argsort(dst, kind="stable"), np.add.accumulate(self.count) - self.count
+        self.rank = np.empty_like(order)
+        self.rank[order] = np.arange(len(dst)) - np.repeat(first, self.count)
+
+
 class _Links:
     """The inputs of each merge: link i carries row ``src[i]`` into merge
-    ``dst[i]`` with weight ``weight[i]``, in ``problem.edges`` order.
+    ``merges.dst[i]``, in ``problem.edges`` order.
 
     They are held as (slots, merges) tables.  Slot j holds every merge's
     j-th link, so meeting slot after slot adds each merge's inputs one by one
     in edge order.  A merge with fewer links is padded with links of weight 0
-    from row 0 (x + 0 * v == x for x >= 0), which the crisp min skips."""
+    from row 0 (x + 0 * v == x for x >= 0), which the crisp min skips.
+    ``gather`` indexes old rows then new: a rows-first sweep has computed a
+    link's new row when its block comes before the merge's."""
 
-    def __init__(self, n_merges: int, src: np.ndarray, dst: np.ndarray, weight: list[float]):
-        rank, count = [], [0] * n_merges
-        for d in dst.tolist():
-            rank.append(count[d])
-            count[d] += 1
-        shape = (max(count, default=0), n_merges)
+    def __init__(self, src: np.ndarray, merges: _Merges):
+        rank, dst, count = merges.rank, merges.dst, merges.count
+        shape = (count.max(initial=0), len(count))
         self.src, self.weight = np.zeros(shape, dtype=int), np.zeros(shape + (1, 1))
-        self.link, self.fresh = np.zeros((2,) + shape + (1, 1), dtype=bool)
-        self.src[rank, dst], self.weight[rank, dst, 0, 0], self.link[rank, dst] = src, weight, True
-        # Rows that a rows-first sweep (row b, merge b for each block b)
-        # computes before the merge they feed.
-        self.fresh[rank, dst, 0, 0] = src < dst
+        link, fresh = np.zeros((2,) + shape, dtype=bool)
+        self.src[rank, dst], self.weight[rank, dst, 0, 0], link[rank, dst] = src, merges.weight, True
+        fresh[rank, dst] = src < dst
+        self.link, self.gather = link[..., None, None], self.src + len(count) * fresh
         self.has_input = np.minimum(count, 1.0)[:, None, None]
 
     def meet(self, rows: np.ndarray, crisp: bool, old: np.ndarray | None = None) -> np.ndarray:
         """Per merge, from its links' rows: the min (crisp) or the weighted
-        sum clamped to [0,1]; 0 for a merge with no links.  With ``old``,
-        links from rows that are not fresh read ``old`` instead."""
-        values = rows[self.src]
-        if old is not None:
-            values = np.where(self.fresh, values, old[self.src])
+        sum clamped to [0,1]; 0 for a merge with no links.  With ``old``
+        (rows first), one gather reads each link's row from old and new.
+        Every term is >= +0.0, so starting from slot 0's term and clamping
+        with ``minimum`` give the bits of summing from 0.0 and clipping."""
+        values = rows[self.src] if old is None else np.concatenate((old, rows))[self.gather]
         if crisp:
-            return np.minimum(values.min(axis=0, initial=1.0, where=self.link), self.has_input)
-        out = np.zeros(values.shape[1:])
-        for term in self.weight * values:
+            out = np.minimum.reduce(values, axis=0, initial=1.0, where=self.link)
+            return np.minimum(out, self.has_input, out=out)
+        terms = self.weight * values
+        out = terms[0] if len(terms) else np.zeros(terms.shape[1:])  # no links: no edges
+        for term in terms[1:]:
             out += term
-        return np.clip(out, 0.0, 1.0, out=out)
+        return np.minimum(out, 1.0, out=out)
 
 
 def _fixpoint(
@@ -344,12 +360,13 @@ def _fixpoint(
     only from blocks before it.  Otherwise every merge comes first, reading
     the last sweep's rows, and every row then reads this sweep's merges.
     Each column freezes at its first sweep whose change, summed in node
-    order, is below epsilon.
+    order, is below epsilon; a node's change, |new - old| (lo's plus hi's
+    for an interval), is written straight into the step table.
 
     Returns the rows, the merges recomputed from the final rows, and
     whether every column converged.
     """
-    crisp = run.crisp
+    crisp, width = run.crisp, run.width
     start = 1.0 if crisp else 0.0
     rows = np.full(gen.shape, start)
     merges = np.full((links.src.shape[1],) + gen.shape[1:], start)
@@ -378,14 +395,16 @@ def _fixpoint(
         else:
             new_merges = run.snap(links.meet(cur_rows, crisp))
             new_rows = transfer(new_merges)
-        # Each node's change, in node order.
-        steps = np.empty((len(rows) + n_merges, active.size))
+        # Each node's change, summed in node order by accumulate (a reduce may add pairwise).
+        steps = np.empty((len(rows) + n_merges, active.size, width))
         at = (steps[0::2], steps[1::2]) if rows_first else (steps[n_merges:], steps[:n_merges])
-        np.abs(new_rows - cur_rows).sum(axis=-1, out=at[0])
-        np.abs(new_merges - cur_merges).sum(axis=-1, out=at[1])
+        np.subtract(new_rows, cur_rows, out=at[0])
+        np.subtract(new_merges, cur_merges, out=at[1])
+        np.abs(steps, out=steps)
+        steps = np.add.reduce(steps, axis=-1, keepdims=True) if width == 2 else steps
         cur_rows, cur_merges = new_rows, new_merges
-        done = np.cumsum(steps, axis=0)[-1] < epsilon
-        if done.any():
+        done = np.add.accumulate(steps)[-1, :, 0] < epsilon
+        if np.count_nonzero(done):
             rows[:, active[done]], merges[:, active[done]] = cur_rows[:, done], cur_merges[:, done]
             more = ~done
             active, cur_rows, cur_merges = active[more], cur_rows[:, more], cur_merges[:, more]
@@ -400,9 +419,7 @@ def _fixpoint(
 def _stage1(run: _Run, gen: np.ndarray, keep: np.ndarray, backward: bool):
     """AvOut(b) = DEE(b) | (AvIn(b) & !Kill(b)), or (``backward``) AnOut with UEE
     for DEE and AnIn over successors: the rows, merges and convergence."""
-    src, dst = (run.dst, run.src) if backward else (run.src, run.dst)
-    alpha = [e.alpha_back if backward else e.alpha for e in run.problem.edges]
-    links = _Links(len(gen), src, dst, alpha)
+    links = _Links(run.dst, run.backward) if backward else _Links(run.src, run.forward)
     return _fixpoint(run, gen, keep, None, links, rows_first=True)
 
 
@@ -411,15 +428,13 @@ def _earliest(run: _Run, av_out, an_in, an_out, kill) -> np.ndarray:
     the last factor when i is the entry."""
     first = run.conj(an_out[run.dst], run.neg(av_out[run.src]))
     blocked = run.disj(kill[run.src], run.neg(an_in[run.src]))
-    from_entry = np.array([s == run.problem.entry for s, _ in run.keys])[:, None, None]
-    return np.where(from_entry, first, run.conj(first, blocked))
+    return np.where((run.src == run.entry)[:, None, None], first, run.conj(first, blocked))
 
 
 def _later(run: _Run, ear: np.ndarray, not_uee: np.ndarray):
     """LaterOut(i,j) = Earliest(i,j) | (LaterIn(i) & !UEE(i)) per edge, LaterIn
     per block (the forward merge of LaterOut) and whether they converged."""
-    alpha = [e.alpha for e in run.problem.edges]
-    links = _Links(len(not_uee), np.arange(len(run.keys)), run.dst, alpha)
+    links = _Links(np.arange(len(run.keys)), run.forward)
     return _fixpoint(run, ear, not_uee, run.src, links, rows_first=False)
 
 
@@ -428,7 +443,7 @@ def _insert_delete(run: _Run, later_in, later_out, uee):
     !LaterIn(k), and 0 for the entry."""
     not_later = run.neg(later_in)
     delete = run.conj(uee, not_later)
-    delete[run.problem.blocks.index(run.problem.entry)] = 0.0
+    delete[run.entry] = 0.0
     return run.conj(later_out, not_later[run.dst]), delete
 
 

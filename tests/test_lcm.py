@@ -668,3 +668,130 @@ def test_views_are_cached_and_read_only_in_effect(mode):
             setattr(result, name, {})
         view[key][0] = 0.5  # a row is a fresh list: the report does not see it
     assert _jsonio.dumps(result.to_json_dict()) == report
+
+
+# -- stacked expressions, interval order, drawn CFGs ---------------------------------
+
+
+STACK_FAMILIES = ["minmax", "product", "lukasiewicz", "nilpotent", "frank:2"]
+
+
+def single_expression(problem: LcmProblem, k: int) -> LcmProblem:
+    """``problem`` with expression ``k`` alone."""
+    rows = ({b: [row[k]] for b, row in m.items()} for m in (problem.dee, problem.uee, problem.kill))
+    return LcmProblem(problem.blocks, problem.edges, [problem.exprs[k]], *rows,
+                      problem.entry, problem.exit)
+
+
+def column_bits(result) -> list[bytes]:
+    """Each expression's column of every matrix of ``result``, as raw bits."""
+    return [b"".join(values[:, k].tobytes() for values in result._arrays.values())
+            for k in range(len(result.exprs))]
+
+
+def assert_stacking_changes_nothing(problem, mode, family, cfg=None):
+    result = L.lcm_pipeline(problem, mode, family, cfg)
+    alone = [L.lcm_pipeline(single_expression(problem, k), mode, family, cfg)
+             for k in range(len(problem.exprs))]
+    assert column_bits(result) == [column_bits(r)[0] for r in alone]
+    assert result.converged == all(r.converged for r in alone)
+    return alone
+
+
+@pytest.mark.parametrize("logic", STACK_FAMILIES)
+@pytest.mark.parametrize("mode", ["crisp", "fuzzy", "interval"])
+def test_stacked_expressions_report_what_each_reports_alone(mode, logic):
+    """Every expression column is swept, frozen and pruned on its own: a
+    problem's report equals, column by column and bit for bit, the reports
+    of its expressions run one at a time."""
+    family = LogicFamily.parse(logic)
+    stacked = 0
+    for seed in range(400, 408):
+        problem = moded_problem(seed, mode)
+        stacked += len(problem.exprs) > 1
+        assert_stacking_changes_nothing(problem, mode, family)
+    assert stacked >= 4
+
+
+@pytest.mark.parametrize("mode", ["fuzzy", "interval"])
+def test_stacking_changes_nothing_where_some_columns_stop_unconverged(mode):
+    family = LogicFamily.product()
+    problem = interval_problem() if mode == "interval" else diffpcm_problem()
+    alone = assert_stacking_changes_nothing(problem, mode, family,
+                                            SolverConfig(family=family, max_iters=10))
+    assert {r.converged for r in alone} == {True, False}
+
+
+def test_interval_conj_keeps_ordered_pairs_ordered():
+    """Only Frank re-sorts interval pairs: the other T-norms are monotone in
+    floating point, so on ordered pairs they never return lo > hi, and
+    Frank's results are ordered after its re-sort."""
+    import numpy as np
+    from hypothesis import HealthCheck, given, settings
+    from hypothesis import strategies as st
+
+    runs = [L._Run(interval_problem(), "interval", LogicFamily.parse(logic))
+            for logic in STACK_FAMILIES]
+    assert [run.resort for run in runs] == [logic == "frank:2" for logic in STACK_FAMILIES]
+    ends = st.one_of(st.floats(0.0, 1.0), st.sampled_from(
+        [0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1.0 - 2.0**-53, 0.5]))
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None,
+              suppress_health_check=list(HealthCheck))
+    @given(st.lists(ends, min_size=4, max_size=64))
+    def check(values):
+        x, y = np.sort(np.array(values[:len(values) // 4 * 4]).reshape(2, -1, 1, 2))
+        for logic, run in zip(STACK_FAMILIES, runs):
+            for out in (run.conj(x, y), run.disj(x, y)):
+                assert (out[..., 0] <= out[..., 1]).all(), logic
+
+    check()
+
+
+def _drawn_cfgs():
+    """Fuzzy problems on drawn CFGs: every block but the entry draws 1 to 5
+    predecessors (the exit also gets an edge from each block left without a
+    successor), the edges come in a drawn order, the weights are uneven and
+    rows mix U[0,1] draws with exact 0s and 1s."""
+    from hypothesis import strategies as st
+
+    @st.composite
+    def problems(draw):
+        n = draw(st.integers(2, 9))
+        blocks = [f"b{i}" for i in range(n)]
+        pairs = set()
+        for i in range(1, n):
+            sources = [j for j in range(n - 1) if j != i]
+            pairs.update((j, i) for j in draw(st.lists(st.sampled_from(sources), min_size=1,
+                                                       max_size=5, unique=True)))
+        pairs.update((i, n - 1) for i in range(n - 1) if all(s != i for s, _ in pairs))
+        pairs = draw(st.permutations(sorted(pairs)))
+        weight = [draw(st.integers(1, 10)) for _ in pairs]
+        weight_back = [draw(st.integers(1, 10)) for _ in pairs]
+        into = {d: sum(w for (_, d2), w in zip(pairs, weight) if d2 == d) for _, d in pairs}
+        out_of = {s: sum(w for (s2, _), w in zip(pairs, weight_back) if s2 == s) for s, _ in pairs}
+        edges = [LcmEdge(blocks[s], blocks[d], w / into[d], wb / out_of[s])
+                 for (s, d), w, wb in zip(pairs, weight, weight_back)]
+        n_exprs = draw(st.integers(1, 3))
+        value = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]))
+        rows = [{b: draw(st.lists(value, min_size=n_exprs, max_size=n_exprs)) for b in blocks}
+                for _ in range(3)]
+        return LcmProblem(blocks, edges, [f"e{k}" for k in range(n_exprs)], *rows,
+                          blocks[0], blocks[-1])
+
+    return problems()
+
+
+def test_fuzzy_pipeline_matches_reference_on_drawn_cfgs():
+    from hypothesis import HealthCheck, given, settings
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=list(HealthCheck))
+    @given(_drawn_cfgs())
+    def check(problem):
+        assert not L.validate_problem(problem, "fuzzy")
+        result = L.lcm_pipeline(problem, "fuzzy", MINMAX)
+        assert result.converged
+        assert_matches_reference(result, problem, MINMAX, tol=2e-5)
+
+    check()
