@@ -25,8 +25,8 @@ _EXPORTS = {
         "Var", "evaluate", "evaluate_interval", "format_formula", "free_vars", "parse_formula",
     ),
     "flowgraph": (
-        "Edge", "FlowGraph", "ValidationReport", "graph_from_json_dict", "graph_to_json_dict",
-        "load_graph_file", "validate",
+        "Edge", "FlowGraph", "ValidationReport", "graph_from_json_dict", "load_graph_file",
+        "validate",
     ),
     "solver": ("SolveReport", "solve", "solve_interval", "step", "step_interval"),
     "lcm": (

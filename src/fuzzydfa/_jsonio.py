@@ -9,11 +9,12 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 from typing import Any, Callable, Iterable, Sequence
 
-from .truth import TruthInterval, truth_value
+from .truth import LogicFamily, TruthInterval, _Record, truth_value
 
 __all__ = [
     "FileFormatError",
     "LCM_MODES",
+    "Settings",
     "dumps",
     "load_file",
     "check_keys",
@@ -22,11 +23,11 @@ __all__ = [
     "load_string",
     "load_strings",
     "load_number",
-    "load_setting",
+    "load_settings",
+    "load_edge",
     "load_value",
     "load_row",
     "dump_value",
-    "dump_row",
 ]
 
 # The values of an LCM problem file's "mode"; here rather than in ``lcm`` so
@@ -173,10 +174,49 @@ def load_number(raw: Any, context: str, *, integer: bool = False) -> Any:
         raise FileFormatError(f"{context}: integer too large for a float") from None
 
 
-def load_setting(data: dict, key: str, *, integer: bool = False) -> Any:
-    """Read an optional numeric setting (``load_number``), or None when
-    ``key`` is absent; the range is checked by ``SolverConfig``."""
-    return load_number(data[key], key, integer=integer) if key in data else None
+class Settings(_Record):
+    """The solver settings a problem file carries: its mode, and the logic
+    family and stopping rule, None where the file leaves them out."""
+
+    _fields = ("mode", "logic", "epsilon", "max_iters")
+
+    def __init__(self, mode: str, logic: LogicFamily | None = None, epsilon: float | None = None,
+                 max_iters: int | None = None) -> None:
+        self.mode, self.logic, self.epsilon, self.max_iters = mode, logic, epsilon, max_iters
+
+
+def load_settings(data: dict, modes: Sequence[str], default: str) -> Settings:
+    """Read a problem file's optional ``mode`` (one of ``modes``, else
+    ``default``), ``logic``, ``epsilon`` and ``max_iters``.  The numbers are
+    read as ``load_number`` reads them; their range is checked by
+    ``SolverConfig``."""
+    mode = data.get("mode", default)
+    if mode not in modes:
+        raise FileFormatError(f"mode: expected one of {modes}, got {mode!r}")
+    logic = None
+    if "logic" in data:
+        try:
+            logic = LogicFamily.parse(str(data["logic"]))
+        except ValueError as exc:
+            raise FileFormatError(f"logic: {exc}") from None
+    epsilon = load_number(data["epsilon"], "epsilon") if "epsilon" in data else None
+    max_iters = (load_number(data["max_iters"], "max_iters", integer=True)
+                 if "max_iters" in data else None)
+    return Settings(mode, logic, epsilon, max_iters)
+
+
+def load_edge(raw: Any, make: Callable[..., Any], weights: tuple[str, ...]) -> Any:
+    """``make(src, dst, *weights)`` from one edge object of a problem file,
+    for ``load_items``: ``from`` and ``to`` are names, each of ``weights``
+    a number, and a ``ValueError`` of ``make`` is a format error."""
+    check_keys(raw, "", ("from", "to") + weights)
+    args = [load_string(raw["from"], ".from"), load_string(raw["to"], ".to")]
+    for key in weights:  # a loop, not a comprehension: one frame fewer per edge
+        args.append(load_number(raw[key], "." + key))
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise FileFormatError(f": {exc}") from None
 
 
 def load_value(raw: Any, context: str, *, interval: bool) -> Any:
@@ -229,8 +269,3 @@ def _float_pairs(rows: Sequence) -> list[float]:
 
 def dump_value(value: Any) -> Any:
     return [value.lo, value.hi] if isinstance(value, TruthInterval) else value
-
-
-def dump_row(row: Iterable) -> list:
-    """``dump_value`` on every entry of ``row``."""
-    return [[v.lo, v.hi] if isinstance(v, TruthInterval) else v for v in row]

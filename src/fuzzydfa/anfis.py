@@ -270,8 +270,9 @@ class TrainConfig(_Frozen):
     retrain_error_threshold: float
 
     def __init__(self, mu: float, retrain_error_threshold: float = 0.8) -> None:
-        if not mu > 0.0:
-            raise ValueError(f"mu must be > 0, got {mu}")
+        # A step size is a finite real number: not a bool, inf or nan.
+        if isinstance(mu, bool) or not isinstance(mu, (int, float)) or not 0.0 < mu < math.inf:
+            raise ValueError(f"mu must be > 0 and finite, got {mu!r}")
         if not 0.0 <= retrain_error_threshold <= 1.0:
             raise ValueError(
                 f"retrain_error_threshold must be in [0,1], got {retrain_error_threshold}")
@@ -384,10 +385,12 @@ def model_from_json_dict(data: Any) -> AnfisModel:
     num = _jsonio.load_number
     try:
         rules = []
-        for i, raw in enumerate(data["rules"]):
+        for i, raw in enumerate(_jsonio.load_list(data["rules"], "rules")):
             _jsonio.check_keys(raw, f"rules[{i}]", ["antecedents", "consequent"])
-            mfs = [[num(v, f"rules[{i}].antecedents") for v in abc] for abc in raw["antecedents"]]
-            consequent = [num(c, f"rules[{i}].consequent") for c in raw["consequent"]]
+            ante, where = raw["antecedents"], f"rules[{i}].antecedents"
+            mfs = [[num(v, where) for v in abc] for abc in _jsonio.load_list(ante, where)]
+            coef, where = raw["consequent"], f"rules[{i}].consequent"
+            consequent = [num(c, where) for c in _jsonio.load_list(coef, where)]
             rules.append(Rule(tuple(TriangularMf(*abc) for abc in mfs), consequent))
         return AnfisModel(rules, num(data["dim"], "dim", integer=True), str(data["and_op"]))
     except (TypeError, ValueError) as exc:

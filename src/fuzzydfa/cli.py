@@ -30,7 +30,7 @@ def _first(*values):
     return next(v for v in values if v is not None)
 
 
-def _solver_config(args, settings) -> SolverConfig:
+def _solver_config(args, settings: _jsonio.Settings) -> SolverConfig:
     """Options override the file's settings, which override the defaults.
     Only an absent value (None) falls through; 0 is checked, not replaced."""
     logic = LogicFamily.parse(args.logic) if args.logic is not None else settings.logic

@@ -18,8 +18,8 @@ from typing import Any
 
 from . import _jsonio
 from ._jsonio import FileFormatError
-from .formula import Formula, Value, format_formula, free_vars, parse_formula
-from .truth import LogicFamily, _Frozen, _Record, _set, truth_value
+from .formula import Formula, Value, free_vars, parse_formula
+from .truth import _Frozen, _Record, _set, truth_value
 
 __all__ = [
     "Edge",
@@ -27,9 +27,7 @@ __all__ = [
     "ValidationReport",
     "validate",
     "graph_from_json_dict",
-    "graph_to_json_dict",
     "load_graph_file",
-    "GraphSettings",
 ]
 
 Valuation = dict[str, Value]
@@ -175,33 +173,12 @@ def validate(graph: FlowGraph) -> ValidationReport:
 # -- JSON problem format ------------------------------------------------------
 
 
-class GraphSettings(_Record):
-    """Solver-facing settings carried by a graph problem file."""
-
-    _fields = ("logic", "mode", "epsilon", "max_iters")
-
-    def __init__(self, logic: LogicFamily | None = None, mode: str = "scalar",  # | "interval"
-                 epsilon: float | None = None, max_iters: int | None = None) -> None:
-        self.logic, self.mode, self.epsilon, self.max_iters = logic, mode, epsilon, max_iters
-
-
-def graph_from_json_dict(data: Any) -> tuple[FlowGraph, GraphSettings]:
+def graph_from_json_dict(data: Any) -> tuple[FlowGraph, _jsonio.Settings]:
     _jsonio.check_keys(
         data, "problem", ["start", "nodes", "edges"],
         ["logic", "mode", "seed", "epsilon", "max_iters"],
     )
-    settings = GraphSettings()
-    if "logic" in data:
-        try:
-            settings.logic = LogicFamily.parse(str(data["logic"]))
-        except ValueError as exc:
-            raise FileFormatError(f"logic: {exc}") from None
-    if "mode" in data:
-        if data["mode"] not in ("scalar", "interval"):
-            raise FileFormatError(f"mode: expected 'scalar' or 'interval', got {data['mode']!r}")
-        settings.mode = data["mode"]
-    settings.epsilon = _jsonio.load_setting(data, "epsilon")
-    settings.max_iters = _jsonio.load_setting(data, "max_iters", integer=True)
+    settings = _jsonio.load_settings(data, ("scalar", "interval"), "scalar")
     interval = settings.mode == "interval"
 
     transfers: dict[str, dict[str, Formula]] = {}
@@ -225,7 +202,8 @@ def graph_from_json_dict(data: Any) -> tuple[FlowGraph, GraphSettings]:
                 raise FileFormatError(f"nodes[{i}].transfer[{prop!r}]: {exc}") from None
         transfers[node_id] = transfer
 
-    edges = _jsonio.load_items(data["edges"], "edges", _edge_from_json)
+    edges = _jsonio.load_items(
+        data["edges"], "edges", lambda raw: _jsonio.load_edge(raw, Edge, ("alpha",)))
 
     seeds: dict[str, Valuation] = {}
     seed = data.get("seed", {})
@@ -243,35 +221,5 @@ def graph_from_json_dict(data: Any) -> tuple[FlowGraph, GraphSettings]:
     return FlowGraph(transfers, edges, start, seeds), settings
 
 
-def _edge_from_json(raw: Any) -> Edge:
-    """One edge of a graph file, for ``_jsonio.load_items``."""
-    _jsonio.check_keys(raw, "", ["from", "to", "alpha"])
-    src, dst = _jsonio.load_string(raw["from"], ".from"), _jsonio.load_string(raw["to"], ".to")
-    alpha = _jsonio.load_number(raw["alpha"], ".alpha")
-    try:
-        return Edge(src, dst, alpha)
-    except ValueError as exc:
-        raise FileFormatError(f": {exc}") from None
-
-
-def graph_to_json_dict(graph: FlowGraph, settings: GraphSettings | None = None) -> dict:
-    out: dict[str, Any] = {}
-    if settings is not None and settings.logic is not None:
-        out["logic"] = str(settings.logic)
-    if settings is not None and settings.mode != "scalar":
-        out["mode"] = settings.mode
-    out["start"] = graph.start
-    out["seed"] = {
-        node: {prop: _jsonio.dump_value(v) for prop, v in valuation.items()}
-        for node, valuation in graph.seeds.items()
-    }
-    out["nodes"] = [
-        {"id": node, "transfer": {prop: format_formula(f) for prop, f in transfer.items()}}
-        for node, transfer in graph.transfers.items()
-    ]
-    out["edges"] = [{"from": e.src, "to": e.dst, "alpha": e.alpha} for e in graph.edges]
-    return out
-
-
-def load_graph_file(path: str) -> tuple[FlowGraph, GraphSettings]:
+def load_graph_file(path: str) -> tuple[FlowGraph, _jsonio.Settings]:
     return graph_from_json_dict(_jsonio.load_file(path))

@@ -51,8 +51,6 @@ __all__ = [
     "join_targets",
     "load_problem_file",
     "problem_from_json_dict",
-    "problem_to_json_dict",
-    "LcmSettings",
 ]
 
 Value = Union[float, TruthInterval]
@@ -198,7 +196,7 @@ class LcmResult(_Frozen):
     def to_json_dict(self) -> dict:
         out: dict[str, Any] = {"mode": self.mode, "exprs": list(self.exprs)}
         for name, values in self._arrays.items():
-            # Rows of floats, or of [lo, hi] lists: what dump_row prints.
+            # Rows of floats, or of [lo, hi] lists.
             rows = (values[..., 0] if values.shape[-1] == 1 else values).tolist()
             if name in _EDGE_MATRICES:
                 out[name] = [{"from": s, "to": d, "values": r}
@@ -496,36 +494,18 @@ def join_targets(rows: Sequence[Sequence[Value]]) -> list[TruthInterval]:
 # -- JSON problem format ----------------------------------------------------------
 
 
-class LcmSettings(_Record):
-    _fields = ("mode", "logic", "epsilon", "max_iters")
-
-    def __init__(self, mode: str = "fuzzy", logic: LogicFamily | None = None,
-                 epsilon: float | None = None, max_iters: int | None = None) -> None:
-        self.mode, self.logic, self.epsilon, self.max_iters = mode, logic, epsilon, max_iters
-
-
-def problem_from_json_dict(data: Any) -> tuple[LcmProblem, LcmSettings]:
+def problem_from_json_dict(data: Any) -> tuple[LcmProblem, _jsonio.Settings]:
     _jsonio.check_keys(
         data, "problem",
         ["entry", "exit", "blocks", "edges", "exprs", "dee", "uee", "kill"],
         ["logic", "mode", "epsilon", "max_iters"],
     )
-    settings = LcmSettings()
-    if "mode" in data:
-        if data["mode"] not in MODES:
-            raise FileFormatError(f"mode: expected one of {MODES}, got {data['mode']!r}")
-        settings.mode = data["mode"]
-    if "logic" in data:
-        try:
-            settings.logic = LogicFamily.parse(str(data["logic"]))
-        except ValueError as exc:
-            raise FileFormatError(f"logic: {exc}") from None
-    settings.epsilon = _jsonio.load_setting(data, "epsilon")
-    settings.max_iters = _jsonio.load_setting(data, "max_iters", integer=True)
+    settings = _jsonio.load_settings(data, MODES, "fuzzy")
     interval = settings.mode == "interval"
 
     blocks = _jsonio.load_strings(data["blocks"], "blocks")
-    edges = _jsonio.load_items(data["edges"], "edges", _edge_from_json)
+    edges = _jsonio.load_items(data["edges"], "edges",
+                               lambda raw: _jsonio.load_edge(raw, LcmEdge, ("alpha", "alpha_back")))
     exprs = _jsonio.load_strings(data["exprs"], "exprs")
 
     def matrix(name: str) -> BlockMatrix:
@@ -552,41 +532,5 @@ def problem_from_json_dict(data: Any) -> tuple[LcmProblem, LcmSettings]:
     return problem, settings
 
 
-def _edge_from_json(raw: Any) -> LcmEdge:
-    """One edge of a problem file, for ``_jsonio.load_items``."""
-    _jsonio.check_keys(raw, "", ["from", "to", "alpha", "alpha_back"])
-    ends = _jsonio.load_string(raw["from"], ".from"), _jsonio.load_string(raw["to"], ".to")
-    alpha = (_jsonio.load_number(raw["alpha"], ".alpha"),
-             _jsonio.load_number(raw["alpha_back"], ".alpha_back"))
-    try:
-        return LcmEdge(*ends, *alpha)
-    except ValueError as exc:
-        raise FileFormatError(f": {exc}") from None
-
-
-def problem_to_json_dict(problem: LcmProblem, settings: LcmSettings | None = None) -> dict:
-    out: dict[str, Any] = {}
-    if settings is not None:
-        out["mode"] = settings.mode
-        if settings.logic is not None:
-            out["logic"] = str(settings.logic)
-    out.update(
-        {
-            "entry": problem.entry,
-            "exit": problem.exit,
-            "blocks": list(problem.blocks),
-            "edges": [
-                {"from": e.src, "to": e.dst, "alpha": e.alpha, "alpha_back": e.alpha_back}
-                for e in problem.edges
-            ],
-            "exprs": list(problem.exprs),
-            "dee": {b: _jsonio.dump_row(row) for b, row in problem.dee.items()},
-            "uee": {b: _jsonio.dump_row(row) for b, row in problem.uee.items()},
-            "kill": {b: _jsonio.dump_row(row) for b, row in problem.kill.items()},
-        }
-    )
-    return out
-
-
-def load_problem_file(path: str) -> tuple[LcmProblem, LcmSettings]:
+def load_problem_file(path: str) -> tuple[LcmProblem, _jsonio.Settings]:
     return problem_from_json_dict(_jsonio.load_file(path))

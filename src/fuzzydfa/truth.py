@@ -139,12 +139,6 @@ class TruthInterval(_Frozen):
     def width(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, x: float, slack: float = 1e-12) -> bool:
-        return self.lo - slack <= x <= self.hi + slack
-
-    def encloses(self, other: "TruthInterval", slack: float = 1e-12) -> bool:
-        return self.lo - slack <= other.lo and other.hi <= self.hi + slack
-
 
 def _each(fn, x: np.ndarray) -> np.ndarray:
     """``fn`` applied to every element of the float array ``x``."""
@@ -246,18 +240,9 @@ class LogicFamily(_Frozen):
         ratio = math.expm1(x * ls) * math.expm1(y * ls) / (s - 1.0)
         return min(1.0, max(0.0, math.log1p(ratio) / ls))
 
-    def tnorm_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """``tnorm`` element by element on numpy arrays of degrees in [0,1].
-
-        The inputs are neither checked nor clamped, so the result equals
-        ``tnorm``'s bit for bit wherever ``tnorm``'s checks leave an input as
-        it is: on every degree but -0.0.
-        """
-        return self._tnorm_terms(self._term(x), self._term(y))
-
     def _term(self, x: np.ndarray) -> np.ndarray:
-        """What ``tnorm_array`` computes of one operand alone: expm1(x ln s) for
-        Frank off the product band, else ``x``; a fixed operand needs it once."""
+        """One operand as ``_tnorm_terms`` takes it: expm1(x ln s) for Frank
+        off the product band, else ``x``; a fixed operand needs it once."""
         if self.kind != "frank" or abs(self.s - 1.0) <= _FRANK_PRODUCT_BAND:
             return x
         # Only expm1 and log1p run per element, and through math: numpy's
@@ -265,7 +250,13 @@ class LogicFamily(_Frozen):
         return _each(math.expm1, x * math.log(self.s))
 
     def _tnorm_terms(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """``tnorm_array`` from its operands' ``_term``s."""
+        """``tnorm`` element by element on numpy arrays of degrees in [0,1],
+        from its operands' ``_term``s.
+
+        The inputs are neither checked nor clamped, so the result equals
+        ``tnorm``'s bit for bit wherever ``tnorm``'s checks leave an input as
+        it is: on every degree but -0.0.
+        """
         import numpy as np  # the module itself, scalar norms and all, needs no numpy
 
         kind = self.kind

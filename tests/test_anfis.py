@@ -464,6 +464,15 @@ def test_train_config_validation():
         TrainConfig(mu=0.1, retrain_error_threshold=1.5)
 
 
+@pytest.mark.parametrize("mu", [math.inf, math.nan, -0.1, 0, True, "0.1", None],
+                         ids=["inf", "nan", "negative", "zero", "bool", "string", "none"])
+def test_train_config_requires_a_finite_positive_mu(mu):
+    with pytest.raises(ValueError) as info:
+        TrainConfig(mu=mu)
+    assert str(info.value) == f"mu must be > 0 and finite, got {mu!r}"
+    assert TrainConfig(mu=1e300).mu == 1e300 and TrainConfig(mu=2).mu == 2
+
+
 # -- serialization ---------------------------------------------------------------------
 
 
@@ -730,6 +739,25 @@ def test_model_json_numbers_are_strict(spoil):
     spoil(data)
     with pytest.raises(FileFormatError, match=r"^model: "):
         model_from_json_dict(data)
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda d: d.__setitem__("rules", {"a": d["rules"][0]}), "rules: expected a list, got dict"),
+    (lambda d: d.__setitem__("rules", 5), "rules: expected a list, got int"),
+    (lambda d: d["rules"][1].__setitem__("antecedents", {"x": [0.0, 0.5, 1.0]}),
+     "rules[1].antecedents: expected a list, got dict"),
+    (lambda d: d["rules"][0].__setitem__("consequent", {"0": 0.0, "1": 0.0}),
+     "rules[0].consequent: expected a list, got dict"),
+    (lambda d: d["rules"][0].__setitem__("consequent", "00"),
+     "rules[0].consequent: expected a list, got str"),
+], ids=["rules-object", "rules-number", "antecedents-object", "consequent-object",
+        "consequent-string"])
+def test_model_json_lists_are_strict(spoil, message):
+    data = model_to_json_dict(uniform_model(1, 2))
+    spoil(data)
+    with pytest.raises(FileFormatError) as raised:
+        model_from_json_dict(data)
+    assert str(raised.value) == f"model: {message}"
 
 
 def test_array_inputs_are_accepted_like_lists():

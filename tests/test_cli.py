@@ -283,6 +283,13 @@ def test_epsilon_options_that_are_not_finite_and_positive_are_rejected(data_dir,
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("mu", ["inf", "nan", "0", "-0.5"])
+def test_mu_options_that_are_not_finite_and_positive_are_rejected(data_dir, capsys, mu):
+    code, out, err = run(capsys, "anfis-train", str(data_dir / "anfis_models.json"),
+                         str(data_dir / "anfis_samples.csv"), "--mu", mu)
+    assert (code, out, err) == (1, "", f"error: mu must be > 0 and finite, got {float(mu)!r}\n")
+
+
 def test_lcm_honours_file_settings(data_dir, tmp_path, capsys):
     path = _with_settings(data_dir, tmp_path, "diffpcm_t1.json", max_iters=3, epsilon=0.5)
     _, expected, _ = run(capsys, "lcm", str(data_dir / "diffpcm_t1.json"),

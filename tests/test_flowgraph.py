@@ -1,8 +1,8 @@
 import pytest
 
-from fuzzydfa import Edge, FlowGraph, Var, parse_formula, validate
-from fuzzydfa._jsonio import FileFormatError
-from fuzzydfa.flowgraph import graph_from_json_dict, graph_to_json_dict, load_graph_file
+from fuzzydfa import Edge, FlowGraph, LogicFamily, Var, parse_formula, validate
+from fuzzydfa._jsonio import FileFormatError, Settings
+from fuzzydfa.flowgraph import graph_from_json_dict, load_graph_file
 
 
 def fig1_graph():
@@ -83,11 +83,10 @@ def test_unresolvable_variable_is_an_error():
 
 
 def test_json_round_trip(data_dir):
+    """The bundled file loads to the in-memory graph and its settings."""
     g, settings = load_graph_file(str(data_dir / "fig1.json"))
-    data = graph_to_json_dict(g, settings)
-    g2, settings2 = graph_from_json_dict(data)
-    assert g2 == g
-    assert settings2.logic == settings.logic
+    assert g == fig1_graph()
+    assert settings == Settings("scalar", LogicFamily.minmax())
 
 
 def test_unknown_keys_rejected():

@@ -107,6 +107,14 @@ def test_star_import_binds_every_export():
     assert namespace["lcm_pipeline"] is fuzzydfa.lcm.lcm_pipeline
 
 
+@pytest.mark.parametrize("module", ["truth", "formula", "flowgraph", "solver", "lcm", "anfis",
+                                    "_jsonio", "cli"])
+def test_submodule_star_import_binds_every_name_in_its_all(module):
+    namespace: dict = {}
+    exec(f"from fuzzydfa.{module} import *", namespace)  # a stale __all__ entry raises here
+    assert set(getattr(fuzzydfa, module).__all__) <= namespace.keys()
+
+
 def test_unknown_name_raises_attribute_error_naming_the_module():
     with pytest.raises(AttributeError, match=r"module 'fuzzydfa' has no attribute 'bogus'"):
         fuzzydfa.bogus  # noqa: B018

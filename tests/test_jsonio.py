@@ -1,12 +1,15 @@
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 
-from fuzzydfa import TruthInterval
-from fuzzydfa._jsonio import (FileFormatError, check_keys, dumps, dump_row, load_number, load_row,
+from fuzzydfa import LogicFamily, TruthInterval
+from fuzzydfa._jsonio import (FileFormatError, Settings, check_keys, dumps, load_number, load_row,
                               load_value)
+from fuzzydfa.flowgraph import graph_from_json_dict
+from fuzzydfa.lcm import problem_from_json_dict
 
 
 @pytest.mark.parametrize("value, text", [
@@ -105,10 +108,6 @@ def test_check_keys_accepts_exact_keys_and_names_the_rest():
         assert str(raised.value) == message
 
 
-def test_dump_row_lists_interval_ends():
-    assert dump_row([TruthInterval(0.25, 0.5), 0.5]) == [[0.25, 0.5], 0.5]
-
-
 @pytest.mark.parametrize("raw, message", [
     (["0.2", True], r"^x\[0\]: expected a number, got '0.2'$"),
     ([0.2, True], r"^x\[1\]: expected a number, got True$"),
@@ -140,6 +139,61 @@ def test_load_number_rejects_what_it_would_coerce(raw, integer, message):
         load_number(raw, "n", integer=integer)
     assert load_number(3, "n") == 3.0 and type(load_number(3, "n")) is float
     assert load_number(3, "n", integer=True) == 3
+
+
+# -- the settings of both problem kinds -------------------------------------------
+
+# Each problem kind with its modes in the message's order, its default mode
+# and a bundled file that sets no mode.
+PROBLEM_KINDS = pytest.mark.parametrize("load, name, modes, default", [
+    (graph_from_json_dict, "fig1.json", ("scalar", "interval"), "scalar"),
+    (problem_from_json_dict, "diffpcm_t1.json", ("crisp", "fuzzy", "interval"), "fuzzy"),
+], ids=["graph", "lcm"])
+BAD_SETTINGS = [
+    ({"logic": "bogus"}, "logic: unknown logic family 'bogus'; expected minmax, product, "
+                         "lukasiewicz, nilpotent or frank:<s>"),
+    ({"logic": "frank:x"}, "logic: bad frank parameter in 'frank:x'"),
+    ({"epsilon": "1e-6"}, "epsilon: expected a number, got '1e-6'"),
+    ({"epsilon": None}, "epsilon: expected a number, got None"),
+    ({"epsilon": math.inf}, "epsilon: expected a finite number, got inf"),
+    ({"max_iters": 2.5}, "max_iters: expected an integer, got 2.5"),
+    ({"max_iters": True}, "max_iters: expected an integer, got True"),
+    ({"max_iters": "3"}, "max_iters: expected an integer, got '3'"),
+    ({"mode": 3}, "mode: expected one of {modes}, got 3"),
+    ({"mode": None}, "mode: expected one of {modes}, got None"),
+    ({"mode": "bogus", "logic": "bogus"}, "mode: expected one of {modes}, got 'bogus'"),
+]
+BAD_SETTING_IDS = ["logic-unknown", "logic-frank", "epsilon-string", "epsilon-null", "epsilon-inf",
+                   "iters-fraction", "iters-bool", "iters-string", "mode-int", "mode-null",
+                   "mode-before-logic"]
+
+
+def _problem(data_dir, name, **settings):
+    data = json.loads((data_dir / name).read_text())
+    data.pop("mode", None)
+    return {**data, **settings}
+
+
+@PROBLEM_KINDS
+@pytest.mark.parametrize("settings, message", BAD_SETTINGS, ids=BAD_SETTING_IDS)
+def test_both_problem_kinds_reject_bad_settings_alike(data_dir, load, name, modes, default,
+                                                      settings, message):
+    with pytest.raises(FileFormatError) as raised:
+        load(_problem(data_dir, name, **settings))
+    assert str(raised.value) == message.format(modes=modes)
+
+
+@PROBLEM_KINDS
+def test_each_problem_kind_takes_its_own_modes_only(data_dir, load, name, modes, default):
+    assert load(_problem(data_dir, name))[1] == Settings(default, LogicFamily.minmax())
+    for mode in modes:
+        settings = {"mode": mode, "epsilon": 1, "max_iters": 7}
+        assert load(_problem(data_dir, name, **settings))[1] == Settings(mode, LogicFamily.minmax(),
+                                                                         1.0, 7)
+    for mode in {"scalar", "crisp", "fuzzy", "interval"} - set(modes):
+        with pytest.raises(FileFormatError) as raised:
+            load(_problem(data_dir, name, mode=mode))
+        assert str(raised.value) == f"mode: expected one of {modes}, got {mode!r}"
 
 
 # -- the writer against a frozen reference ---------------------------------------

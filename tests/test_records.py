@@ -13,12 +13,13 @@ import types
 
 import pytest
 
+from fuzzydfa._jsonio import Settings
 from fuzzydfa.anfis import (
     AnfisModel, HarnessResult, Prediction, Rule, TrainConfig, TriangularMf, uniform_model,
 )
-from fuzzydfa.flowgraph import Edge, FlowGraph, GraphSettings, ValidationReport
+from fuzzydfa.flowgraph import Edge, FlowGraph, ValidationReport
 from fuzzydfa.formula import And, Const, Formula, Not, Or, Var
-from fuzzydfa.lcm import LcmEdge, LcmProblem, LcmSettings, lcm_pipeline
+from fuzzydfa.lcm import LcmEdge, LcmProblem, lcm_pipeline
 from fuzzydfa.solver import SolveReport
 from fuzzydfa.truth import LogicFamily, SolverConfig, TruthInterval
 
@@ -58,10 +59,6 @@ RECORDS = [
      "alpha=0.5)], start='a', seeds={'a': {'p': 0.5}})", False),
     (ValidationReport, {"errors": ["e"], "warnings": ["w"]}, {"errors": [], "warnings": []},
      "ValidationReport(errors=['e'], warnings=['w'])", False),
-    (GraphSettings, {"logic": MINMAX, "mode": "interval", "epsilon": 1e-3, "max_iters": 10},
-     {"logic": None, "mode": "scalar", "epsilon": None, "max_iters": None},
-     "GraphSettings(logic=LogicFamily(kind='minmax', s=None), mode='interval', epsilon=0.001, "
-     "max_iters=10)", False),
     (SolveReport, {"final": {"a": {"p": 0.5}}, "iterations": 3, "residual_trace": [0.5, 0.1],
                    "converged": True},
      {"residual_trace": [], "converged": False},
@@ -77,9 +74,9 @@ RECORDS = [
      "LcmProblem(blocks=['a', 'b'], edges=[LcmEdge(src='a', dst='b', alpha=1.0, "
      "alpha_back=1.0)], exprs=['e'], dee={'a': [1.0], 'b': [0.0]}, uee={'a': [0.0], "
      "'b': [1.0]}, kill={'a': [0.0], 'b': [0.0]}, entry='a', exit='b')", False),
-    (LcmSettings, {"mode": "crisp", "logic": MINMAX, "epsilon": 1e-3, "max_iters": 10},
-     {"mode": "fuzzy", "logic": None, "epsilon": None, "max_iters": None},
-     "LcmSettings(mode='crisp', logic=LogicFamily(kind='minmax', s=None), epsilon=0.001, "
+    (Settings, {"mode": "crisp", "logic": MINMAX, "epsilon": 1e-3, "max_iters": 10},
+     {"logic": None, "epsilon": None, "max_iters": None},
+     "Settings(mode='crisp', logic=LogicFamily(kind='minmax', s=None), epsilon=0.001, "
      "max_iters=10)", False),
     (TriangularMf, {"a": 0.0, "b": 0.5, "c": 1.0}, {}, _MF, True),
     (Rule, {"antecedents": (MF,), "consequent": (0.25, 1.0)}, {}, _RULE, True),

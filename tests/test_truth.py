@@ -196,6 +196,8 @@ def test_frank_large_s_approaches_lukasiewicz():
 
 # -- array T-norm -------------------------------------------------------------------
 
+# The array T-norm is ``_tnorm_terms`` on its operands' ``_term``s, as LCM runs it.
+
 # Every conftest family, nilpotent, Frank inside the product band (evaluated
 # as x*y) and Frank at random log-uniform parameters.
 ARRAY_FAMILIES = (
@@ -219,7 +221,7 @@ def test_tnorm_array_matches_scalar_bit_for_bit(family):
     # The engine's shape: (rows, exprs, w).
     x = np.array(xs).reshape(-1, 4, 2)
     y = np.array(ys).reshape(-1, 4, 2)
-    got = family.tnorm_array(x, y)
+    got = family._tnorm_terms(family._term(x), family._term(y))
     assert got.dtype == np.float64 and got.shape == x.shape
     # Integer views tell -0.0 from 0.0.
     assert np.array_equal(got.view(np.int64), scalar_tnorms(family, x, y).view(np.int64))
@@ -247,7 +249,7 @@ def test_tnorm_array_overflows_silently_like_the_scalar():
     x = np.array([1.0, 0.5, 0.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = family.tnorm_array(x, x)
+        got = family._tnorm_terms(family._term(x), family._term(x))
     assert np.array_equal(got.view(np.int64), scalar_tnorms(family, x, x).view(np.int64))
 
 
@@ -312,9 +314,11 @@ def test_interval_ops_contain_pointwise_results():
         boxes = {"x": TruthInterval(lx, ux), "y": TruthInterval(ly, uy)}
         px = rng.uniform(lx, ux)
         py = rng.uniform(ly, uy)
-        assert evaluate_interval(And(x, y), family, boxes).contains(family.tnorm(px, py), slack=1e-9)
-        assert evaluate_interval(Or(x, y), family, boxes).contains(family.snorm(px, py), slack=1e-9)
-        assert evaluate_interval(Not(x), family, boxes).contains(family.cnorm(px), slack=1e-12)
+        for f, point, slack in ((And(x, y), family.tnorm(px, py), 1e-9),
+                                (Or(x, y), family.snorm(px, py), 1e-9),
+                                (Not(x), family.cnorm(px), 1e-12)):
+            box = evaluate_interval(f, family, boxes)
+            assert box.lo - slack <= point <= box.hi + slack
 
 
 # -- quantization ------------------------------------------------------------------
@@ -387,5 +391,5 @@ def test_frank_at_the_smallest_parameters_stays_in_the_unit_interval(s):
     ys = [rng.random() for _ in range(2000)] + [1.0, 0.5, 1.0 - 1e-16, 1.0, 1.0]
     scalar = np.array([family.tnorm(x, y) for x, y in zip(xs, ys)])
     assert ((scalar >= 0.0) & (scalar <= 1.0)).all()
-    got = family.tnorm_array(np.array(xs), np.array(ys))
+    got = family._tnorm_terms(family._term(np.array(xs)), family._term(np.array(ys)))
     assert np.array_equal(got.view(np.int64), scalar.view(np.int64))
