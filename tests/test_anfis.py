@@ -473,6 +473,52 @@ def test_train_config_requires_a_finite_positive_mu(mu):
     assert TrainConfig(mu=1e300).mu == 1e300 and TrainConfig(mu=2).mu == 2
 
 
+_MF = TriangularMf(0.0, 0.5, 1.0)
+_RULE = Rule([_MF], [0.0, 1.0])
+_ONE = AnfisModel([_RULE], 1)
+
+
+@pytest.mark.parametrize("make, kind, message", [
+    (lambda: Rule([_MF], [1.0]), DimensionMismatchError,
+     "rule with 1 antecedents needs 2 consequent coefficients"),
+    (lambda: AnfisModel([], 1), ValueError, "model needs at least one rule"),
+    (lambda: AnfisModel([_RULE], 0), ValueError, "input dimension must be >= 1, got 0"),
+    (lambda: AnfisModel([_RULE], 1, "max"), ValueError,
+     "and_op must be 'min' or 'product', got 'max'"),
+    (lambda: AnfisModel([_RULE], 2), DimensionMismatchError,
+     "rule has 1 antecedents, model dim is 2"),
+    (lambda: ls_fit(_ONE, [], []), ValueError, "need at least one sample"),
+    (lambda: uniform_model(0), ValueError,
+     "need dim >= 1 and at least 2 membership functions per input"),
+    (lambda: uniform_model(1, 1), ValueError,
+     "need dim >= 1 and at least 2 membership functions per input"),
+    (lambda: split_periods([[0.5]], [True], 0), ValueError, "period_length must be >= 1"),
+    (lambda: run_harness(_ONE, _ONE, [[[0.5]]], [], TrainConfig(0.1)), DimensionMismatchError,
+     "1 periods but 0 label groups"),
+    (lambda: run_harness(_ONE, _ONE, [[[0.5]]], [[True, False]], TrainConfig(0.1)),
+     DimensionMismatchError, "period and label lengths differ"),
+], ids=["rule-consequent", "no-rules", "dim-zero", "and-op", "rule-dim", "ls-no-samples",
+        "uniform-dim", "uniform-mfs", "period-length", "harness-periods", "harness-labels"])
+def test_construction_and_argument_errors_are_named(make, kind, message):
+    with pytest.raises(kind) as raised:
+        make()
+    assert type(raised.value) is kind and str(raised.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x1,label\n0.1,1\nabc,1\n", "row 3: non-numeric value"),
+    ("x1,label\n0.5\n", "row 2: need at least one input and a label"),
+    ("x1,label\n", "no samples"),
+    ("x1,x2,label\n0.1,0.2,1\n0.5,1\n", "inconsistent column counts [1, 2]"),
+], ids=["non-numeric", "one-column", "no-samples", "ragged"])
+def test_csv_errors_name_the_file_and_row(tmp_path, text, message):
+    path = tmp_path / "samples.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FileFormatError) as raised:
+        read_samples_csv(str(path))
+    assert str(raised.value) == f"{path}: {message}"
+
+
 # -- serialization ---------------------------------------------------------------------
 
 

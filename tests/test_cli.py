@@ -626,3 +626,43 @@ def test_crisp_value_errors_keep_their_order(data_dir, tmp_path, capsys):
     path = _spoiled(data_dir, tmp_path, "diffpcm_t1.json", _set_entry("kill", "B4", 3, 0.5))
     code, out, err = run(capsys, "lcm", path, "--mode", "crisp")
     assert (code, out, err) == (1, "", "error: kill['B4'][3]: crisp mode needs 0or1, got 0.5\n")
+
+
+def test_solve_on_an_invalid_graph_prints_warnings_then_errors(data_dir, tmp_path, capsys):
+    graph = json.loads((data_dir / "fig1.json").read_text())
+    graph["edges"].append({"from": "B3", "to": "zz", "alpha": 1.0})
+    graph["seed"]["B1"] = {"Out": 0.5}
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    assert run(capsys, "solve", str(path)) == (1, "", (
+        "warning: seed for 'B1' is ignored (node has incoming edges)\n"
+        "error: dangling edge B3->zz: no node 'zz'\n"))
+
+
+def test_solve_pretty_prints_each_node_and_the_sweep_count(data_dir, capsys):
+    assert run(capsys, "solve", str(data_dir / "fig1.json"), "--pretty") == (0, (
+        "B0: Out=0.000\nB1: Out=0.474\nB2: Out=0.526\nB3: Out=0.474\n"
+        "converged=True iterations=137\n"), "")
+
+
+def test_anfis_predict_pretty_prints_each_rule(data_dir, capsys):
+    argv = ["anfis-predict", str(data_dir / "anfis_two_rule.json"), "--input", "0.6,0.2"]
+    assert run(capsys, *argv, "--pretty") == (0, (
+        "output: 0.115000\n"
+        "rule 1: w=0.500 w_norm=0.833 f=0.034000\n"
+        "rule 2: w=0.100 w_norm=0.167 f=0.520000\n"), "")
+
+
+def test_anfis_predict_rejects_a_non_numeric_input(data_dir, capsys):
+    argv = ["anfis-predict", str(data_dir / "anfis_two_rule.json"), "--input", "0.6,x"]
+    assert run(capsys, *argv) == (1, "", "error: bad input vector '0.6,x'\n")
+
+
+def test_usage_errors_exit_1(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the usage line wraps at the terminal width
+    with pytest.raises(SystemExit) as raised:
+        main([])
+    assert raised.value.code == 1
+    assert capsys.readouterr().err == (
+        "usage: fuzzydfa [-h] {solve,lcm,validate,anfis-predict,anfis-train} ...\n"
+        "error: the following arguments are required: command\n")

@@ -2,7 +2,7 @@ import pytest
 
 from fuzzydfa import Edge, FlowGraph, LogicFamily, Var, parse_formula, validate
 from fuzzydfa._jsonio import FileFormatError, Settings
-from fuzzydfa.flowgraph import graph_from_json_dict, load_graph_file
+from fuzzydfa.flowgraph import ValidationReport, graph_from_json_dict, load_graph_file
 
 
 def fig1_graph():
@@ -116,3 +116,38 @@ def test_formula_errors_carry_position():
     with pytest.raises(FileFormatError) as err:
         graph_from_json_dict(data)
     assert "1:7" in str(err.value)
+
+
+def _spoiled_fig1(spoil):
+    g = fig1_graph()
+    spoil(g)
+    return validate(g)
+
+
+@pytest.mark.parametrize("spoil, errors, warnings", [
+    (lambda g: setattr(g, "start", "zz"), ["start node 'zz' does not exist"], []),
+    (lambda g: g.transfers["B0"].update(Aux=Var("In")),
+     ["seed for 'B0' is missing properties ['Aux']"], []),
+    (lambda g: g.seeds.update(ghost={"Out": 0.5}), ["seed entry for unknown node 'ghost'"], []),
+    (lambda g: g.seeds.update(B1={"Out": 0.5}), [],
+     ["seed for 'B1' is ignored (node has incoming edges)"]),
+    (lambda g: g.transfers["B2"].update(Other=Var("In")),
+     ["B2.Other: 'In' unresolvable, predecessor 'B1' has no property 'Other'"], []),
+])
+def test_validate_names_each_seed_and_start_fault(spoil, errors, warnings):
+    assert _spoiled_fig1(spoil) == ValidationReport(errors, warnings)
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda d: d["nodes"].append({"id": "a", "transfer": {"Out": "0.5"}}),
+     "nodes[1]: duplicate node id 'a'"),
+    (lambda d: d["nodes"][0].update(transfer={}), "nodes[0].transfer: expected a nonempty object"),
+    (lambda d: d.update(seed={"a": 0.5}), "seed['a']: expected an object"),
+])
+def test_graph_file_faults_are_named(spoil, message):
+    data = {"start": "a", "nodes": [{"id": "a", "transfer": {"Out": "0.5"}}], "edges": [],
+            "seed": {"a": {"Out": 0.5}}}
+    spoil(data)
+    with pytest.raises(FileFormatError) as err:
+        graph_from_json_dict(data)
+    assert str(err.value) == message

@@ -523,6 +523,46 @@ def test_validate_reports_every_block_error_in_order():
     ]
 
 
+def _chain(blocks=("s", "m", "t"), extra=(), exprs=("a",), entry="s", exit="t") -> LcmProblem:
+    """s -> m -> t with unit weights, plus the ``extra`` (src, dst, alpha,
+    alpha_back) edges."""
+    edges = [LcmEdge("s", "m", 1.0, 1.0), LcmEdge("m", "t", 1.0, 1.0)]
+    edges += [LcmEdge(*edge) for edge in extra]
+    rows = [{b: [0.0] * len(exprs) for b in blocks} for _ in range(3)]
+    return LcmProblem(list(blocks), edges, list(exprs), *rows, entry, exit)
+
+
+@pytest.mark.parametrize("problem, mode, errors", [
+    (_chain(), "x", ["unknown mode 'x'; expected one of ('crisp', 'fuzzy', 'interval')"]),
+    (_chain(blocks=("s", "m", "m", "t")), "fuzzy", ["duplicate block ids"]),
+    (_chain(exprs=("a", "a")), "fuzzy", ["duplicate expression names"]),
+    (_chain(entry="q", exit="r"), "fuzzy", [
+        "no block 'q'", "no block 'r'", "block 's' has no predecessors and is not the entry",
+        "block 't' has no successors and is not the exit"]),
+    (_chain(extra=[("m", "zz", 0.0, 0.0)]), "fuzzy", ["dangling edge m->zz"]),
+    (_chain(extra=[("m", "t", 0.0, 0.0)]), "crisp", ["duplicate edge m->t"]),
+    (_chain(extra=[("m", "m", 0.0, 0.0)]), "interval", ["self loop on 'm'"]),
+])
+def test_validate_names_each_structural_fault(problem, mode, errors):
+    assert L.validate_problem(problem, mode) == errors
+
+
+def test_join_targets_needs_a_row():
+    with pytest.raises(ValueError, match=r"^need at least one predicate row$"):
+        L.join_targets([])
+
+
+def test_frank_interval_conj_resorts_swapped_pairs(monkeypatch):
+    """Frank's re-sort puts a pair that its T-norm returned as (hi, lo) back
+    in order: with every pair swapped, the report is unchanged."""
+    family = LogicFamily.frank(2.0)
+    expected = L.lcm_pipeline(interval_problem(), "interval", family).to_json_dict()
+    tnorm = LogicFamily._tnorm_terms
+    monkeypatch.setattr(LogicFamily, "_tnorm_terms",
+                        lambda self, x, y: tnorm(self, x, y)[..., ::-1].copy())
+    assert L.lcm_pipeline(interval_problem(), "interval", family).to_json_dict() == expected
+
+
 def test_validate_walks_only_rows_whose_bulk_check_fails():
     problem = diffpcm_problem()
     problem.dee["B3"][2] = TruthInterval(0.25, 0.5)

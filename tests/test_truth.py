@@ -349,6 +349,16 @@ def test_parse_family_strings():
             LogicFamily.parse(text)
 
 
+@pytest.mark.parametrize("args, message", [
+    (("x",), "unknown logic family 'x'"),
+    (("product", 2.0), "product takes no parameter"),
+])
+def test_family_construction_errors_are_named(args, message):
+    with pytest.raises(ValueError) as raised:
+        LogicFamily(*args)
+    assert str(raised.value) == message
+
+
 def test_frank_construction_rejects_bad_parameters():
     for s in [0.0, -1.0, 1.0, float("inf"), float("nan")]:
         with pytest.raises(ValueError):
