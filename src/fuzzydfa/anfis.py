@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _jsonio
 from ._jsonio import FileFormatError
-from .truth import _Frozen, _Record, _set
+from .truth import _Frozen, _Record, _finite, _set
 
 __all__ = [
     "TriangularMf", "Rule", "AnfisModel", "Prediction", "TrainConfig", "HarnessResult",
@@ -270,10 +270,9 @@ class TrainConfig(_Frozen):
     retrain_error_threshold: float
 
     def __init__(self, mu: float, retrain_error_threshold: float = 0.8) -> None:
-        # A step size is a finite real number: not a bool, inf or nan.
-        if isinstance(mu, bool) or not isinstance(mu, (int, float)) or not 0.0 < mu < math.inf:
+        if not (_finite(mu) and mu > 0.0):
             raise ValueError(f"mu must be > 0 and finite, got {mu!r}")
-        if not 0.0 <= retrain_error_threshold <= 1.0:
+        if not (_finite(retrain_error_threshold) and 0.0 <= retrain_error_threshold <= 1.0):
             raise ValueError(
                 f"retrain_error_threshold must be in [0,1], got {retrain_error_threshold}")
         _set(self, "mu", mu)
@@ -388,11 +387,16 @@ def model_from_json_dict(data: Any) -> AnfisModel:
         for i, raw in enumerate(_jsonio.load_list(data["rules"], "rules")):
             _jsonio.check_keys(raw, f"rules[{i}]", ["antecedents", "consequent"])
             ante, where = raw["antecedents"], f"rules[{i}].antecedents"
-            mfs = [[num(v, where) for v in abc] for abc in _jsonio.load_list(ante, where)]
+            mfs = []
+            for j, abc in enumerate(_jsonio.load_list(ante, where)):
+                if len(_jsonio.load_list(abc, f"{where}[{j}]")) != 3:
+                    raise FileFormatError(f"{where}[{j}]: expected 3 breakpoints, got {len(abc)}")
+                mfs.append([num(v, where) for v in abc])
             coef, where = raw["consequent"], f"rules[{i}].consequent"
             consequent = [num(c, where) for c in _jsonio.load_list(coef, where)]
             rules.append(Rule(tuple(TriangularMf(*abc) for abc in mfs), consequent))
-        return AnfisModel(rules, num(data["dim"], "dim", integer=True), str(data["and_op"]))
+        dim = num(data["dim"], "dim", integer=True)
+        return AnfisModel(rules, dim, _jsonio.load_string(data["and_op"], "and_op"))
     except (TypeError, ValueError) as exc:
         raise FileFormatError(f"model: {exc}") from None
 

@@ -26,6 +26,15 @@ def _emit(obj: Any) -> None:
     sys.stdout.write(_jsonio.dumps(obj) + "\n")
 
 
+def _diagnose(errors, warnings=()) -> int:
+    """Print the warnings, then the errors, to stderr; 1 if there are errors, else 0."""
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    for error in errors:
+        print(f"error: {error}", file=sys.stderr)
+    return 1 if errors else 0
+
+
 def _first(*values):
     return next(v for v in values if v is not None)
 
@@ -53,11 +62,7 @@ def _cmd_solve(args) -> int:
 
     graph, settings = flowgraph.load_graph_file(args.file)
     report = flowgraph.validate(graph)
-    for warning in report.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    if not report.ok:
-        for error in report.errors:
-            print(f"error: {error}", file=sys.stderr)
+    if _diagnose(report.errors, report.warnings):
         return 1
     cfg = _solver_config(args, settings)
     runner = solve_interval if settings.mode == "interval" else solve
@@ -84,11 +89,9 @@ def _cmd_lcm(args) -> int:
     mode = args.mode or settings.mode
     cfg = _solver_config(args, settings)
     try:
-        result = lcm.lcm_pipeline(problem, mode, cfg.family, cfg)
+        result = lcm.lcm_pipeline(problem, mode, cfg=cfg)
     except ValueError as exc:  # an invalid problem carries its violations
-        for error in getattr(exc, "errors", [exc]):
-            print(f"error: {error}", file=sys.stderr)
-        return 1
+        return _diagnose(getattr(exc, "errors", [exc]))
     if args.pretty:
         _print_lcm_pretty(result, args.motion_threshold)
     else:
@@ -97,28 +100,16 @@ def _cmd_lcm(args) -> int:
 
 
 def _print_lcm_pretty(result, threshold: float) -> None:
-    def exceeds(value) -> bool:
-        lo = value.lo if isinstance(value, TruthInterval) else value
-        return lo >= threshold
-
     print(f"mode={result.mode} exprs={len(result.exprs)} converged={result.converged}")
-    print("Insert:")
-    for (src, dst), row in result.insert.items():
-        cells = "  ".join(_fmt3(v) for v in row)
-        print(f"  {src}->{dst}: {cells}")
-    print("Delete:")
-    for block, row in result.delete.items():
-        cells = "  ".join(_fmt3(v) for v in row)
-        print(f"  {block}: {cells}")
-    moves = []
-    for (src, dst), row in result.insert.items():
-        for k, v in enumerate(row):
-            if exceeds(v):
-                moves.append(f"insert {result.exprs[k]!r} on {src}->{dst} ({_fmt3(v)})")
-    for block, row in result.delete.items():
-        for k, v in enumerate(row):
-            if exceeds(v):
-                moves.append(f"delete {result.exprs[k]!r} from {block} ({_fmt3(v)})")
+    moves = []  # each entry whose degree (an interval's lo) reaches the threshold
+    for verb, place, rows in (("insert", "on", result.insert), ("delete", "from", result.delete)):
+        print(f"{verb.title()}:")
+        for key, row in rows.items():
+            where = "->".join(key) if verb == "insert" else key
+            print(f"  {where}: " + "  ".join(map(_fmt3, row)))
+            moves += [f"{verb} {result.exprs[k]!r} {place} {where} ({_fmt3(v)})"
+                      for k, v in enumerate(row)
+                      if (v.lo if isinstance(v, TruthInterval) else v) >= threshold]
     if moves:
         print(f"plausible motions (>= {threshold}):")
         for move in moves:
@@ -127,28 +118,23 @@ def _print_lcm_pretty(result, threshold: float) -> None:
 
 def _cmd_validate(args) -> int:
     data = _jsonio.load_file(args.file)
+    errors, warnings = [], []
     if isinstance(data, dict) and "blocks" in data:
         from . import lcm
 
         problem, settings = lcm.problem_from_json_dict(data)
         errors = lcm.validate_problem(problem, settings.mode)
-        warnings: list[str] = []
     elif isinstance(data, dict) and "rules" in data:
         from . import anfis
 
         anfis.model_from_json_dict(data)
-        errors, warnings = [], []
     else:
         from . import flowgraph
 
         graph, _ = flowgraph.graph_from_json_dict(data)
         report = flowgraph.validate(graph)
         errors, warnings = report.errors, report.warnings
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    if errors:
-        for error in errors:
-            print(f"error: {error}", file=sys.stderr)
+    if _diagnose(errors, warnings):
         return 1
     print("ok")
     return 0

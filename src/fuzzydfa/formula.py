@@ -63,15 +63,6 @@ class FormulaSyntaxError(ValueError):
 class Formula(_Frozen):
     """Base class; concrete nodes are Var, Const, Not, And, Or."""
 
-    def __and__(self, other: "Formula") -> "Formula":
-        return And(self, other)
-
-    def __or__(self, other: "Formula") -> "Formula":
-        return Or(self, other)
-
-    def __invert__(self) -> "Formula":
-        return Not(self)
-
 
 class Var(Formula):
     _fields = ("name",)

@@ -213,10 +213,9 @@ class LcmResult(_Frozen):
 class _Run:
     """One problem in one mode, validated on construction (an invalid one
     raises a ValueError whose ``errors`` lists the violations): the mode's
-    connectives and fixed-point settings (``cfg``, by default
-    ``SolverConfig(family)``; crisp mode ignores it), the edges as block
-    indices with each direction's ``_Merges``, and rows as (blocks, exprs, w)
-    arrays in ``problem.blocks`` order.  The complement reverses a (lo, hi)
+    connectives, from ``cfg.family``, and fixed-point settings ``cfg`` (crisp
+    mode ignores both), the edges as block indices with each direction's
+    ``_Merges``, and rows as (blocks, exprs, w) arrays in ``problem.blocks`` order.  The complement reverses a (lo, hi)
     pair; the T-norm works endpoint-wise and gives the scalar's bits on every
     element.  Only Frank's pairs are re-sorted against rounding, as the
     interval reading of ``formula`` does: the other T-norms are monotone in
@@ -224,17 +223,15 @@ class _Run:
     whatever the family: some are not exact on 0/1 (Frank's T(1, 1) rounds
     below 1 for small s)."""
 
-    def __init__(self, problem: LcmProblem, mode: str, family: LogicFamily,
-                 cfg: SolverConfig | None = None):
+    def __init__(self, problem: LcmProblem, mode: str, cfg: SolverConfig):
         errors = validate_problem(problem, mode)
         if errors:
             exc = ValueError("invalid LCM problem: " + "; ".join(errors))
             exc.errors = errors
             raise exc
-        self.problem, self.crisp = problem, mode == "crisp"
+        self.problem, self.crisp, self.cfg = problem, mode == "crisp", cfg
         self.width = 2 if mode == "interval" else 1
-        self.cfg = cfg or SolverConfig(family=family)
-        family = LogicFamily.minmax() if self.crisp else family
+        family = LogicFamily.minmax() if self.crisp else cfg.family
         self.term, self._tnorm = family._term, family._tnorm_terms
         self.resort = self.width == 2 and family.kind == "frank"
         index = {b: i for i, b in enumerate(problem.blocks)}
@@ -342,21 +339,19 @@ def _fixpoint(
     keep: np.ndarray,
     reads: np.ndarray | None,
     links: _Links,
-    *,
-    rows_first: bool,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Solve, for every expression column at once,
 
         row[r]   = gen[r] | held[reads[r]],  held[m] = merge[m] & keep[m]
         merge[m] = meet of the rows linked into m
 
-    by Gauss-Seidel sweeps in a fixed node order (with ``reads`` None, row r
-    reads merge r).  ``held`` is taken per merge and then gathered, so each
-    merge's T-norm is evaluated once however many rows read it.  With
-    ``rows_first`` the order is row b, merge b for each block b: a sweep's
-    rows read the last sweep's merges, and a merge reads this sweep's rows
-    only from blocks before it.  Otherwise every merge comes first, reading
-    the last sweep's rows, and every row then reads this sweep's merges.
+    by Gauss-Seidel sweeps in a fixed node order.  ``held`` is taken per
+    merge and then gathered, so each merge's T-norm is evaluated once however
+    many rows read it.  With ``reads`` None (stage 1), row r reads merge r and
+    the order is row b, merge b for each block b: a sweep's rows read the
+    last sweep's merges, and a merge reads this sweep's rows only from blocks
+    before it.  Otherwise (Later) every merge comes first, reading the last
+    sweep's rows, and every row then reads this sweep's merges.
     Each column freezes at its first sweep whose change, summed in node
     order, is below epsilon; a node's change, |new - old| (lo's plus hi's
     for an interval), is written straight into the step table.
@@ -387,7 +382,7 @@ def _fixpoint(
     for _ in range(limit):
         if not active.size:
             break
-        if rows_first:
+        if reads is None:
             new_rows = transfer(cur_merges)
             new_merges = run.snap(links.meet(new_rows, crisp, cur_rows))
         else:
@@ -395,7 +390,7 @@ def _fixpoint(
             new_rows = transfer(new_merges)
         # Each node's change, summed in node order by accumulate (a reduce may add pairwise).
         steps = np.empty((len(rows) + n_merges, active.size, width))
-        at = (steps[0::2], steps[1::2]) if rows_first else (steps[n_merges:], steps[:n_merges])
+        at = (steps[0::2], steps[1::2]) if reads is None else (steps[n_merges:], steps[:n_merges])
         np.subtract(new_rows, cur_rows, out=at[0])
         np.subtract(new_merges, cur_merges, out=at[1])
         np.abs(steps, out=steps)
@@ -418,7 +413,7 @@ def _stage1(run: _Run, gen: np.ndarray, keep: np.ndarray, backward: bool):
     """AvOut(b) = DEE(b) | (AvIn(b) & !Kill(b)), or (``backward``) AnOut with UEE
     for DEE and AnIn over successors: the rows, merges and convergence."""
     links = _Links(run.dst, run.backward) if backward else _Links(run.src, run.forward)
-    return _fixpoint(run, gen, keep, None, links, rows_first=True)
+    return _fixpoint(run, gen, keep, None, links)
 
 
 def _earliest(run: _Run, av_out, an_in, an_out, kill) -> np.ndarray:
@@ -433,7 +428,7 @@ def _later(run: _Run, ear: np.ndarray, not_uee: np.ndarray):
     """LaterOut(i,j) = Earliest(i,j) | (LaterIn(i) & !UEE(i)) per edge, LaterIn
     per block (the forward merge of LaterOut) and whether they converged."""
     links = _Links(np.arange(len(run.keys)), run.forward)
-    return _fixpoint(run, ear, not_uee, run.src, links, rows_first=False)
+    return _fixpoint(run, ear, not_uee, run.src, links)
 
 
 def _insert_delete(run: _Run, later_in, later_out, uee):
@@ -453,9 +448,16 @@ def lcm_pipeline(
 ) -> LcmResult:
     """Run the four stages in order and collect every matrix.
 
-    The problem is validated, and its rows stacked, once per call; nothing
-    is cached on it, so edits to its rows show in the next call."""
-    run = _Run(problem, mode, family or LogicFamily.minmax(), cfg)
+    The logic family and the stopping rule come from ``cfg``, by default
+    ``SolverConfig(family or LogicFamily.minmax())``; a ``family`` given
+    beside a ``cfg`` must equal ``cfg.family``.  The problem is validated,
+    and its rows stacked, once per call; nothing is cached on it, so edits
+    to its rows show in the next call."""
+    if cfg is None:
+        cfg = SolverConfig(family or LogicFamily.minmax())
+    elif family is not None and family != cfg.family:
+        raise ValueError(f"family {family} differs from cfg.family {cfg.family}")
+    run = _Run(problem, mode, cfg)
     dee, uee, kill = map(run.stack, (problem.dee, problem.uee, problem.kill))
     not_kill = run.neg(kill)
     av_out, _, av_ok = _stage1(run, dee, not_kill, backward=False)

@@ -98,6 +98,11 @@ def truth_value(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
+def _finite(x: object) -> bool:
+    """Whether ``x`` is a finite real number: an int or float, not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and -math.inf < x < math.inf
+
+
 def quantize(x: float, q: int) -> float:
     """Snap ``x`` to the nearest element of {i/2^q}, ties to even ``i``."""
     if q < 1:
@@ -299,9 +304,9 @@ class SolverConfig(_Frozen):
 
     def __init__(self, family: LogicFamily, epsilon: float = 1e-6, max_iters: int = 100_000,
                  quantize_bits: int | None = None) -> None:
-        # A tolerance is a finite real number: not a bool, inf or nan.
-        if (isinstance(epsilon, bool) or not isinstance(epsilon, (int, float))
-                or not 0.0 < epsilon < math.inf):
+        if not isinstance(family, LogicFamily):
+            raise ValueError(f"family must be a LogicFamily, got {family!r}")
+        if not (_finite(epsilon) and epsilon > 0.0):
             raise ValueError(f"epsilon must be > 0 and finite, got {epsilon!r}")
         if type(max_iters) is not int:  # bools are not counts
             raise ValueError(f"max_iters must be an integer, got {max_iters!r}")

@@ -519,6 +519,16 @@ def test_csv_errors_name_the_file_and_row(tmp_path, text, message):
     assert str(raised.value) == f"{path}: {message}"
 
 
+@pytest.mark.parametrize("threshold", [True, False, "0.5", None, math.nan, 1.5, -0.1],
+                         ids=["true", "false", "string", "none", "nan", "above", "below"])
+def test_train_config_requires_a_real_threshold_in_the_unit_interval(threshold):
+    with pytest.raises(ValueError) as info:
+        TrainConfig(0.1, threshold)
+    assert str(info.value) == f"retrain_error_threshold must be in [0,1], got {threshold}"
+    assert TrainConfig(0.1, 0).retrain_error_threshold == 0
+    assert TrainConfig(0.1, np.float64(1.0)).retrain_error_threshold == 1.0
+
+
 # -- serialization ---------------------------------------------------------------------
 
 
@@ -796,8 +806,15 @@ def test_model_json_numbers_are_strict(spoil):
      "rules[0].consequent: expected a list, got dict"),
     (lambda d: d["rules"][0].__setitem__("consequent", "00"),
      "rules[0].consequent: expected a list, got str"),
+    (lambda d: d["rules"][1]["antecedents"].__setitem__(0, {"a": 0.0, "b": 0.5, "c": 1.0}),
+     "rules[1].antecedents[0]: expected a list, got dict"),
+    (lambda d: d["rules"][0]["antecedents"].__setitem__(0, 5),
+     "rules[0].antecedents[0]: expected a list, got int"),
+    (lambda d: d["rules"][0]["antecedents"][0].pop(), "rules[0].antecedents[0]: expected 3 "
+     "breakpoints, got 2"),
+    (lambda d: d.__setitem__("and_op", 5), "and_op: expected a string, got 5"),
 ], ids=["rules-object", "rules-number", "antecedents-object", "consequent-object",
-        "consequent-string"])
+        "consequent-string", "triple-object", "triple-number", "triple-short", "and-op-number"])
 def test_model_json_lists_are_strict(spoil, message):
     data = model_to_json_dict(uniform_model(1, 2))
     spoil(data)

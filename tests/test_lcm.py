@@ -583,6 +583,21 @@ def test_validate_walks_only_rows_whose_bulk_check_fails():
     assert L.validate_problem(problem, "crisp")[-1] == "kill['B2'][3]: crisp mode needs 0or1, got nan"
 
 
+def test_pipeline_takes_its_logic_from_the_config(data_dir):
+    problem, _ = L.load_problem_file(str(data_dir / "diffpcm_t1.json"))  # a minmax file
+    product = LogicFamily.product()
+    by_family = L.lcm_pipeline(problem, "fuzzy", product)
+    assert L.lcm_pipeline(problem, "fuzzy", cfg=SolverConfig(product)) == by_family
+    assert L.lcm_pipeline(problem, "fuzzy", product, SolverConfig(product)) == by_family
+    assert by_family != L.lcm_pipeline(problem, "fuzzy")
+
+
+def test_a_family_that_differs_from_the_config_is_an_error():
+    with pytest.raises(ValueError) as raised:
+        L.lcm_pipeline(diffpcm_problem(), "fuzzy", MINMAX, SolverConfig(LogicFamily.product()))
+    assert str(raised.value) == "family minmax differs from cfg.family product"
+
+
 def test_pipeline_mode_must_match_values():
     with pytest.raises(ValueError):
         L.lcm_pipeline(interval_problem(), "fuzzy", MINMAX)
@@ -768,7 +783,7 @@ def test_interval_conj_keeps_ordered_pairs_ordered():
     from hypothesis import HealthCheck, given, settings
     from hypothesis import strategies as st
 
-    runs = [L._Run(interval_problem(), "interval", LogicFamily.parse(logic))
+    runs = [L._Run(interval_problem(), "interval", SolverConfig(LogicFamily.parse(logic)))
             for logic in STACK_FAMILIES]
     assert [run.resort for run in runs] == [logic == "frank:2" for logic in STACK_FAMILIES]
     ends = st.one_of(st.floats(0.0, 1.0), st.sampled_from(

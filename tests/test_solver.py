@@ -159,6 +159,31 @@ def test_solve_rejects_invalid_graph():
         solve(g, SolverConfig(family=MINMAX))
 
 
+@pytest.mark.parametrize("spoil, error", [
+    (lambda g: g.edges.append(Edge("B3", "zz", 1.0)), "dangling edge B3->zz: no node 'zz'"),
+    (lambda g: g.transfers["B3"].update(Out=parse_formula("Mystery")),
+     "B3.Out: variable 'Mystery' not defined by predecessor 'B1'"),
+], ids=["dangling-edge", "undefined-variable"])
+@pytest.mark.parametrize("step_fn, solve_fn", [(step, solve), (step_interval, solve_interval)],
+                         ids=["scalar", "interval"])
+def test_step_rejects_an_invalid_graph_as_solve_does(spoil, error, step_fn, solve_fn):
+    g = fig1_graph()
+    spoil(g)
+    with pytest.raises(ValueError) as by_step:
+        step_fn(g, zero_state(fig1_graph()), MINMAX)
+    with pytest.raises(ValueError) as by_solve:
+        solve_fn(g, SolverConfig(MINMAX))
+    assert str(by_step.value) == str(by_solve.value) == f"graph is invalid: {error}"
+
+
+@pytest.mark.parametrize("family", [None, "product", LogicFamily.product],
+                         ids=["none", "name", "constructor"])
+def test_solver_config_requires_a_logic_family(family):
+    with pytest.raises(ValueError) as info:
+        SolverConfig(family)
+    assert str(info.value) == f"family must be a LogicFamily, got {family!r}"
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(family=MINMAX, epsilon=0.0)
