@@ -215,13 +215,13 @@ class _Run:
     raises a ValueError whose ``errors`` lists the violations): the mode's
     connectives, from ``cfg.family``, and fixed-point settings ``cfg`` (crisp
     mode ignores both), the edges as block indices with each direction's
-    ``_Merges``, and rows as (blocks, exprs, w) arrays in ``problem.blocks`` order.  The complement reverses a (lo, hi)
-    pair; the T-norm works endpoint-wise and gives the scalar's bits on every
-    element.  Only Frank's pairs are re-sorted against rounding, as the
-    interval reading of ``formula`` does: the other T-norms are monotone in
-    floating point, so they keep ordered pairs ordered.  Crisp mode takes min
-    whatever the family: some are not exact on 0/1 (Frank's T(1, 1) rounds
-    below 1 for small s)."""
+    ``_Merges``, and rows as (blocks, exprs, w) arrays in block order.  The
+    complement reverses a (lo, hi) pair; the T-norm works endpoint-wise and
+    gives the scalar's bits on every element.  Only Frank's pairs are
+    re-sorted against rounding, as the interval reading of ``formula`` does:
+    the other T-norms are monotone in floating point, so they keep ordered
+    pairs ordered.  Crisp mode takes min whatever the family: some are not
+    exact on 0/1 (Frank's T(1, 1) rounds below 1 for small s)."""
 
     def __init__(self, problem: LcmProblem, mode: str, cfg: SolverConfig):
         errors = validate_problem(problem, mode)

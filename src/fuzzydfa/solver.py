@@ -87,14 +87,14 @@ def _average(transfer, inputs: list, width: int) -> tuple:
     return tuple(min(1.0, max(0.0, total)) for total in totals)
 
 
-def _check(graph: FlowGraph) -> None:
+def _require_valid(graph: FlowGraph) -> None:
     report = validate(graph)
     if not report.ok:
         raise ValueError("graph is invalid: " + "; ".join(report.errors))
 
 
 def _step(graph: FlowGraph, state: GlobalState, family: LogicFamily, width: int) -> GlobalState:
-    _check(graph)
+    _require_valid(graph)
     ops = _Ops(family, width)
     old = _lift(state, ops)
     pinned = graph.pinned()
@@ -118,7 +118,7 @@ def step_interval(graph: FlowGraph, state: GlobalState, family: LogicFamily) -> 
 
 
 def _solve(graph: FlowGraph, cfg: SolverConfig, width: int, initial: GlobalState | None) -> SolveReport:
-    _check(graph)
+    _require_valid(graph)
     ops = _Ops(cfg.family, width)
     if initial is None:
         pinned = graph.pinned()

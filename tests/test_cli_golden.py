@@ -1,7 +1,7 @@
 """Byte-for-byte pins of what the command line and the demos print.
 
 A command case runs ``fuzzydfa.cli.main`` in process, from the repository
-root on the bundled files, or from a scratch directory on an invalid copy of
+root on the bundled files, or from a temporary directory on an invalid copy of
 one; its digest is the SHA-256 of the JSON list [exit code, stdout, stderr].
 A demo case runs one script of ``demos/`` and digests its stdout.  The
 cases cover the six commands the benchmark times, the ``--pretty``
@@ -14,7 +14,6 @@ Add the digests of new cases, keeping every frozen one, with::
 """
 
 import contextlib
-import copy
 import hashlib
 import io
 import json
@@ -69,7 +68,7 @@ def _bad_graph() -> dict:
 def _bad_lcm() -> dict:
     """diffpcm_t1 with a duplicate edge, a self loop and a missing exit."""
     data = json.loads((ROOT / DATA / "diffpcm_t1.json").read_text())
-    data["edges"] += [copy.deepcopy(data["edges"][0]),
+    data["edges"] += [dict(data["edges"][0]),
                       {"from": "B2", "to": "B2", "alpha": 0.5, "alpha_back": 0.5}]
     data["exit"] = "B9"
     return data
@@ -99,20 +98,17 @@ def _cwd(path):
 def _run(argv: list[str], cwd) -> list:
     out, err = io.StringIO(), io.StringIO()
     with _cwd(cwd), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:  # usage errors leave through argparse
-            code = exc.code
+        code = main(list(argv))
     return [code, out.getvalue(), err.getvalue()]
 
 
 def command_output(name: str) -> list:
     if name in COMMANDS:
         return _run(COMMANDS[name], ROOT)
-    with tempfile.TemporaryDirectory() as scratch:
+    with tempfile.TemporaryDirectory() as tmp:
         for file, build in INVALID.items():
-            Path(scratch, file).write_text(json.dumps(build(), indent=1))
-        return _run(INVALID_COMMANDS[name], scratch)
+            Path(tmp, file).write_text(json.dumps(build(), indent=1))
+        return _run(INVALID_COMMANDS[name], tmp)
 
 
 def demo_output(name: str) -> str:

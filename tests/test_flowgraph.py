@@ -118,12 +118,6 @@ def test_formula_errors_carry_position():
     assert "1:7" in str(err.value)
 
 
-def _spoiled_fig1(spoil):
-    g = fig1_graph()
-    spoil(g)
-    return validate(g)
-
-
 @pytest.mark.parametrize("spoil, errors, warnings", [
     (lambda g: setattr(g, "start", "zz"), ["start node 'zz' does not exist"], []),
     (lambda g: g.transfers["B0"].update(Aux=Var("In")),
@@ -135,7 +129,9 @@ def _spoiled_fig1(spoil):
      ["B2.Other: 'In' unresolvable, predecessor 'B1' has no property 'Other'"], []),
 ])
 def test_validate_names_each_seed_and_start_fault(spoil, errors, warnings):
-    assert _spoiled_fig1(spoil) == ValidationReport(errors, warnings)
+    g = fig1_graph()
+    spoil(g)
+    assert validate(g) == ValidationReport(errors, warnings)
 
 
 @pytest.mark.parametrize("spoil, message", [
