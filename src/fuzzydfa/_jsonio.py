@@ -44,46 +44,84 @@ def dumps(obj: Any) -> str:
 
     Key order is preserved, so identical inputs produce byte-identical output.
     One pass writes a ``%.17g`` slot per float (other ``%`` doubled), and one
-    ``%`` formats the collected floats; a row of floats or of [float, float]
-    lists takes one type check and one cached row of slots."""
+    ``%`` formats the collected floats.  A row of floats or of [float, float]
+    lists, a table (a dict of such rows of one length) and records (dicts with
+    the same keys in order, columns of strings or such rows) take one template."""
     parts: list[str] = []
-    floats: list[float] = []
-    _write(obj, parts, floats)
-    return "".join(parts) % tuple(floats)
+    values: list = []  # the floats, and the quoted strings of records
+    _write(obj, parts, values)
+    return "".join(parts) % tuple(values)
 
 
 # An LCM report's rows all have its expression count as length: one per report.
 _slots = lru_cache(maxsize=64)(lambda n, item: "[" + ", ".join([item] * n) + "]")
 
 
-def _write(obj: Any, parts: list[str], floats: list[float]) -> None:
+def _table(rows: Sequence) -> tuple[str, list[float]] | None:
+    """One row's slots and all rows' floats in order, if ``rows`` are lists of
+    one length of exact floats only, or of [float, float] lists only; else None."""
+    if not all_of(list, rows) or list(map(len, rows)).count(n := len(rows[0])) != len(rows):
+        return None
+    flat = list(chain.from_iterable(rows))
+    if all_of(float, flat):
+        return _slots(n, "%.17g"), flat
+    pairs = _table(flat)  # rows of [float, float] lists
+    return (_slots(n, pairs[0]), pairs[1]) if pairs and pairs[0] == "[%.17g, %.17g]" else None
+
+
+def _columns(columns: Sequence[Sequence]) -> tuple[list[str], Iterable] | None:
+    """Each column's slot, ``%s`` for strings or a ``_table``'s, and the values
+    item by item, if every column is either; else None."""
+    slots, iters = [], []
+    for column in columns:
+        if all_of(str, column):
+            slots.append("%s")
+            iters.append(map(_quote, column))
+        elif table := _table(column):
+            slots.append(table[0])
+            iters += [iter(table[1])] * (len(table[1]) // len(column))  # one per float of an item
+        else:
+            return None
+    return slots, chain.from_iterable(zip(*iters))
+
+
+def _write(obj: Any, parts: list[str], values: list) -> None:
     if type(obj) is float:
         parts.append("%.17g")
-        floats.append(obj)
+        values.append(obj)
     elif isinstance(obj, (list, tuple)):
-        if obj and all_of(float, obj):
-            parts.append(_slots(len(obj), "%.17g"))
-            floats.extend(obj)
-        elif ends := _float_pairs(obj):
-            parts.append(_slots(len(obj), "[%.17g, %.17g]"))
-            floats.extend(ends)
+        if table := _table((obj,)):
+            parts.append(table[0])
+            values.extend(table[1])
+        elif (obj and all_of(dict, obj) and list(map(tuple, obj)).count(tuple(obj[0])) == len(obj)
+              and (written := _columns(list(zip(*map(dict.values, obj)))))):  # records
+            keys = [_quote(str(key)).replace("%", "%%") + ": " for key in obj[0]]
+            record = "{" + ", ".join(map(str.__add__, keys, written[0])) + "}"
+            parts.append("[" + ", ".join([record] * len(obj)) + "]")
+            values.extend(written[1])
         else:
             parts.append("[")
             for value in obj:
-                _write(value, parts, floats)
+                _write(value, parts, values)
                 parts.append(", ")
             parts[-1] = "]" if obj else "[]"
     elif isinstance(obj, dict):
-        parts.append("{")
-        for key, value in obj.items():
-            parts.append(_quote(str(key)).replace("%", "%%") + ": ")
-            _write(value, parts, floats)
-            parts.append(", ")
-        parts[-1] = "}" if obj else "{}"
+        if obj and (table := _table(list(obj.values()))):
+            sep = ": " + table[0]  # _quote escapes control characters: "\0" marks the joints
+            keys = "\0".join(map(_quote, map(str, obj))).replace("%", "%%")
+            parts.append("{" + keys.replace("\0", sep + ", ") + sep + "}")
+            values.extend(table[1])
+        else:
+            parts.append("{")
+            for key, value in obj.items():
+                parts.append(_quote(str(key)).replace("%", "%%") + ": ")
+                _write(value, parts, values)
+                parts.append(", ")
+            parts[-1] = "}" if obj else "{}"
     elif isinstance(obj, str):
         parts.append(_quote(obj).replace("%", "%%"))
     elif isinstance(obj, TruthInterval):
-        _write([obj.lo, obj.hi], parts, floats)
+        _write([obj.lo, obj.hi], parts, values)
     elif isinstance(obj, bool):
         parts.append("true" if obj else "false")
     elif obj is None:
@@ -258,13 +296,6 @@ def load_row(raw: list, context: str, *, interval: bool) -> list:
 def all_of(kind: type, values: Sequence) -> bool:
     """Whether the type of every value is ``kind`` itself (not a subclass)."""
     return list(map(type, values)).count(kind) == len(values)
-
-
-def _float_pairs(rows: Sequence) -> list[float]:
-    """The ends of ``rows`` in order if every entry is a [float, float] list, else []."""
-    pairs = all_of(list, rows) and list(map(len, rows)).count(2) == len(rows)
-    ends = list(chain.from_iterable(rows)) if pairs else []
-    return ends if all_of(float, ends) else []
 
 
 def dump_value(value: Any) -> Any:

@@ -274,7 +274,7 @@ class TrainConfig(_Frozen):
             raise ValueError(f"mu must be > 0 and finite, got {mu!r}")
         if not (_finite(retrain_error_threshold) and 0.0 <= retrain_error_threshold <= 1.0):
             raise ValueError(
-                f"retrain_error_threshold must be in [0,1], got {retrain_error_threshold}")
+                f"retrain_error_threshold must be in [0,1], got {retrain_error_threshold!r}")
         _set(self, "mu", mu)
         _set(self, "retrain_error_threshold", retrain_error_threshold)
 

@@ -128,6 +128,8 @@ def _cmd_validate(args) -> int:
         from . import anfis
 
         anfis.model_from_json_dict(data)
+    elif isinstance(data, dict) and ("update" in data or "leave" in data):
+        _model_pair(data)
     else:
         from . import flowgraph
 
@@ -168,13 +170,18 @@ def _cmd_anfis_predict(args) -> int:
     return 0
 
 
+def _model_pair(data: Any) -> tuple:
+    """The update and leave models of an ``anfis-train`` models file."""
+    from . import anfis
+
+    _jsonio.check_keys(data, "models", ["update", "leave"])
+    return anfis.model_from_json_dict(data["update"]), anfis.model_from_json_dict(data["leave"])
+
+
 def _cmd_anfis_train(args) -> int:
     from . import anfis
 
-    data = _jsonio.load_file(args.models)
-    _jsonio.check_keys(data, "models", ["update", "leave"])
-    update_model = anfis.model_from_json_dict(data["update"])
-    leave_model = anfis.model_from_json_dict(data["leave"])
+    update_model, leave_model = _model_pair(_jsonio.load_file(args.models))
     X, labels = anfis.read_samples_csv(args.data)
     periods, period_labels = anfis.split_periods(X, labels, args.period_length)
     tc = anfis.TrainConfig(mu=args.mu, retrain_error_threshold=args.threshold)

@@ -7,10 +7,10 @@ Inputs are per-block predicate rows over an ordered expression list:
 * ``uee``  - expression is upward exposed in the block,
 * ``kill`` - the block updates one of the expression's operands.
 
-The four stages: (1) availability (forward) and anticipatability (backward)
-fixed points, (2) the pointwise Earliest predicate per edge, (3) the Later
-fixed point over edges, (4) the pointwise Insert (edge gains an evaluation)
-and Delete (block loses one) predicates.
+The four stages: (1) the availability (forward) and anticipatability
+(backward) fixed points, independent and swept in one loop, (2) the pointwise
+Earliest predicate per edge, (3) the Later fixed point over edges, (4) the
+pointwise Insert (edge gains an evaluation) and Delete (block loses one).
 
 One array engine serves every mode.  Values are float arrays of shape
 (rows, exprs, w), with w = 1 for scalars and w = 2 for (lo, hi) intervals,
@@ -316,13 +316,13 @@ class _Links:
         self.link, self.gather = link[..., None, None], self.src + len(count) * fresh
         self.has_input = np.minimum(count, 1.0)[:, None, None]
 
-    def meet(self, rows: np.ndarray, crisp: bool, old: np.ndarray | None = None) -> np.ndarray:
-        """Per merge, from its links' rows: the min (crisp) or the weighted
-        sum clamped to [0,1]; 0 for a merge with no links.  With ``old``
-        (rows first), one gather reads each link's row from old and new.
-        Every term is >= +0.0, so starting from slot 0's term and clamping
-        with ``minimum`` give the bits of summing from 0.0 and clipping."""
-        values = rows[self.src] if old is None else np.concatenate((old, rows))[self.gather]
+    def meet(self, rows: np.ndarray, crisp: bool, cols=slice(None), fresh=False) -> np.ndarray:
+        """Per merge, from its links' rows in columns ``cols``: the min (crisp)
+        or the weighted sum clamped to [0,1]; 0 for a merge with no links.
+        With ``fresh`` (rows first), ``rows`` holds old rows then new, read by
+        ``gather``.  Every term is >= +0.0, so starting from slot 0's term and
+        clamping with ``minimum`` give the bits of summing from 0.0 and clipping."""
+        values = rows[self.gather if fresh else self.src, cols]
         if crisp:
             out = np.minimum.reduce(values, axis=0, initial=1.0, where=self.link)
             return np.minimum(out, self.has_input, out=out)
@@ -338,8 +338,8 @@ def _fixpoint(
     gen: np.ndarray,
     keep: np.ndarray,
     reads: np.ndarray | None,
-    links: _Links,
-) -> tuple[np.ndarray, np.ndarray, bool]:
+    links: Sequence[_Links],
+) -> tuple[np.ndarray, list[bool]]:
     """Solve, for every expression column at once,
 
         row[r]   = gen[r] | held[reads[r]],  held[m] = merge[m] & keep[m]
@@ -356,13 +356,15 @@ def _fixpoint(
     order, is below epsilon; a node's change, |new - old| (lo's plus hi's
     for an interval), is written straight into the step table.
 
-    Returns the rows, the merges recomputed from the final rows, and
-    whether every column converged.
+    ``links`` holds one table per analysis, for one of ``len(links)`` equal
+    column ranges (stage 1: availability, then anticipatability).  A sweep
+    meets each one's active columns, if any, and does the rest once for all.
+    Returns the rows and, per analysis, whether it converged.
     """
     crisp, width = run.crisp, run.width
     start = 1.0 if crisp else 0.0
     rows = np.full(gen.shape, start)
-    merges = np.full((links.src.shape[1],) + gen.shape[1:], start)
+    cur_merges = np.full((links[0].src.shape[1],) + gen.shape[1:], start)
     # The T-norm operands that stay the same over the solve: !gen and keep.
     not_gen, keep = run.term(run.neg(gen)), run.term(keep)
 
@@ -372,21 +374,27 @@ def _fixpoint(
             not_held = not_held[reads]
         return run.snap(run.neg(run.conj(not_gen, not_held, terms=True)))
 
-    n_merges = len(merges)
+    def meet(rows: np.ndarray, fresh: bool) -> np.ndarray:
+        met = [table.meet(rows, crisp, slice(a, b), fresh)
+               for table, a, b in zip(links, cut, cut[1:]) if a < b]
+        return run.snap(met[0] if len(met) == 1 else np.concatenate(met, axis=1))
+
+    n_merges = len(cur_merges)
     # From top, every crisp sweep but the last clears at least one bit; a
     # crisp residual counts flipped bits: below one, nothing changed.
     limit = len(rows) + n_merges + 1 if crisp else run.cfg.max_iters
     epsilon = 1.0 if crisp else run.cfg.epsilon
-    active = np.arange(gen.shape[1])
-    cur_rows, cur_merges = rows, merges
+    # Analysis i owns columns [bounds[i], bounds[i + 1]), and active[cut[i]:cut[i + 1]].
+    active, bounds = np.arange(gen.shape[1]), gen.shape[1] // len(links) * np.arange(len(links) + 1)
+    cut, cur_rows = bounds.tolist(), rows
     for _ in range(limit):
         if not active.size:
             break
         if reads is None:
             new_rows = transfer(cur_merges)
-            new_merges = run.snap(links.meet(new_rows, crisp, cur_rows))
+            new_merges = meet(np.concatenate((cur_rows, new_rows)), True)
         else:
-            new_merges = run.snap(links.meet(cur_rows, crisp))
+            new_merges = meet(cur_rows, False)
             new_rows = transfer(new_merges)
         # Each node's change, summed in node order by accumulate (a reduce may add pairwise).
         steps = np.empty((len(rows) + n_merges, active.size, width))
@@ -398,22 +406,16 @@ def _fixpoint(
         cur_rows, cur_merges = new_rows, new_merges
         done = np.add.accumulate(steps)[-1, :, 0] < epsilon
         if np.count_nonzero(done):
-            rows[:, active[done]], merges[:, active[done]] = cur_rows[:, done], cur_merges[:, done]
+            rows[:, active[done]] = cur_rows[:, done]
             more = ~done
             active, cur_rows, cur_merges = active[more], cur_rows[:, more], cur_merges[:, more]
             not_gen, keep = not_gen[:, more], keep[:, more]
-    rows[:, active], merges[:, active] = cur_rows, cur_merges
-    return rows, links.meet(rows, crisp), not active.size
+            cut = np.searchsorted(active, bounds).tolist()
+    rows[:, active] = cur_rows
+    return rows, [a == b for a, b in zip(cut, cut[1:])]
 
 
 # -- the stages on arrays --------------------------------------------------------
-
-
-def _stage1(run: _Run, gen: np.ndarray, keep: np.ndarray, backward: bool):
-    """AvOut(b) = DEE(b) | (AvIn(b) & !Kill(b)), or (``backward``) AnOut with UEE
-    for DEE and AnIn over successors: the rows, merges and convergence."""
-    links = _Links(run.dst, run.backward) if backward else _Links(run.src, run.forward)
-    return _fixpoint(run, gen, keep, None, links)
 
 
 def _earliest(run: _Run, av_out, an_in, an_out, kill) -> np.ndarray:
@@ -422,13 +424,6 @@ def _earliest(run: _Run, av_out, an_in, an_out, kill) -> np.ndarray:
     first = run.conj(an_out[run.dst], run.neg(av_out[run.src]))
     blocked = run.disj(kill[run.src], run.neg(an_in[run.src]))
     return np.where((run.src == run.entry)[:, None, None], first, run.conj(first, blocked))
-
-
-def _later(run: _Run, ear: np.ndarray, not_uee: np.ndarray):
-    """LaterOut(i,j) = Earliest(i,j) | (LaterIn(i) & !UEE(i)) per edge, LaterIn
-    per block (the forward merge of LaterOut) and whether they converged."""
-    links = _Links(np.arange(len(run.keys)), run.forward)
-    return _fixpoint(run, ear, not_uee, run.src, links)
 
 
 def _insert_delete(run: _Run, later_in, later_out, uee):
@@ -459,11 +454,18 @@ def lcm_pipeline(
         raise ValueError(f"family {family} differs from cfg.family {cfg.family}")
     run = _Run(problem, mode, cfg)
     dee, uee, kill = map(run.stack, (problem.dee, problem.uee, problem.kill))
-    not_kill = run.neg(kill)
-    av_out, _, av_ok = _stage1(run, dee, not_kill, backward=False)
-    an_out, an_in, an_ok = _stage1(run, uee, not_kill, backward=True)
+    # AvOut(b) = DEE(b) | (AvIn(b) & !Kill(b)) in the first n columns, then AnOut
+    # with UEE for DEE and AnIn over successors; AvIn is not reported.
+    n, an_links = len(problem.exprs), _Links(run.dst, run.backward)
+    rows, (av_ok, an_ok) = _fixpoint(run, np.concatenate((dee, uee), 1),
+                                     np.tile(run.neg(kill), (1, 2, 1)), None,
+                                     [_Links(run.src, run.forward), an_links])
+    av_out, an_out, an_in = rows[:, :n], rows[:, n:], an_links.meet(rows[:, n:], run.crisp)
     ear = _earliest(run, av_out, an_in, an_out, kill)
-    later_out, later_in, later_ok = _later(run, ear, run.neg(uee))
+    # LaterOut(i,j) = Earliest(i,j) | (LaterIn(i) & !UEE(i)); LaterIn merges LaterOut.
+    later_links = _Links(np.arange(len(run.keys)), run.forward)
+    later_out, (later_ok,) = _fixpoint(run, ear, run.neg(uee), run.src, [later_links])
+    later_in = later_links.meet(later_out, run.crisp)
     insert, delete = _insert_delete(run, later_in, later_out, uee)
     arrays = (av_out, an_in, an_out, ear, later_in, later_out, insert, delete)
     return LcmResult(mode, list(problem.exprs), av_ok and an_ok and later_ok, list(problem.blocks),

@@ -524,9 +524,19 @@ def test_csv_errors_name_the_file_and_row(tmp_path, text, message):
 def test_train_config_requires_a_real_threshold_in_the_unit_interval(threshold):
     with pytest.raises(ValueError) as info:
         TrainConfig(0.1, threshold)
-    assert str(info.value) == f"retrain_error_threshold must be in [0,1], got {threshold}"
+    assert str(info.value) == f"retrain_error_threshold must be in [0,1], got {threshold!r}"
     assert TrainConfig(0.1, 0).retrain_error_threshold == 0
     assert TrainConfig(0.1, np.float64(1.0)).retrain_error_threshold == 1.0
+
+
+def test_train_config_threshold_message_shows_a_string_as_a_string():
+    with pytest.raises(ValueError) as info:
+        TrainConfig(0.1, "0.5")
+    assert str(info.value) == "retrain_error_threshold must be in [0,1], got '0.5'"
+    for threshold, text in [(1.5, "1.5"), (2, "2"), (-0.1, "-0.1"), (math.inf, "inf")]:
+        with pytest.raises(ValueError) as info:
+            TrainConfig(0.1, threshold)
+        assert str(info.value) == f"retrain_error_threshold must be in [0,1], got {text}"
 
 
 # -- serialization ---------------------------------------------------------------------

@@ -102,6 +102,30 @@ def test_validate_ok(data_dir, capsys):
         assert out.strip() == "ok"
 
 
+def test_validate_accepts_the_anfis_train_model_pair(data_dir, capsys):
+    code, out, err = run(capsys, "validate", str(data_dir / "anfis_models.json"))
+    assert (code, out, err) == (0, "ok\n", "")
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda pair: pair.pop("leave"), "models: missing keys ['leave']"),
+    (lambda pair: pair.pop("update"), "models: missing keys ['update']"),
+    (lambda pair: pair.update(extra=1), "models: unknown keys ['extra']"),
+    (lambda pair: pair["leave"].update(dim=True), "model: dim: expected an integer, got True"),
+    (lambda pair: pair.update(update=[]), "model: expected an object, got list"),
+], ids=["no-leave", "no-update", "extra-key", "bad-leave", "update-list"])
+def test_validate_rejects_a_broken_pair_as_anfis_train_does(data_dir, tmp_path, capsys, spoil,
+                                                           message):
+    pair = json.loads((data_dir / "anfis_models.json").read_text())
+    spoil(pair)
+    path = tmp_path / "models.json"
+    path.write_text(json.dumps(pair))
+    validate = run(capsys, "validate", str(path))
+    train = run(capsys, "anfis-train", str(path), str(data_dir / "anfis_samples.csv"),
+                "--mu", "0.1")
+    assert validate == train == (1, "", f"error: {message}\n")
+
+
 def test_validate_rejects_bad_weights(tmp_path, capsys):
     problem = {
         "start": "a",

@@ -258,6 +258,14 @@ class Degree(float):
         return "%deg" + float.__format__(self, spec)
 
 
+class Text(str):
+    """A str subclass: written by the per-value path, not as a record column."""
+
+
+class Record(dict):
+    """A dict subclass: never one of a set of records."""
+
+
 class Count(int):
     def __repr__(self):
         return f"%d{int(self)}%"
@@ -285,6 +293,33 @@ WRITER_CASES = [
      "edges": [{"from": "b0", "to": "b1", "values": [[0.0, 0.5], [0.25, 1.0]]}],
      "converged": True},
     "é%\n\"\\", 12345678901234567890, -0.0, NAN, True, None, 0.5, 3,
+    # Tables: dicts whose values are rows of one length, written in one step.
+    {"100%": [0.5, 0.25], 'q"': [1.0, 0.0], "%s": [0.75, 0.125], "\0%": [0.0, 1.0]},
+    {"a%%": [[0.5, 0.75], [0.0, 1.0]], '"b"': [[0.25, 0.25], [NAN, INF]]},
+    {"a": [0.5, 0.25], "b": [0.75]}, {"a": [[0.5, 0.75]], "b": [[0.5, 0.75], [0.0, 1.0]]},
+    {"a": [[0.5, 0.75]], "b": [[0.5, 0.75, 0.25]]}, {"a": [0.5], "b": [[0.5, 0.75]]},
+    {"a": [0.5, 1], "b": [0.25, 0.75]}, {"a": [0.5, True], "b": [0.25, 0.75]},
+    {"a": [0.5, -0.0], "b": [NAN, 0.75]}, {"a": [Degree(0.5), 0.25], "b": [0.25, 0.75]},
+    {"a": [[0.5, 1], [0.0, 1.0]], "b": [[0.5, 0.75], [0.0, 1.0]]},
+    {"a": [[0.5, Degree(1.0)]], "b": [[0.5, 0.75]]}, {"a": [(0.5, 0.75)], "b": [[0.5, 0.75]]},
+    {"a": [], "b": []}, {"a": [0.5], "b": (0.25,)}, {"a": [0.5, 0.25], "b": "x"},
+    {1: [0.5], None: [0.25], True: [1.0], 0.5: [0.0]}, {"a": [TruthInterval(0.5, 0.75)]},
+    # Records: lists of dicts with the same keys in the same order.
+    [{"from": "b0", "to": "b1", "values": [0.5, 0.25]},
+     {"from": "b%1", "to": 'b"2', "values": [-0.0, NAN]}],
+    [{"from": "b0", "to": "b1", "values": [[0.5, 0.75]]},
+     {"from": "b1", "to": "b2", "values": [[0.0, 1.0]]}],
+    [{"from": "b0", "to": "b1", "values": [0.5]}, {"to": "b2", "from": "b1", "values": [0.25]}],
+    [{"from": "b0", "to": "b1", "values": [0.5]},
+     {"from": "b1", "to": "b2", "values": [0.25], "x": 1}],
+    [{"from": "b0", "to": "b1", "values": [0.5]}, {"from": "b1", "values": [0.25]}],
+    [{"from": 0, "to": "b1", "values": [0.5]}, {"from": 1, "to": "b2", "values": [0.25]}],
+    [{"from": "b0", "to": "b1", "values": [0.5]}, {"from": None, "to": "b2", "values": [0.25]}],
+    [{"from": "b0", "a": [0.5, 0.25], "b": [[0.5, 0.75]]},
+     {"from": "b1", "a": [1.0, 0.0], "b": [[0.0, 0.0]]}],
+    [{"%k": "v%", 'q"': [0.5], 3: "é"}], [{"values": []}, {"values": []}], [{}, {}],
+    [{"values": [0.5]}, {"values": [0.5, 0.25]}], [{"values": [0.5]}, {"values": [1]}],
+    [{"a": "x"}, {"a": Text("y")}], [{"a": [0.5]}, Record(a=[0.25])], ({"a": [0.5]},),
 ]
 
 
@@ -319,8 +354,33 @@ def _json_like():
         st.lists(st.lists(floats, min_size=1, max_size=3), max_size=3),
     )
     keys = st.one_of(texts, st.integers(-3, 3), st.booleans(), st.none(), floats)
+
+    def matrices(shape):
+        """Tables and records whose rows have ``n`` entries, all floats (``pairs``
+        False) or all [float, float] lists, with some rows spoiled: by an entry
+        of another type, a float subclass, or another length."""
+        n, pairs = shape
+        entry = st.lists(floats, min_size=2, max_size=2) if pairs else floats
+        exact = st.lists(entry, min_size=n, max_size=n)
+        odd = st.one_of(st.integers(0, 1), st.booleans(), unit.map(Degree),
+                        st.lists(floats, min_size=1, max_size=3), floats)
+        spoiled = st.tuples(exact, st.integers(0, 3), odd).map(
+            lambda t: t[0][:t[1]] + [t[2]] + t[0][t[1] + 1:])
+        row = st.one_of(exact, exact, exact, exact, spoiled, st.lists(entry, max_size=3))
+        record = st.fixed_dictionaries({"from": texts, "to": texts, "values": row})
+        odd = st.one_of(  # keys reordered or extra, or a column not all strings
+            record.map(lambda r: dict(reversed(r.items()))),
+            st.fixed_dictionaries({"from": texts, "to": texts, "values": row, "more": row}),
+            st.fixed_dictionaries({"from": st.one_of(texts.map(Text), st.integers(0, 3)),
+                                   "to": texts, "values": row}),
+        )
+        return st.one_of(st.dictionaries(keys, row, min_size=1, max_size=4),
+                         st.lists(record, min_size=1, max_size=4),
+                         st.lists(st.one_of(record, odd), min_size=1, max_size=4))
+
+    tables = st.tuples(st.integers(0, 3), st.booleans()).flatmap(matrices)
     return st.recursive(
-        st.one_of(scalars, rows),
+        st.one_of(scalars, rows, tables),
         lambda inner: st.one_of(
             st.lists(inner, max_size=4),
             st.lists(inner, max_size=3).map(tuple),

@@ -848,3 +848,124 @@ def test_fuzzy_pipeline_matches_reference_on_drawn_cfgs():
         assert_matches_reference(result, problem, MINMAX, tol=2e-5)
 
     check()
+
+
+# -- availability and anticipatability in one sweep loop ----------------------------
+
+
+def loop_problem(slow: str, mode: str) -> LcmProblem:
+    """Entry E, loop header H, latch L, exit X, with the back edge L->H
+    carrying 0.99 of H's inflow and 0.99 of L's outflow.  Expression "slow"
+    climbs around that loop in one analysis only: availability when ``slow``
+    is "av" (dee 0.5 at E alone, uee 1 everywhere), anticipatability when it
+    is "an" (uee 0.5 at X alone, dee 1 everywhere).  Expression "fast" has
+    dee and uee 1 everywhere.  Nothing is killed."""
+    blocks = ["E", "H", "L", "X"]
+    edges = [LcmEdge("E", "H", 0.01, 1.0), LcmEdge("L", "H", 0.99, 0.99),
+             LcmEdge("H", "L", 1.0, 1.0), LcmEdge("L", "X", 1.0, 0.01)]
+    seed = "E" if slow == "av" else "X"
+    climb = {b: [0.5 if b == seed else 0.0, 1.0] for b in blocks}
+    ones = {b: [1.0, 1.0] for b in blocks}
+    dee, uee = (climb, ones) if slow == "av" else (ones, climb)
+    kill = {b: [0.0, 0.0] for b in blocks}
+    if mode == "interval":  # the same degrees, one as a proper interval
+        dee, uee = ({b: [TruthInterval(v, v) for v in row] for b, row in m.items()}
+                    for m in (dee, uee))
+        uee["E"][1] = TruthInterval(0.75, 1.0)
+    return LcmProblem(blocks, edges, ["slow", "fast"], dee, uee, kill, "E", "X")
+
+
+def no_edges_problem(mode: str) -> LcmProblem:
+    row = {"crisp": [1.0, 0.0], "fuzzy": [0.25, 0.75],
+           "interval": [TruthInterval(0.25, 0.5), TruthInterval(0.75, 0.75)]}[mode]
+    return LcmProblem(["only"], [], ["a", "b"], {"only": list(row)}, {"only": list(row[::-1])},
+                      {"only": [0.0, 1.0]}, "only", "only")
+
+
+def no_exprs_problem() -> LcmProblem:
+    problem = random_crisp_problem(random.Random(5), max_blocks=8)
+    problem.exprs = []
+    problem.dee, problem.uee, problem.kill = ({b: [] for b in problem.blocks} for _ in range(3))
+    return problem
+
+
+def report_digest(result) -> str:
+    import hashlib
+
+    return hashlib.sha256(_jsonio.dumps(result.to_json_dict()).encode()).hexdigest()
+
+
+STAGE1_CAP = 40
+# SHA-256 of each report, frozen from the engine that solved availability and
+# anticipatability in two sweep loops, one after the other.
+STAGE1_DIGESTS = {
+    "av/fuzzy/minmax": "b69bb3cdeedd422f3d396c3179b92a0a09739f32788d856f1a8c350400d1412c",
+    "av/fuzzy/product": "a3f8eaec25ca40137fa880714e05edb5c2f9d7e72076084935a88d68a7ae5816",
+    "av/fuzzy/frank:2": "6e88e751d565da06aefd89457cd396ede08dc44b66bc90a60b309ceb236317cd",
+    "av/interval/minmax": "17e0a78930c5dc83cc23f1b85596a16fd5742e02c752ea175e71ac6dff799303",
+    "av/interval/product": "2254a32eb588dd5ce896995052fb0e5f9605d09e95582b311342368ca2379003",
+    "av/interval/frank:2": "3d54f4b900d33bfd4e5b965e9e62727ff9d675e5e63f2deb471a32092c2e360c",
+    "an/fuzzy/minmax": "8312be194504811927489169c73d62c98c3e88279fed8ae5f3082af03d6bcb6d",
+    "an/fuzzy/product": "8312be194504811927489169c73d62c98c3e88279fed8ae5f3082af03d6bcb6d",
+    "an/fuzzy/frank:2": "ec9ef82d5e6b0fdc1e539357f3becc0a05b7e6fef68ed40b57e41c2d60626c3d",
+    "an/interval/minmax": "c511334cd43fcf71407b8872fd98fea30cb2ab3fc42553a804c18ebf6c60f340",
+    "an/interval/product": "c511334cd43fcf71407b8872fd98fea30cb2ab3fc42553a804c18ebf6c60f340",
+    "an/interval/frank:2": "6fcb87ff1329d82b071ae2cb42019023ce8b86bfa89c8a4c142f95ba73144765",
+    "no_edges/crisp": "d43a04b45a6112db2193aee0e39dca0cf0a826cc9e727a57785e9e2a82cddd7e",
+    "no_exprs/crisp": "b4953c6449d89352c9379df42e1d2f0b4067b74393b500c8f9f2586149b788ea",
+    "no_edges/fuzzy": "60b71aacd29ca56cb1a3c05e45401c6b41cc0ebd2b0d20e9d1bdb645c477e40d",
+    "no_exprs/fuzzy": "10fe1523e968fee61c587573b885f9ac0344f50460747ae0a480003c476aa285",
+    "no_edges/interval": "049c1eaeba9dfd59bf0c8c2c1d712b4c1b5f0b1215dd8fd978db1b2a93bb732a",
+    "no_exprs/interval": "b6b9fe56b5959e138dc9ebdb7bf7004f72d94680a048d3edcda360ad657ca84e",
+}
+# Per slow analysis: the column counts of the stage-1 meets, sorted.  The
+# slow analysis meets in each of its STAGE1_CAP sweeps, the other only until
+# both its columns are frozen.
+STAGE1_MEET_WIDTHS = {"av": [1] * 37 + [2] * 6, "an": [1] * 37 + [2] * 6}
+LOOP_CASES = [(slow, mode, logic) for slow in ("av", "an") for mode in ("fuzzy", "interval")
+              for logic in ("minmax", "product", "frank:2")]
+
+
+@pytest.mark.parametrize("slow, mode, logic", LOOP_CASES)
+def test_one_slow_analysis_leaves_the_report_unconverged(slow, mode, logic):
+    """Where only one of availability and anticipatability needs more than
+    ``max_iters`` sweeps, the report says so, the other analysis's matrices
+    are those of an uncapped run, and every byte is as before."""
+    family = LogicFamily.parse(logic)
+    capped = L.lcm_pipeline(loop_problem(slow, mode), mode,
+                            cfg=SolverConfig(family, max_iters=STAGE1_CAP))
+    full = L.lcm_pipeline(loop_problem(slow, mode), mode, cfg=SolverConfig(family))
+    assert not capped.converged and full.converged
+    settled, climbing = (("an_in", "an_out"), ("av_out",)) if slow == "av" else (
+        ("av_out",), ("an_in", "an_out"))
+    for name in settled:
+        assert (capped._arrays[name] == full._arrays[name]).all(), name
+    for name in climbing:
+        assert (capped._arrays[name][:, 0] != full._arrays[name][:, 0]).any(), name
+        assert (capped._arrays[name][:, 1] == full._arrays[name][:, 1]).all(), name
+    assert report_digest(capped) == STAGE1_DIGESTS[f"{slow}/{mode}/{logic}"]
+
+
+@pytest.mark.parametrize("mode", ["crisp", "fuzzy", "interval"])
+def test_problems_without_edges_or_expressions_report_as_before(mode):
+    for name, problem in (("no_edges", no_edges_problem(mode)), ("no_exprs", no_exprs_problem())):
+        result = L.lcm_pipeline(problem, mode, LogicFamily.product())
+        assert result.converged
+        assert report_digest(result) == STAGE1_DIGESTS[f"{name}/{mode}"]
+
+
+@pytest.mark.parametrize("slow", ["av", "an"])
+def test_stage1_meets_an_analysis_only_while_it_has_active_columns(monkeypatch, slow):
+    widths = []
+    meet = L._Links.meet
+
+    def spy(self, rows, crisp, cols=slice(None), fresh=False):
+        if fresh:  # a rows-first meet: one of stage 1's sweeps
+            widths.append(rows[:, cols].shape[1])
+        return meet(self, rows, crisp, cols, fresh)
+
+    monkeypatch.setattr(L._Links, "meet", spy)
+    L.lcm_pipeline(loop_problem(slow, "fuzzy"), "fuzzy",
+                   cfg=SolverConfig(LogicFamily.product(), max_iters=STAGE1_CAP))
+    assert 0 not in widths
+    assert sorted(widths) == STAGE1_MEET_WIDTHS[slow]
