@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -890,8 +891,6 @@ def no_exprs_problem() -> LcmProblem:
 
 
 def report_digest(result) -> str:
-    import hashlib
-
     return hashlib.sha256(_jsonio.dumps(result.to_json_dict()).encode()).hexdigest()
 
 
