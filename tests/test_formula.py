@@ -198,3 +198,39 @@ def test_negation_free_evaluation_is_monotone():
         v1 = {n: rng.random() for n in names}
         v2 = {n: min(1.0, v1[n] + rng.random() * (1.0 - v1[n])) for n in names}
         assert evaluate(f, family, v2) >= evaluate(f, family, v1) - 1e-12
+
+
+# Fragments of the random parser corpus: tokens, operators, ASCII and Unicode
+# whitespace (only "\n" starts a line), a non-ASCII digit and numbers out of
+# range; then pieces the lexer rejects, drawn one time in 40.
+_CORPUS_PIECES = [
+    "a", "In", "x_1", "_", "0", "1", "0.5", "1.0", "2", "1e-3", "0.25e1",
+    "!", "&", "|", "(", ")", "a & b", "!(a | 0.3)", " ", "  ", "\t", "\n", "\r\n", "\n\n",
+    "\x0b", "\u00a0", "\u2028", "\u0663",
+]
+_CORPUS_BAD = ["#", "$", "@", ",", "\u00e9", "7.", ".5"]
+
+
+def _parse_outcome(text: str) -> str:
+    try:
+        return repr(parse_formula(text))
+    except FormulaSyntaxError as exc:
+        return f"error {str(exc)!r} {exc.line} {exc.col}"
+
+
+def test_parse_outcomes_on_random_corpus_are_frozen():
+    # Frozen before the lexer stopped tracking line and column per token:
+    # every formula repr, error message, line and column must stay the same.
+    import hashlib
+
+    rng = random.Random(2017)
+    digest = hashlib.sha256()
+    errors = 0
+    for _ in range(20_000):
+        pieces = [rng.choice(_CORPUS_BAD if rng.random() < 0.025 else _CORPUS_PIECES)
+                  for _ in range(rng.randrange(16))]
+        outcome = _parse_outcome("".join(pieces))
+        errors += outcome.startswith("error")
+        digest.update(outcome.encode() + b"\0")
+    assert 0 < errors < 20_000
+    assert digest.hexdigest() == "e86b943ad7d87a32f47655e4160c6d8163e8da9b9bdb9e800637d60e7497f881"
