@@ -35,19 +35,15 @@ def _diagnose(errors, warnings=()) -> int:
     return 1 if errors else 0
 
 
-def _first(*values):
-    return next(v for v in values if v is not None)
-
-
 def _solver_config(args, settings: _jsonio.Settings) -> SolverConfig:
-    """Options override the file's settings, which override the defaults.
+    """Options override the file's settings, which override SolverConfig's defaults.
     Only an absent value (None) falls through; 0 is checked, not replaced."""
-    logic = LogicFamily.parse(args.logic) if args.logic is not None else settings.logic
-    return SolverConfig(
-        family=_first(logic, LogicFamily.minmax()),
-        epsilon=_first(args.epsilon, settings.epsilon, 1e-6),
-        max_iters=_first(args.max_iters, settings.max_iters, 100_000),
-    )
+    given = {
+        "family": settings.logic if args.logic is None else LogicFamily.parse(args.logic),
+        "epsilon": settings.epsilon if args.epsilon is None else args.epsilon,
+        "max_iters": settings.max_iters if args.max_iters is None else args.max_iters,
+    }
+    return SolverConfig(**{name: value for name, value in given.items() if value is not None})
 
 
 def _fmt3(value) -> str:
@@ -212,10 +208,13 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fuzzydfa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    defaults = SolverConfig()
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--epsilon", type=float, default=None, help="solution tolerance (default 1e-6)")
-        p.add_argument("--max-iters", type=int, default=None, help="iteration cap (default 100000)")
+        p.add_argument("--epsilon", type=float, default=None,
+                       help=f"solution tolerance (default {defaults.epsilon:g})")
+        p.add_argument("--max-iters", type=int, default=None,
+                       help=f"iteration cap (default {defaults.max_iters})")
         p.add_argument("--logic", default=None,
                        help="minmax | product | lukasiewicz | nilpotent | frank:<s>")
         p.add_argument("--pretty", action="store_true", help="human-readable output")

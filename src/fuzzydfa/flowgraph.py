@@ -19,7 +19,7 @@ from typing import Any
 from . import _jsonio
 from ._jsonio import FileFormatError
 from .formula import Formula, Value, free_vars, parse_formula
-from .truth import _Frozen, _Record, _set, truth_value
+from .truth import WEIGHT_SUM_TOL, _Frozen, _Record, _set, truth_value
 
 __all__ = [
     "Edge",
@@ -31,8 +31,6 @@ __all__ = [
 ]
 
 Valuation = dict[str, Value]
-
-WEIGHT_SUM_TOL = 1e-9
 
 # Reserved: inside a transfer formula, "In" names the predecessor's value of
 # the property being computed, so it cannot itself be a property.

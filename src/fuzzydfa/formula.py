@@ -240,26 +240,23 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
+def _error_at(text: str, pos: int, message: str) -> FormulaSyntaxError:
+    """The error ``message`` at offset ``pos`` of ``text``, with its line and column."""
+    return FormulaSyntaxError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) per token, whitespace left out, then ("end", "", len(text))."""
     tokens = []
-    line, col = 1, 1
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        value = m.group()
-        if kind != "ws":
-            tokens.append((kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
+            raise _error_at(text, pos, f"unexpected character {text[pos]!r}")
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, m.group(), pos))
         pos = m.end()
-    tokens.append(("end", "", line, col))
+    tokens.append(("end", "", pos))
     return tokens
 
 
@@ -268,10 +265,10 @@ def parse_formula(text: str) -> Formula:
     tokens = _tokenize(text)
     index = 0
 
-    def peek() -> tuple[str, str, int, int]:
+    def peek() -> tuple[str, str, int]:
         return tokens[index]
 
-    def advance() -> tuple[str, str, int, int]:
+    def advance() -> tuple[str, str, int]:
         nonlocal index
         tok = tokens[index]
         index += 1
@@ -292,7 +289,7 @@ def parse_formula(text: str) -> Formula:
         return node
 
     def parse_unary() -> Formula:
-        kind, value, line, col = peek()
+        kind, value, pos = peek()
         if (kind, value) == ("op", "!"):
             advance()
             return Not(parse_unary())
@@ -301,27 +298,23 @@ def parse_formula(text: str) -> Formula:
             try:
                 return Const(float(value))
             except ValueError as exc:
-                raise FormulaSyntaxError(str(exc), line, col) from None
+                raise _error_at(text, pos, str(exc)) from None
         if kind == "ident":
             advance()
             return Var(value)
         if (kind, value) == ("op", "("):
             advance()
             node = parse_or()
-            kind2, value2, line2, col2 = peek()
-            if (kind2, value2) != ("op", ")"):
-                raise FormulaSyntaxError("expected ')'", line2, col2)
+            kind, value, pos = peek()
+            if (kind, value) != ("op", ")"):
+                raise _error_at(text, pos, "expected ')'")
             advance()
             return node
-        raise FormulaSyntaxError(
-            f"expected a constant, identifier, '!' or '(', got {value!r}" if kind != "end"
-            else "unexpected end of formula",
-            line,
-            col,
-        )
+        raise _error_at(text, pos, "unexpected end of formula" if kind == "end"
+                        else f"expected a constant, identifier, '!' or '(', got {value!r}")
 
     node = parse_or()
-    kind, value, line, col = peek()
+    kind, value, pos = peek()
     if kind != "end":
-        raise FormulaSyntaxError(f"trailing input {value!r}", line, col)
+        raise _error_at(text, pos, f"trailing input {value!r}")
     return node

@@ -39,7 +39,8 @@ import numpy as np
 
 from . import _jsonio
 from ._jsonio import LCM_MODES as MODES, FileFormatError
-from .truth import LogicFamily, SolverConfig, TruthInterval, _Frozen, _Record, _set, truth_value
+from .truth import (WEIGHT_SUM_TOL, LogicFamily, SolverConfig, TruthInterval, _Frozen, _Record,
+                    _set, truth_value)
 
 __all__ = [
     "LcmEdge",
@@ -124,9 +125,9 @@ def validate_problem(problem: LcmProblem, mode: str) -> list[str]:
             errors.append(f"block {b!r} has no predecessors and is not the entry")
         if b != problem.exit and b not in backward:
             errors.append(f"block {b!r} has no successors and is not the exit")
-        if b in forward and abs(forward[b] - 1.0) > 1e-9:
+        if b in forward and abs(forward[b] - 1.0) > WEIGHT_SUM_TOL:
             errors.append(f"forward weights into {b!r} sum to {forward[b]!r}")
-        if b in backward and abs(backward[b] - 1.0) > 1e-9:
+        if b in backward and abs(backward[b] - 1.0) > WEIGHT_SUM_TOL:
             errors.append(f"backward weights out of {b!r} sum to {backward[b]!r}")
 
     width = len(problem.exprs)
@@ -269,7 +270,7 @@ class _Run:
         return out
 
     def neg(self, x: np.ndarray) -> np.ndarray:
-        return 1.0 - (x[..., ::-1] if self.width == 2 else x)
+        return 1.0 - x[..., ::-1]  # a scalar's width-1 axis reverses to itself
 
     def disj(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.neg(self.conj(self.neg(x), self.neg(y)))
@@ -444,12 +445,12 @@ def lcm_pipeline(
     """Run the four stages in order and collect every matrix.
 
     The logic family and the stopping rule come from ``cfg``, by default
-    ``SolverConfig(family or LogicFamily.minmax())``; a ``family`` given
-    beside a ``cfg`` must equal ``cfg.family``.  The problem is validated,
+    ``SolverConfig(family)``, or ``SolverConfig()`` with neither; a ``family``
+    given beside a ``cfg`` must equal ``cfg.family``.  The problem is validated,
     and its rows stacked, once per call; nothing is cached on it, so edits
     to its rows show in the next call."""
     if cfg is None:
-        cfg = SolverConfig(family or LogicFamily.minmax())
+        cfg = SolverConfig() if family is None else SolverConfig(family)
     elif family is not None and family != cfg.family:
         raise ValueError(f"family {family} differs from cfg.family {cfg.family}")
     run = _Run(problem, mode, cfg)

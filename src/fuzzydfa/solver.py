@@ -82,8 +82,8 @@ def _average(transfer, inputs: list, width: int) -> tuple:
         value = transfer(src)
         for i in range(width):
             totals[i] += alpha * value[i]
-    # Weight sums may be off by the validation tolerance (1e-9); keep the
-    # state inside the unit interval without masking larger errors.
+    # Weight sums may be off by WEIGHT_SUM_TOL; keep the state inside the
+    # unit interval without masking larger errors.
     return tuple(min(1.0, max(0.0, total)) for total in totals)
 
 

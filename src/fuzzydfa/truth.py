@@ -40,6 +40,9 @@ _FRANK_PRODUCT_BAND = 1e-6
 # evaluation to 1e-9 on the 65 x 65 grid i/64 (6e-10; 1.2e-9 at 2**-29).
 _FRANK_MIN_S = 2.0**-28
 
+# How far a node's incoming (or outgoing) edge weights may sum from 1.
+WEIGHT_SUM_TOL = 1e-9
+
 _FAMILY_KINDS = ("minmax", "product", "lukasiewicz", "nilpotent", "frank")
 
 # Sets a frozen record's field in its ``__init__``, past the refusing
@@ -294,7 +297,7 @@ class LogicFamily(_Frozen):
 
 
 class SolverConfig(_Frozen):
-    """A logic family and the stopping rule of a fixed-point solve."""
+    """A logic family and a fixed-point solve's stopping rule; its defaults are the package's."""
 
     _fields = ("family", "epsilon", "max_iters", "quantize_bits")
     family: LogicFamily
@@ -302,8 +305,8 @@ class SolverConfig(_Frozen):
     max_iters: int
     quantize_bits: int | None
 
-    def __init__(self, family: LogicFamily, epsilon: float = 1e-6, max_iters: int = 100_000,
-                 quantize_bits: int | None = None) -> None:
+    def __init__(self, family: LogicFamily = LogicFamily("minmax"), epsilon: float = 1e-6,
+                 max_iters: int = 100_000, quantize_bits: int | None = None) -> None:
         if not isinstance(family, LogicFamily):
             raise ValueError(f"family must be a LogicFamily, got {family!r}")
         if not (_finite(epsilon) and epsilon > 0.0):
