@@ -304,6 +304,9 @@ def run_harness(
     When a period closes with an error rate at or above the threshold, both
     models are refit by least squares on that period's samples.
     """
+    if update_model.dim != leave_model.dim:
+        raise DimensionMismatchError(
+            f"update model has dim {update_model.dim} but leave model has dim {leave_model.dim}")
     if len(periods) != len(labels):
         raise DimensionMismatchError(f"{len(periods)} periods but {len(labels)} label groups")
     # Both models' consequents are one (2, rules, 1 + dim) array.

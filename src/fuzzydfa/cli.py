@@ -167,11 +167,15 @@ def _cmd_anfis_predict(args) -> int:
 
 
 def _model_pair(data: Any) -> tuple:
-    """The update and leave models of an ``anfis-train`` models file."""
+    """The update and leave models of an ``anfis-train`` models file, of one dim."""
     from . import anfis
 
     _jsonio.check_keys(data, "models", ["update", "leave"])
-    return anfis.model_from_json_dict(data["update"]), anfis.model_from_json_dict(data["leave"])
+    update, leave = map(anfis.model_from_json_dict, (data["update"], data["leave"]))
+    if update.dim != leave.dim:
+        raise _jsonio.FileFormatError(
+            f"models: update has dim {update.dim} but leave has dim {leave.dim}")
+    return update, leave
 
 
 def _cmd_anfis_train(args) -> int:

@@ -32,6 +32,7 @@ just its upward-exposed set, and nothing is "later" than the entry
 
 from __future__ import annotations
 
+import numbers
 from types import MappingProxyType
 from typing import Any, Mapping, Sequence, Union
 
@@ -88,7 +89,8 @@ class LcmProblem(_Record):
 
 
 def validate_problem(problem: LcmProblem, mode: str) -> list[str]:
-    """Structural and per-mode value checks (rows in bulk, walked on failure); returns errors."""
+    """Structural and per-mode value checks (rows in bulk, walked on failure); returns errors.
+    An entry must be a real number other than a bool, or in interval mode a TruthInterval."""
     errors: list[str] = []
     if mode not in MODES:
         return [f"unknown mode {mode!r}; expected one of {MODES}"]
@@ -130,7 +132,8 @@ def validate_problem(problem: LcmProblem, mode: str) -> list[str]:
         if b in backward and abs(backward[b] - 1.0) > WEIGHT_SUM_TOL:
             errors.append(f"backward weights out of {b!r} sum to {backward[b]!r}")
 
-    width = len(problem.exprs)
+    width, interval = len(problem.exprs), mode == "interval"
+    kinds = "a number or an interval" if interval else "a number"
     for name, matrix in (("dee", problem.dee), ("uee", problem.uee), ("kill", problem.kill)):
         for b in problem.blocks:
             row = matrix.get(b)
@@ -140,12 +143,15 @@ def validate_problem(problem: LcmProblem, mode: str) -> list[str]:
             if len(row) != width:
                 errors.append(f"{name}[{b!r}]: expected {width} entries, got {len(row)}")
                 continue
-            if mode == "interval" or _jsonio.all_of(float, row) and (
-                    mode == "fuzzy" or row.count(0.0) + row.count(1.0) == width):
+            if interval and _jsonio.all_of(TruthInterval, row) or _jsonio.all_of(float, row) and (
+                    mode != "crisp" or row.count(0.0) + row.count(1.0) == width):
                 continue  # nothing to name
             for k, v in enumerate(row):
                 if isinstance(v, TruthInterval):
-                    errors.append(f"{name}[{b!r}][{k}]: interval value in {mode} mode")
+                    if not interval:
+                        errors.append(f"{name}[{b!r}][{k}]: interval value in {mode} mode")
+                elif isinstance(v, bool) or not isinstance(v, numbers.Real):
+                    errors.append(f"{name}[{b!r}][{k}]: expected {kinds}, got {v!r}")
                 elif mode == "crisp" and v not in (0.0, 1.0):
                     errors.append(f"{name}[{b!r}][{k}]: crisp mode needs 0or1, got {v!r}")
         for b in matrix:

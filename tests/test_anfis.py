@@ -497,8 +497,11 @@ _ONE = AnfisModel([_RULE], 1)
      "1 periods but 0 label groups"),
     (lambda: run_harness(_ONE, _ONE, [[[0.5]]], [[True, False]], TrainConfig(0.1)),
      DimensionMismatchError, "period and label lengths differ"),
+    (lambda: run_harness(_ONE, uniform_model(2, 2), [], [], TrainConfig(0.1)),
+     DimensionMismatchError, "update model has dim 1 but leave model has dim 2"),
 ], ids=["rule-consequent", "no-rules", "dim-zero", "and-op", "rule-dim", "ls-no-samples",
-        "uniform-dim", "uniform-mfs", "period-length", "harness-periods", "harness-labels"])
+        "uniform-dim", "uniform-mfs", "period-length", "harness-periods", "harness-labels",
+        "harness-pair-dims"])
 def test_construction_and_argument_errors_are_named(make, kind, message):
     with pytest.raises(kind) as raised:
         make()
@@ -554,6 +557,16 @@ def test_csv_round_trip(tmp_path):
     X, labels = read_samples_csv(str(path))
     assert X == [[0.1, 0.9], [0.8, 0.2]]
     assert labels == [True, False]
+
+
+def test_csv_skips_blank_rows_but_counts_them(tmp_path):
+    path = tmp_path / "samples.csv"
+    path.write_text("x1,x2,label\n0.1,0.9,1\n\n , ,\n0.8,0.2,0\n", encoding="utf-8")
+    assert read_samples_csv(str(path)) == ([[0.1, 0.9], [0.8, 0.2]], [True, False])
+    path.write_text("x1,label\n\n0.5\n", encoding="utf-8")
+    with pytest.raises(FileFormatError) as raised:
+        read_samples_csv(str(path))
+    assert str(raised.value) == f"{path}: row 3: need at least one input and a label"
 
 
 def test_uniform_model_covers_the_unit_box():

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from fuzzydfa import uniform_model
+import fuzzydfa
+from fuzzydfa import SolverConfig, uniform_model
 from fuzzydfa.anfis import model_to_json_dict
 from fuzzydfa.cli import main
 from fuzzydfa._jsonio import dumps
@@ -113,7 +118,9 @@ def test_validate_accepts_the_anfis_train_model_pair(data_dir, capsys):
     (lambda pair: pair.update(extra=1), "models: unknown keys ['extra']"),
     (lambda pair: pair["leave"].update(dim=True), "model: dim: expected an integer, got True"),
     (lambda pair: pair.update(update=[]), "model: expected an object, got list"),
-], ids=["no-leave", "no-update", "extra-key", "bad-leave", "update-list"])
+    (lambda pair: pair.update(leave=model_to_json_dict(uniform_model(3, 2))),
+     "models: update has dim 2 but leave has dim 3"),
+], ids=["no-leave", "no-update", "extra-key", "bad-leave", "update-list", "dim-mismatch"])
 def test_validate_rejects_a_broken_pair_as_anfis_train_does(data_dir, tmp_path, capsys, spoil,
                                                            message):
     pair = json.loads((data_dir / "anfis_models.json").read_text())
@@ -690,3 +697,24 @@ def test_usage_errors_exit_1(capsys, monkeypatch):
     assert capsys.readouterr().err == (
         "usage: fuzzydfa [-h] {solve,lcm,validate,anfis-predict,anfis-train} ...\n"
         "error: the following arguments are required: command\n")
+
+
+@pytest.mark.parametrize("module", ["fuzzydfa", "fuzzydfa.cli"])
+def test_module_entry_points_print_what_main_prints(data_dir, capsys, module):
+    argv = ["lcm", str(data_dir / "diffpcm_t1.json")]
+    src = str(Path(fuzzydfa.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert (child.returncode, child.stdout, child.stderr) == run(capsys, *argv)
+    assert child.stdout.startswith('{"mode": "fuzzy"')
+
+
+@pytest.mark.parametrize("command", ["solve", "lcm"])
+def test_help_states_the_solver_config_defaults(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    defaults = SolverConfig()
+    assert f"solution tolerance (default {defaults.epsilon:g})" in text
+    assert f"iteration cap (default {defaults.max_iters})" in text

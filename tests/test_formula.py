@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -111,6 +112,24 @@ def test_format_parse_round_trip():
         assert parse_formula(format_formula(f)) == f
 
 
+def test_variables_need_a_name():
+    with pytest.raises(ValueError, match=r"^variable name must be nonempty$"):
+        Var("")
+
+
+def test_interval_constants_have_no_text_form():
+    with pytest.raises(TypeError, match=r"^interval constants have no text form$"):
+        format_formula(Not(Const(TruthInterval(0.2, 0.4))))
+
+
+@pytest.mark.parametrize("use", [lambda f: evaluate(f, MINMAX, {"a": 0.5}),
+                                 lambda f: evaluate_interval(f, MINMAX, {"a": 0.5}),
+                                 format_formula], ids=["evaluate", "interval", "format"])
+def test_a_node_that_is_not_a_formula_is_named(use):
+    with pytest.raises(TypeError, match=r"^not a formula node: 'b'$"):
+        use(And(Var("a"), "b"))
+
+
 def test_format_uses_minimal_parens():
     f = And(Const(0.8), Or(Not(Var("In")), Not(Const(0.7))))
     assert format_formula(f) == "0.8 & (!In | !0.7)"
@@ -219,10 +238,7 @@ def _parse_outcome(text: str) -> str:
 
 
 def test_parse_outcomes_on_random_corpus_are_frozen():
-    # Frozen before the lexer stopped tracking line and column per token:
-    # every formula repr, error message, line and column must stay the same.
-    import hashlib
-
+    # The digest pins every formula repr, error message, line and column.
     rng = random.Random(2017)
     digest = hashlib.sha256()
     errors = 0

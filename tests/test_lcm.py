@@ -1,6 +1,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from fuzzydfa import (LcmEdge, LcmProblem, LogicFamily, SolverConfig, TruthInterval,
@@ -569,19 +570,54 @@ def test_validate_walks_only_rows_whose_bulk_check_fails():
     problem.dee["B3"][2] = TruthInterval(0.25, 0.5)
     problem.uee["B4"][1] = 0.5
     problem.uee["B4"][5] = TruthInterval(0.0, 0.0)
-    problem.kill["B2"] = [1, True, 0, False, -0.0, 1.0, 0.0]  # 0 and 1 in other types
+    problem.kill["B2"] = [1, True, 0, False, -0.0, 1.0, 0.0]  # ints pass, bools do not
+    bools = ["kill['B2'][1]: expected a number, got True",
+             "kill['B2'][3]: expected a number, got False"]
     assert L.validate_problem(problem, "crisp") == [
         "dee['B3'][2]: interval value in crisp mode",
         "uee['B4'][1]: crisp mode needs 0or1, got 0.5",
         "uee['B4'][5]: interval value in crisp mode",
+        *bools,
     ]
     assert L.validate_problem(problem, "fuzzy") == [
         "dee['B3'][2]: interval value in fuzzy mode",
         "uee['B4'][5]: interval value in fuzzy mode",
+        *bools,
     ]
-    assert L.validate_problem(problem, "interval") == []
+    assert L.validate_problem(problem, "interval") == [
+        error.replace("a number", "a number or an interval") for error in bools]
     problem.kill["B2"][3] = float("nan")
     assert L.validate_problem(problem, "crisp")[-1] == "kill['B2'][3]: crisp mode needs 0or1, got nan"
+
+
+@pytest.mark.parametrize("mode", L.MODES)
+@pytest.mark.parametrize("entry", ["0.5", True, False, None, (0.2, 0.4), [0.2, 0.4], np.True_])
+def test_validate_names_each_entry_that_is_not_a_number(mode, entry):
+    problem = diffpcm_problem()
+    problem.dee["B4"][5] = entry
+    kinds = "a number or an interval" if mode == "interval" else "a number"
+    errors = [f"dee['B4'][5]: expected {kinds}, got {entry!r}"]
+    assert L.validate_problem(problem, mode) == errors
+    with pytest.raises(ValueError) as raised:
+        L.lcm_pipeline(problem, mode)
+    assert raised.value.errors == errors
+
+
+@pytest.mark.parametrize("mode", L.MODES)
+@pytest.mark.parametrize("entry", [1, np.int64(1), np.float64(1.0)])
+def test_validate_accepts_any_real_number_entry(mode, entry):
+    problem = diffpcm_problem()
+    assert problem.dee["B4"][5] == 1.0
+    expected = L.lcm_pipeline(problem, mode)
+    problem.dee["B4"][5] = entry
+    assert L.validate_problem(problem, mode) == []
+    assert L.lcm_pipeline(problem, mode) == expected
+
+
+def test_result_has_no_attribute_for_a_name_that_is_not_a_matrix():
+    result = L.lcm_pipeline(diffpcm_problem(), "crisp")
+    with pytest.raises(AttributeError, match=r"^av_in$"):
+        result.av_in  # AvIn is not reported
 
 
 def test_pipeline_takes_its_logic_from_the_config(data_dir):
@@ -780,7 +816,6 @@ def test_interval_conj_keeps_ordered_pairs_ordered():
     """Only Frank re-sorts interval pairs: the other T-norms are monotone in
     floating point, so on ordered pairs they never return lo > hi, and
     Frank's results are ordered after its re-sort."""
-    import numpy as np
     from hypothesis import HealthCheck, given, settings
     from hypothesis import strategies as st
 

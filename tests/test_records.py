@@ -42,7 +42,7 @@ RECORDS = [
     (LogicFamily, {"kind": "product", "s": None}, {"s": None},
      "LogicFamily(kind='product', s=None)", True),
     (SolverConfig, {"family": MINMAX, "epsilon": 1e-3, "max_iters": 50, "quantize_bits": 8},
-     {"epsilon": 1e-6, "max_iters": 100_000, "quantize_bits": None},
+     {"family": MINMAX, "epsilon": 1e-6, "max_iters": 100_000, "quantize_bits": None},
      "SolverConfig(family=LogicFamily(kind='minmax', s=None), epsilon=0.001, max_iters=50, "
      "quantize_bits=8)", True),
     (Formula, {}, {}, "Formula()", True),
