@@ -9,8 +9,10 @@ flow-graph engine that preceded the array engine, and the ``frank<i>``
 cases from the array engine while it still evaluated Frank through the
 scalar ``LogicFamily.tnorm``, and the ``wide<i>`` cases from the array
 engine while it still stacked rows from dicts per stage and met merges with
-per-slot scatter-adds, as were the ``single`` and ``no_exprs`` cases, so any
-change in any printed digit of any matrix fails here.
+per-slot scatter-adds, as were the ``single`` and ``no_exprs`` cases, and
+the ``fan<i>`` cases while it still summed each merge's inputs slot by slot
+in Python and each column's residual in node order, so any change in any
+printed digit of any matrix fails here.
 
 The ``solve/``, ``fig1/`` and ``evaluate/`` cases were frozen from the
 solver that interpreted formulas by recursion, with a scalar and an interval
@@ -31,6 +33,7 @@ import hashlib
 import json
 import random
 import sys
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -60,6 +63,11 @@ FRANK_CFGS = 10
 WIDE_FAMILIES = ["minmax", "product", "frank:2"]
 WIDE_CFGS = 6
 WIDE_FAN_IN = 4
+# Fan-in and fan-out of ten, as the benchmark's medium and large CFGs reach:
+# one merge adds ten or more weighted inputs.
+FAN_FAMILIES = ["minmax", "product"]
+FAN_CFGS = 3
+FAN = 10
 # The flow-graph solver: every family above, plus nilpotent.
 SOLVE_FAMILIES = list(dict.fromkeys(
     BUNDLED_FAMILIES + RANDOM_FAMILIES + FRANK_FAMILIES + WIDE_FAMILIES + ["nilpotent"]
@@ -92,15 +100,22 @@ def _random_rows(rng: random.Random, problem, kind: str, ends: float = 0.0) -> N
         setattr(problem, name, {b: [cell() for _ in range(width)] for b in problem.blocks})
 
 
-def _widen(rng: random.Random, problem) -> None:
-    """Give a few blocks at least WIDE_FAN_IN predecessors, shuffle the edge
+def _widen(rng: random.Random, problem, fan_in: int = WIDE_FAN_IN, fan_out: int = 0) -> None:
+    """Give a few blocks at least ``fan_in`` predecessors and, with
+    ``fan_out``, one block at least that many successors; shuffle the edge
     order and draw uneven weights that still sum to 1 per block."""
     blocks, entry, exit_ = problem.blocks, problem.entry, problem.exit
     pairs = {(e.src, e.dst) for e in problem.edges}
     for dst in rng.sample(blocks[1:], min(4, len(blocks) - 1)):
         sources = [b for b in blocks if b not in (dst, exit_) and (b, dst) not in pairs]
         have = sum(1 for _, d in pairs if d == dst)
-        for src in rng.sample(sources, max(0, min(WIDE_FAN_IN - have, len(sources)))):
+        for src in rng.sample(sources, max(0, min(fan_in - have, len(sources)))):
+            pairs.add((src, dst))
+    if fan_out:
+        src = rng.choice(blocks[:-1])
+        targets = [b for b in blocks if b not in (src, entry) and (src, b) not in pairs]
+        have = sum(1 for s, _ in pairs if s == src)
+        for dst in rng.sample(targets, max(0, min(fan_out - have, len(targets)))):
             pairs.add((src, dst))
     pairs = sorted(pairs)
     rng.shuffle(pairs)
@@ -240,6 +255,16 @@ def golden_cases() -> dict:
                 family = LogicFamily.parse(logic)
                 cfg = SolverConfig(family=family, max_iters=3000)
                 cases[f"wide{i}/{mode}/{logic}"] = partial(lcm_report, problem, mode, family, cfg)
+    for i in range(FAN_CFGS):
+        for mode in ("fuzzy", "interval"):
+            for logic in FAN_FAMILIES:
+                rng = random.Random(f"golden/fan/{i}")
+                problem = random_crisp_problem(rng, max_blocks=40, max_exprs=8)
+                _widen(rng, problem, FAN, FAN)
+                _random_rows(random.Random(f"golden/fan/{i}/{mode}"), problem, mode, ends=0.2)
+                family = LogicFamily.parse(logic)
+                cfg = SolverConfig(family=family, max_iters=3000)
+                cases[f"fan{i}/{mode}/{logic}"] = partial(lcm_report, problem, mode, family, cfg)
     for mode in ("crisp", "fuzzy", "interval"):
         for logic in WIDE_FAMILIES:
             family = LogicFamily.parse(logic)
@@ -274,6 +299,16 @@ CASES = golden_cases()
 
 def test_golden_corpus_covers_every_case():
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(CASES)
+
+
+def test_fan_cases_reach_the_fan_in_and_fan_out():
+    fans = [name for name in CASES if name.startswith("fan")]
+    assert len(fans) == FAN_CFGS * 2 * len(FAN_FAMILIES)
+    for name in fans:
+        edges = CASES[name].args[0].edges
+        for end in ("src", "dst"):
+            degree = Counter(getattr(e, end) for e in edges)
+            assert max(degree.values()) >= FAN, (name, end)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
