@@ -327,16 +327,15 @@ class _Links:
         """Per merge, from its links' rows in columns ``cols``: the min (crisp)
         or the weighted sum clamped to [0,1]; 0 for a merge with no links.
         With ``fresh`` (rows first), ``rows`` holds old rows then new, read by
-        ``gather``.  Every term is >= +0.0, so starting from slot 0's term and
-        clamping with ``minimum`` give the bits of summing from 0.0 and clipping."""
+        ``gather``.  Every term is >= +0.0, so clamping with ``minimum`` gives
+        the bits of summing from 0.0 and clipping."""
         values = rows[self.gather if fresh else self.src, cols]
         if crisp:
             out = np.minimum.reduce(values, axis=0, initial=1.0, where=self.link)
             return np.minimum(out, self.has_input, out=out)
-        terms = self.weight * values
-        out = terms[0] if len(terms) else np.zeros(terms.shape[1:])  # no links: no edges
-        for term in terms[1:]:
-            out += term
+        # Two slots need a merge with two links and a third merge, the entry,
+        # so the sum is never 1-D (numpy would add that pairwise): slot by slot.
+        out = np.add.reduce(self.weight * values, axis=0)
         return np.minimum(out, 1.0, out=out)
 
 
@@ -359,16 +358,16 @@ def _fixpoint(
     last sweep's merges, and a merge reads this sweep's rows only from blocks
     before it.  Otherwise (Later) every merge comes first, reading the last
     sweep's rows, and every row then reads this sweep's merges.
-    Each column freezes at its first sweep whose change, summed in node
-    order, is below epsilon; a node's change, |new - old| (lo's plus hi's
-    for an interval), is written straight into the step table.
+    Each column freezes at its first sweep whose change, the sum of
+    |new - old| over its rows and merges (both ends of an interval), is
+    below epsilon.
 
     ``links`` holds one table per analysis, for one of ``len(links)`` equal
     column ranges (stage 1: availability, then anticipatability).  A sweep
     meets each one's active columns, if any, and does the rest once for all.
     Returns the rows and, per analysis, whether it converged.
     """
-    crisp, width = run.crisp, run.width
+    crisp = run.crisp
     start = 1.0 if crisp else 0.0
     rows = np.full(gen.shape, start)
     cur_merges = np.full((links[0].src.shape[1],) + gen.shape[1:], start)
@@ -386,10 +385,9 @@ def _fixpoint(
                for table, a, b in zip(links, cut, cut[1:]) if a < b]
         return run.snap(met[0] if len(met) == 1 else np.concatenate(met, axis=1))
 
-    n_merges = len(cur_merges)
     # From top, every crisp sweep but the last clears at least one bit; a
     # crisp residual counts flipped bits: below one, nothing changed.
-    limit = len(rows) + n_merges + 1 if crisp else run.cfg.max_iters
+    limit = len(rows) + len(cur_merges) + 1 if crisp else run.cfg.max_iters
     epsilon = 1.0 if crisp else run.cfg.epsilon
     # Analysis i owns columns [bounds[i], bounds[i + 1]), and active[cut[i]:cut[i + 1]].
     active, bounds = np.arange(gen.shape[1]), gen.shape[1] // len(links) * np.arange(len(links) + 1)
@@ -403,15 +401,9 @@ def _fixpoint(
         else:
             new_merges = meet(cur_rows, False)
             new_rows = transfer(new_merges)
-        # Each node's change, summed in node order by accumulate (a reduce may add pairwise).
-        steps = np.empty((len(rows) + n_merges, active.size, width))
-        at = (steps[0::2], steps[1::2]) if reads is None else (steps[n_merges:], steps[:n_merges])
-        np.subtract(new_rows, cur_rows, out=at[0])
-        np.subtract(new_merges, cur_merges, out=at[1])
-        np.abs(steps, out=steps)
-        steps = np.add.reduce(steps, axis=-1, keepdims=True) if width == 2 else steps
+        change = abs(new_rows - cur_rows).sum((0, 2)) + abs(new_merges - cur_merges).sum((0, 2))
         cur_rows, cur_merges = new_rows, new_merges
-        done = np.add.accumulate(steps)[-1, :, 0] < epsilon
+        done = change < epsilon
         if np.count_nonzero(done):
             rows[:, active[done]] = cur_rows[:, done]
             more = ~done
