@@ -40,8 +40,8 @@ import numpy as np
 
 from . import _jsonio
 from ._jsonio import LCM_MODES as MODES, FileFormatError
-from .truth import (WEIGHT_SUM_TOL, LogicFamily, SolverConfig, TruthInterval, _Frozen, _Record,
-                    _set, truth_value)
+from .truth import (WEIGHT_SUM_TOL, LogicFamily, SolverConfig, TruthInterval, TruthValueError,
+                    _Frozen, _Record, _set, truth_value)
 
 __all__ = [
     "LcmEdge",
@@ -90,7 +90,8 @@ class LcmProblem(_Record):
 
 def validate_problem(problem: LcmProblem, mode: str) -> list[str]:
     """Structural and per-mode value checks (rows in bulk, walked on failure); returns errors.
-    An entry must be a real number other than a bool, or in interval mode a TruthInterval."""
+    An entry must be a real number other than a bool that ``truth_value``
+    accepts (0 or 1 in crisp mode), or in interval mode a TruthInterval."""
     errors: list[str] = []
     if mode not in MODES:
         return [f"unknown mode {mode!r}; expected one of {MODES}"]
@@ -144,7 +145,8 @@ def validate_problem(problem: LcmProblem, mode: str) -> list[str]:
                 errors.append(f"{name}[{b!r}]: expected {width} entries, got {len(row)}")
                 continue
             if interval and _jsonio.all_of(TruthInterval, row) or _jsonio.all_of(float, row) and (
-                    mode != "crisp" or row.count(0.0) + row.count(1.0) == width):
+                    row.count(0.0) + row.count(1.0) == width if mode == "crisp"
+                    else all(0.0 <= v <= 1.0 for v in row)):  # a NaN fails both comparisons
                 continue  # nothing to name
             for k, v in enumerate(row):
                 if isinstance(v, TruthInterval):
@@ -154,6 +156,11 @@ def validate_problem(problem: LcmProblem, mode: str) -> list[str]:
                     errors.append(f"{name}[{b!r}][{k}]: expected {kinds}, got {v!r}")
                 elif mode == "crisp" and v not in (0.0, 1.0):
                     errors.append(f"{name}[{b!r}][{k}]: crisp mode needs 0or1, got {v!r}")
+                elif mode != "crisp":
+                    try:
+                        truth_value(v)
+                    except TruthValueError as exc:
+                        errors.append(f"{name}[{b!r}][{k}]: {exc}")
         for b in matrix:
             if b not in blocks:
                 errors.append(f"{name}: row for unknown block {b!r}")
@@ -257,14 +264,12 @@ class _Run:
         else:
             rows = [[(v.lo, v.hi) if isinstance(v, TruthInterval) else (v, v) for v in matrix[b]]
                     for b in blocks]
-        # Adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is,
-        # so library-built rows print as file-loaded ones (truth_value) do.
+        # Validation let through only truth_value's slack: clamp it as truth_value
+        # does.  Adding 0.0 turns -0.0 into 0.0 and leaves every other value as
+        # it is, so library-built rows print as file-loaded ones do.
         shape = (len(blocks), len(self.problem.exprs), self.width)
         out = np.array(rows, dtype=float).reshape(shape) + 0.0
-        if not ((out >= 0.0) & (out <= 1.0)).all():
-            # Clamp rounding noise and reject the rest, as the scalar norms do.
-            out = np.vectorize(truth_value, otypes=[float])(out)
-        return out
+        return np.minimum(np.maximum(out, 0.0, out=out), 1.0, out=out)
 
     def conj(self, x: np.ndarray, y: np.ndarray, *, terms: bool = False) -> np.ndarray:
         """x & y; with ``terms``, x and y went through ``term`` already."""

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fuzzydfa import (LcmEdge, LcmProblem, LogicFamily, SolverConfig, TruthInterval,
-                      TruthValueError, WidthMismatchError)
+                      WidthMismatchError)
 from fuzzydfa import _jsonio
 from fuzzydfa import lcm as L
 from krs_oracle import krs_bitvector, random_crisp_problem
@@ -335,10 +335,13 @@ def test_single_block_availability_is_its_dee():
 
 
 def test_rows_outside_the_unit_interval_are_rejected():
-    with pytest.raises(TruthValueError):
+    with pytest.raises(ValueError) as exc:
         L.lcm_pipeline(single_block_problem(dee=1.5), "fuzzy", MINMAX)
+    assert exc.value.errors == ["dee['only'][0]: not a truth value in [0,1]: 1.5"]
     result = L.lcm_pipeline(single_block_problem(dee=1.0 + 1e-13), "fuzzy", MINMAX)
     assert result.av_out["only"] == [1.0]
+    result = L.lcm_pipeline(single_block_problem(dee=-1e-13), "interval", MINMAX)
+    assert result.to_json_dict()["av_out"]["only"] == [[0.0, 0.0]]
 
 
 def test_all_kill_availability_equals_dee():
@@ -588,6 +591,20 @@ def test_validate_walks_only_rows_whose_bulk_check_fails():
         error.replace("a number", "a number or an interval") for error in bools]
     problem.kill["B2"][3] = float("nan")
     assert L.validate_problem(problem, "crisp")[-1] == "kill['B2'][3]: crisp mode needs 0or1, got nan"
+
+
+@pytest.mark.parametrize("mode", ["fuzzy", "interval"])
+@pytest.mark.parametrize("entry", [1.5, -0.5, 2, np.float64(1.5), float("nan"), float("inf")])
+@pytest.mark.parametrize("at", [0, 5])
+def test_validate_names_each_entry_outside_the_unit_interval(mode, entry, at):
+    """A NaN after a row's first entry is named too, though min and max skip it."""
+    problem = diffpcm_problem()
+    problem.dee["B4"][at] = entry
+    errors = [f"dee['B4'][{at}]: not a truth value in [0,1]: {float(entry)!r}"]
+    assert L.validate_problem(problem, mode) == errors
+    with pytest.raises(ValueError) as exc:
+        L.lcm_pipeline(problem, mode)
+    assert exc.value.errors == errors
 
 
 @pytest.mark.parametrize("mode", L.MODES)
