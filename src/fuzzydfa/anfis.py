@@ -410,16 +410,18 @@ def load_model_file(path: str) -> AnfisModel:
 
 def read_samples_csv(path: str) -> tuple[list[list[float]], list[bool]]:
     """Read harness samples: columns x1..xn plus a final 0/1 label column; a
-    first row with a non-numeric cell is a header and is skipped."""
-    X, labels = [], []
+    first non-blank row with a non-numeric cell is a header and is skipped.
+    Messages give physical row numbers, blank rows included."""
+    X, labels, first = [], [], None
     with open(path, "r", encoding="utf-8", newline="") as handle:
         for row_no, row in enumerate(csv.reader(handle), start=1):
             if not any(cell.strip() for cell in row):
                 continue
+            first = first or row_no
             try:
                 values = [float(cell) for cell in row]
             except ValueError:
-                if row_no == 1:
+                if row_no == first:
                     continue
                 raise FileFormatError(f"{path}: row {row_no}: non-numeric value") from None
             if not all(map(math.isfinite, values)):

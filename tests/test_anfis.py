@@ -569,6 +569,17 @@ def test_csv_skips_blank_rows_but_counts_them(tmp_path):
     assert str(raised.value) == f"{path}: row 3: need at least one input and a label"
 
 
+@pytest.mark.parametrize("header", ["x1,x2,label\n", ""], ids=["header", "no-header"])
+def test_csv_header_may_follow_blank_rows(tmp_path, header):
+    path = tmp_path / "samples.csv"
+    path.write_text(f"\n ,\n{header}0.1,0.9,1\n0.8,0.2,0\n", encoding="utf-8")
+    assert read_samples_csv(str(path)) == ([[0.1, 0.9], [0.8, 0.2]], [True, False])
+    path.write_text(f"\n{header}0.1,0.9,1\nx,0.2,0\n", encoding="utf-8")
+    with pytest.raises(FileFormatError) as raised:
+        read_samples_csv(str(path))
+    assert str(raised.value) == f"{path}: row {4 if header else 3}: non-numeric value"
+
+
 def test_uniform_model_covers_the_unit_box():
     rng = random.Random(113)
     model = uniform_model(2, 3)
