@@ -338,8 +338,8 @@ class _Links:
         if crisp:
             out = np.minimum.reduce(values, axis=0, initial=1.0, where=self.link)
             return np.minimum(out, self.has_input, out=out)
-        # Two slots need a merge with two links and a third merge, the entry,
-        # so the sum is never 1-D (numpy would add that pairwise): slot by slot.
+        # Two slots take a merge with links from two other blocks, each a merge too, so
+        # the array is never 1-D (which numpy sums pairwise): this adds slot by slot.
         out = np.add.reduce(self.weight * values, axis=0)
         return np.minimum(out, 1.0, out=out)
 

@@ -597,7 +597,7 @@ def test_validate_walks_only_rows_whose_bulk_check_fails():
 @pytest.mark.parametrize("entry", [1.5, -0.5, 2, np.float64(1.5), float("nan"), float("inf")])
 @pytest.mark.parametrize("at", [0, 5])
 def test_validate_names_each_entry_outside_the_unit_interval(mode, entry, at):
-    """A NaN after a row's first entry is named too, though min and max skip it."""
+    """A NaN is named wherever it sits in the row, not only as its first entry."""
     problem = diffpcm_problem()
     problem.dee["B4"][at] = entry
     errors = [f"dee['B4'][{at}]: not a truth value in [0,1]: {float(entry)!r}"]
