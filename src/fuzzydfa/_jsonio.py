@@ -278,19 +278,9 @@ def load_value(raw: Any, context: str, *, interval: bool) -> Any:
 
 
 def load_row(raw: list, context: str, *, interval: bool) -> list:
-    """``load_value`` on every entry of a list; entry k is ``context[k]``.
-    A row of floats in [0, 1] (ordered pairs of them in interval mode) passes
-    one generator check that builds no context; any other row is walked with
-    ``load_value``, to convert it or to name the bad entry."""
-    load_list(raw, context)
-    if not interval and all(type(v) is float and 0.0 <= v <= 1.0 for v in raw):
-        # Already degrees: keep them, but as truth_value would (-0.0 to 0.0).
-        return [v or 0.0 for v in raw]
-    if interval and all(type(v) is list and len(v) == 2 and type(v[0]) is float
-                        and type(v[1]) is float and 0.0 <= v[0] <= v[1] <= 1.0 for v in raw):
-        # Already intervals, as load_value would build them.
-        return [TruthInterval(lo, hi) for lo, hi in raw]
-    return [load_value(v, f"{context}[{k}]", interval=interval) for k, v in enumerate(raw)]
+    """``load_value`` on every entry of a list; entry k is ``context[k]``."""
+    return [load_value(v, f"{context}[{k}]", interval=interval)
+            for k, v in enumerate(load_list(raw, context))]
 
 
 def all_of(kind: type, values: Sequence) -> bool:

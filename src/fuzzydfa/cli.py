@@ -17,7 +17,7 @@ from typing import Any
 # ``solve`` and graph ``validate`` never load numpy.  The docstring above is
 # the --help text.
 from . import _jsonio
-from .truth import LogicFamily, SolverConfig, TruthInterval
+from .truth import LogicFamily, SolverConfig, TruthInterval, _finite
 
 __all__ = ["main"]
 
@@ -81,6 +81,8 @@ def _cmd_solve(args) -> int:
 def _cmd_lcm(args) -> int:
     from . import lcm
 
+    if not (_finite(args.motion_threshold) and 0.0 <= args.motion_threshold <= 1.0):
+        raise ValueError(f"--motion-threshold must be in [0,1], got {args.motion_threshold!r}")
     problem, settings = lcm.load_problem_file(args.file)
     mode = args.mode or settings.mode
     cfg = _solver_config(args, settings)

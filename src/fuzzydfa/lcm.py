@@ -33,6 +33,8 @@ just its upward-exposed set, and nothing is "later" than the entry
 from __future__ import annotations
 
 import numbers
+import operator
+from itertools import chain
 from types import MappingProxyType
 from typing import Any, Mapping, Sequence, Union
 
@@ -78,7 +80,12 @@ class LcmEdge(_Frozen):
 
 
 class LcmProblem(_Record):
+    """A parsed problem may hold ``dee``, ``uee``, ``kill`` and ``edges`` as
+    arrays, each built on its first read; runs use the arrays until the field
+    is read or assigned, and the field after that, so edits show."""
+
     _fields = ("blocks", "edges", "exprs", "dee", "uee", "kill", "entry", "exit")
+    _arrays: Mapping[str, Any] = MappingProxyType({})  # a parsed problem's, by field name
 
     def __init__(self, blocks: list[str], edges: list[LcmEdge], exprs: list[str],
                  dee: BlockMatrix, uee: BlockMatrix, kill: BlockMatrix, entry: str,
@@ -87,9 +94,41 @@ class LcmProblem(_Record):
         self.dee, self.uee, self.kill = dee, uee, kill
         self.entry, self.exit = entry, exit
 
+    def __getattr__(self, name: str) -> Any:  # only for an attribute not set
+        if name not in self._arrays:
+            raise AttributeError(name)
+        held = self._arrays[name]
+        if name == "edges":
+            value = [LcmEdge(*edge) for edge in zip(*held)]
+        else:
+            value = _rows(self._array_blocks, held)
+        setattr(self, name, value)
+        return value
+
+    def _held(self, name: str) -> Any:
+        """The array (rows) or columns (edges) held for field ``name``, while that
+        field is unbuilt and the blocks are the parsed ones; else None."""
+        held = name in self._arrays and name not in vars(self) and self.blocks == self._array_blocks
+        return self._arrays[name] if held else None
+
+    def _columns(self) -> tuple:
+        """The edges as (sources, targets, alphas, alpha_backs)."""
+        return self._held("edges") or tuple(
+            zip(*[(e.src, e.dst, e.alpha, e.alpha_back) for e in self.edges])) or ((),) * 4
+
+
+def _rows(keys: Sequence, values: np.ndarray) -> dict:
+    """keys[i] -> row i of a (rows, exprs, w) array: floats, or TruthIntervals where w = 2."""
+    if values.shape[-1] == 1:
+        rows = values[..., 0].tolist()
+    else:
+        rows = [[TruthInterval(lo, hi) for lo, hi in row] for row in values.tolist()]
+    return dict(zip(keys, rows))
+
 
 def validate_problem(problem: LcmProblem, mode: str) -> list[str]:
-    """Structural and per-mode value checks (rows in bulk, walked on failure); returns errors.
+    """Structural and per-mode value checks (a parsed problem's rows and edges
+    in bulk, other rows a row at a time, walked on failure); returns errors.
     An entry must be a real number other than a bool that ``truth_value``
     accepts (0 or 1 in crisp mode), or in interval mode a TruthInterval."""
     errors: list[str] = []
@@ -107,35 +146,45 @@ def validate_problem(problem: LcmProblem, mode: str) -> list[str]:
     # a sum has no in-edges (forward) or no out-edges (backward).
     forward: dict[str, float] = {}
     backward: dict[str, float] = {}
-    seen_edges = set()
-    for e in problem.edges:
-        if e.src not in blocks or e.dst not in blocks:
-            errors.append(f"dangling edge {e.src}->{e.dst}")
-        if (e.src, e.dst) in seen_edges:
-            errors.append(f"duplicate edge {e.src}->{e.dst}")
-        seen_edges.add((e.src, e.dst))
-        if e.src == e.dst:
-            errors.append(f"self loop on {e.src!r}")
-        if e.dst == problem.entry:
-            errors.append(f"edge into entry block: {e.src}->{e.dst}")
-        if e.src == problem.exit:
-            errors.append(f"edge out of exit block: {e.src}->{e.dst}")
-        forward[e.dst] = forward.get(e.dst, 0) + e.alpha
-        backward[e.src] = backward.get(e.src, 0) + e.alpha_back
-
-    for b in problem.blocks:
-        if b != problem.entry and b not in forward:
-            errors.append(f"block {b!r} has no predecessors and is not the entry")
-        if b != problem.exit and b not in backward:
-            errors.append(f"block {b!r} has no successors and is not the exit")
-        if b in forward and abs(forward[b] - 1.0) > WEIGHT_SUM_TOL:
-            errors.append(f"forward weights into {b!r} sum to {forward[b]!r}")
-        if b in backward and abs(backward[b] - 1.0) > WEIGHT_SUM_TOL:
-            errors.append(f"backward weights out of {b!r} sum to {backward[b]!r}")
+    src, dst, alpha, alpha_back = problem._columns()
+    for s, d, a, b in zip(src, dst, alpha, alpha_back):
+        forward[d] = forward.get(d, 0) + a
+        backward[s] = backward.get(s, 0) + b
+    sums = chain(forward.values(), backward.values())
+    if not (forward.keys() == blocks - {problem.entry} and backward.keys() == blocks - {problem.exit}
+            and len(set(zip(src, dst))) == len(src) and not any(map(operator.eq, src, dst))
+            and all(abs(v - 1.0) <= WEIGHT_SUM_TOL for v in sums)):
+        seen_edges = set()  # some edge or block check fails: name each fault
+        for s, d in zip(src, dst):
+            if s not in blocks or d not in blocks:
+                errors.append(f"dangling edge {s}->{d}")
+            if (s, d) in seen_edges:
+                errors.append(f"duplicate edge {s}->{d}")
+            seen_edges.add((s, d))
+            if s == d:
+                errors.append(f"self loop on {s!r}")
+            if d == problem.entry:
+                errors.append(f"edge into entry block: {s}->{d}")
+            if s == problem.exit:
+                errors.append(f"edge out of exit block: {s}->{d}")
+        for b in problem.blocks:
+            if b != problem.entry and b not in forward:
+                errors.append(f"block {b!r} has no predecessors and is not the entry")
+            if b != problem.exit and b not in backward:
+                errors.append(f"block {b!r} has no successors and is not the exit")
+            if b in forward and abs(forward[b] - 1.0) > WEIGHT_SUM_TOL:
+                errors.append(f"forward weights into {b!r} sum to {forward[b]!r}")
+            if b in backward and abs(backward[b] - 1.0) > WEIGHT_SUM_TOL:
+                errors.append(f"backward weights out of {b!r} sum to {backward[b]!r}")
 
     width, interval = len(problem.exprs), mode == "interval"
     kinds = "a number or an interval" if interval else "a number"
-    for name, matrix in (("dee", problem.dee), ("uee", problem.uee), ("kill", problem.kill)):
+    for name in ("dee", "uee", "kill"):
+        values = problem._held(name)  # rows in block order, exact floats in [0, 1]
+        if (values is not None and values.shape[1] == width and (interval or values.shape[2] == 1)
+                and (mode != "crisp" or np.count_nonzero(values) == np.count_nonzero(values == 1))):
+            continue  # nothing to name
+        matrix = getattr(problem, name)
         for b in problem.blocks:
             row = matrix.get(b)
             if row is None:
@@ -196,12 +245,7 @@ class LcmResult(_Frozen):
         if name not in _MATRICES:
             raise AttributeError(name)
         keys = self._edges if name in _EDGE_MATRICES else self._blocks
-        values = self._arrays[name]
-        if values.shape[-1] == 1:
-            rows = values[..., 0].tolist()
-        else:
-            rows = [[TruthInterval(lo, hi) for lo, hi in row] for row in values.tolist()]
-        self.__dict__[name] = MappingProxyType(dict(zip(keys, rows)))
+        self.__dict__[name] = MappingProxyType(_rows(keys, self._arrays[name]))
         return self.__dict__[name]
 
     def __eq__(self, other: object) -> bool:
@@ -250,15 +294,18 @@ class _Run:
         self.resort = self.width == 2 and family.kind == "frank"
         index = {b: i for i, b in enumerate(problem.blocks)}
         self.entry = index[problem.entry]
-        self.keys = [(e.src, e.dst) for e in problem.edges]
-        self.src = np.array([index[s] for s, _ in self.keys], dtype=int)
-        self.dst = np.array([index[d] for _, d in self.keys], dtype=int)
-        self.forward = _Merges(self.dst, len(index), [e.alpha for e in problem.edges])
-        self.backward = _Merges(self.src, len(index), [e.alpha_back for e in problem.edges])
+        src, dst, alpha, alpha_back = problem._columns()
+        self.keys = list(zip(src, dst))
+        self.src = np.array(list(map(index.__getitem__, src)), dtype=int)
+        self.dst = np.array(list(map(index.__getitem__, dst)), dtype=int)
+        self.forward = _Merges(self.dst, len(index), alpha)
+        self.backward = _Merges(self.src, len(index), alpha_back)
 
-    def stack(self, matrix: Mapping) -> np.ndarray:
-        """``matrix[b]`` for each block b as a (blocks, exprs, w) array."""
-        blocks = self.problem.blocks
+    def stack(self, name: str) -> np.ndarray:
+        """The problem's ``name`` rows in block order as a (blocks, exprs, w) array."""
+        if (values := self.problem._held(name)) is not None:  # read-only; (v) lifts to (v, v)
+            return values if values.shape[2] == self.width else np.repeat(values, 2, axis=2)
+        blocks, matrix = self.problem.blocks, getattr(self.problem, name)
         if self.width == 1:
             rows = [matrix[b] for b in blocks]
         else:
@@ -451,13 +498,13 @@ def lcm_pipeline(
     ``SolverConfig(family)``, or ``SolverConfig()`` with neither; a ``family``
     given beside a ``cfg`` must equal ``cfg.family``.  The problem is validated,
     and its rows stacked, once per call; nothing is cached on it, so edits
-    to its rows show in the next call."""
+    to its rows and edges show in the next call."""
     if cfg is None:
         cfg = SolverConfig() if family is None else SolverConfig(family)
     elif family is not None and family != cfg.family:
         raise ValueError(f"family {family} differs from cfg.family {cfg.family}")
     run = _Run(problem, mode, cfg)
-    dee, uee, kill = map(run.stack, (problem.dee, problem.uee, problem.kill))
+    dee, uee, kill = map(run.stack, ("dee", "uee", "kill"))
     # AvOut(b) = DEE(b) | (AvIn(b) & !Kill(b)) in the first n columns, then AnOut
     # with UEE for DEE and AnIn over successors; AvIn is not reported.
     n, an_links = len(problem.exprs), _Links(run.dst, run.backward)
@@ -512,11 +559,16 @@ def problem_from_json_dict(data: Any) -> tuple[LcmProblem, _jsonio.Settings]:
     interval = settings.mode == "interval"
 
     blocks = _jsonio.load_strings(data["blocks"], "blocks")
-    edges = _jsonio.load_items(data["edges"], "edges",
-                               lambda raw: _jsonio.load_edge(raw, LcmEdge, ("alpha", "alpha_back")))
+    arrays = {"edges": _edge_columns(data["edges"])}  # held, or None to walk the field
+    edges = arrays["edges"] or _jsonio.load_items(
+        data["edges"], "edges",
+        lambda raw: _jsonio.load_edge(raw, LcmEdge, ("alpha", "alpha_back")))
     exprs = _jsonio.load_strings(data["exprs"], "exprs")
 
-    def matrix(name: str) -> BlockMatrix:
+    def matrix(name: str) -> BlockMatrix | None:
+        arrays[name] = _row_array(data[name], blocks, len(exprs), interval)
+        if arrays[name] is not None:
+            return None
         if not isinstance(data[name], dict):
             raise FileFormatError(f"{name}: expected an object of block rows")
         rows = {}
@@ -537,7 +589,51 @@ def problem_from_json_dict(data: Any) -> tuple[LcmProblem, _jsonio.Settings]:
         entry=_jsonio.load_string(data["entry"], "entry"),
         exit=_jsonio.load_string(data["exit"], "exit"),
     )
+    problem._arrays = {name: held for name, held in arrays.items() if held is not None}
+    problem._array_blocks = list(blocks)
+    for name in problem._arrays:  # built on first read, by LcmProblem.__getattr__
+        delattr(problem, name)
     return problem, settings
+
+
+def _edge_columns(raw: Any) -> tuple | None:
+    """The edges as (sources, targets, alphas, alpha_backs), if each has just the
+    four keys, string ends and float weights in [0, 1]; else None."""
+    if (type(raw) is not list or not _jsonio.all_of(dict, raw)
+            or list(map(len, raw)).count(4) != len(raw)):
+        return None
+    try:
+        ends_weights = map(operator.itemgetter("from", "to", "alpha", "alpha_back"), raw)
+        src, dst, alpha, alpha_back = list(zip(*ends_weights)) or [()] * 4
+    except KeyError:
+        return None
+    weights = alpha + alpha_back
+    ok = (_jsonio.all_of(str, src + dst) and _jsonio.all_of(float, weights)
+          and all(0.0 <= w <= 1.0 for w in weights))  # a NaN fails both comparisons
+    return (src, dst, alpha, alpha_back) if ok else None
+
+
+def _entries(rows: list, width: int) -> list | None:
+    """The entries of ``rows`` in order, if each is a list of ``width``; else None."""
+    ok = _jsonio.all_of(list, rows) and list(map(len, rows)).count(width) == len(rows)
+    return list(chain.from_iterable(rows)) if ok else None
+
+
+def _row_array(raw: Any, blocks: list[str], width: int, interval: bool) -> np.ndarray | None:
+    """A matrix object's rows as a (blocks, exprs, 1 + interval) array, if it has a row
+    per block in ``blocks`` order, each of ``width`` exact floats in [0, 1] (in interval
+    mode, or ordered pairs of them); else None."""
+    in_order = type(raw) is dict and list(raw) == blocks
+    flat = _entries(list(raw.values()), width) if in_order else None
+    if interval and flat is not None:  # a scalar v as [v, v]
+        flat = _entries([v if type(v) is list else [v, v] for v in flat], 2)
+    if flat is None or not _jsonio.all_of(float, flat):
+        return None
+    values = np.array(flat).reshape(len(blocks), width, 1 + interval) + 0.0  # -0.0 to 0.0
+    values.flags.writeable = False
+    ok = values.min(initial=0.0) >= 0.0 and values.max(initial=1.0) <= 1.0 and (  # not NaN
+        not interval or (values[..., 0] <= values[..., 1]).all())
+    return values if ok else None
 
 
 def load_problem_file(path: str) -> tuple[LcmProblem, _jsonio.Settings]:

@@ -201,6 +201,24 @@ def test_lcm_pretty_lists_plausible_motions(data_dir, capsys):
     assert "Transform(b)" in out
 
 
+def test_lcm_pretty_lists_the_motions_at_the_threshold(data_dir, capsys):
+    code, out, err = run(capsys, "lcm", str(data_dir / "diffpcm_t1.json"), "--pretty",
+                         "--motion-threshold", "0.5")
+    assert (code, err) == (0, "")
+    assert out.split("plausible motions (>= 0.5):\n")[1] == (
+        "  insert 'Transform(b)' on B0->B1 (0.998)\n"
+        "  insert 'Transform(b)' on B3->B4 (0.998)\n"
+        "  delete 'Transform(b)' from B4 (0.998)\n")
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-0.5", "1.5"])
+def test_motion_thresholds_outside_the_unit_interval_are_rejected(data_dir, capsys, threshold):
+    code, out, err = run(capsys, "lcm", str(data_dir / "diffpcm_t1.json"), "--pretty",
+                         "--motion-threshold", threshold)
+    message = f"--motion-threshold must be in [0,1], got {float(threshold)!r}"
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_anfis_predict_worked_example(data_dir, capsys):
     code, out, _ = run(
         capsys, "anfis-predict", str(data_dir / "anfis_two_rule.json"), "--input", "0.6,0.2"

@@ -54,7 +54,7 @@ def test_load_row_equals_load_value_on_every_entry():
         ([0, 1, 0.5], False),
         ([1.0 + 1e-13, 0.5], False),
         ([[0.0, 0.5], 0.25, [-0.0, 1]], True),
-        # Rows of [float, float] pairs only, which skip load_value.
+        # Rows of [float, float] pairs only.
         ([[0.0, 0.5], [-0.0, -0.0], [0.25, 0.25], [1e-300, 1.0]], True),
         ([[0.0, 0.5], [0.5, 1.0 + 1e-13]], True),
     ]:

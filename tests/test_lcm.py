@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import random
 
@@ -727,6 +728,8 @@ def test_interval_pipeline_and_report_build_no_intervals_and_validate_once(monke
 
     monkeypatch.setattr(TruthInterval, "__init__", counting_init)
     monkeypatch.setattr(L, "validate_problem", counting_validate)
+    problems[0] = L.load_problem_file(str(data_dir / "diffpcm_t2.json"))[0]
+    assert not built  # the file's rows are held as arrays
     for problem, text in zip(problems, expected):
         result = L.lcm_pipeline(problem, "interval")
         assert _jsonio.dumps(result.to_json_dict()) == text
@@ -734,6 +737,9 @@ def test_interval_pipeline_and_report_build_no_intervals_and_validate_once(monke
         validated.clear()
     result.delete  # a view is built on its first read ...
     assert built  # ... and holds TruthIntervals
+    built.clear()
+    assert problems[0].dee["B4"][4] == TruthInterval(0.0, 1.0)  # so are a parsed problem's rows
+    assert built
 
 
 def test_results_are_equal_when_their_reports_are():
@@ -775,6 +781,122 @@ def test_views_are_cached_and_read_only_in_effect(mode):
             setattr(result, name, {})
         view[key][0] = 0.5  # a row is a fresh list: the report does not see it
     assert _jsonio.dumps(result.to_json_dict()) == report
+
+
+def _all_pairs(data: dict) -> None:
+    for name in ("dee", "uee", "kill"):
+        for row in data[name].values():
+            row[:] = [v if isinstance(v, list) else [v, v] for v in row]
+    data["dee"]["B4"][4] = 0.5
+
+
+# Ways to spoil a problem file's common shape, one at a time.
+SPOILS = {
+    "rows out of block order": lambda d: d.update(dee=dict(reversed(d["dee"].items()))),
+    "an int entry": lambda d: d["uee"]["B4"].__setitem__(3, 1),
+    "a -0.0 entry": lambda d: d["kill"]["B2"].__setitem__(0, -0.0),
+    "a 1.0 + 1e-13 entry": lambda d: d["dee"]["B4"].__setitem__(5, 1.0 + 1e-13),
+    "a scalar among pairs": _all_pairs,
+    "an int edge weight": lambda d: d["edges"][2].__setitem__("alpha", 1),
+    "an extra edge key": lambda d: d["edges"][1].__setitem__("note", "x"),
+    "a missing row": lambda d: d["kill"].pop("B3"),
+    "a string entry": lambda d: d["dee"]["B4"].__setitem__(2, "0.5"),
+    "a number as an edge end": lambda d: d["edges"][0].__setitem__("to", 5),
+}
+
+
+def parse_and_run(data: dict):
+    """The parsed problem and, per mode, its report text or its errors; or
+    the text of the parse error."""
+    try:
+        problem, _ = L.problem_from_json_dict(copy.deepcopy(data))
+    except _jsonio.FileFormatError as exc:
+        return str(exc)
+    runs = {}
+    for mode in L.MODES:
+        try:
+            runs[mode] = _jsonio.dumps(L.lcm_pipeline(problem, mode).to_json_dict())
+        except ValueError as exc:
+            runs[mode] = exc.errors
+    return problem, runs
+
+
+@pytest.mark.parametrize("stem", ["diffpcm_t1", "diffpcm_t2"])
+@pytest.mark.parametrize("spoil", SPOILS)
+def test_files_load_and_run_as_when_walked_field_by_field(data_dir, monkeypatch, stem, spoil):
+    """A file in the common shape is held as arrays and anything else is
+    walked: both load the same problem, report the same bytes in every mode
+    and name the same faults, whichever shape a file has."""
+    data = _jsonio.load_file(str(data_dir / f"{stem}.json"))
+    SPOILS[spoil](data)
+    held = parse_and_run(data)
+    monkeypatch.setattr(L, "_row_array", lambda *args: None)
+    monkeypatch.setattr(L, "_edge_columns", lambda *args: None)
+    walked = parse_and_run(data)
+    assert held == walked  # the runs come first: comparing problems builds their fields
+
+
+@pytest.mark.parametrize("stem, spoil, mode, errors", [
+    ("diffpcm_t1", "a scalar among pairs", None, "dee['B0'][0]: expected a number, got [0.0, 0.0]"),
+    ("diffpcm_t1", "an extra edge key", None, "edges[1]: unknown keys ['note']"),
+    ("diffpcm_t1", "a string entry", None, "dee['B4'][2]: expected a number, got '0.5'"),
+    ("diffpcm_t2", "a string entry", None,
+     "dee['B4'][2]: expected a number or a [lo, hi] pair, got '0.5'"),
+    ("diffpcm_t1", "a number as an edge end", None, "edges[0].to: expected a string, got 5"),
+    ("diffpcm_t1", "a missing row", "fuzzy", ["kill: missing row for block 'B3'"]),
+    ("diffpcm_t2", "a missing row", "interval", ["kill: missing row for block 'B3'"]),
+    ("diffpcm_t2", "a -0.0 entry", "fuzzy",
+     [f"{name}[{b!r}][{k}]: interval value in fuzzy mode"
+      for name in ("dee", "uee", "kill") for b in ("B0", "B1", "B2", "B3", "B4", "B5")
+      for k in range(7)]),
+])
+def test_spoiled_files_name_their_faults(data_dir, stem, spoil, mode, errors):
+    data = _jsonio.load_file(str(data_dir / f"{stem}.json"))
+    SPOILS[spoil](data)
+    outcome = parse_and_run(data)
+    assert (outcome if mode is None else outcome[1][mode]) == errors
+
+
+def test_parsed_rows_hold_no_negative_zero(data_dir):
+    data = _jsonio.load_file(str(data_dir / "diffpcm_t1.json"))
+    SPOILS["a -0.0 entry"](data)
+    problem, runs = parse_and_run(data)
+    assert "-0" not in runs["fuzzy"]
+    assert repr(problem.kill["B2"][0]) == "0.0"
+
+
+def _swap_join_weights(edges: list) -> None:
+    """B1's two in-edges trade their forward weights."""
+    edges[0], edges[1] = (LcmEdge(e.src, e.dst, other.alpha, e.alpha_back)
+                          for e, other in ((edges[0], edges[1]), (edges[1], edges[0])))
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("dee", lambda rows: rows["B4"].__setitem__(5, 0.0)),
+    ("edges", _swap_join_weights),
+])
+@pytest.mark.parametrize("how", ["read", "assigned"])
+def test_edits_to_a_parsed_problem_show_in_the_next_run(data_dir, field, edit, how):
+    problem, _ = L.load_problem_file(str(data_dir / "diffpcm_t1.json"))
+    library = diffpcm_problem()
+    before = L.lcm_pipeline(problem, "fuzzy")
+    assert before == L.lcm_pipeline(library, "fuzzy")
+    if how == "assigned":
+        setattr(problem, field, copy.deepcopy(getattr(library, field)))
+    for target in (problem, library):
+        edit(getattr(target, field))
+    after = L.lcm_pipeline(problem, "fuzzy")
+    assert after != before
+    assert after == L.lcm_pipeline(library, "fuzzy")
+
+
+def test_reordered_blocks_of_a_parsed_problem_show_in_the_next_run(data_dir):
+    problem, _ = L.load_problem_file(str(data_dir / "diffpcm_t1.json"))
+    library = diffpcm_problem()
+    for target in (problem, library):
+        target.blocks.reverse()
+    assert _jsonio.dumps(L.lcm_pipeline(problem, "fuzzy").to_json_dict()) == _jsonio.dumps(
+        L.lcm_pipeline(library, "fuzzy").to_json_dict())
 
 
 # -- stacked expressions, interval order, drawn CFGs ---------------------------------

@@ -317,6 +317,36 @@ def test_report_is_byte_identical_to_golden(name):
     assert report_digest(CASES[name]) == expected
 
 
+def problem_text(problem, mode: str) -> str:
+    """The problem file of ``problem`` in ``mode``, with floats written by
+    ``repr`` (as ``json.dumps`` does), so they read back as the same floats."""
+    def rows(matrix):
+        return {b: [_jsonio.dump_value(v) for v in row] for b, row in matrix.items()}
+
+    return json.dumps({
+        "mode": mode, "entry": problem.entry, "exit": problem.exit, "blocks": problem.blocks,
+        "edges": [{"from": e.src, "to": e.dst, "alpha": e.alpha, "alpha_back": e.alpha_back}
+                  for e in problem.edges],
+        "exprs": problem.exprs, "dee": rows(problem.dee), "uee": rows(problem.uee),
+        "kill": rows(problem.kill),
+    })
+
+
+LIBRARY_LCM_CASES = sorted(name for name, case in CASES.items()
+                           if case.func is lcm_report and not name.startswith("diffpcm"))
+
+
+@pytest.mark.parametrize("name", LIBRARY_LCM_CASES)
+def test_library_built_case_is_byte_identical_through_the_parser(name):
+    """Each library-built problem, written as a file and parsed, reports its
+    frozen digest, with every row and edge held as parsed arrays."""
+    problem, mode, family, cfg = CASES[name].args
+    parsed, _ = L.problem_from_json_dict(json.loads(problem_text(problem, mode)))
+    assert not vars(parsed).keys() & {"edges", "dee", "uee", "kill"}
+    expected = json.loads(GOLDEN.read_text())[name]
+    assert report_digest(partial(lcm_report, parsed, mode, family, cfg)) == expected
+
+
 if __name__ == "__main__":
     if sys.argv[1:] not in (["--write"], ["--rewrite"]):
         sys.exit("usage: test_lcm_golden.py --write | --rewrite")
