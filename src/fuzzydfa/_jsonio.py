@@ -26,7 +26,6 @@ __all__ = [
     "load_settings",
     "load_edge",
     "load_value",
-    "load_row",
     "dump_value",
 ]
 
@@ -275,12 +274,6 @@ def load_value(raw: Any, context: str, *, interval: bool) -> Any:
         raise FileFormatError(f"{context}: {exc}") from None
     kinds = "a number or a [lo, hi] pair" if interval else "a number"
     raise FileFormatError(f"{context}: expected {kinds}, got {raw!r}")
-
-
-def load_row(raw: list, context: str, *, interval: bool) -> list:
-    """``load_value`` on every entry of a list; entry k is ``context[k]``."""
-    return [load_value(v, f"{context}[{k}]", interval=interval)
-            for k, v in enumerate(load_list(raw, context))]
 
 
 def all_of(kind: type, values: Sequence) -> bool:

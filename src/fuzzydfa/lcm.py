@@ -82,7 +82,8 @@ class LcmEdge(_Frozen):
 class LcmProblem(_Record):
     """A parsed problem may hold ``dee``, ``uee``, ``kill`` and ``edges`` as
     arrays, each built on its first read; runs use the arrays until the field
-    is read or assigned, and the field after that, so edits show."""
+    is read or assigned, and the field after that, so edits show.  Held or not,
+    a run's rows are one array per field, checked by ``validate_problem``."""
 
     _fields = ("blocks", "edges", "exprs", "dee", "uee", "kill", "entry", "exit")
     _arrays: Mapping[str, Any] = MappingProxyType({})  # a parsed problem's, by field name
@@ -126,14 +127,19 @@ def _rows(keys: Sequence, values: np.ndarray) -> dict:
     return dict(zip(keys, rows))
 
 
+class _Errors(list):
+    """``validate_problem``'s messages; ``arrays`` maps each valid row field to its array."""
+
+
 def validate_problem(problem: LcmProblem, mode: str) -> list[str]:
-    """Structural and per-mode value checks (a parsed problem's rows and edges
-    in bulk, other rows a row at a time, walked on failure); returns errors.
-    An entry must be a real number other than a bool that ``truth_value``
-    accepts (0 or 1 in crisp mode), or in interval mode a TruthInterval."""
-    errors: list[str] = []
+    """Structural and per-mode value checks; returns the errors.  Each row field
+    is checked in bulk as one array (a parsed problem's held one, or built once),
+    walked only to name a fault.  An entry must be a real number other than a bool
+    that ``truth_value`` accepts (0 or 1 in crisp mode), or in interval mode a TruthInterval."""
     if mode not in MODES:
         return [f"unknown mode {mode!r}; expected one of {MODES}"]
+    errors = _Errors()
+    errors.arrays = {}
     blocks = set(problem.blocks)
     if len(blocks) != len(problem.blocks):
         errors.append("duplicate block ids")
@@ -178,13 +184,18 @@ def validate_problem(problem: LcmProblem, mode: str) -> list[str]:
                 errors.append(f"backward weights out of {b!r} sum to {backward[b]!r}")
 
     width, interval = len(problem.exprs), mode == "interval"
-    kinds = "a number or an interval" if interval else "a number"
+    kinds, pair = ("a number or an interval", TruthInterval) if interval else ("a number", None)
     for name in ("dee", "uee", "kill"):
-        values = problem._held(name)  # rows in block order, exact floats in [0, 1]
-        if (values is not None and values.shape[1] == width and (interval or values.shape[2] == 1)
-                and (mode != "crisp" or np.count_nonzero(values) == np.count_nonzero(values == 1))):
+        values = problem._held(name)
+        if values is None or values.shape[1:] != (width, 1 + interval):
+            values = _row_array(getattr(problem, name), problem.blocks, width, pair)
+        if values is not None and (
+                mode != "crisp" or np.count_nonzero(values) == np.count_nonzero(values == 1)):
+            errors.arrays[name] = values
             continue  # nothing to name
-        matrix = getattr(problem, name)
+        # Name each fault, or take what the bulk check does not: np.float64 or
+        # Fraction entries, tuple rows and truth_value's slack, clamped.
+        matrix, walked, count = getattr(problem, name), [], len(errors)
         for b in problem.blocks:
             row = matrix.get(b)
             if row is None:
@@ -193,26 +204,25 @@ def validate_problem(problem: LcmProblem, mode: str) -> list[str]:
             if len(row) != width:
                 errors.append(f"{name}[{b!r}]: expected {width} entries, got {len(row)}")
                 continue
-            if interval and _jsonio.all_of(TruthInterval, row) or _jsonio.all_of(float, row) and (
-                    row.count(0.0) + row.count(1.0) == width if mode == "crisp"
-                    else all(0.0 <= v <= 1.0 for v in row)):  # a NaN fails both comparisons
-                continue  # nothing to name
             for k, v in enumerate(row):
                 if isinstance(v, TruthInterval):
+                    walked.append((v.lo, v.hi))
                     if not interval:
                         errors.append(f"{name}[{b!r}][{k}]: interval value in {mode} mode")
                 elif isinstance(v, bool) or not isinstance(v, numbers.Real):
                     errors.append(f"{name}[{b!r}][{k}]: expected {kinds}, got {v!r}")
                 elif mode == "crisp" and v not in (0.0, 1.0):
                     errors.append(f"{name}[{b!r}][{k}]: crisp mode needs 0or1, got {v!r}")
-                elif mode != "crisp":
+                else:
                     try:
-                        truth_value(v)
+                        walked.append((truth_value(v),) * (1 + interval))
                     except TruthValueError as exc:
                         errors.append(f"{name}[{b!r}][{k}]: {exc}")
         for b in matrix:
             if b not in blocks:
                 errors.append(f"{name}: row for unknown block {b!r}")
+        if len(errors) == count:
+            errors.arrays[name] = np.array(walked).reshape(len(problem.blocks), width, 1 + interval)
     return errors
 
 
@@ -287,11 +297,10 @@ class _Run:
             exc = ValueError("invalid LCM problem: " + "; ".join(errors))
             exc.errors = errors
             raise exc
-        self.problem, self.crisp, self.cfg = problem, mode == "crisp", cfg
-        self.width = 2 if mode == "interval" else 1
+        self.rows, self.crisp, self.cfg = errors.arrays, mode == "crisp", cfg
         family = LogicFamily.minmax() if self.crisp else cfg.family
         self.term, self._tnorm = family._term, family._tnorm_terms
-        self.resort = self.width == 2 and family.kind == "frank"
+        self.resort = mode == "interval" and family.kind == "frank"
         index = {b: i for i, b in enumerate(problem.blocks)}
         self.entry = index[problem.entry]
         src, dst, alpha, alpha_back = problem._columns()
@@ -300,23 +309,6 @@ class _Run:
         self.dst = np.array(list(map(index.__getitem__, dst)), dtype=int)
         self.forward = _Merges(self.dst, len(index), alpha)
         self.backward = _Merges(self.src, len(index), alpha_back)
-
-    def stack(self, name: str) -> np.ndarray:
-        """The problem's ``name`` rows in block order as a (blocks, exprs, w) array."""
-        if (values := self.problem._held(name)) is not None:  # read-only; (v) lifts to (v, v)
-            return values if values.shape[2] == self.width else np.repeat(values, 2, axis=2)
-        blocks, matrix = self.problem.blocks, getattr(self.problem, name)
-        if self.width == 1:
-            rows = [matrix[b] for b in blocks]
-        else:
-            rows = [[(v.lo, v.hi) if isinstance(v, TruthInterval) else (v, v) for v in matrix[b]]
-                    for b in blocks]
-        # Validation let through only truth_value's slack: clamp it as truth_value
-        # does.  Adding 0.0 turns -0.0 into 0.0 and leaves every other value as
-        # it is, so library-built rows print as file-loaded ones do.
-        shape = (len(blocks), len(self.problem.exprs), self.width)
-        out = np.array(rows, dtype=float).reshape(shape) + 0.0
-        return np.minimum(np.maximum(out, 0.0, out=out), 1.0, out=out)
 
     def conj(self, x: np.ndarray, y: np.ndarray, *, terms: bool = False) -> np.ndarray:
         """x & y; with ``terms``, x and y went through ``term`` already."""
@@ -504,7 +496,7 @@ def lcm_pipeline(
     elif family is not None and family != cfg.family:
         raise ValueError(f"family {family} differs from cfg.family {cfg.family}")
     run = _Run(problem, mode, cfg)
-    dee, uee, kill = map(run.stack, ("dee", "uee", "kill"))
+    dee, uee, kill = operator.itemgetter("dee", "uee", "kill")(run.rows)
     # AvOut(b) = DEE(b) | (AvIn(b) & !Kill(b)) in the first n columns, then AnOut
     # with UEE for DEE and AnIn over successors; AvIn is not reported.
     n, an_links = len(problem.exprs), _Links(run.dst, run.backward)
@@ -566,7 +558,7 @@ def problem_from_json_dict(data: Any) -> tuple[LcmProblem, _jsonio.Settings]:
     exprs = _jsonio.load_strings(data["exprs"], "exprs")
 
     def matrix(name: str) -> BlockMatrix | None:
-        arrays[name] = _row_array(data[name], blocks, len(exprs), interval)
+        arrays[name] = _row_array(data[name], blocks, len(exprs), list if interval else None)
         if arrays[name] is not None:
             return None
         if not isinstance(data[name], dict):
@@ -574,7 +566,8 @@ def problem_from_json_dict(data: Any) -> tuple[LcmProblem, _jsonio.Settings]:
         rows = {}
         for b, row in data[name].items():
             try:  # the row's context is formatted only when it fails
-                rows[str(b)] = _jsonio.load_row(row, "", interval=interval)
+                rows[str(b)] = [_jsonio.load_value(v, f"[{k}]", interval=interval)
+                                for k, v in enumerate(_jsonio.load_list(row, ""))]
             except FileFormatError as exc:
                 raise FileFormatError(f"{name}[{b!r}]{exc}") from None
         return rows
@@ -598,7 +591,8 @@ def problem_from_json_dict(data: Any) -> tuple[LcmProblem, _jsonio.Settings]:
 
 def _edge_columns(raw: Any) -> tuple | None:
     """The edges as (sources, targets, alphas, alpha_backs), if each has just the
-    four keys, string ends and float weights in [0, 1]; else None."""
+    four keys, string ends and weights in [0, 1] that are floats or ints (read as
+    floats, as ``load_number`` reads them) but not bools; else None."""
     if (type(raw) is not list or not _jsonio.all_of(dict, raw)
             or list(map(len, raw)).count(4) != len(raw)):
         return None
@@ -608,31 +602,43 @@ def _edge_columns(raw: Any) -> tuple | None:
     except KeyError:
         return None
     weights = alpha + alpha_back
-    ok = (_jsonio.all_of(str, src + dst) and _jsonio.all_of(float, weights)
-          and all(0.0 <= w <= 1.0 for w in weights))  # a NaN fails both comparisons
-    return (src, dst, alpha, alpha_back) if ok else None
+    kinds = list(map(type, weights))
+    floats = kinds.count(float)  # fast, unlike counting a type that no weight has
+    ok = (_jsonio.all_of(str, src + dst) and floats + (floats < len(weights) and kinds.count(int))
+          == len(weights) and all(0.0 <= w <= 1.0 for w in weights))  # a NaN fails both
+    return (src, dst, tuple(map(float, alpha)), tuple(map(float, alpha_back))) if ok else None
 
 
-def _entries(rows: list, width: int) -> list | None:
-    """The entries of ``rows`` in order, if each is a list of ``width``; else None."""
-    ok = _jsonio.all_of(list, rows) and list(map(len, rows)).count(width) == len(rows)
-    return list(chain.from_iterable(rows)) if ok else None
-
-
-def _row_array(raw: Any, blocks: list[str], width: int, interval: bool) -> np.ndarray | None:
-    """A matrix object's rows as a (blocks, exprs, 1 + interval) array, if it has a row
-    per block in ``blocks`` order, each of ``width`` exact floats in [0, 1] (in interval
-    mode, or ordered pairs of them); else None."""
-    in_order = type(raw) is dict and list(raw) == blocks
-    flat = _entries(list(raw.values()), width) if in_order else None
-    if interval and flat is not None:  # a scalar v as [v, v]
-        flat = _entries([v if type(v) is list else [v, v] for v in flat], 2)
-    if flat is None or not _jsonio.all_of(float, flat):
+def _row_array(raw: Any, blocks: list, width: int, pair: type | None) -> np.ndarray | None:
+    """A row matrix, a file's object or a library dict, as a read-only (blocks, exprs,
+    w) array in ``blocks`` order, if it has a row for each block and no other, each a
+    list of ``width`` floats or non-bool ints in [0, 1] (w = 1); with ``pair``, the
+    pair type (``list`` in a file, ``TruthInterval`` in the library), such numbers v,
+    as (v, v), or ordered pairs of them (w = 2).  Else None: walk to name a fault."""
+    if type(raw) is not dict or list(raw) != blocks and raw.keys() != set(blocks):
         return None
-    values = np.array(flat).reshape(len(blocks), width, 1 + interval) + 0.0  # -0.0 to 0.0
+    rows = list(map(raw.__getitem__, blocks))
+    if not _jsonio.all_of(list, rows) or list(map(len, rows)).count(width) != len(rows):
+        return None
+    flat = list(chain.from_iterable(rows))
+    if pair is not None:  # a number v as (v, v)
+        flat = [v if type(v) is list else (v, v) for v in flat] if pair is list else [
+            (v.lo, v.hi) if type(v) is pair else (v, v) for v in flat]
+        if list(map(len, flat)).count(2) != len(flat):
+            return None
+        flat = list(chain.from_iterable(flat))
+    kinds = list(map(type, flat))
+    floats = kinds.count(float)  # fast, unlike counting a type that no entry has
+    if floats + (floats < len(flat) and kinds.count(int)) != len(flat):
+        return None
+    try:
+        shape = (len(blocks), width, 1 + (pair is not None))
+        values = np.array(flat, dtype=float).reshape(shape) + 0.0  # -0.0 to 0.0
+    except OverflowError:  # an int too large for a float
+        return None
     values.flags.writeable = False
     ok = values.min(initial=0.0) >= 0.0 and values.max(initial=1.0) <= 1.0 and (  # not NaN
-        not interval or (values[..., 0] <= values[..., 1]).all())
+        pair is None or (values[..., 0] <= values[..., 1]).all())
     return values if ok else None
 
 

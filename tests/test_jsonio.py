@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from fuzzydfa import LogicFamily, TruthInterval
-from fuzzydfa._jsonio import (FileFormatError, Settings, check_keys, dumps, load_number, load_row,
-                              load_value)
+from fuzzydfa._jsonio import FileFormatError, Settings, check_keys, dumps, load_number, load_value
 from fuzzydfa.flowgraph import graph_from_json_dict
 from fuzzydfa.lcm import problem_from_json_dict
 
@@ -48,6 +47,16 @@ def test_dumps_rejects_unknown_types():
         dumps([0.5, object()])
 
 
+def load_row(row: list, interval: bool, name: str = "dee") -> list:
+    """Row ``b1`` of field ``name`` of a one-block LCM problem file, as the loader
+    reads it; the problem's other rows are zeros."""
+    rows = {field: {"b1": row if field == name else [0.0] * len(row)}
+            for field in ("dee", "uee", "kill")}
+    data = {"mode": "interval" if interval else "fuzzy", "blocks": ["b1"], "edges": [],
+            "exprs": [f"e{k}" for k in range(len(row))], "entry": "b1", "exit": "b1", **rows}
+    return getattr(problem_from_json_dict(data)[0], name)["b1"]
+
+
 def test_load_row_equals_load_value_on_every_entry():
     for raw, interval in [
         ([0.0, 0.5, 1.0, -0.0, 1e-300], False),
@@ -59,19 +68,21 @@ def test_load_row_equals_load_value_on_every_entry():
         ([[0.0, 0.5], [0.5, 1.0 + 1e-13]], True),
     ]:
         want = [load_value(v, "row", interval=interval) for v in raw]
-        got = load_row(raw, "row", interval=interval)
+        got = load_row(raw, interval)
         assert got == want
         for a, b in zip(got, want):
             a, b = (a, b) if not interval else ((a.lo, a.hi), (b.lo, b.hi))
             assert repr(a) == repr(b)
-    assert math.copysign(1.0, load_row([-0.0], "row", interval=False)[0]) == 1.0
+    assert math.copysign(1.0, load_row([-0.0], False)[0]) == 1.0
+    assert math.copysign(1.0, load_value(-0.0, "x", interval=False)) == 1.0
+    assert repr(load_row([[-0.0, -0.0]], True)[0]) == "TruthInterval(lo=0.0, hi=0.0)"
 
 
 def test_load_row_errors_name_the_entry():
     with pytest.raises(FileFormatError, match=r"^dee\['b1'\]\[1\]: "):
-        load_row([0.5, 1.5], "dee['b1']", interval=False)
+        load_row([0.5, 1.5], False)
     with pytest.raises(FileFormatError, match=r"^kill\['b1'\]\[0\]: expected a number"):
-        load_row(["0.5"], "kill['b1']", interval=False)
+        load_row(["0.5"], False, "kill")
 
 
 @pytest.mark.parametrize("width", [1, 2, 7, 28])
@@ -84,14 +95,15 @@ def test_load_row_rejects_nan_and_out_of_range_entries_anywhere(width):
             row = [rng.choice([0.0, 1.0, rng.random()]) for _ in range(width)]
             row[k] = bad
             with pytest.raises(FileFormatError) as raised:
-                load_row(row, "r", interval=False)
-            assert str(raised.value) == f"r[{k}]: {message}"
+                load_row(row, False)
+            assert str(raised.value) == f"dee['b1'][{k}]: {message}"
             pairs = [[v, v] for v in row]
             with pytest.raises(FileFormatError) as raised:
-                load_row(pairs, "r", interval=True)
-            assert str(raised.value) == f"r[{k}]: {message}"
+                load_row(pairs, True)
+            assert str(raised.value) == f"dee['b1'][{k}]: {message}"
     # Rounding noise outside [0, 1] is clamped, in bulk or not.
-    assert load_row([0.5, -1e-13, 1.0 + 1e-13], "r", interval=False) == [0.5, 0.0, 1.0]
+    assert load_row([0.5, -1e-13, 1.0 + 1e-13], False) == [0.5, 0.0, 1.0]
+    assert load_value(1.0 + 1e-13, "x", interval=False) == 1.0
 
 
 def test_check_keys_accepts_exact_keys_and_names_the_rest():
@@ -120,10 +132,10 @@ def test_check_keys_accepts_exact_keys_and_names_the_rest():
 def test_interval_pairs_take_numbers_only(raw, message):
     with pytest.raises(FileFormatError, match=message):
         load_value(raw, "x", interval=True)
-    with pytest.raises(FileFormatError, match=message.replace("x", r"x\[3\]", 1)):
-        load_row([0.0, 0.0, 0.0, raw], "x", interval=True)
-    with pytest.raises(FileFormatError, match=message.replace("x", r"x\[1\]", 1)):
-        load_row([[0.0, 0.0], raw, [0.5, 0.5]], "x", interval=True)  # pairs only
+    with pytest.raises(FileFormatError, match=message.replace("x", r"dee\['b1'\]\[3\]", 1)):
+        load_row([0.0, 0.0, 0.0, raw], True)
+    with pytest.raises(FileFormatError, match=message.replace("x", r"dee\['b1'\]\[1\]", 1)):
+        load_row([[0.0, 0.0], raw, [0.5, 0.5]], True)  # pairs only
 
 
 @pytest.mark.parametrize("raw, integer, message", [

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -790,6 +791,18 @@ def _all_pairs(data: dict) -> None:
     data["dee"]["B4"][4] = 0.5
 
 
+def _ints_for_0_and_1(data: dict) -> None:
+    """Every 0.0 and 1.0 of the rows, pair ends included, and of the edge
+    weights written as a JSON integer."""
+    def write(v):
+        return [write(end) for end in v] if isinstance(v, list) else int(v) if v in (0, 1) else v
+
+    for name in ("dee", "uee", "kill"):
+        data[name] = {b: write(row) for b, row in data[name].items()}
+    for edge in data["edges"]:
+        edge.update({key: write(edge[key]) for key in ("alpha", "alpha_back")})
+
+
 # Ways to spoil a problem file's common shape, one at a time.
 SPOILS = {
     "rows out of block order": lambda d: d.update(dee=dict(reversed(d["dee"].items()))),
@@ -802,6 +815,9 @@ SPOILS = {
     "a missing row": lambda d: d["kill"].pop("B3"),
     "a string entry": lambda d: d["dee"]["B4"].__setitem__(2, "0.5"),
     "a number as an edge end": lambda d: d["edges"][0].__setitem__("to", 5),
+    "every 0 and 1 as an int": _ints_for_0_and_1,
+    "an int too large for a float": lambda d: d["uee"]["B1"].__setitem__(4, 10**400),
+    "a row for an unknown block": lambda d: d["uee"].__setitem__("Q", d["uee"]["B1"]),
 }
 
 
@@ -857,12 +873,105 @@ def test_spoiled_files_name_their_faults(data_dir, stem, spoil, mode, errors):
     assert (outcome if mode is None else outcome[1][mode]) == errors
 
 
+@pytest.mark.parametrize("stem", ["diffpcm_t1", "diffpcm_t2"])
+def test_ints_for_0_and_1_load_as_arrays(data_dir, stem):
+    data = _jsonio.load_file(str(data_dir / f"{stem}.json"))
+    _ints_for_0_and_1(data)
+    problem, _ = L.problem_from_json_dict(data)
+    assert all(problem._held(name) is not None for name in ("dee", "uee", "kill", "edges"))
+    weights = problem._held("edges")[2] + problem._held("edges")[3]
+    assert 1 in weights and {type(w) for w in weights} == {float}  # as load_number reads them
+
+
 def test_parsed_rows_hold_no_negative_zero(data_dir):
     data = _jsonio.load_file(str(data_dir / "diffpcm_t1.json"))
     SPOILS["a -0.0 entry"](data)
     problem, runs = parse_and_run(data)
     assert "-0" not in runs["fuzzy"]
     assert repr(problem.kill["B2"][0]) == "0.0"
+
+
+def run_or_errors(problem: LcmProblem, mode: str):
+    """The report text of ``problem`` in ``mode``, or its errors."""
+    errors = L.validate_problem(problem, mode)
+    try:
+        return _jsonio.dumps(L.lcm_pipeline(problem, mode).to_json_dict())
+    except ValueError as exc:
+        assert exc.errors == errors
+        return errors
+
+
+def _mix_intervals(problem: LcmProblem) -> None:
+    row = problem.kill["B4"]
+    problem.kill["B4"] = [TruthInterval(v, v) if k % 2 else v for k, v in enumerate(row)]
+
+
+# Ways to write a library-built problem's rows (the differential-PCM loop's),
+# with the errors each names by mode; in any other mode it reports what the
+# unspoiled problem reports.  The messages come from a run before library rows
+# and file rows shared one array path.
+LIBRARY_SPOILS = {
+    "int rows": (lambda p: p.kill.update((b, list(map(int, row))) for b, row in p.kill.items()),
+                 {}),
+    "entries within the slack": (
+        lambda p: (p.dee["B4"].__setitem__(5, 1.0 + 1e-13), p.uee["B0"].__setitem__(0, -1e-13)),
+        {"crisp": ["dee['B4'][5]: crisp mode needs 0or1, got 1.0000000000001",
+                   "uee['B0'][0]: crisp mode needs 0or1, got -1e-13"]}),
+    "np.float64 and np.int64 entries": (
+        lambda p: (p.dee.update(B4=list(map(np.float64, p.dee["B4"]))),
+                   p.kill.update(B3=list(map(np.int64, p.kill["B3"])))), {}),
+    "Fraction entries": (lambda p: p.uee.update(B4=list(map(Fraction, p.uee["B4"]))), {}),
+    "tuple rows": (lambda p: p.dee.update((b, tuple(row)) for b, row in p.dee.items()), {}),
+    "rows keyed out of block order": (lambda p: setattr(p, "uee", dict(reversed(p.uee.items()))),
+                                      {}),
+    "intervals among numbers": (_mix_intervals, {
+        mode: [f"kill['B4'][{k}]: interval value in {mode} mode" for k in (1, 3, 5)]
+        for mode in ("crisp", "fuzzy")}),
+    "a [lo, hi] list in an interval row": (lambda p: p.dee["B4"].__setitem__(2, [0.2, 0.4]), {
+        "crisp": ["dee['B4'][2]: expected a number, got [0.2, 0.4]"],
+        "fuzzy": ["dee['B4'][2]: expected a number, got [0.2, 0.4]"],
+        "interval": ["dee['B4'][2]: expected a number or an interval, got [0.2, 0.4]"]}),
+    "duplicate block ids and a row for an unknown block": (
+        lambda p: (p.blocks.append("B3"), p.dee.__setitem__("Z", [0.0] * 7)),  # 7 ids, 7 rows
+        {mode: ["duplicate block ids", "dee: row for unknown block 'Z'"] for mode in L.MODES}),
+}
+
+
+@pytest.mark.parametrize("mode", L.MODES)
+@pytest.mark.parametrize("spoil", LIBRARY_SPOILS)
+def test_library_rows_run_as_when_walked_entry_by_entry(monkeypatch, spoil, mode):
+    """Library-built rows take the file rows' bulk check, or the walk where it
+    fails; either way they report and name faults as before."""
+    edit, errors = LIBRARY_SPOILS[spoil]
+    expected = errors.get(mode) or run_or_errors(diffpcm_problem(), mode)
+    problem = diffpcm_problem()
+    edit(problem)
+    assert run_or_errors(problem, mode) == expected
+    monkeypatch.setattr(L, "_row_array", lambda *args: None)
+    assert run_or_errors(problem, mode) == expected
+
+
+@pytest.mark.parametrize("mode", L.MODES)
+def test_each_row_array_is_built_once_per_run(monkeypatch, data_dir, mode):
+    """Validation builds each row field's array, and the run stacks those:
+    a library-built problem's rows are read once per call, a parsed
+    problem's held arrays not at all."""
+    row_array, built = L._row_array, []
+
+    def counting_row_array(raw, *args):
+        built.append(raw)
+        return row_array(raw, *args)
+
+    monkeypatch.setattr(L, "_row_array", counting_row_array)
+    library = moded_problem(21, mode)
+    parsed, _ = L.load_problem_file(str(data_dir / "diffpcm_t2.json"))
+    built.clear()
+    for _ in range(2):
+        L.lcm_pipeline(library, mode)
+        assert list(map(id, built)) == [id(library.dee), id(library.uee), id(library.kill)]
+        built.clear()
+        L.lcm_pipeline(parsed, "interval")
+        assert built == []
 
 
 def _swap_join_weights(edges: list) -> None:
