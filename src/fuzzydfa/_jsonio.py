@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
@@ -45,7 +46,9 @@ def dumps(obj: Any) -> str:
     One pass writes a ``%.17g`` slot per float (other ``%`` doubled), and one
     ``%`` formats the collected floats.  A row of floats or of [float, float]
     lists, a table (a dict of such rows of one length) and records (dicts with
-    the same keys in order, columns of strings or such rows) take one template."""
+    the same keys in order, columns of strings or such rows) take one template;
+    rows of +0.0 and 1.0 only, as crisp reports hold, are written from their
+    bytes, one ``%s`` slot per row."""
     parts: list[str] = []
     values: list = []  # the floats, and the quoted strings of records
     _write(obj, parts, values)
@@ -56,16 +59,42 @@ def dumps(obj: Any) -> str:
 _slots = lru_cache(maxsize=64)(lambda n, item: "[" + ", ".join([item] * n) + "]")
 
 
-def _table(rows: Sequence) -> tuple[str, list[float]] | None:
-    """One row's slots and all rows' floats in order, if ``rows`` are lists of
-    one length of exact floats only, or of [float, float] lists only; else None."""
+def _table(rows: Sequence) -> tuple[str, list] | None:
+    """One row's slot(s) and the values that fill them, row after row, if
+    ``rows`` are lists of one length of exact floats only, or of [float, float]
+    lists only; else None.  Rows of +0.0 and 1.0 only take one ``%s]`` slot
+    and one text per row (see ``_bits``); other rows, one ``%.17g`` per float."""
     if not all_of(list, rows) or list(map(len, rows)).count(n := len(rows[0])) != len(rows):
         return None
     flat = list(chain.from_iterable(rows))
-    if all_of(float, flat):
-        return _slots(n, "%.17g"), flat
-    pairs = _table(flat)  # rows of [float, float] lists
-    return (_slots(n, pairs[0]), pairs[1]) if pairs and pairs[0] == "[%.17g, %.17g]" else None
+    if all_of(float, flat):  # before the pack, which reads True, 1 and float subclasses too
+        return _bits(flat, n) or (_slots(n, "%.17g"), flat)
+    if not all_of(list, flat) or list(map(len, flat)).count(2) != len(flat):
+        return None
+    ends = list(chain.from_iterable(flat))  # rows of [float, float] lists
+    return (_slots(n, "[%.17g, %.17g]"), ends) if all_of(float, ends) else None
+
+
+# An IEEE double's top two bytes (little-endian bytes 7 and 6): +0.0 has 00 00
+# and 1.0 has 3F F0, with bytes 0-5 zero in both; "%.17g" prints them 0 and 1.
+_SIXTH = bytes.maketrans(b"\0?", b"\0\xf0")
+_DIGIT = bytes.maketrans(b"\0?", b"01")
+
+
+def _bits(flat: list[float], n: int) -> tuple[str, list[str]] | None:
+    """A row's ``%s]`` slot and each row's text up to its ``]``, if every float
+    of ``flat`` (rows of ``n``) is +0.0 or 1.0; else None.  -0.0 ("-0"), 0.5
+    and 1 + 2**-52 are not."""
+    if not n or flat[0] not in (0.0, 1.0) or flat[-1] not in (0.0, 1.0):  # soft tables stop here
+        return None
+    raw = struct.pack("<%dd" % len(flat), *flat)
+    top, like = raw[7::8], bytearray(len(raw))  # like: +0.0 or 1.0 as each top byte reads
+    like[6::8], like[7::8] = top.translate(_SIXTH), top
+    if top.translate(None, b"\0?") or raw != like:
+        return None
+    digits = bytearray(_slots(n, "0"), "ascii") * (len(flat) // n)
+    digits[1::3] = top.translate(_DIGIT)  # rows "[0, 0]" end to end: float i's digit is at 1 + 3 i
+    return "%s]", digits[:-1].decode().split("]")  # each row's text but its "]"
 
 
 def _columns(columns: Sequence[Sequence]) -> tuple[list[str], Iterable] | None:
@@ -78,7 +107,7 @@ def _columns(columns: Sequence[Sequence]) -> tuple[list[str], Iterable] | None:
             iters.append(map(_quote, column))
         elif table := _table(column):
             slots.append(table[0])
-            iters += [iter(table[1])] * (len(table[1]) // len(column))  # one per float of an item
+            iters += [iter(table[1])] * (len(table[1]) // len(column))  # one per value of an item
         else:
             return None
     return slots, chain.from_iterable(zip(*iters))

@@ -216,7 +216,7 @@ def validate_problem(problem: LcmProblem, mode: str) -> list[str]:
                 else:
                     try:
                         walked.append((truth_value(v),) * (1 + interval))
-                    except TruthValueError as exc:
+                    except (TruthValueError, OverflowError) as exc:  # or an int too large
                         errors.append(f"{name}[{b!r}][{k}]: {exc}")
         for b in matrix:
             if b not in blocks:
@@ -238,8 +238,8 @@ class LcmResult(_Frozen):
     array keyed by matrix name, with the block ids and (src, dst) edge keys
     that index its rows.  ``av_out`` ... ``delete`` are read-only views of
     them (block or edge -> row, of ``TruthInterval``s in interval mode), each
-    built on its first read; ``to_json_dict`` prints from the arrays and
-    builds none.  Two results are equal when their reports are."""
+    built on its first read; ``to_json_dict`` builds its lists from the
+    arrays and builds no view.  Two results are equal when their reports are."""
 
     _fields = ("mode", "exprs", "converged", "_blocks", "_edges", "_arrays")
 

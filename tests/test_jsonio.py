@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from fuzzydfa import LogicFamily, TruthInterval
+from fuzzydfa import LogicFamily, TruthInterval, _jsonio
 from fuzzydfa._jsonio import FileFormatError, Settings, check_keys, dumps, load_number, load_value
 from fuzzydfa.flowgraph import graph_from_json_dict
 from fuzzydfa.lcm import problem_from_json_dict
@@ -284,6 +284,26 @@ class Count(int):
 
 
 NAN, INF = float("nan"), float("inf")
+# Values that keep a table of 0.0 and 1.0 off the bytes path: each prints
+# otherwise than "0" or "1", or is not an exact float.  32.0 (top bytes 40 40)
+# passes the byte-6 check that 0.0 (00 00) and 1.0 (3F F0) pass, and fails
+# only the top-byte one.
+SPOILS_OF_BITS = [-0.0, 5e-324, 1.0000000000000002, 0.9999999999999999, 32.0, NAN, True, 1,
+                  Degree(1.0)]
+
+
+def _bit_cases(spoil=None) -> list:
+    """A 0/1 table, a row and edge records, with ``spoil`` (if any) in place
+    of one value of each."""
+    rows = {"b0": [0.0, 1.0, 1.0], "b1": [1.0, 0.0, 0.0], "b2": [0.0, 0.0, 1.0]}
+    records = [{"from": "b0", "to": "b1", "values": [1.0, 0.0]},
+               {"from": "b1", "to": "b2", "values": [0.0, 1.0]}]
+    row = [1.0, 0.0, 0.0, 1.0]
+    if spoil is not None:
+        rows["b2"][1], records[1]["values"][0], row[3] = spoil, spoil, spoil
+    return [rows, records, row]
+
+
 WRITER_CASES = [
     {"100%": "%s %% %d %(x)s %", "%%": ["%", "%%"], "a%b": 0.5},
     ["%.17g", 0.25, "%"],
@@ -332,12 +352,33 @@ WRITER_CASES = [
     [{"%k": "v%", 'q"': [0.5], 3: "é"}], [{"values": []}, {"values": []}], [{}, {}],
     [{"values": [0.5]}, {"values": [0.5, 0.25]}], [{"values": [0.5]}, {"values": [1]}],
     [{"a": "x"}, {"a": Text("y")}], [{"a": [0.5]}, Record(a=[0.25])], ({"a": [0.5]},),
+    # 0/1 tables, written from their bytes, and their twins spoiled by one value.
+    *(case for spoil in (None, *SPOILS_OF_BITS) for case in _bit_cases(spoil)),
+    {"a": [[0.0, 1.0], [1.0, 1.0]], "b": [[0.0, 0.0], [0.0, 1.0]]},
+    [{"from": "b0", "values": [[0.0, 1.0]]}, {"from": "b1", "values": [[1.0, 1.0]]}],
+    [float(bit) for bit in random.Random(22).choices((0, 1), k=4099)],
 ]
 
 
 @pytest.mark.parametrize("value", WRITER_CASES, ids=range(len(WRITER_CASES)))
 def test_dumps_matches_the_reference_writer(value):
     assert dumps(value) == reference_dumps(value)
+
+
+def test_0_1_tables_are_written_as_text_and_spoiled_twins_are_not():
+    """Rows of +0.0 and 1.0 come back as one text per row, all but its "]";
+    a twin spoiled by one value keeps the ``%.17g`` template, or takes no
+    table at all where the value is not an exact float."""
+    rows = list(_bit_cases()[0].values())
+    assert _jsonio._table(rows) == ("%s]", ["[0, 1, 1", "[1, 0, 0", "[0, 0, 1"])
+    assert _jsonio._table([[1.0, 0.0, 0.0, 1.0]]) == ("%s]", ["[1, 0, 0, 1"])
+    for spoil in SPOILS_OF_BITS:
+        spoiled = list(_bit_cases(spoil)[0].values())
+        want = ("[%.17g, %.17g, %.17g]", sum(spoiled, [])) if type(spoil) is float else None
+        assert _jsonio._table(spoiled) == want  # a NaN is the same object in both lists
+    pairs = [[[0.0, 1.0], [1.0, 1.0]], [[0.0, 0.0], [1.0, 1.0]]]
+    assert _jsonio._table(pairs) == ("[[%.17g, %.17g], [%.17g, %.17g]]", sum(sum(pairs, []), []))
+    assert _jsonio._table([[], []]) == ("[]", [])
 
 
 def test_dumps_rejects_what_the_reference_rejects():
@@ -354,6 +395,7 @@ def _json_like():
 
     floats = st.floats(allow_nan=True, allow_infinity=True)
     unit = st.floats(0.0, 1.0)
+    bits = st.sampled_from([0.0, 1.0])
     texts = st.text(alphabet=st.sampled_from('ab%"\\\né\x00 '), max_size=6)
     scalars = st.one_of(
         floats, floats, unit, st.integers(-10**20, 10**20), st.booleans(), st.none(), texts,
@@ -362,6 +404,7 @@ def _json_like():
     )
     rows = st.one_of(
         st.lists(floats, max_size=5),
+        st.lists(bits, max_size=5),
         st.lists(st.lists(floats, min_size=2, max_size=2), max_size=4),
         st.lists(st.lists(floats, min_size=1, max_size=3), max_size=3),
     )
@@ -369,13 +412,16 @@ def _json_like():
 
     def matrices(shape):
         """Tables and records whose rows have ``n`` entries, all floats (``pairs``
-        False) or all [float, float] lists, with some rows spoiled: by an entry
-        of another type, a float subclass, or another length."""
-        n, pairs = shape
-        entry = st.lists(floats, min_size=2, max_size=2) if pairs else floats
+        False) or all [float, float] lists, of 0.0 and 1.0 only if ``crisp``, with
+        some rows spoiled: by an entry of another type, a float subclass, another
+        length, or a float other than 0.0 and 1.0."""
+        n, pairs, crisp = shape
+        number = bits if crisp else floats
+        entry = st.lists(number, min_size=2, max_size=2) if pairs else number
         exact = st.lists(entry, min_size=n, max_size=n)
         odd = st.one_of(st.integers(0, 1), st.booleans(), unit.map(Degree),
-                        st.lists(floats, min_size=1, max_size=3), floats)
+                        st.lists(floats, min_size=1, max_size=3), floats,
+                        st.sampled_from(SPOILS_OF_BITS))
         spoiled = st.tuples(exact, st.integers(0, 3), odd).map(
             lambda t: t[0][:t[1]] + [t[2]] + t[0][t[1] + 1:])
         row = st.one_of(exact, exact, exact, exact, spoiled, st.lists(entry, max_size=3))
@@ -390,7 +436,7 @@ def _json_like():
                          st.lists(record, min_size=1, max_size=4),
                          st.lists(st.one_of(record, odd), min_size=1, max_size=4))
 
-    tables = st.tuples(st.integers(0, 3), st.booleans()).flatmap(matrices)
+    tables = st.tuples(st.integers(0, 3), st.booleans(), st.booleans()).flatmap(matrices)
     return st.recursive(
         st.one_of(scalars, rows, tables),
         lambda inner: st.one_of(

@@ -931,6 +931,10 @@ LIBRARY_SPOILS = {
         "crisp": ["dee['B4'][2]: expected a number, got [0.2, 0.4]"],
         "fuzzy": ["dee['B4'][2]: expected a number, got [0.2, 0.4]"],
         "interval": ["dee['B4'][2]: expected a number or an interval, got [0.2, 0.4]"]}),
+    "an int too large for a float": (lambda p: p.dee["B4"].__setitem__(0, 10**400), {
+        "crisp": [f"dee['B4'][0]: crisp mode needs 0or1, got {10**400!r}"],
+        "fuzzy": ["dee['B4'][0]: int too large to convert to float"],
+        "interval": ["dee['B4'][0]: int too large to convert to float"]}),
     "duplicate block ids and a row for an unknown block": (
         lambda p: (p.blocks.append("B3"), p.dee.__setitem__("Z", [0.0] * 7)),  # 7 ids, 7 rows
         {mode: ["duplicate block ids", "dee: row for unknown block 'Z'"] for mode in L.MODES}),
