@@ -12,17 +12,15 @@ The four stages: (1) the availability (forward) and anticipatability
 Earliest predicate per edge, (3) the Later fixed point over edges, (4) the
 pointwise Insert (edge gains an evaluation) and Delete (block loses one).
 
-One array engine serves every mode.  Values are float arrays of shape
-(rows, exprs, w), with w = 1 for scalars and w = 2 for (lo, hi) intervals,
-and each fixed point is swept over all expressions at once.  The modes
-differ only in what they pass the engine.  Crisp mode is the classical
-bit-vector algorithm: start from top, meet = min, iterate until nothing
-changes, and exact connectives whatever the logic family.  Fuzzy and
-interval modes start from zero, replace the meet with the alpha-weighted
-average of the flow-graph framework, and stop each expression once a sweep
-moves it by less than epsilon.  ``lcm_pipeline`` passes these arrays from
-the problem's rows up to the report, and its ``LcmResult`` holds every
-stage's matrices.
+Crisp mode is the classical bit-vector algorithm: a row is one int, bit k
+for expression k, and each fixed point is the greatest, found by a worklist
+from top, whatever the logic family and stopping rule.  Fuzzy and interval
+modes share one array engine: values are float arrays of shape (rows, exprs,
+w), with w = 1 for scalars and w = 2 for (lo, hi) intervals, and each fixed
+point is swept over all expressions at once, from zero, with the meet the
+alpha-weighted average of the flow-graph framework, until a sweep moves an
+expression by less than epsilon.  Every mode's ``LcmResult`` holds each
+stage's matrices as such arrays (0.0 and 1.0 in crisp mode).
 
 Boundary conventions (identical in all modes): the entry block's available
 set is just its downward-exposed set, the exit block's anticipated set is
@@ -34,7 +32,7 @@ from __future__ import annotations
 
 import numbers
 import operator
-from itertools import chain
+from itertools import chain, repeat
 from types import MappingProxyType
 from typing import Any, Mapping, Sequence, Union
 
@@ -212,7 +210,7 @@ def validate_problem(problem: LcmProblem, mode: str) -> list[str]:
                 elif isinstance(v, bool) or not isinstance(v, numbers.Real):
                     errors.append(f"{name}[{b!r}][{k}]: expected {kinds}, got {v!r}")
                 elif mode == "crisp" and v not in (0.0, 1.0):
-                    errors.append(f"{name}[{b!r}][{k}]: crisp mode needs 0or1, got {v!r}")
+                    errors.append(f"{name}[{b!r}][{k}]: crisp mode needs 0 or 1, got {v!r}")
                 else:
                     try:
                         walked.append((truth_value(v),) * (1 + interval))
@@ -278,37 +276,39 @@ class LcmResult(_Frozen):
 # -- one problem in one mode ------------------------------------------------------
 
 
+def _checked(problem: LcmProblem, mode: str) -> tuple[dict, list, tuple]:
+    """A valid problem's row arrays, edge keys and edge columns, with block
+    indices for the ends; an invalid one raises a ValueError whose ``errors``
+    lists the violations."""
+    errors = validate_problem(problem, mode)
+    if errors:
+        exc = ValueError("invalid LCM problem: " + "; ".join(errors))
+        exc.errors = errors
+        raise exc
+    index = {b: i for i, b in enumerate(problem.blocks)}
+    columns = problem._columns()
+    src, dst = (list(map(index.__getitem__, ends)) for ends in columns[:2])
+    return errors.arrays, list(zip(*columns[:2])), (src, dst) + columns[2:]
+
+
 class _Run:
-    """One problem in one mode, validated on construction (an invalid one
-    raises a ValueError whose ``errors`` lists the violations): the mode's
-    connectives, from ``cfg.family``, and fixed-point settings ``cfg`` (crisp
-    mode ignores both), the edges as block indices with each direction's
-    ``_Merges``, and rows as (blocks, exprs, w) arrays in block order.  The
-    complement reverses a (lo, hi) pair; the T-norm works endpoint-wise and
-    gives the scalar's bits on every element.  Only Frank's pairs are
-    re-sorted against rounding, as the interval reading of ``formula`` does:
-    the other T-norms are monotone in floating point, so they keep ordered
-    pairs ordered.  Crisp mode takes min whatever the family: some are not
-    exact on 0/1 (Frank's T(1, 1) rounds below 1 for small s)."""
+    """One problem in fuzzy or interval mode, validated on construction: the
+    mode's connectives, from ``cfg.family``, and fixed-point settings ``cfg``,
+    the edges as block indices with each direction's ``_Merges``, and rows as
+    (blocks, exprs, w) arrays in block order.  The complement reverses a
+    (lo, hi) pair; the T-norm works endpoint-wise and gives the scalar's bits
+    on every element.  Only Frank's pairs are re-sorted against rounding, as
+    the interval reading of ``formula`` does: the other T-norms are monotone
+    in floating point, so they keep ordered pairs ordered."""
 
     def __init__(self, problem: LcmProblem, mode: str, cfg: SolverConfig):
-        errors = validate_problem(problem, mode)
-        if errors:
-            exc = ValueError("invalid LCM problem: " + "; ".join(errors))
-            exc.errors = errors
-            raise exc
-        self.rows, self.crisp, self.cfg = errors.arrays, mode == "crisp", cfg
-        family = LogicFamily.minmax() if self.crisp else cfg.family
-        self.term, self._tnorm = family._term, family._tnorm_terms
-        self.resort = mode == "interval" and family.kind == "frank"
-        index = {b: i for i, b in enumerate(problem.blocks)}
-        self.entry = index[problem.entry]
-        src, dst, alpha, alpha_back = problem._columns()
-        self.keys = list(zip(src, dst))
-        self.src = np.array(list(map(index.__getitem__, src)), dtype=int)
-        self.dst = np.array(list(map(index.__getitem__, dst)), dtype=int)
-        self.forward = _Merges(self.dst, len(index), alpha)
-        self.backward = _Merges(self.src, len(index), alpha_back)
+        self.rows, self.keys, (src, dst, alpha, alpha_back) = _checked(problem, mode)
+        self.cfg, self.term, self._tnorm = cfg, cfg.family._term, cfg.family._tnorm_terms
+        self.resort = mode == "interval" and cfg.family.kind == "frank"
+        self.entry = problem.blocks.index(problem.entry)
+        self.src, self.dst = np.array(src, dtype=int), np.array(dst, dtype=int)
+        self.forward = _Merges(self.dst, len(problem.blocks), alpha)
+        self.backward = _Merges(self.src, len(problem.blocks), alpha_back)
 
     def conj(self, x: np.ndarray, y: np.ndarray, *, terms: bool = False) -> np.ndarray:
         """x & y; with ``terms``, x and y went through ``term`` already."""
@@ -326,7 +326,7 @@ class _Run:
         return self.neg(self.conj(self.neg(x), self.neg(y)))
 
     def snap(self, values: np.ndarray) -> np.ndarray:
-        if self.crisp or self.cfg.quantize_bits is None:
+        if self.cfg.quantize_bits is None:
             return values
         scale = float(2**self.cfg.quantize_bits)
         return np.minimum(1.0, np.round(values * scale) / scale)
@@ -353,7 +353,7 @@ class _Links:
     They are held as (slots, merges) tables.  Slot j holds every merge's
     j-th link, so meeting slot after slot adds each merge's inputs one by one
     in edge order.  A merge with fewer links is padded with links of weight 0
-    from row 0 (x + 0 * v == x for x >= 0), which the crisp min skips.
+    from row 0 (x + 0 * v == x for x >= 0).
     ``gather`` indexes old rows then new: a rows-first sweep has computed a
     link's new row when its block comes before the merge's."""
 
@@ -361,22 +361,18 @@ class _Links:
         rank, dst, count = merges.rank, merges.dst, merges.count
         shape = (count.max(initial=0), len(count))
         self.src, self.weight = np.zeros(shape, dtype=int), np.zeros(shape + (1, 1))
-        link, fresh = np.zeros((2,) + shape, dtype=bool)
-        self.src[rank, dst], self.weight[rank, dst, 0, 0], link[rank, dst] = src, merges.weight, True
+        fresh = np.zeros(shape, dtype=bool)
+        self.src[rank, dst], self.weight[rank, dst, 0, 0] = src, merges.weight
         fresh[rank, dst] = src < dst
-        self.link, self.gather = link[..., None, None], self.src + len(count) * fresh
-        self.has_input = np.minimum(count, 1.0)[:, None, None]
+        self.gather = self.src + len(count) * fresh
 
-    def meet(self, rows: np.ndarray, crisp: bool, cols=slice(None), fresh=False) -> np.ndarray:
-        """Per merge, from its links' rows in columns ``cols``: the min (crisp)
-        or the weighted sum clamped to [0,1]; 0 for a merge with no links.
-        With ``fresh`` (rows first), ``rows`` holds old rows then new, read by
-        ``gather``.  Every term is >= +0.0, so clamping with ``minimum`` gives
-        the bits of summing from 0.0 and clipping."""
+    def meet(self, rows: np.ndarray, cols=slice(None), fresh=False) -> np.ndarray:
+        """Per merge, from its links' rows in columns ``cols``: the weighted
+        sum clamped to [0,1]; 0 for a merge with no links.  With ``fresh``
+        (rows first), ``rows`` holds old rows then new, read by ``gather``.
+        Every term is >= +0.0, so clamping with ``minimum`` gives the bits of
+        summing from 0.0 and clipping."""
         values = rows[self.gather if fresh else self.src, cols]
-        if crisp:
-            out = np.minimum.reduce(values, axis=0, initial=1.0, where=self.link)
-            return np.minimum(out, self.has_input, out=out)
         # Two slots take a merge with links from two other blocks, each a merge too, so
         # the array is never 1-D (which numpy sums pairwise): this adds slot by slot.
         out = np.add.reduce(self.weight * values, axis=0)
@@ -395,12 +391,12 @@ def _fixpoint(
         row[r]   = gen[r] | held[reads[r]],  held[m] = merge[m] & keep[m]
         merge[m] = meet of the rows linked into m
 
-    by Gauss-Seidel sweeps in a fixed node order.  ``held`` is taken per
-    merge and then gathered, so each merge's T-norm is evaluated once however
-    many rows read it.  With ``reads`` None (stage 1), row r reads merge r and
-    the order is row b, merge b for each block b: a sweep's rows read the
-    last sweep's merges, and a merge reads this sweep's rows only from blocks
-    before it.  Otherwise (Later) every merge comes first, reading the last
+    from zero by Gauss-Seidel sweeps in a fixed node order.  ``held`` is
+    taken per merge and then gathered, so each merge's T-norm is evaluated
+    once however many rows read it.  With ``reads`` None (stage 1), row r
+    reads merge r and the order is row b, merge b for each block b: a sweep's
+    rows read the last sweep's merges, and a merge reads this sweep's rows
+    only from blocks before it.  Otherwise (Later) every merge comes first, reading the last
     sweep's rows, and every row then reads this sweep's merges.
     Each column freezes at its first sweep whose change, the sum of
     |new - old| over its rows and merges (both ends of an interval), is
@@ -411,10 +407,8 @@ def _fixpoint(
     meets each one's active columns, if any, and does the rest once for all.
     Returns the rows and, per analysis, whether it converged.
     """
-    crisp = run.crisp
-    start = 1.0 if crisp else 0.0
-    rows = np.full(gen.shape, start)
-    cur_merges = np.full((links[0].src.shape[1],) + gen.shape[1:], start)
+    rows = np.zeros(gen.shape)
+    cur_merges = np.zeros((links[0].src.shape[1],) + gen.shape[1:])
     # The T-norm operands that stay the same over the solve: !gen and keep.
     not_gen, keep = run.term(run.neg(gen)), run.term(keep)
 
@@ -425,18 +419,14 @@ def _fixpoint(
         return run.snap(run.neg(run.conj(not_gen, not_held, terms=True)))
 
     def meet(rows: np.ndarray, fresh: bool) -> np.ndarray:
-        met = [table.meet(rows, crisp, slice(a, b), fresh)
+        met = [table.meet(rows, slice(a, b), fresh)
                for table, a, b in zip(links, cut, cut[1:]) if a < b]
         return run.snap(met[0] if len(met) == 1 else np.concatenate(met, axis=1))
 
-    # From top, every crisp sweep but the last clears at least one bit; a
-    # crisp residual counts flipped bits: below one, nothing changed.
-    limit = len(rows) + len(cur_merges) + 1 if crisp else run.cfg.max_iters
-    epsilon = 1.0 if crisp else run.cfg.epsilon
     # Analysis i owns columns [bounds[i], bounds[i + 1]), and active[cut[i]:cut[i + 1]].
     active, bounds = np.arange(gen.shape[1]), gen.shape[1] // len(links) * np.arange(len(links) + 1)
     cut, cur_rows = bounds.tolist(), rows
-    for _ in range(limit):
+    for _ in range(run.cfg.max_iters):
         if not active.size:
             break
         if reads is None:
@@ -447,7 +437,7 @@ def _fixpoint(
             new_rows = transfer(new_merges)
         change = abs(new_rows - cur_rows).sum((0, 2)) + abs(new_merges - cur_merges).sum((0, 2))
         cur_rows, cur_merges = new_rows, new_merges
-        done = change < epsilon
+        done = change < run.cfg.epsilon
         if np.count_nonzero(done):
             rows[:, active[done]] = cur_rows[:, done]
             more = ~done
@@ -478,6 +468,65 @@ def _insert_delete(run: _Run, later_in, later_out, uee):
     return run.conj(later_out, not_later[run.dst]), delete
 
 
+# -- crisp mode on bit-vectors -----------------------------------------------------
+
+
+def _greatest(gen: list[int], keep: list[int], src: list[int], dst: list[int], full: int,
+              order: range) -> list[int]:
+    """The greatest solution of merge[m] = AND over links l into m of
+    gen[l] | (merge[src[l]] & keep[src[l]]), on ints below ``full``, where a
+    merge without links is 0: a worklist from top, visiting ``order`` first.
+    The lattice is finite, so every fair order reaches the same maximal fixed
+    point (Kildall 1973; Kam & Ullman 1977); ``order`` sets only the cost."""
+    into, readers = [[] for _ in keep], [[] for _ in keep]
+    for g, s, d in zip(gen, src, dst):
+        into[d].append((g, s))
+        readers[s].append(d)
+    merge = [full if links else 0 for links in into]
+    work, queued = [m for m in reversed(order) if into[m]], list(map(bool, into))
+    while work:
+        m = work.pop()
+        queued[m], value = False, full
+        for g, s in into[m]:
+            value &= g | merge[s] & keep[s]
+        if value != merge[m]:
+            merge[m] = value
+            for r in readers[m]:
+                if not queued[r]:
+                    queued[r] = True
+                    work.append(r)
+    return merge
+
+
+def _crisp_pipeline(problem: LcmProblem) -> LcmResult:
+    """The four stages on bit-vectors: row b is one int, bit k for expression k."""
+    rows, keys, (src, dst, *_) = _checked(problem, "crisp")
+    n, blocks, entry = len(problem.exprs), len(problem.blocks), problem.blocks.index(problem.entry)
+    full, size, forward = (1 << n) - 1, (n + 7) // 8, range(blocks)  # edges mostly run forward
+    dee, uee, kill = ([int.from_bytes(row, "little") for row in
+                       np.packbits(rows[name][..., 0] != 0, 1, bitorder="little")]
+                      for name in ("dee", "uee", "kill"))
+    keep, not_uee = [full ^ k for k in kill], [full ^ u for u in uee]
+    av_in = _greatest([dee[i] for i in src], keep, src, dst, full, forward)
+    av_out = [d | m & k for d, m, k in zip(dee, av_in, keep)]
+    an_in = _greatest([uee[j] for j in dst], keep, dst, src, full, forward[::-1])  # successors
+    an_out = [u | m & k for u, m, k in zip(uee, an_in, keep)]
+    ear = [an_out[j] & (full ^ av_out[i]) & (full if i == entry else kill[i] | full ^ an_in[i])
+           for i, j in zip(src, dst)]
+    later_in = _greatest(ear, not_uee, src, dst, full, forward)
+    later_out = [e | later_in[i] & not_uee[i] for e, i in zip(ear, src)]
+    insert = [o & (full ^ later_in[j]) for o, j in zip(later_out, dst)]
+    delete = [0 if b == entry else u & (full ^ li) for b, u, li in zip(forward, uee, later_in)]
+    matrices = (av_out, an_in, an_out, ear, later_in, later_out, insert, delete)
+    packed = b"".join(map(int.to_bytes, chain.from_iterable(matrices), repeat(size), repeat("little")))
+    counts = list(map(len, matrices))
+    bits = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(sum(counts), size), 1, n,
+                         bitorder="little")
+    arrays = np.split(bits.astype(float)[..., None], np.cumsum(counts[:-1]))
+    return LcmResult("crisp", list(problem.exprs), True, list(problem.blocks), keys,
+                     dict(zip(_MATRICES, arrays)))
+
+
 def lcm_pipeline(
     problem: LcmProblem,
     mode: str,
@@ -488,13 +537,15 @@ def lcm_pipeline(
 
     The logic family and the stopping rule come from ``cfg``, by default
     ``SolverConfig(family)``, or ``SolverConfig()`` with neither; a ``family``
-    given beside a ``cfg`` must equal ``cfg.family``.  The problem is validated,
-    and its rows stacked, once per call; nothing is cached on it, so edits
-    to its rows and edges show in the next call."""
+    given beside a ``cfg`` must equal ``cfg.family``; crisp mode uses neither.
+    The problem is validated, and its rows stacked, once per call; nothing is
+    cached on it, so edits to its rows and edges show in the next call."""
     if cfg is None:
         cfg = SolverConfig() if family is None else SolverConfig(family)
     elif family is not None and family != cfg.family:
         raise ValueError(f"family {family} differs from cfg.family {cfg.family}")
+    if mode == "crisp":
+        return _crisp_pipeline(problem)
     run = _Run(problem, mode, cfg)
     dee, uee, kill = operator.itemgetter("dee", "uee", "kill")(run.rows)
     # AvOut(b) = DEE(b) | (AvIn(b) & !Kill(b)) in the first n columns, then AnOut
@@ -503,12 +554,12 @@ def lcm_pipeline(
     rows, (av_ok, an_ok) = _fixpoint(run, np.concatenate((dee, uee), 1),
                                      np.tile(run.neg(kill), (1, 2, 1)), None,
                                      [_Links(run.src, run.forward), an_links])
-    av_out, an_out, an_in = rows[:, :n], rows[:, n:], an_links.meet(rows[:, n:], run.crisp)
+    av_out, an_out, an_in = rows[:, :n], rows[:, n:], an_links.meet(rows[:, n:])
     ear = _earliest(run, av_out, an_in, an_out, kill)
     # LaterOut(i,j) = Earliest(i,j) | (LaterIn(i) & !UEE(i)); LaterIn merges LaterOut.
     later_links = _Links(np.arange(len(run.keys)), run.forward)
     later_out, (later_ok,) = _fixpoint(run, ear, run.neg(uee), run.src, [later_links])
-    later_in = later_links.meet(later_out, run.crisp)
+    later_in = later_links.meet(later_out)
     insert, delete = _insert_delete(run, later_in, later_out, uee)
     arrays = (av_out, an_in, an_out, ear, later_in, later_out, insert, delete)
     return LcmResult(mode, list(problem.exprs), av_ok and an_ok and later_ok, list(problem.blocks),

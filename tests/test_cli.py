@@ -612,7 +612,7 @@ BAD_ROWS = [
     ("diffpcm_t1.json", _set_entry("uee", "B3", 2, None),
      "uee['B3'][2]: expected a number, got None"),
     ("diffpcm_t1.json", _crisp(_set_entry("kill", "B4", 3, 0.5)),
-     "kill['B4'][3]: crisp mode needs 0or1, got 0.5"),
+     "kill['B4'][3]: crisp mode needs 0 or 1, got 0.5"),
     ("diffpcm_t1.json", _set_entry("dee", "B3", 1, [0.2, 0.4]),
      "dee['B3'][1]: expected a number, got [0.2, 0.4]"),
     ("diffpcm_t2.json", _set_entry("dee", "B3", 1, [0.6, 0.4]),
@@ -662,10 +662,10 @@ def test_crisp_value_errors_keep_their_order(data_dir, tmp_path, capsys):
 
     path = _spoiled(data_dir, tmp_path, "diffpcm_t1.json", spoil)
     expected = "".join(f"error: {m}\n" for m in [
-        "dee['B2'][5]: crisp mode needs 0or1, got 0.25",
+        "dee['B2'][5]: crisp mode needs 0 or 1, got 0.25",
         "uee['B1']: expected 7 entries, got 6",
-        "kill['B4'][3]: crisp mode needs 0or1, got 0.5",
-        "kill['B4'][6]: crisp mode needs 0or1, got 0.75",
+        "kill['B4'][3]: crisp mode needs 0 or 1, got 0.5",
+        "kill['B4'][6]: crisp mode needs 0 or 1, got 0.75",
         "kill: row for unknown block 'Z'",
     ])
     for command in ("lcm", "validate"):
@@ -674,7 +674,7 @@ def test_crisp_value_errors_keep_their_order(data_dir, tmp_path, capsys):
     assert code == 0 and err == ""
     path = _spoiled(data_dir, tmp_path, "diffpcm_t1.json", _set_entry("kill", "B4", 3, 0.5))
     code, out, err = run(capsys, "lcm", path, "--mode", "crisp")
-    assert (code, out, err) == (1, "", "error: kill['B4'][3]: crisp mode needs 0or1, got 0.5\n")
+    assert (code, out, err) == (1, "", "error: kill['B4'][3]: crisp mode needs 0 or 1, got 0.5\n")
 
 
 def test_solve_on_an_invalid_graph_prints_warnings_then_errors(data_dir, tmp_path, capsys):

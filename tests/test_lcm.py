@@ -268,10 +268,42 @@ def test_crisp_diffpcm_moves_nothing():
     assert all(v == 0.0 for row in result.delete.values() for v in row)
 
 
+def with_crisp_rows(problem: LcmProblem, rng: random.Random, width: int,
+                    blocks: list[str] | None = None) -> LcmProblem:
+    """``problem``'s CFG, its blocks listed as ``blocks``, with fresh 0/1 rows
+    over ``width`` expressions."""
+    def matrix():
+        return {b: [float(rng.random() < 0.4) for _ in range(width)] for b in problem.blocks}
+
+    return LcmProblem(blocks or problem.blocks, problem.edges, [f"e{k}" for k in range(width)],
+                      matrix(), matrix(), matrix(), problem.entry, problem.exit)
+
+
+def back_edge_chain(rng: random.Random, n: int) -> LcmProblem:
+    """A chain c0 -> ... -> c(n-1) with forward skips and back edges (none into
+    the entry c0 or out of the exit), its blocks listed in reverse order."""
+    blocks = [f"c{i}" for i in range(n)]
+    pairs = {(i, i + 1) for i in range(n - 1)}
+    for _ in range(n // 3):
+        i, j = sorted(rng.sample(range(1, n - 1), 2))
+        pairs |= {(j, i), (i - 1, j + 1)}
+    in_deg = {j: sum(d == j for _, d in pairs) for j in range(n)}
+    out_deg = {i: sum(s == i for s, _ in pairs) for i in range(n)}
+    edges = [LcmEdge(blocks[i], blocks[j], 1.0 / in_deg[j], 1.0 / out_deg[i])
+             for i, j in sorted(pairs)]
+    return with_crisp_rows(LcmProblem(blocks, edges, [], {}, {}, {}, blocks[0], blocks[-1]),
+                           rng, 9, blocks[::-1])
+
+
 def test_crisp_random_cfgs_match_bitvector_oracle():
+    """Random CFGs, rows at the byte and word edges of the bit packing, and
+    long chains with back edges whose blocks are listed against the flow."""
     rng = random.Random(61)
-    for _ in range(100):
-        problem = random_crisp_problem(rng)
+    problems = [random_crisp_problem(rng) for _ in range(100)]
+    problems += [with_crisp_rows(random_crisp_problem(rng, max_blocks=12), rng, width)
+                 for width in (1, 9, 64, 65, 130) for _ in range(4)]
+    chains = [back_edge_chain(rng, n) for n in (200, 240)]
+    for problem in problems + chains:
         assert L.validate_problem(problem, "crisp") == []
         result = L.lcm_pipeline(problem, "crisp", MINMAX)
         insert_ref, delete_ref = krs_bitvector(problem)
@@ -279,6 +311,12 @@ def test_crisp_random_cfgs_match_bitvector_oracle():
             assert {k for k, v in enumerate(row) if v} == insert_ref[key], (key, problem)
         for b, row in result.delete.items():
             assert {k for k, v in enumerate(row) if v} == delete_ref[b], (b, problem)
+    for chain in chains:  # the same report, row for row, with blocks listed along the flow
+        along = LcmProblem(chain.blocks[::-1], chain.edges, chain.exprs, chain.dee, chain.uee,
+                           chain.kill, chain.entry, chain.exit)
+        against, ordered = (L.lcm_pipeline(p, "crisp").to_json_dict() for p in (chain, along))
+        assert against == ordered and list(against["delete"]) != list(ordered["delete"])
+        assert any(any(row["values"]) for row in ordered["insert"])
 
 
 def test_fuzzy_on_chains_with_unit_weights_matches_crisp():
@@ -305,13 +343,21 @@ def test_fuzzy_on_chains_with_unit_weights_matches_crisp():
 
 
 @pytest.mark.parametrize("s", [0.01, 0.001])
-def test_crisp_reports_are_exact_under_any_family(s):
+def test_crisp_reports_are_exact_under_any_family(s, monkeypatch):
+    """Crisp mode ignores the logic family and the whole stopping rule: a
+    coarse epsilon, one sweep and grid snapping change nothing, and the run
+    still converges.  It never enters the soft array engine."""
+    for name in ("_Run", "_Merges", "_Links", "_fixpoint"):
+        monkeypatch.setattr(L, name, None)  # calling it would raise
     family = LogicFamily.frank(s)
     assert family.tnorm(1.0, 1.0) != 1.0  # the rounding crisp mode must not inherit
+    loose = SolverConfig(family, epsilon=0.5, max_iters=1, quantize_bits=2)
     rng = random.Random(83)
     for problem in [diffpcm_problem()] + [random_crisp_problem(rng) for _ in range(20)]:
         exact = L.lcm_pipeline(problem, "crisp", MINMAX).to_json_dict()
+        assert exact["converged"] is True
         assert L.lcm_pipeline(problem, "crisp", family).to_json_dict() == exact
+        assert L.lcm_pipeline(problem, "crisp", cfg=loose).to_json_dict() == exact
 
 
 # -- stage corner cases ------------------------------------------------------------------
@@ -580,7 +626,7 @@ def test_validate_walks_only_rows_whose_bulk_check_fails():
              "kill['B2'][3]: expected a number, got False"]
     assert L.validate_problem(problem, "crisp") == [
         "dee['B3'][2]: interval value in crisp mode",
-        "uee['B4'][1]: crisp mode needs 0or1, got 0.5",
+        "uee['B4'][1]: crisp mode needs 0 or 1, got 0.5",
         "uee['B4'][5]: interval value in crisp mode",
         *bools,
     ]
@@ -592,7 +638,7 @@ def test_validate_walks_only_rows_whose_bulk_check_fails():
     assert L.validate_problem(problem, "interval") == [
         error.replace("a number", "a number or an interval") for error in bools]
     problem.kill["B2"][3] = float("nan")
-    assert L.validate_problem(problem, "crisp")[-1] == "kill['B2'][3]: crisp mode needs 0or1, got nan"
+    assert L.validate_problem(problem, "crisp")[-1] == "kill['B2'][3]: crisp mode needs 0 or 1, got nan"
 
 
 @pytest.mark.parametrize("mode", ["fuzzy", "interval"])
@@ -915,8 +961,8 @@ LIBRARY_SPOILS = {
                  {}),
     "entries within the slack": (
         lambda p: (p.dee["B4"].__setitem__(5, 1.0 + 1e-13), p.uee["B0"].__setitem__(0, -1e-13)),
-        {"crisp": ["dee['B4'][5]: crisp mode needs 0or1, got 1.0000000000001",
-                   "uee['B0'][0]: crisp mode needs 0or1, got -1e-13"]}),
+        {"crisp": ["dee['B4'][5]: crisp mode needs 0 or 1, got 1.0000000000001",
+                   "uee['B0'][0]: crisp mode needs 0 or 1, got -1e-13"]}),
     "np.float64 and np.int64 entries": (
         lambda p: (p.dee.update(B4=list(map(np.float64, p.dee["B4"]))),
                    p.kill.update(B3=list(map(np.int64, p.kill["B3"])))), {}),
@@ -932,7 +978,7 @@ LIBRARY_SPOILS = {
         "fuzzy": ["dee['B4'][2]: expected a number, got [0.2, 0.4]"],
         "interval": ["dee['B4'][2]: expected a number or an interval, got [0.2, 0.4]"]}),
     "an int too large for a float": (lambda p: p.dee["B4"].__setitem__(0, 10**400), {
-        "crisp": [f"dee['B4'][0]: crisp mode needs 0or1, got {10**400!r}"],
+        "crisp": [f"dee['B4'][0]: crisp mode needs 0 or 1, got {10**400!r}"],
         "fuzzy": ["dee['B4'][0]: int too large to convert to float"],
         "interval": ["dee['B4'][0]: int too large to convert to float"]}),
     "duplicate block ids and a row for an unknown block": (
@@ -1245,10 +1291,10 @@ def test_stage1_meets_an_analysis_only_while_it_has_active_columns(monkeypatch, 
     widths = []
     meet = L._Links.meet
 
-    def spy(self, rows, crisp, cols=slice(None), fresh=False):
+    def spy(self, rows, cols=slice(None), fresh=False):
         if fresh:  # a rows-first meet: one of stage 1's sweeps
             widths.append(rows[:, cols].shape[1])
-        return meet(self, rows, crisp, cols, fresh)
+        return meet(self, rows, cols, fresh)
 
     monkeypatch.setattr(L._Links, "meet", spy)
     L.lcm_pipeline(loop_problem(slow, "fuzzy"), "fuzzy",
