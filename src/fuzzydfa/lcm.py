@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import numbers
 import operator
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from types import MappingProxyType
-from typing import Any, Mapping, Sequence, Union
+from typing import Any, Mapping, Sequence, Sized, Union
 
 import numpy as np
 
@@ -125,19 +125,20 @@ def _rows(keys: Sequence, values: np.ndarray) -> dict:
     return dict(zip(keys, rows))
 
 
-class _Errors(list):
-    """``validate_problem``'s messages; ``arrays`` maps each valid row field to its array."""
-
-
 def validate_problem(problem: LcmProblem, mode: str) -> list[str]:
     """Structural and per-mode value checks; returns the errors.  Each row field
     is checked in bulk as one array (a parsed problem's held one, or built once),
     walked only to name a fault.  An entry must be a real number other than a bool
     that ``truth_value`` accepts (0 or 1 in crisp mode), or in interval mode a TruthInterval."""
+    return _validate(problem, mode)[0]
+
+
+def _validate(problem: LcmProblem, mode: str) -> tuple[list[str], dict]:
+    """``validate_problem``'s errors, and each valid row field's array by name."""
     if mode not in MODES:
-        return [f"unknown mode {mode!r}; expected one of {MODES}"]
-    errors = _Errors()
-    errors.arrays = {}
+        return [f"unknown mode {mode!r}; expected one of {MODES}"], {}
+    errors: list[str] = []
+    arrays = {}
     blocks = set(problem.blocks)
     if len(blocks) != len(problem.blocks):
         errors.append("duplicate block ids")
@@ -189,15 +190,21 @@ def validate_problem(problem: LcmProblem, mode: str) -> list[str]:
             values = _row_array(getattr(problem, name), problem.blocks, width, pair)
         if values is not None and (
                 mode != "crisp" or np.count_nonzero(values) == np.count_nonzero(values == 1)):
-            errors.arrays[name] = values
+            arrays[name] = values
             continue  # nothing to name
         # Name each fault, or take what the bulk check does not: np.float64 or
         # Fraction entries, tuple rows and truth_value's slack, clamped.
         matrix, walked, count = getattr(problem, name), [], len(errors)
+        if not isinstance(matrix, Mapping):
+            errors.append(f"{name}: expected a dict of block rows, got {type(matrix).__name__}")
+            continue
         for b in problem.blocks:
             row = matrix.get(b)
             if row is None:
                 errors.append(f"{name}: missing row for block {b!r}")
+                continue
+            if not isinstance(row, Sized):
+                errors.append(f"{name}[{b!r}]: expected {width} entries, got {row!r}")
                 continue
             if len(row) != width:
                 errors.append(f"{name}[{b!r}]: expected {width} entries, got {len(row)}")
@@ -220,8 +227,8 @@ def validate_problem(problem: LcmProblem, mode: str) -> list[str]:
             if b not in blocks:
                 errors.append(f"{name}: row for unknown block {b!r}")
         if len(errors) == count:
-            errors.arrays[name] = np.array(walked).reshape(len(problem.blocks), width, 1 + interval)
-    return errors
+            arrays[name] = np.array(walked).reshape(len(problem.blocks), width, 1 + interval)
+    return errors, arrays
 
 
 # -- the result -----------------------------------------------------------------
@@ -280,7 +287,7 @@ def _checked(problem: LcmProblem, mode: str) -> tuple[dict, list, tuple]:
     """A valid problem's row arrays, edge keys and edge columns, with block
     indices for the ends; an invalid one raises a ValueError whose ``errors``
     lists the violations."""
-    errors = validate_problem(problem, mode)
+    errors, arrays = _validate(problem, mode)
     if errors:
         exc = ValueError("invalid LCM problem: " + "; ".join(errors))
         exc.errors = errors
@@ -288,13 +295,13 @@ def _checked(problem: LcmProblem, mode: str) -> tuple[dict, list, tuple]:
     index = {b: i for i, b in enumerate(problem.blocks)}
     columns = problem._columns()
     src, dst = (list(map(index.__getitem__, ends)) for ends in columns[:2])
-    return errors.arrays, list(zip(*columns[:2])), (src, dst) + columns[2:]
+    return arrays, list(zip(*columns[:2])), (src, dst) + columns[2:]
 
 
 class _Run:
     """One problem in fuzzy or interval mode, validated on construction: the
     mode's connectives, from ``cfg.family``, and fixed-point settings ``cfg``,
-    the edges as block indices with each direction's ``_Merges``, and rows as
+    the edges as block indices and as each direction's ``_Links``, and rows as
     (blocks, exprs, w) arrays in block order.  The complement reverses a
     (lo, hi) pair; the T-norm works endpoint-wise and gives the scalar's bits
     on every element.  Only Frank's pairs are re-sorted against rounding, as
@@ -307,8 +314,8 @@ class _Run:
         self.resort = mode == "interval" and cfg.family.kind == "frank"
         self.entry = problem.blocks.index(problem.entry)
         self.src, self.dst = np.array(src, dtype=int), np.array(dst, dtype=int)
-        self.forward = _Merges(self.dst, len(problem.blocks), alpha)
-        self.backward = _Merges(self.src, len(problem.blocks), alpha_back)
+        self.forward = _Links(self.src, self.dst, alpha, len(problem.blocks))  # predecessors
+        self.backward = _Links(self.dst, self.src, alpha_back, len(problem.blocks))  # successors
 
     def conj(self, x: np.ndarray, y: np.ndarray, *, terms: bool = False) -> np.ndarray:
         """x & y; with ``terms``, x and y went through ``term`` already."""
@@ -335,48 +342,34 @@ class _Run:
 # -- the fixed-point engine --------------------------------------------------------
 
 
-class _Merges:
-    """One direction's merges: edge i feeds merge ``dst[i]`` with weight
-    ``weight[i]``, as its ``rank[i]``-th link; ``count`` links go into each."""
-
-    def __init__(self, dst: np.ndarray, n_merges: int, weight: list[float]):
-        self.dst, self.weight, self.count = dst, weight, np.bincount(dst, minlength=n_merges)
-        order, first = np.argsort(dst, kind="stable"), np.add.accumulate(self.count) - self.count
-        self.rank = np.empty_like(order)
-        self.rank[order] = np.arange(len(dst)) - np.repeat(first, self.count)
-
-
 class _Links:
-    """The inputs of each merge: link i carries row ``src[i]`` into merge
-    ``merges.dst[i]``, in ``problem.edges`` order.
+    """The inputs of each of ``n`` merges: link i carries row ``src[i]`` into
+    merge ``dst[i]`` with weight ``weight[i]``, in ``problem.edges`` order."""
 
-    They are held as (slots, merges) tables.  Slot j holds every merge's
-    j-th link, so meeting slot after slot adds each merge's inputs one by one
-    in edge order.  A merge with fewer links is padded with links of weight 0
-    from row 0 (x + 0 * v == x for x >= 0).
-    ``gather`` indexes old rows then new: a rows-first sweep has computed a
-    link's new row when its block comes before the merge's."""
+    def __init__(self, src: np.ndarray, dst: np.ndarray, weight: Sequence[float], n: int):
+        self.src, self.dst, self.weight, self.n = src, dst, np.array(weight, dtype=float), n
 
-    def __init__(self, src: np.ndarray, merges: _Merges):
-        rank, dst, count = merges.rank, merges.dst, merges.count
-        shape = (count.max(initial=0), len(count))
-        self.src, self.weight = np.zeros(shape, dtype=int), np.zeros(shape + (1, 1))
-        fresh = np.zeros(shape, dtype=bool)
-        self.src[rank, dst], self.weight[rank, dst, 0, 0] = src, merges.weight
-        fresh[rank, dst] = src < dst
-        self.gather = self.src + len(count) * fresh
+    def plan(self, a: int, b: int, n_cols: int, width: int, fresh: bool = False) -> tuple:
+        """The terms that meet columns [a, b) of (rows, n_cols, width) arrays, link
+        by link, as flat indices: ``_meet`` reads each from ``take``, scales it by
+        ``weight`` and adds it into ``put``.  With ``fresh`` (rows first), the rows
+        are old rows then new, and a link reads the new row when its block comes
+        before the merge's: a rows-first sweep has computed it."""
+        span, cols = n_cols * width, np.arange(a * width, b * width)
+        src = self.src + self.n * (self.src < self.dst) if fresh else self.src
+        return ((src[:, None] * span + cols).ravel(), np.repeat(self.weight, len(cols)),
+                (self.dst[:, None] * span + cols).ravel())
 
-    def meet(self, rows: np.ndarray, cols=slice(None), fresh=False) -> np.ndarray:
-        """Per merge, from its links' rows in columns ``cols``: the weighted
-        sum clamped to [0,1]; 0 for a merge with no links.  With ``fresh``
-        (rows first), ``rows`` holds old rows then new, read by ``gather``.
-        Every term is >= +0.0, so clamping with ``minimum`` gives the bits of
-        summing from 0.0 and clipping."""
-        values = rows[self.gather if fresh else self.src, cols]
-        # Two slots take a merge with links from two other blocks, each a merge too, so
-        # the array is never 1-D (which numpy sums pairwise): this adds slot by slot.
-        out = np.add.reduce(self.weight * values, axis=0)
-        return np.minimum(out, 1.0, out=out)
+
+def _meet(rows: np.ndarray, plan: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """Per merge of ``n``, from ``rows`` by ``plan``: the weighted sum of its
+    links' values clamped to [0,1]; 0 for a merge with no links.  ``bincount``
+    adds a merge's terms from 0.0 in link order, and every term is >= +0.0, so
+    the sum has the bits of adding them one by one, and clamping with
+    ``minimum`` those of clipping."""
+    take, weight, put = plan
+    out = np.bincount(put, rows.take(take) * weight, n * rows.shape[1] * rows.shape[2])
+    return np.minimum(out.reshape((n,) + rows.shape[1:]), 1.0)  # float even where put is empty
 
 
 def _fixpoint(
@@ -404,11 +397,12 @@ def _fixpoint(
 
     ``links`` holds one table per analysis, for one of ``len(links)`` equal
     column ranges (stage 1: availability, then anticipatability).  A sweep
-    meets each one's active columns, if any, and does the rest once for all.
-    Returns the rows and, per analysis, whether it converged.
+    meets the active columns of all of them by one plan, built again when
+    columns freeze.  Returns the rows and, per analysis, whether it converged.
     """
+    n, width = links[0].n, gen.shape[2]
     rows = np.zeros(gen.shape)
-    cur_merges = np.zeros((links[0].src.shape[1],) + gen.shape[1:])
+    cur_merges = np.zeros((n,) + gen.shape[1:])
     # The T-norm operands that stay the same over the solve: !gen and keep.
     not_gen, keep = run.term(run.neg(gen)), run.term(keep)
 
@@ -418,22 +412,23 @@ def _fixpoint(
             not_held = not_held[reads]
         return run.snap(run.neg(run.conj(not_gen, not_held, terms=True)))
 
-    def meet(rows: np.ndarray, fresh: bool) -> np.ndarray:
-        met = [table.meet(rows, slice(a, b), fresh)
-               for table, a, b in zip(links, cut, cut[1:]) if a < b]
-        return run.snap(met[0] if len(met) == 1 else np.concatenate(met, axis=1))
+    def build_plan() -> list[np.ndarray]:
+        parts = [table.plan(a, b, len(active), width, reads is None)
+                 for table, a, b in zip(links, cut, cut[1:]) if a < b]
+        return [np.concatenate(column) for column in zip(*parts)]
 
     # Analysis i owns columns [bounds[i], bounds[i + 1]), and active[cut[i]:cut[i + 1]].
     active, bounds = np.arange(gen.shape[1]), gen.shape[1] // len(links) * np.arange(len(links) + 1)
     cut, cur_rows = bounds.tolist(), rows
+    plan = build_plan()
     for _ in range(run.cfg.max_iters):
         if not active.size:
             break
         if reads is None:
             new_rows = transfer(cur_merges)
-            new_merges = meet(np.concatenate((cur_rows, new_rows)), True)
+            new_merges = run.snap(_meet(np.concatenate((cur_rows, new_rows)), plan, n))
         else:
-            new_merges = meet(cur_rows, False)
+            new_merges = run.snap(_meet(cur_rows, plan, n))
             new_rows = transfer(new_merges)
         change = abs(new_rows - cur_rows).sum((0, 2)) + abs(new_merges - cur_merges).sum((0, 2))
         cur_rows, cur_merges = new_rows, new_merges
@@ -444,6 +439,7 @@ def _fixpoint(
             active, cur_rows, cur_merges = active[more], cur_rows[:, more], cur_merges[:, more]
             not_gen, keep = not_gen[:, more], keep[:, more]
             cut = np.searchsorted(active, bounds).tolist()
+            plan = build_plan()
     rows[:, active] = cur_rows
     return rows, [a == b for a, b in zip(cut, cut[1:])]
 
@@ -503,9 +499,10 @@ def _crisp_pipeline(problem: LcmProblem) -> LcmResult:
     rows, keys, (src, dst, *_) = _checked(problem, "crisp")
     n, blocks, entry = len(problem.exprs), len(problem.blocks), problem.blocks.index(problem.entry)
     full, size, forward = (1 << n) - 1, (n + 7) // 8, range(blocks)  # edges mostly run forward
-    dee, uee, kill = ([int.from_bytes(row, "little") for row in
-                       np.packbits(rows[name][..., 0] != 0, 1, bitorder="little")]
-                      for name in ("dee", "uee", "kill"))
+    bits = np.concatenate([rows[name][..., 0] for name in ("dee", "uee", "kill")]) != 0
+    packed = np.packbits(bits, 1, bitorder="little").tobytes()
+    ints = [int.from_bytes(packed[i * size:i * size + size], "little") for i in range(3 * blocks)]
+    dee, uee, kill = ints[:blocks], ints[blocks:2 * blocks], ints[2 * blocks:]
     keep, not_uee = [full ^ k for k in kill], [full ^ u for u in uee]
     av_in = _greatest([dee[i] for i in src], keep, src, dst, full, forward)
     av_out = [d | m & k for d, m, k in zip(dee, av_in, keep)]
@@ -519,10 +516,10 @@ def _crisp_pipeline(problem: LcmProblem) -> LcmResult:
     delete = [0 if b == entry else u & (full ^ li) for b, u, li in zip(forward, uee, later_in)]
     matrices = (av_out, an_in, an_out, ear, later_in, later_out, insert, delete)
     packed = b"".join(map(int.to_bytes, chain.from_iterable(matrices), repeat(size), repeat("little")))
-    counts = list(map(len, matrices))
-    bits = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(sum(counts), size), 1, n,
-                         bitorder="little")
-    arrays = np.split(bits.astype(float)[..., None], np.cumsum(counts[:-1]))
+    ends = [0, *accumulate(map(len, matrices))]
+    values = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(ends[-1], size), 1, n,
+                           bitorder="little").astype(float)[..., None]
+    arrays = [values[a:b] for a, b in zip(ends, ends[1:])]
     return LcmResult("crisp", list(problem.exprs), True, list(problem.blocks), keys,
                      dict(zip(_MATRICES, arrays)))
 
@@ -550,16 +547,17 @@ def lcm_pipeline(
     dee, uee, kill = operator.itemgetter("dee", "uee", "kill")(run.rows)
     # AvOut(b) = DEE(b) | (AvIn(b) & !Kill(b)) in the first n columns, then AnOut
     # with UEE for DEE and AnIn over successors; AvIn is not reported.
-    n, an_links = len(problem.exprs), _Links(run.dst, run.backward)
+    n, blocks, width = len(problem.exprs), len(problem.blocks), dee.shape[2]
     rows, (av_ok, an_ok) = _fixpoint(run, np.concatenate((dee, uee), 1),
                                      np.tile(run.neg(kill), (1, 2, 1)), None,
-                                     [_Links(run.src, run.forward), an_links])
-    av_out, an_out, an_in = rows[:, :n], rows[:, n:], an_links.meet(rows[:, n:])
+                                     [run.forward, run.backward])
+    av_out, an_out = rows[:, :n], rows[:, n:]
+    an_in = _meet(an_out, run.backward.plan(0, n, n, width), blocks)
     ear = _earliest(run, av_out, an_in, an_out, kill)
     # LaterOut(i,j) = Earliest(i,j) | (LaterIn(i) & !UEE(i)); LaterIn merges LaterOut.
-    later_links = _Links(np.arange(len(run.keys)), run.forward)
+    later_links = _Links(np.arange(len(run.keys)), run.dst, run.forward.weight, blocks)
     later_out, (later_ok,) = _fixpoint(run, ear, run.neg(uee), run.src, [later_links])
-    later_in = later_links.meet(later_out)
+    later_in = _meet(later_out, later_links.plan(0, n, n, width), blocks)
     insert, delete = _insert_delete(run, later_in, later_out, uee)
     arrays = (av_out, an_in, an_out, ear, later_in, later_out, insert, delete)
     return LcmResult(mode, list(problem.exprs), av_ok and an_ok and later_ok, list(problem.blocks),

@@ -478,10 +478,10 @@ def test_lcm_validates_the_problem_once(data_dir, tmp_path, capsys, monkeypatch,
 
     def counted(*args):
         calls.append(args)
-        return validate_problem(*args)
+        return validate(*args)
 
-    validate_problem = lcm.validate_problem
-    monkeypatch.setattr(lcm, "validate_problem", counted)
+    validate = lcm._validate  # what the pipeline calls for its errors and row arrays
+    monkeypatch.setattr(lcm, "_validate", counted)
     code, out, err = run(capsys, "lcm", str(path), "--mode", "crisp")
     assert len(calls) == 1
     if invalid:

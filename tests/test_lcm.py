@@ -347,7 +347,7 @@ def test_crisp_reports_are_exact_under_any_family(s, monkeypatch):
     """Crisp mode ignores the logic family and the whole stopping rule: a
     coarse epsilon, one sweep and grid snapping change nothing, and the run
     still converges.  It never enters the soft array engine."""
-    for name in ("_Run", "_Merges", "_Links", "_fixpoint"):
+    for name in ("_Run", "_Links", "_meet", "_fixpoint"):
         monkeypatch.setattr(L, name, None)  # calling it would raise
     family = LogicFamily.frank(s)
     assert family.tnorm(1.0, 1.0) != 1.0  # the rounding crisp mode must not inherit
@@ -763,7 +763,7 @@ def test_interval_pipeline_and_report_build_no_intervals_and_validate_once(monke
     problems += [moded_problem(seed, "interval") for seed in range(310, 313)]
     expected = [_jsonio.dumps(L.lcm_pipeline(p, "interval").to_json_dict()) for p in problems]
     built, validated = [], []
-    init, validate = TruthInterval.__init__, L.validate_problem
+    init, validate = TruthInterval.__init__, L._validate
 
     def counting_init(self, lo, hi):
         built.append(self)
@@ -774,7 +774,7 @@ def test_interval_pipeline_and_report_build_no_intervals_and_validate_once(monke
         return validate(problem, mode)
 
     monkeypatch.setattr(TruthInterval, "__init__", counting_init)
-    monkeypatch.setattr(L, "validate_problem", counting_validate)
+    monkeypatch.setattr(L, "_validate", counting_validate)
     problems[0] = L.load_problem_file(str(data_dir / "diffpcm_t2.json"))[0]
     assert not built  # the file's rows are held as arrays
     for problem, text in zip(problems, expected):
@@ -955,7 +955,8 @@ def _mix_intervals(problem: LcmProblem) -> None:
 # Ways to write a library-built problem's rows (the differential-PCM loop's),
 # with the errors each names by mode; in any other mode it reports what the
 # unspoiled problem reports.  The messages come from a run before library rows
-# and file rows shared one array path.
+# and file rows shared one array path, but for a list of rows and a row given as
+# a number, which raised before they were named.
 LIBRARY_SPOILS = {
     "int rows": (lambda p: p.kill.update((b, list(map(int, row))) for b, row in p.kill.items()),
                  {}),
@@ -981,6 +982,10 @@ LIBRARY_SPOILS = {
         "crisp": [f"dee['B4'][0]: crisp mode needs 0 or 1, got {10**400!r}"],
         "fuzzy": ["dee['B4'][0]: int too large to convert to float"],
         "interval": ["dee['B4'][0]: int too large to convert to float"]}),
+    "a list of rows": (lambda p: setattr(p, "kill", list(p.kill.values())),
+                       {mode: ["kill: expected a dict of block rows, got list"] for mode in L.MODES}),
+    "a row given as a number": (lambda p: p.dee.__setitem__("B4", 0.5),
+                                {mode: ["dee['B4']: expected 7 entries, got 0.5"] for mode in L.MODES}),
     "duplicate block ids and a row for an unknown block": (
         lambda p: (p.blocks.append("B3"), p.dee.__setitem__("Z", [0.0] * 7)),  # 7 ids, 7 rows
         {mode: ["duplicate block ids", "dee: row for unknown block 'Z'"] for mode in L.MODES}),
@@ -1288,15 +1293,23 @@ def test_problems_without_edges_or_expressions_report_as_before(mode):
 
 @pytest.mark.parametrize("slow", ["av", "an"])
 def test_stage1_meets_an_analysis_only_while_it_has_active_columns(monkeypatch, slow):
-    widths = []
-    meet = L._Links.meet
+    widths, built, plans = [], [], []  # plans: (plan, the column counts of its analyses)
+    plan, meet = L._Links.plan, L._meet
 
-    def spy(self, rows, cols=slice(None), fresh=False):
-        if fresh:  # a rows-first meet: one of stage 1's sweeps
-            widths.append(rows[:, cols].shape[1])
-        return meet(self, rows, cols, fresh)
+    def plan_spy(self, a, b, n_cols, width, fresh=False):
+        if fresh:  # one analysis's part of a rows-first plan: stage 1's
+            built.append(b - a)
+        return plan(self, a, b, n_cols, width, fresh)
 
-    monkeypatch.setattr(L._Links, "meet", spy)
+    def meet_spy(rows, terms, n):
+        if built:  # the first meet by the plan just built
+            plans.append((terms, built[:]))
+            built.clear()
+        widths.extend(next((counts for p, counts in plans if p is terms), []))
+        return meet(rows, terms, n)
+
+    monkeypatch.setattr(L._Links, "plan", plan_spy)
+    monkeypatch.setattr(L, "_meet", meet_spy)
     L.lcm_pipeline(loop_problem(slow, "fuzzy"), "fuzzy",
                    cfg=SolverConfig(LogicFamily.product(), max_iters=STAGE1_CAP))
     assert 0 not in widths

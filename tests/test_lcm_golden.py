@@ -11,8 +11,9 @@ scalar ``LogicFamily.tnorm``, and the ``wide<i>`` cases from the array
 engine while it still stacked rows from dicts per stage and met merges with
 per-slot scatter-adds, as were the ``single`` and ``no_exprs`` cases, and
 the ``fan<i>`` cases while it still summed each merge's inputs slot by slot
-in Python and each column's residual in node order, so any change in any
-printed digit of any matrix fails here.
+in Python and each column's residual in node order (the ``frank:0.01`` ones
+while it summed padded link-slot tables), so any change in any printed digit
+of any matrix fails here.
 
 The ``solve/``, ``fig1/`` and ``evaluate/`` cases were frozen from the
 solver that interpreted formulas by recursion, with a scalar and an interval
@@ -65,7 +66,7 @@ WIDE_CFGS = 6
 WIDE_FAN_IN = 4
 # Fan-in and fan-out of ten, as the benchmark's medium and large CFGs reach:
 # one merge adds ten or more weighted inputs.
-FAN_FAMILIES = ["minmax", "product"]
+FAN_FAMILIES = ["minmax", "product", "frank:0.01"]
 FAN_CFGS = 3
 FAN = 10
 # The flow-graph solver: every family above, plus nilpotent.
