@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _jsonio
 from ._jsonio import FileFormatError
-from .truth import _Frozen, _Record, _finite, _set
+from .truth import _Frozen, _Record, _finite
 
 __all__ = [
     "TriangularMf", "Rule", "AnfisModel", "Prediction", "TrainConfig", "HarnessResult",
@@ -55,9 +55,7 @@ class TriangularMf(_Frozen):
             raise ValueError(f"breakpoints must be finite: {(a, b, c)}")
         if not a <= b <= c:
             raise ValueError(f"breakpoints out of order: {(a, b, c)}")
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "c", c)
+        self._seal(a, b, c)
 
     def membership(self, x: float) -> float:
         if x == self.b:
@@ -81,8 +79,7 @@ class Rule(_Frozen):
                 f"rule with {len(antecedents)} antecedents needs "
                 f"{len(antecedents) + 1} consequent coefficients"
             )
-        _set(self, "antecedents", antecedents)
-        _set(self, "consequent", consequent)
+        self._seal(antecedents, consequent)
 
     def output(self, x: Sequence[float]) -> float:
         acc = 0.0
@@ -275,8 +272,7 @@ class TrainConfig(_Frozen):
         if not (_finite(retrain_error_threshold) and 0.0 <= retrain_error_threshold <= 1.0):
             raise ValueError(
                 f"retrain_error_threshold must be in [0,1], got {retrain_error_threshold!r}")
-        _set(self, "mu", mu)
-        _set(self, "retrain_error_threshold", retrain_error_threshold)
+        self._seal(mu, retrain_error_threshold)
 
 
 class HarnessResult(_Record):
@@ -411,9 +407,10 @@ def load_model_file(path: str) -> AnfisModel:
 def read_samples_csv(path: str) -> tuple[list[list[float]], list[bool]]:
     """Read harness samples: columns x1..xn plus a final 0/1 label column; a
     first non-blank row with a non-numeric cell is a header and is skipped.
-    Messages give physical row numbers, blank rows included."""
+    A leading UTF-8 byte-order mark is dropped.  Messages give physical row
+    numbers, blank rows included."""
     X, labels, first = [], [], None
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         for row_no, row in enumerate(csv.reader(handle), start=1):
             if not any(cell.strip() for cell in row):
                 continue
@@ -428,8 +425,11 @@ def read_samples_csv(path: str) -> tuple[list[list[float]], list[bool]]:
                 raise FileFormatError(f"{path}: row {row_no}: NaN or infinite value")
             if len(values) < 2:
                 raise FileFormatError(f"{path}: row {row_no}: need at least one input and a label")
+            if values[-1] not in (0.0, 1.0):
+                raise FileFormatError(
+                    f"{path}: row {row_no}: label must be 0 or 1, got {row[-1]!r}")
             X.append(values[:-1])
-            labels.append(values[-1] != 0.0)
+            labels.append(values[-1] == 1.0)
     if not X:
         raise FileFormatError(f"{path}: no samples")
     widths = {len(row) for row in X}

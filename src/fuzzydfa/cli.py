@@ -145,7 +145,7 @@ def _cmd_anfis_predict(args) -> int:
 
     model = anfis.load_model_file(args.model)
     try:
-        x = [float(part) for part in args.input.split(",") if part.strip()]
+        x = [float(part) for part in args.input.split(",")]  # float("") fails
     except ValueError:
         print(f"error: bad input vector {args.input!r}", file=sys.stderr)
         return 1
@@ -186,7 +186,8 @@ def _cmd_anfis_train(args) -> int:
     update_model, leave_model = _model_pair(_jsonio.load_file(args.models))
     X, labels = anfis.read_samples_csv(args.data)
     periods, period_labels = anfis.split_periods(X, labels, args.period_length)
-    tc = anfis.TrainConfig(mu=args.mu, retrain_error_threshold=args.threshold)
+    given = {} if args.threshold is None else {"retrain_error_threshold": args.threshold}
+    tc = anfis.TrainConfig(mu=args.mu, **given)  # no --threshold: TrainConfig's default
     result = anfis.run_harness(update_model, leave_model, periods, period_labels, tc)
     if args.csv_out:
         with open(args.csv_out, "w", encoding="utf-8") as handle:
@@ -256,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("models", help="JSON file with 'update' and 'leave' models")
     p.add_argument("data", help="CSV with columns x1..xn,label")
     p.add_argument("--mu", type=float, required=True, help="LMS step size")
-    p.add_argument("--threshold", type=float, default=0.8,
+    p.add_argument("--threshold", type=float, default=None,
                    help="period error rate that triggers a least-squares refit")
     p.add_argument("--period-length", type=int, default=25)
     p.add_argument("--csv-out", default=None, help="write per-period error rates as CSV")

@@ -19,7 +19,7 @@ from typing import Any
 from . import _jsonio
 from ._jsonio import FileFormatError
 from .formula import Formula, Value, free_vars, parse_formula
-from .truth import WEIGHT_SUM_TOL, _Frozen, _Record, _set, truth_value
+from .truth import WEIGHT_SUM_TOL, _Frozen, _Record, truth_value
 
 __all__ = [
     "Edge",
@@ -44,9 +44,7 @@ class Edge(_Frozen):
     alpha: float
 
     def __init__(self, src: str, dst: str, alpha: float) -> None:
-        _set(self, "src", src)
-        _set(self, "dst", dst)
-        _set(self, "alpha", truth_value(alpha))
+        self._seal(src, dst, truth_value(alpha))
 
 
 class FlowGraph(_Record):

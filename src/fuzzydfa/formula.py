@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from typing import Mapping, Union
 
-from .truth import LogicFamily, TruthInterval, _Frozen, _set, truth_value
+from .truth import LogicFamily, TruthInterval, _Frozen, truth_value
 
 Value = Union[float, TruthInterval]
 
@@ -71,7 +71,7 @@ class Var(Formula):
     def __init__(self, name: str) -> None:
         if not name:
             raise ValueError("variable name must be nonempty")
-        _set(self, "name", name)
+        self._seal(name)
 
 
 class Const(Formula):
@@ -79,7 +79,7 @@ class Const(Formula):
     value: Value
 
     def __init__(self, value: Value) -> None:
-        _set(self, "value", value if isinstance(value, TruthInterval) else truth_value(value))
+        self._seal(value if isinstance(value, TruthInterval) else truth_value(value))
 
 
 class Not(Formula):
@@ -87,7 +87,7 @@ class Not(Formula):
     arg: Formula
 
     def __init__(self, arg: Formula) -> None:
-        _set(self, "arg", arg)
+        self._seal(arg)
 
 
 class _Binary(Formula):
@@ -96,8 +96,7 @@ class _Binary(Formula):
     right: Formula
 
     def __init__(self, left: Formula, right: Formula) -> None:
-        _set(self, "left", left)
-        _set(self, "right", right)
+        self._seal(left, right)
 
 
 class And(_Binary):

@@ -41,7 +41,7 @@ import numpy as np
 from . import _jsonio
 from ._jsonio import LCM_MODES as MODES, FileFormatError
 from .truth import (WEIGHT_SUM_TOL, LogicFamily, SolverConfig, TruthInterval, TruthValueError,
-                    _Frozen, _Record, _set, truth_value)
+                    _Frozen, _Record, truth_value)
 
 __all__ = [
     "LcmEdge",
@@ -71,10 +71,7 @@ class LcmEdge(_Frozen):
     alpha_back: float    # backward contribution, normalized over src's out-edges
 
     def __init__(self, src: str, dst: str, alpha: float, alpha_back: float) -> None:
-        _set(self, "src", src)
-        _set(self, "dst", dst)
-        _set(self, "alpha", truth_value(alpha))
-        _set(self, "alpha_back", truth_value(alpha_back))
+        self._seal(src, dst, truth_value(alpha), truth_value(alpha_back))
 
 
 class LcmProblem(_Record):
@@ -133,10 +130,11 @@ def validate_problem(problem: LcmProblem, mode: str) -> list[str]:
     return _validate(problem, mode)[0]
 
 
-def _validate(problem: LcmProblem, mode: str) -> tuple[list[str], dict]:
-    """``validate_problem``'s errors, and each valid row field's array by name."""
+def _validate(problem: LcmProblem, mode: str) -> tuple[list[str], dict, tuple]:
+    """``validate_problem``'s errors, each valid row field's array by name, and
+    the edge columns checked."""
     if mode not in MODES:
-        return [f"unknown mode {mode!r}; expected one of {MODES}"], {}
+        return [f"unknown mode {mode!r}; expected one of {MODES}"], {}, ()
     errors: list[str] = []
     arrays = {}
     blocks = set(problem.blocks)
@@ -151,8 +149,8 @@ def _validate(problem: LcmProblem, mode: str) -> tuple[list[str], dict]:
     # a sum has no in-edges (forward) or no out-edges (backward).
     forward: dict[str, float] = {}
     backward: dict[str, float] = {}
-    src, dst, alpha, alpha_back = problem._columns()
-    for s, d, a, b in zip(src, dst, alpha, alpha_back):
+    columns = src, dst, alpha, alpha_back = problem._columns()
+    for s, d, a, b in zip(*columns):
         forward[d] = forward.get(d, 0) + a
         backward[s] = backward.get(s, 0) + b
     sums = chain(forward.values(), backward.values())
@@ -228,7 +226,7 @@ def _validate(problem: LcmProblem, mode: str) -> tuple[list[str], dict]:
                 errors.append(f"{name}: row for unknown block {b!r}")
         if len(errors) == count:
             arrays[name] = np.array(walked).reshape(len(problem.blocks), width, 1 + interval)
-    return errors, arrays
+    return errors, arrays, columns
 
 
 # -- the result -----------------------------------------------------------------
@@ -283,19 +281,18 @@ class LcmResult(_Frozen):
 # -- one problem in one mode ------------------------------------------------------
 
 
-def _checked(problem: LcmProblem, mode: str) -> tuple[dict, list, tuple]:
-    """A valid problem's row arrays, edge keys and edge columns, with block
-    indices for the ends; an invalid one raises a ValueError whose ``errors``
-    lists the violations."""
-    errors, arrays = _validate(problem, mode)
+def _checked(problem: LcmProblem, mode: str) -> tuple[dict, list, tuple, int]:
+    """A valid problem's row arrays, edge keys, edge columns with block indices
+    for the ends, and the entry's index; an invalid one raises a ValueError
+    whose ``errors`` lists the violations."""
+    errors, arrays, columns = _validate(problem, mode)
     if errors:
         exc = ValueError("invalid LCM problem: " + "; ".join(errors))
         exc.errors = errors
         raise exc
     index = {b: i for i, b in enumerate(problem.blocks)}
-    columns = problem._columns()
     src, dst = (list(map(index.__getitem__, ends)) for ends in columns[:2])
-    return arrays, list(zip(*columns[:2])), (src, dst) + columns[2:]
+    return arrays, list(zip(*columns[:2])), (src, dst) + columns[2:], index[problem.entry]
 
 
 class _Run:
@@ -309,10 +306,9 @@ class _Run:
     in floating point, so they keep ordered pairs ordered."""
 
     def __init__(self, problem: LcmProblem, mode: str, cfg: SolverConfig):
-        self.rows, self.keys, (src, dst, alpha, alpha_back) = _checked(problem, mode)
+        self.rows, self.keys, (src, dst, alpha, alpha_back), self.entry = _checked(problem, mode)
         self.cfg, self.term, self._tnorm = cfg, cfg.family._term, cfg.family._tnorm_terms
         self.resort = mode == "interval" and cfg.family.kind == "frank"
-        self.entry = problem.blocks.index(problem.entry)
         self.src, self.dst = np.array(src, dtype=int), np.array(dst, dtype=int)
         self.forward = _Links(self.src, self.dst, alpha, len(problem.blocks))  # predecessors
         self.backward = _Links(self.dst, self.src, alpha_back, len(problem.blocks))  # successors
@@ -496,8 +492,8 @@ def _greatest(gen: list[int], keep: list[int], src: list[int], dst: list[int], f
 
 def _crisp_pipeline(problem: LcmProblem) -> LcmResult:
     """The four stages on bit-vectors: row b is one int, bit k for expression k."""
-    rows, keys, (src, dst, *_) = _checked(problem, "crisp")
-    n, blocks, entry = len(problem.exprs), len(problem.blocks), problem.blocks.index(problem.entry)
+    rows, keys, (src, dst, *_), entry = _checked(problem, "crisp")
+    n, blocks = len(problem.exprs), len(problem.blocks)
     full, size, forward = (1 << n) - 1, (n + 7) // 8, range(blocks)  # edges mostly run forward
     bits = np.concatenate([rows[name][..., 0] for name in ("dee", "uee", "kill")]) != 0
     packed = np.packbits(bits, 1, bitorder="little").tobytes()

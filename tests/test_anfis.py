@@ -513,13 +513,25 @@ def test_construction_and_argument_errors_are_named(make, kind, message):
     ("x1,label\n0.5\n", "row 2: need at least one input and a label"),
     ("x1,label\n", "no samples"),
     ("x1,x2,label\n0.1,0.2,1\n0.5,1\n", "inconsistent column counts [1, 2]"),
-], ids=["non-numeric", "one-column", "no-samples", "ragged"])
+    ("x1,label\n0.1,1\n0.2,0.5\n", "row 3: label must be 0 or 1, got '0.5'"),
+    ("x1,label\n0.1,2\n", "row 2: label must be 0 or 1, got '2'"),
+    ("0.1,0\n0.2,-1\n", "row 2: label must be 0 or 1, got '-1'"),
+], ids=["non-numeric", "one-column", "no-samples", "ragged", "label-half", "label-two",
+        "label-negative"])
 def test_csv_errors_name_the_file_and_row(tmp_path, text, message):
     path = tmp_path / "samples.csv"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(FileFormatError) as raised:
         read_samples_csv(str(path))
     assert str(raised.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("header", ["x1,x2,label\n", ""], ids=["header", "no-header"])
+def test_csv_with_a_byte_order_mark_keeps_its_first_sample(tmp_path, header):
+    path = tmp_path / "samples.csv"
+    path.write_text(header + "0.1,0.2,1\n0.3,0.4,0\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert read_samples_csv(str(path)) == ([[0.1, 0.2], [0.3, 0.4]], [True, False])
 
 
 @pytest.mark.parametrize("threshold", [True, False, "0.5", None, math.nan, 1.5, -0.1],

@@ -9,7 +9,7 @@ import pytest
 import fuzzydfa
 from fuzzydfa import SolverConfig, uniform_model
 from fuzzydfa.anfis import model_to_json_dict
-from fuzzydfa.cli import main
+from fuzzydfa.cli import _build_parser, main
 from fuzzydfa._jsonio import dumps
 
 
@@ -246,6 +246,16 @@ def test_anfis_train_on_bundled_stream(data_dir, capsys):
     assert rates[-1] <= rates[0]
 
 
+def test_anfis_train_threshold_defaults_to_train_configs(data_dir, capsys):
+    argv = ["anfis-train", str(data_dir / "anfis_models.json"),
+            str(data_dir / "anfis_samples.csv"), "--mu", "0.05"]
+    assert _build_parser().parse_args(argv).threshold is None
+    default = run(capsys, *argv)
+    assert default[0] == 0
+    assert run(capsys, *argv, "--threshold", "0.8") == default
+    assert run(capsys, *argv, "--threshold", "0.1") != default  # the option is read
+
+
 def test_anfis_train_harness(tmp_path, capsys):
     models = {
         "update": model_to_json_dict(uniform_model(1, 3)),
@@ -381,10 +391,13 @@ MALFORMED_LATER_EDGES = [
     (_set_alpha(7, "to", edge=3), "edges[3].to: expected a string, got 7"),
     (_set_alpha(1, "weight", edge=3), "edges[3]: unknown keys ['weight']"),
     (lambda data: data["edges"][3].pop("alpha"), "edges[3]: missing keys ['alpha']"),
+    (lambda data: data["edges"][3].__setitem__("weight", data["edges"][3].pop("alpha")),
+     "edges[3]: missing keys ['alpha']"),
     (lambda data: data["edges"].__setitem__(3, 5), "edges[3]: expected an object, got int"),
 ]
 MALFORMED_LATER_EDGE_IDS = ["edge3-alpha-null", "edge3-alpha-range", "edge3-to-int",
-                            "edge3-unknown-key", "edge3-missing-key", "edge3-int"]
+                            "edge3-unknown-key", "edge3-missing-key", "edge3-renamed-key",
+                            "edge3-int"]
 # Edges are a list; an object, even of valid edges, is not read as one.
 EDGES_AS_OBJECTS = [
     (lambda data: data.__setitem__("edges", {}), "edges: expected a list, got dict"),
@@ -705,6 +718,18 @@ def test_anfis_predict_pretty_prints_each_rule(data_dir, capsys):
 def test_anfis_predict_rejects_a_non_numeric_input(data_dir, capsys):
     argv = ["anfis-predict", str(data_dir / "anfis_two_rule.json"), "--input", "0.6,x"]
     assert run(capsys, *argv) == (1, "", "error: bad input vector '0.6,x'\n")
+
+
+@pytest.mark.parametrize("vector", ["0.5,,0.2", "0.5,,", ",0.6,0.2", "0.6,0.2,", ""])
+def test_anfis_predict_rejects_an_empty_field(data_dir, capsys, vector):
+    argv = ["anfis-predict", str(data_dir / "anfis_two_rule.json"), "--input", vector]
+    assert run(capsys, *argv) == (1, "", f"error: bad input vector {vector!r}\n")
+
+
+def test_anfis_predict_accepts_spaces_around_a_number(data_dir, capsys):
+    argv = ["anfis-predict", str(data_dir / "anfis_two_rule.json"), "--input"]
+    spaced = run(capsys, *argv, " 0.6 , 0.2 ")
+    assert spaced[0] == 0 and spaced == run(capsys, *argv, "0.6,0.2")
 
 
 def test_usage_errors_exit_1(capsys, monkeypatch):

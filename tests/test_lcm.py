@@ -789,6 +789,31 @@ def test_interval_pipeline_and_report_build_no_intervals_and_validate_once(monke
     assert built
 
 
+class _NoIndex(list):
+    def index(self, *args):
+        raise AssertionError("a block was looked up with list.index")
+
+
+@pytest.mark.parametrize("mode", ["crisp", "fuzzy", "interval"])
+def test_a_run_reads_the_edges_once_and_looks_up_no_block_by_list_index(monkeypatch, data_dir,
+                                                                        mode):
+    name = "diffpcm_t2.json" if mode == "interval" else "diffpcm_t1.json"
+    problems = [L.load_problem_file(str(data_dir / name))[0], moded_problem(320, mode)]
+    expected = [_jsonio.dumps(L.lcm_pipeline(p, mode).to_json_dict()) for p in problems]
+    read, columns = [], L.LcmProblem._columns
+
+    def counting_columns(problem):
+        read.append(problem)
+        return columns(problem)
+
+    monkeypatch.setattr(L.LcmProblem, "_columns", counting_columns)
+    for problem, text in zip(problems, expected):
+        problem.blocks = _NoIndex(problem.blocks)
+        assert _jsonio.dumps(L.lcm_pipeline(problem, mode).to_json_dict()) == text
+        assert read == [problem]
+        read.clear()
+
+
 def test_results_are_equal_when_their_reports_are():
     problem = diffpcm_problem()
     first, second = (L.lcm_pipeline(problem, "fuzzy", MINMAX) for _ in range(2))
