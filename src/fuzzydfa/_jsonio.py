@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import sys
 from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
@@ -77,23 +78,43 @@ def _table(rows: Sequence) -> tuple[str, list] | None:
 
 # An IEEE double's top two bytes (little-endian bytes 7 and 6): +0.0 has 00 00
 # and 1.0 has 3F F0, with bytes 0-5 zero in both; "%.17g" prints them 0 and 1.
-_SIXTH = bytes.maketrans(b"\0?", b"\0\xf0")
-_DIGIT = bytes.maketrans(b"\0?", b"01")
+_SIXTH, _DIGIT = bytes.maketrans(b"\0?", b"\0\xf0"), bytes.maketrans(b"\0\1", b"01")
+_UNIT, _TOP = bytes.maketrans(b"\0?", b"\0\1"), bytes.maketrans(b"\0\1", b"\0?")
+_HI, _LO = (7, 6) if sys.byteorder == "little" else (0, 1)  # in this machine's doubles
 
 
-def _bits(flat: list[float], n: int) -> tuple[str, list[str]] | None:
-    """A row's ``%s]`` slot and each row's text up to its ``]``, if every float
-    of ``flat`` (rows of ``n``) is +0.0 or 1.0; else None.  -0.0 ("-0"), 0.5
-    and 1 + 2**-52 are not."""
-    if not n or flat[0] not in (0.0, 1.0) or flat[-1] not in (0.0, 1.0):  # soft tables stop here
+def _units(flat: Sequence) -> bytes | None:
+    """One 0/1 byte per number of ``flat`` (floats, or ints read as floats), if
+    each is +0.0 or 1.0; else None.  -0.0 ("-0"), 0.5 and 1 + 2**-52 are not."""
+    if flat and (flat[0] not in (0.0, 1.0) or flat[-1] not in (0.0, 1.0)):  # soft rows stop here
         return None
-    raw = struct.pack("<%dd" % len(flat), *flat)
+    try:
+        raw = struct.pack("<%dd" % len(flat), *flat)
+    except struct.error:  # an int too large for a float
+        return None
     top, like = raw[7::8], bytearray(len(raw))  # like: +0.0 or 1.0 as each top byte reads
     like[6::8], like[7::8] = top.translate(_SIXTH), top
     if top.translate(None, b"\0?") or raw != like:
         return None
+    return top.translate(_UNIT)
+
+
+def _floats(units: bytes, count: int) -> list[list[float]]:
+    """``count`` rows of floats, +0.0 or 1.0 as the 0/1 bytes ``units`` say."""
+    if not units:  # no row or no column, which a memoryview's shape cannot hold
+        return [[] for _ in range(count)]
+    raw, top = bytearray(8 * len(units)), units.translate(_TOP)
+    raw[_HI::8], raw[_LO::8] = top, top.translate(_SIXTH)
+    return memoryview(raw).cast("d", (count, len(units) // count)).tolist()
+
+
+def _bits(flat: list[float], n: int) -> tuple[str, list[str]] | None:
+    """A row's ``%s]`` slot and each row's text up to its ``]``, if every float
+    of ``flat`` (rows of ``n``) is +0.0 or 1.0 (see ``_units``); else None."""
+    if not n or (units := _units(flat)) is None:
+        return None
     digits = bytearray(_slots(n, "0"), "ascii") * (len(flat) // n)
-    digits[1::3] = top.translate(_DIGIT)  # rows "[0, 0]" end to end: float i's digit is at 1 + 3 i
+    digits[1::3] = units.translate(_DIGIT)  # rows "[0, 0]" end to end: float i's digit is at 1 + 3 i
     return "%s]", digits[:-1].decode().split("]")  # each row's text but its "]"
 
 
@@ -163,12 +184,23 @@ def _write(obj: Any, parts: list[str], values: list) -> None:
 
 
 def load_file(path: str) -> Any:
-    """Parse a JSON file; a syntax error names the file, line and column."""
-    with open(path, "r", encoding="utf-8") as handle:
+    """Parse a JSON file, byte-order mark or not; a syntax error names the file,
+    line and column, and a key that an object repeats names the file and key."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
         try:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=_unique)
         except json.JSONDecodeError as exc:
             raise FileFormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+        except FileFormatError as exc:
+            raise FileFormatError(f"{path}: {exc}") from None
+
+
+def _unique(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object from its (key, value) pairs, which must not repeat a key."""
+    if len(obj := dict(pairs)) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise FileFormatError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
 
 
 def check_keys(obj: Any, context: str, required: Iterable[str], optional: Iterable[str] = ()) -> None:
@@ -308,6 +340,13 @@ def load_value(raw: Any, context: str, *, interval: bool) -> Any:
 def all_of(kind: type, values: Sequence) -> bool:
     """Whether the type of every value is ``kind`` itself (not a subclass)."""
     return list(map(type, values)).count(kind) == len(values)
+
+
+def numbers(values: Sequence) -> bool:
+    """Whether every value is a float or an int, not a bool or a subclass."""
+    kinds = list(map(type, values))
+    floats = kinds.count(float)  # fast, unlike counting a type that no value has
+    return floats + (floats < len(values) and kinds.count(int)) == len(values)
 
 
 def dump_value(value: Any) -> Any:

@@ -158,6 +158,44 @@ def test_validate_reports_json_position(tmp_path, capsys):
     assert "2:" in err
 
 
+BOM_COMMANDS = [
+    ["lcm", "diffpcm_t1.json", "--mode", "crisp"],
+    ["lcm", "diffpcm_t1.json", "--mode", "crisp", "--pretty"],
+    ["lcm", "diffpcm_t2.json"],
+    ["solve", "fig1.json"],
+    ["validate", "fig1.json"],
+    ["validate", "diffpcm_t1.json"],
+    ["validate", "anfis_models.json"],
+    ["anfis-predict", "anfis_two_rule.json", "--input", "0.6,0.2"],
+]
+
+
+@pytest.mark.parametrize("argv", BOM_COMMANDS, ids=" ".join)
+def test_a_byte_order_mark_changes_no_output(data_dir, tmp_path, capsys, argv):
+    command, name, *options = argv
+    marked = tmp_path / name
+    marked.write_bytes(b"\xef\xbb\xbf" + (data_dir / name).read_bytes())
+    expected = run(capsys, command, str(data_dir / name), *options)
+    assert expected[0] == 0
+    assert run(capsys, command, str(marked), *options) == expected
+
+
+@pytest.mark.parametrize("command", ["lcm", "solve", "validate"])
+@pytest.mark.parametrize("name, old, new, key", [
+    ("diffpcm_t1.json", '"entry": "B0",', '"entry": "B0", "entry": "B5",', "entry"),
+    ("diffpcm_t1.json", '"alpha": 0.001,', '"alpha": 0.001, "alpha": 0.5,', "alpha"),
+    ("fig1.json", '"start": "B0",', '"start": "B0", "start": "B1",', "start"),
+])
+def test_a_repeated_key_is_rejected(data_dir, tmp_path, capsys, command, name, old, new, key):
+    """Not resolved to its last value: ``"entry": "B0", "entry": "B5"`` would
+    run from B5 and report faults the file does not have."""
+    text = (data_dir / name).read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    path = tmp_path / name
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    assert run(capsys, command, str(path)) == (1, "", f"error: {path}: duplicate key {key!r}\n")
+
+
 def test_unknown_key_is_a_format_error(tmp_path, capsys):
     path = tmp_path / "odd.json"
     path.write_text(json.dumps({"start": "a", "nodes": [], "edges": [], "extra": 1}))

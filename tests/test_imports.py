@@ -2,10 +2,14 @@
 
 ``import fuzzydfa`` loads no submodule; the command line imports per
 command, so ``solve`` and graph ``validate`` never load numpy, ``lcm`` loads
-none of the flow-graph stack and the ANFIS commands load neither.  No
-command loads ``dataclasses``, and ``solve`` and graph ``validate`` load no
-``inspect`` either (numpy imports it, so the other commands do).  Each case
-runs in a fresh interpreter, since this one has imported everything.
+none of the flow-graph stack and the ANFIS commands load neither.  A crisp
+``lcm`` run, and ``validate`` on an LCM file whose rows are all 0 or 1, load
+no numpy either: ``import fuzzydfa.lcm`` alone loads none, and only soft runs
+and soft rows load the array engine, ``fuzzydfa._soft``.  These commands also
+run, and print the frozen bytes, where numpy cannot be imported at all.  No
+command loads ``dataclasses``, and those that need no numpy load no
+``inspect`` either (numpy imports it).  Each case runs in a fresh
+interpreter, since this one has imported everything.
 """
 
 import json
@@ -22,13 +26,13 @@ SRC = Path(fuzzydfa.__file__).resolve().parents[1]
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "demos" / "data"
 
-# Prints the exit code of ``cli.main(argv)`` (None for a bare import) and
+# Prints the exit code of ``cli.main(argv)`` (None for an import alone) and
 # the fuzzydfa submodules, numpy, dataclasses and inspect that the run loaded.
 _CHILD = """
-import contextlib, io, json, sys
+import contextlib, importlib, io, json, sys
 sys.path.insert(0, {src!r})
 argv = {argv!r}
-import fuzzydfa
+importlib.import_module({module!r})
 code = None
 if argv is not None:
     from fuzzydfa.cli import main
@@ -40,9 +44,9 @@ print(json.dumps({{"code": code, "loaded": sorted(loaded)}}))
 """
 
 
-def _loaded(argv):
+def _loaded(argv, module="fuzzydfa"):
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD.format(src=str(SRC), argv=argv)],
+        [sys.executable, "-c", _CHILD.format(src=str(SRC), argv=argv, module=module)],
         capture_output=True, text=True, check=True,
     )
     result = json.loads(proc.stdout)
@@ -51,35 +55,105 @@ def _loaded(argv):
 
 
 GRAPH_STACK = {"solver", "flowgraph", "formula"}
+NO_ARRAYS = {"numpy", "inspect", "_soft", "anfis"} | GRAPH_STACK
 COMMANDS = {
     # The benchmark's six commands.
     "solve": (["solve", "fig1.json"], {"numpy", "inspect", "lcm", "anfis"}),
     "validate": (["validate", "fig1.json"], {"numpy", "inspect", "lcm", "anfis"}),
     "lcm_fuzzy": (["lcm", "diffpcm_t1.json", "--mode", "fuzzy"], {"anfis"} | GRAPH_STACK),
-    "lcm_crisp": (["lcm", "diffpcm_t1.json", "--mode", "crisp"], {"anfis"} | GRAPH_STACK),
+    "lcm_crisp": (["lcm", "diffpcm_t1.json", "--mode", "crisp"], NO_ARRAYS),
     "lcm_interval": (["lcm", "diffpcm_t2.json"], {"anfis"} | GRAPH_STACK),
     "anfis_train": (["anfis-train", "anfis_models.json", "anfis_samples.csv", "--mu", "0.05",
                      "--period-length", "25"], {"lcm"} | GRAPH_STACK),
     # The other commands and file kinds.
     "anfis_predict": (["anfis-predict", "anfis_two_rule.json", "--input", "0.6,0.2"],
                       {"lcm"} | GRAPH_STACK),
-    "validate_lcm": (["validate", "diffpcm_t1.json"], {"anfis"} | GRAPH_STACK),
+    "lcm_crisp_pretty": (["lcm", "diffpcm_t1.json", "--mode", "crisp", "--pretty"], NO_ARRAYS),
+    "lcm_crisp_file": (["lcm", "crisp_t1.json"], NO_ARRAYS),
+    "validate_lcm": (["validate", "diffpcm_t1.json"], NO_ARRAYS),  # every row is 0 or 1
+    "validate_crisp_lcm": (["validate", "crisp_t1.json"], NO_ARRAYS),
+    "validate_interval_lcm": (["validate", "diffpcm_t2.json"], {"anfis"} | GRAPH_STACK),
     "validate_model": (["validate", "anfis_two_rule.json"], {"lcm"} | GRAPH_STACK),
 }
+
+
+def crisp_copy(directory: Path) -> Path:
+    """``diffpcm_t1.json`` with ``"mode": "crisp"``, written in ``directory``."""
+    data = json.loads((DATA / "diffpcm_t1.json").read_text(encoding="utf-8"))
+    path = directory / "crisp_t1.json"
+    path.write_text(json.dumps({**data, "mode": "crisp"}, indent=2), encoding="utf-8")
+    return path
 
 
 def test_bare_import_loads_no_submodule_and_no_numpy():
     assert _loaded(None) == set()
 
 
+def test_importing_lcm_loads_no_numpy():
+    assert _loaded(None, "fuzzydfa.lcm") == {"_jsonio", "lcm", "truth"}
+
+
 @pytest.mark.parametrize("name", COMMANDS)
-def test_each_command_loads_only_what_it_runs(name):
+def test_each_command_loads_only_what_it_runs(name, tmp_path):
     argv, forbidden = COMMANDS[name]
-    argv = [str(DATA / a) if a.endswith((".json", ".csv")) else a for a in argv]
+    crisp = crisp_copy(tmp_path)
+    argv = [str(crisp) if a == crisp.name else str(DATA / a) if a.endswith((".json", ".csv"))
+            else a for a in argv]
     loaded = _loaded(argv)
     assert "cli" in loaded
     forbidden = forbidden | {"dataclasses"}
     assert not loaded & forbidden, f"{name} loaded {sorted(loaded & forbidden)}"
+
+
+# Runs where ``import numpy`` fails: prints the digest of each command's
+# [exit code, stdout, stderr], as ``test_cli_golden`` takes it, after a crisp
+# round trip through the library.
+_NO_NUMPY = """
+import contextlib, hashlib, io, json, os, sys
+sys.modules["numpy"] = None  # import numpy raises ImportError
+sys.path.insert(0, {src!r})
+os.chdir({root!r})
+from fuzzydfa import _jsonio, lcm
+from fuzzydfa.cli import main
+
+problem, _ = lcm.load_problem_file("demos/data/diffpcm_t1.json")
+result = lcm.lcm_pipeline(problem, "crisp")
+report = result.to_json_dict()
+for name in ("av_out", "an_in", "an_out", "later_in", "delete"):
+    assert dict(getattr(result, name)) == report[name], name
+for name in ("earliest", "later_out", "insert"):
+    rows = {{(row["from"], row["to"]): row["values"] for row in report[name]}}
+    assert dict(getattr(result, name)) == rows, name
+assert result == lcm.lcm_pipeline(problem, "crisp")
+assert lcm.validate_problem(problem, "fuzzy") == []  # its held 0/1 rows need no array
+assert problem.dee["B4"][5] == 1.0 and lcm.validate_problem(problem, "crisp") == []
+assert _jsonio.dumps(report).startswith('{{"mode": "crisp"')
+
+digests = {{}}
+for name, argv in {commands!r}.items():
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    output = json.dumps([code, out.getvalue(), err.getvalue()])
+    digests[name] = hashlib.sha256(output.encode("utf-8")).hexdigest()
+print(json.dumps(digests))
+"""
+NO_NUMPY_COMMANDS = {
+    "cli/lcm_crisp": ["lcm", "demos/data/diffpcm_t1.json", "--mode", "crisp"],
+    "cli/lcm_pretty_diffpcm_t1_crisp": ["lcm", "demos/data/diffpcm_t1.json", "--pretty", "--mode",
+                                        "crisp"],
+    "cli/validate_t1": ["validate", "demos/data/diffpcm_t1.json"],
+    "cli/solve": ["solve", "demos/data/fig1.json"],
+    "cli/validate": ["validate", "demos/data/fig1.json"],
+}
+
+
+def test_crisp_commands_print_their_frozen_bytes_without_numpy():
+    code = _NO_NUMPY.format(src=str(SRC), root=str(ROOT), commands=NO_NUMPY_COMMANDS)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    golden = json.loads((ROOT / "tests" / "cli_golden.json").read_text(encoding="utf-8"))
+    assert json.loads(proc.stdout) == {name: golden[name] for name in NO_NUMPY_COMMANDS}
 
 
 # -- the package API -----------------------------------------------------------------

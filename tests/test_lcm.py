@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from fuzzydfa import (LcmEdge, LcmProblem, LogicFamily, SolverConfig, TruthInterval,
                       WidthMismatchError)
 from fuzzydfa import _jsonio
+from fuzzydfa import _soft as S
 from fuzzydfa import lcm as L
 from krs_oracle import krs_bitvector, random_crisp_problem
 
@@ -319,6 +321,68 @@ def test_crisp_random_cfgs_match_bitvector_oracle():
         assert any(any(row["values"]) for row in ordered["insert"])
 
 
+def crisp_file(problem: LcmProblem) -> dict:
+    """``problem`` as the object of a crisp problem file, read back from its text."""
+    edges = [{"from": e.src, "to": e.dst, "alpha": e.alpha, "alpha_back": e.alpha_back}
+             for e in problem.edges]
+    rows = {name: getattr(problem, name) for name in ("dee", "uee", "kill")}
+    return json.loads(json.dumps({"mode": "crisp", "entry": problem.entry, "exit": problem.exit,
+                                  "blocks": problem.blocks, "edges": edges,
+                                  "exprs": problem.exprs, **rows}))
+
+
+def report_rows(report: dict, name: str) -> dict:
+    """Matrix ``name`` of a report as block or (src, dst) -> row."""
+    rows = report[name]
+    return dict(rows) if isinstance(rows, dict) else {(r["from"], r["to"]): r["values"] for r in rows}
+
+
+def _with_negative_zero(problem: LcmProblem) -> None:
+    row = next((row for row in problem.dee.values() if 0.0 in row), None)
+    if row is not None:
+        row[row.index(0.0)] = -0.0
+
+
+CRISP_ROWS = {
+    "floats": lambda problem: None,
+    "ints": lambda problem: [setattr(problem, name, {b: list(map(int, row)) for b, row in
+                                                     getattr(problem, name).items()})
+                             for name in ("dee", "uee", "kill")],
+    "a -0.0 entry": _with_negative_zero,  # walked in a library dict
+}
+
+
+@pytest.mark.parametrize("rows", CRISP_ROWS)
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 63, 64, 65])
+def test_crisp_reports_at_any_width_match_the_oracle_parsed_or_built(width, rows):
+    """Row ints hold one byte per expression, so widths at and past the byte
+    and word edges report as the oracle says, with the same bytes whether the
+    problem is built in the library or parsed from its file, and each view row
+    equal to its report row, of floats."""
+    rng = random.Random(f"widths/{width}/{rows}")
+    for _ in range(3):
+        problem = with_crisp_rows(random_crisp_problem(rng, max_blocks=12), rng, width)
+        CRISP_ROWS[rows](problem)
+        insert_ref, delete_ref = krs_bitvector(problem)
+        parsed, settings = L.problem_from_json_dict(crisp_file(problem))
+        assert settings.mode == "crisp"
+        texts = []
+        for source in (problem, parsed):
+            result = L.lcm_pipeline(source, "crisp")
+            report = result.to_json_dict()
+            texts.append(_jsonio.dumps(report))
+            for name in ("av_out", "an_in", "an_out", "earliest", "later_in", "later_out",
+                         "insert", "delete"):
+                expected = report_rows(report, name)
+                assert dict(getattr(result, name)) == expected, name
+                assert {type(v) for row in expected.values() for v in row} <= {float}, name
+            assert {key: {k for k, v in enumerate(row) if v}
+                    for key, row in result.insert.items()} == insert_ref
+            assert {b: {k for k, v in enumerate(row) if v}
+                    for b, row in result.delete.items()} == delete_ref
+        assert texts[0] == texts[1]
+
+
 def test_fuzzy_on_chains_with_unit_weights_matches_crisp():
     rng = random.Random(67)
     for _ in range(40):
@@ -348,7 +412,7 @@ def test_crisp_reports_are_exact_under_any_family(s, monkeypatch):
     coarse epsilon, one sweep and grid snapping change nothing, and the run
     still converges.  It never enters the soft array engine."""
     for name in ("_Run", "_Links", "_meet", "_fixpoint"):
-        monkeypatch.setattr(L, name, None)  # calling it would raise
+        monkeypatch.setattr(S, name, None)  # calling it would raise
     family = LogicFamily.frank(s)
     assert family.tnorm(1.0, 1.0) != 1.0  # the rounding crisp mode must not inherit
     loose = SolverConfig(family, epsilon=0.5, max_iters=1, quantize_bits=2)
@@ -917,7 +981,7 @@ def test_files_load_and_run_as_when_walked_field_by_field(data_dir, monkeypatch,
     data = _jsonio.load_file(str(data_dir / f"{stem}.json"))
     SPOILS[spoil](data)
     held = parse_and_run(data)
-    monkeypatch.setattr(L, "_row_array", lambda *args: None)
+    monkeypatch.setattr(L, "_entries", lambda *args: None)
     monkeypatch.setattr(L, "_edge_columns", lambda *args: None)
     walked = parse_and_run(data)
     assert held == walked  # the runs come first: comparing problems builds their fields
@@ -1027,30 +1091,32 @@ def test_library_rows_run_as_when_walked_entry_by_entry(monkeypatch, spoil, mode
     problem = diffpcm_problem()
     edit(problem)
     assert run_or_errors(problem, mode) == expected
-    monkeypatch.setattr(L, "_row_array", lambda *args: None)
+    monkeypatch.setattr(L, "_entries", lambda *args: None)
     assert run_or_errors(problem, mode) == expected
 
 
 @pytest.mark.parametrize("mode", L.MODES)
 def test_each_row_array_is_built_once_per_run(monkeypatch, data_dir, mode):
-    """Validation builds each row field's array, and the run stacks those:
-    a library-built problem's rows are read once per call, a parsed
-    problem's held arrays not at all."""
-    row_array, built = L._row_array, []
+    """Validation checks each row field in bulk, and the run uses what it
+    checked: a library-built problem's rows are read once per call, a parsed
+    problem's held bytes or arrays not at all."""
+    entries, built = L._entries, []
 
-    def counting_row_array(raw, *args):
+    def counting_entries(raw, *args):
         built.append(raw)
-        return row_array(raw, *args)
+        return entries(raw, *args)
 
-    monkeypatch.setattr(L, "_row_array", counting_row_array)
+    monkeypatch.setattr(L, "_entries", counting_entries)
     library = moded_problem(21, mode)
-    parsed, _ = L.load_problem_file(str(data_dir / "diffpcm_t2.json"))
+    parsed, _ = L.load_problem_file(str(data_dir / "diffpcm_t2.json"))  # rows held as arrays
+    unit, _ = L.load_problem_file(str(data_dir / "diffpcm_t1.json"))  # rows held as 0/1 bytes
     built.clear()
     for _ in range(2):
         L.lcm_pipeline(library, mode)
         assert list(map(id, built)) == [id(library.dee), id(library.uee), id(library.kill)]
         built.clear()
         L.lcm_pipeline(parsed, "interval")
+        L.lcm_pipeline(unit, mode)
         assert built == []
 
 
@@ -1101,10 +1167,15 @@ def single_expression(problem: LcmProblem, k: int) -> LcmProblem:
                       problem.entry, problem.exit)
 
 
-def column_bits(result) -> list[bytes]:
-    """Each expression's column of every matrix of ``result``, as raw bits."""
-    return [b"".join(values[:, k].tobytes() for values in result._arrays.values())
-            for k in range(len(result.exprs))]
+def column_bits(result) -> list[str]:
+    """Each expression's column of every matrix of ``result``, as the report
+    writes it: 17 digits give every float's bits."""
+    report = result.to_json_dict()
+    rows = [row["values"] if isinstance(row, dict) else row
+            for name in ("av_out", "an_in", "an_out", "earliest", "later_in", "later_out",
+                         "insert", "delete")
+            for row in (report[name].values() if isinstance(report[name], dict) else report[name])]
+    return [_jsonio.dumps([row[k] for row in rows]) for k in range(len(result.exprs))]
 
 
 def assert_stacking_changes_nothing(problem, mode, family, cfg=None):
@@ -1147,7 +1218,7 @@ def test_interval_conj_keeps_ordered_pairs_ordered():
     from hypothesis import HealthCheck, given, settings
     from hypothesis import strategies as st
 
-    runs = [L._Run(interval_problem(), "interval", SolverConfig(LogicFamily.parse(logic)))
+    runs = [S._Run(interval_problem(), "interval", SolverConfig(LogicFamily.parse(logic)))
             for logic in STACK_FAMILIES]
     assert [run.resort for run in runs] == [logic == "frank:2" for logic in STACK_FAMILIES]
     ends = st.one_of(st.floats(0.0, 1.0), st.sampled_from(
@@ -1301,10 +1372,10 @@ def test_one_slow_analysis_leaves_the_report_unconverged(slow, mode, logic):
     settled, climbing = (("an_in", "an_out"), ("av_out",)) if slow == "av" else (
         ("av_out",), ("an_in", "an_out"))
     for name in settled:
-        assert (capped._arrays[name] == full._arrays[name]).all(), name
+        assert (capped._matrices[name] == full._matrices[name]).all(), name
     for name in climbing:
-        assert (capped._arrays[name][:, 0] != full._arrays[name][:, 0]).any(), name
-        assert (capped._arrays[name][:, 1] == full._arrays[name][:, 1]).all(), name
+        assert (capped._matrices[name][:, 0] != full._matrices[name][:, 0]).any(), name
+        assert (capped._matrices[name][:, 1] == full._matrices[name][:, 1]).all(), name
     assert report_digest(capped) == STAGE1_DIGESTS[f"{slow}/{mode}/{logic}"]
 
 
@@ -1319,7 +1390,7 @@ def test_problems_without_edges_or_expressions_report_as_before(mode):
 @pytest.mark.parametrize("slow", ["av", "an"])
 def test_stage1_meets_an_analysis_only_while_it_has_active_columns(monkeypatch, slow):
     widths, built, plans = [], [], []  # plans: (plan, the column counts of its analyses)
-    plan, meet = L._Links.plan, L._meet
+    plan, meet = S._Links.plan, S._meet
 
     def plan_spy(self, a, b, n_cols, width, fresh=False):
         if fresh:  # one analysis's part of a rows-first plan: stage 1's
@@ -1333,8 +1404,8 @@ def test_stage1_meets_an_analysis_only_while_it_has_active_columns(monkeypatch, 
         widths.extend(next((counts for p, counts in plans if p is terms), []))
         return meet(rows, terms, n)
 
-    monkeypatch.setattr(L._Links, "plan", plan_spy)
-    monkeypatch.setattr(L, "_meet", meet_spy)
+    monkeypatch.setattr(S._Links, "plan", plan_spy)
+    monkeypatch.setattr(S, "_meet", meet_spy)
     L.lcm_pipeline(loop_problem(slow, "fuzzy"), "fuzzy",
                    cfg=SolverConfig(LogicFamily.product(), max_iters=STAGE1_CAP))
     assert 0 not in widths
