@@ -1,15 +1,14 @@
 """The array engine of ``lcm``'s fuzzy and interval modes (see ``lcm``).  ``lcm``
-imports it, and with it numpy, only for a soft run or soft rows."""
+imports it, and with it numpy, only for a fuzzy or interval run: parsing and
+validating build no array."""
 
 from __future__ import annotations
 
 import operator
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from . import _jsonio
 from .lcm import _MATRICES, LcmProblem, LcmResult, _checked
 from .truth import SolverConfig
 
@@ -43,7 +42,9 @@ class _Run:
     """One problem in fuzzy or interval mode, validated on construction: the
     mode's connectives, from ``cfg.family``, and fixed-point settings ``cfg``,
     the edges as block indices and as each direction's ``_Links``, and rows as
-    (blocks, exprs, w) arrays in block order.  The complement reverses a
+    (blocks, exprs, w) arrays in block order, built here from what ``lcm._validate``
+    checked: 0/1 bytes or lists of numbers, a number v as (v, v) where w = 2, or
+    (lows, highs) lists, with -0.0 as 0.0.  The complement reverses a
     (lo, hi) pair; the T-norm works endpoint-wise and gives the scalar's bits
     on every element.  Only Frank's pairs are re-sorted against rounding, as
     the interval reading of ``formula`` does: the other T-norms are monotone
@@ -52,8 +53,10 @@ class _Run:
     def __init__(self, problem: LcmProblem, mode: str, cfg: SolverConfig):
         rows, self.keys, (src, dst, alpha, alpha_back), self.entry = _checked(problem, mode)
         shape = (len(problem.blocks), len(problem.exprs), 1 + (mode == "interval"))
-        self.rows = {name: np.repeat(np.frombuffer(v, np.uint8), shape[2]).reshape(shape) + 0.0
-                     if type(v) is bytes else np.reshape(v, shape) for name, v in rows.items()}
+        zero = np.zeros(shape)  # + zero: -0.0 as 0.0, and a number v as (v, v) where w = 2
+        flat = {name: np.array(memoryview(v) if type(v) is bytes else v, float)
+                for name, v in rows.items()}  # (lows, highs) as (2, entries)
+        self.rows = {name: v.T.reshape(shape[:2] + (v.ndim,)) + zero for name, v in flat.items()}
         self.cfg, self.term, self._tnorm = cfg, cfg.family._term, cfg.family._tnorm_terms
         self.resort = mode == "interval" and cfg.family.kind == "frank"
         self.src, self.dst = np.array(src, dtype=int), np.array(dst, dtype=int)
@@ -205,29 +208,3 @@ def _insert_delete(run: _Run, later_in, later_out, uee):
     delete = run.conj(uee, not_later)
     delete[run.entry] = 0.0
     return run.conj(later_out, not_later[run.dst]), delete
-
-
-def _row_array(flat: list | None, shape: tuple, pair: type | None) -> np.ndarray | None:
-    """A row matrix's entries (see ``lcm._entries``) as a read-only array of
-    ``shape`` (blocks, exprs, w), if each is a float or non-bool int in [0, 1]
-    (w = 1); with ``pair``, the pair type (``list`` in a file, ``TruthInterval``
-    in the library), such a number v, as (v, v), or an ordered pair of them
-    (w = 2).  Else None: walk to name a fault."""
-    if flat is None:
-        return None
-    if pair is not None:  # a number v as (v, v)
-        flat = [v if type(v) is list else (v, v) for v in flat] if pair is list else [
-            (v.lo, v.hi) if type(v) is pair else (v, v) for v in flat]
-        if list(map(len, flat)).count(2) != len(flat):
-            return None
-        flat = list(chain.from_iterable(flat))
-    if not _jsonio.numbers(flat):
-        return None
-    try:
-        values = np.array(flat, dtype=float).reshape(shape) + 0.0  # -0.0 to 0.0
-    except OverflowError:  # an int too large for a float
-        return None
-    values.flags.writeable = False
-    ok = values.min(initial=0.0) >= 0.0 and values.max(initial=1.0) <= 1.0 and (  # not NaN
-        pair is None or (values[..., 0] <= values[..., 1]).all())
-    return values if ok else None

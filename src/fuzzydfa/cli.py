@@ -274,6 +274,11 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:  # FileFormatError and NoRuleFiresError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ImportError as exc:  # fuzzy and interval lcm and the ANFIS tools run on numpy
+        if exc.name != "numpy":
+            raise
+        print(f"error: {args.command} needs numpy, which cannot be imported: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -12,14 +12,16 @@ The four stages: (1) the availability (forward) and anticipatability
 Earliest predicate per edge, (3) the Later fixed point over edges, (4) the
 pointwise Insert (edge gains an evaluation) and Delete (block loses one).
 
-Crisp mode is the classical bit-vector algorithm, and imports no numpy: a row
-is one int, byte k 0 or 1 for expression k, and each fixed point is the
-greatest, found by a worklist from top, whatever the logic family and stopping
-rule.  Fuzzy and interval modes share one array engine, in ``_soft``: values
-are float arrays of shape (rows, exprs, w), with w = 1 for scalars and w = 2
-for (lo, hi) intervals, and each fixed point is swept over all expressions at
-once, from zero, with the meet the alpha-weighted average of the flow-graph
-framework, until a sweep moves an expression by less than epsilon.
+Parsing and validating check rows in plain Python, in every mode, and load no
+numpy.  Crisp mode is the classical bit-vector algorithm, and loads none
+either: a row is one int, byte k 0 or 1 for expression k, and each fixed point
+is the greatest, found by a worklist from top, whatever the logic family and
+stopping rule.  Fuzzy and interval runs share one array engine, ``_soft``, the
+one user of numpy: values are float arrays of shape (rows, exprs, w), with
+w = 1 for scalars and w = 2 for (lo, hi) intervals, and each fixed point is
+swept over all expressions at once, from zero, with the meet the
+alpha-weighted average of the flow-graph framework, until a sweep moves an
+expression by less than epsilon.
 
 Boundary conventions (identical in all modes): the entry block's available
 set is just its downward-exposed set, the exit block's anticipated set is
@@ -73,11 +75,10 @@ class LcmEdge(_Frozen):
 
 class LcmProblem(_Record):
     """A parsed problem may hold ``dee``, ``uee``, ``kill`` and ``edges`` unbuilt,
-    each built on its first read: a row field of 0s and 1s as one 0/1 byte per
-    entry, row after row, other rows as a (blocks, exprs, w) array, and the edges
-    as columns.  Runs use what is held until the field is read or assigned, and
-    the field after that, so edits show.  Held or not, a run's rows are checked
-    by ``validate_problem``."""
+    each built on its first read: a row field as ``_bulk`` checked it, row after
+    row, and the edges as columns.  Runs use what is held until the field is read
+    or assigned, and the field after that, so edits show.  Held or not, a run's
+    rows are checked by ``validate_problem``."""
 
     _fields = ("blocks", "edges", "exprs", "dee", "uee", "kill", "entry", "exit")
     _parsed: Mapping[str, Any] = MappingProxyType({})  # what a parsed problem holds, by field
@@ -95,17 +96,18 @@ class LcmProblem(_Record):
         held, blocks = self._parsed[name], self._parsed_blocks
         if name == "edges":
             value = [LcmEdge(*edge) for edge in zip(*held)]
-        elif type(held) is bytes:
-            value = dict(zip(blocks, _jsonio._floats(held, len(blocks))))
-        else:
-            value = _rows(blocks, held)
+        else:  # rows as wide as held, whatever ``exprs`` holds now
+            entries = (list(map(TruthInterval, *held)) if type(held) is tuple
+                       else [v + 0.0 for v in held])  # bytes and ints as floats, -0.0 as 0.0
+            n = len(entries) // max(len(blocks), 1)
+            value = {b: entries[i * n:i * n + n] for i, b in enumerate(blocks)}
         setattr(self, name, value)
         return value
 
     def _held(self, name: str) -> Any:
-        """What is held for field ``name`` (0/1 bytes or an array for rows, columns
-        for edges), while that field is unbuilt and the blocks are the parsed
-        ones; else None."""
+        """What is held for field ``name`` (``_bulk``'s rows, or columns for
+        edges), while that field is unbuilt and the blocks are the parsed ones;
+        else None."""
         held = name in self._parsed and name not in vars(self) and self.blocks == self._parsed_blocks
         return self._parsed[name] if held else None
 
@@ -115,27 +117,19 @@ class LcmProblem(_Record):
             zip(*[(e.src, e.dst, e.alpha, e.alpha_back) for e in self.edges])) or ((),) * 4
 
 
-def _rows(keys: Sequence, values: Any) -> dict:
-    """keys[i] -> row i of a (rows, exprs, w) array: floats, or TruthIntervals where w = 2."""
-    if values.shape[-1] == 1:
-        rows = values[..., 0].tolist()
-    else:
-        rows = [[TruthInterval(lo, hi) for lo, hi in row] for row in values.tolist()]
-    return dict(zip(keys, rows))
-
-
 def validate_problem(problem: LcmProblem, mode: str) -> list[str]:
     """Structural and per-mode value checks; returns the errors.  Each row field
-    is checked in bulk, as what a parsed problem holds or built once, walked only
-    to name a fault.  An entry must be a real number other than a bool that
-    ``truth_value`` accepts (0 or 1 in crisp mode), or in interval mode a TruthInterval."""
+    is taken as a parsed problem holds it, or checked in one pass by ``_bulk``,
+    and walked only to name a fault; no array is built.  An entry must be a real
+    number other than a bool that ``truth_value`` accepts (0 or 1 in crisp mode),
+    or in interval mode a TruthInterval."""
     return _validate(problem, mode)[0]
 
 
 def _validate(problem: LcmProblem, mode: str) -> tuple[list[str], dict, tuple]:
     """``validate_problem``'s errors, each valid row field's rows by name, and the
-    edge columns checked.  Rows are 0/1 bytes, one per entry, in crisp mode and
-    where held; else a (blocks, exprs, w) array or the walked (v,) or (lo, hi)."""
+    edge columns checked.  Rows are as ``_bulk`` gives them, bytes in crisp mode;
+    a field it does not take is walked into the same form, its entries clamped."""
     if mode not in MODES:
         return [f"unknown mode {mode!r}; expected one of {MODES}"], {}, ()
     errors: list[str] = []
@@ -185,18 +179,13 @@ def _validate(problem: LcmProblem, mode: str) -> tuple[list[str], dict, tuple]:
 
     width, interval = len(problem.exprs), mode == "interval"
     kinds = "a number or an interval" if interval else "a number"
-    shape = (len(problem.blocks), width, 1 + interval)
+    cells = len(problem.blocks) * width
     for name in ("dee", "uee", "kill"):
-        values = problem._held(name)
-        if not (type(values) is bytes and len(values) == shape[0] * width
-                or mode != "crisp" and getattr(values, "shape", None) == shape):
-            flat = _entries(getattr(problem, name), problem.blocks, width)
-            if mode == "crisp":
-                values = _unit_bytes(flat)
-            else:
-                from . import _soft  # which loads numpy
-
-                values = _soft._row_array(flat, shape, TruthInterval if interval else None)
+        values = problem._held(name)  # numbers read as (v, v) in interval mode
+        if not ((type(values) is bytes or type(values) is list and mode != "crisp")
+                and len(values) == cells or type(values) is tuple and interval
+                and len(values[0]) == cells):
+            values = _bulk(_entries(getattr(problem, name), problem.blocks, width), mode)
         if values is not None:
             rows[name] = values
             continue  # nothing to name
@@ -219,7 +208,7 @@ def _validate(problem: LcmProblem, mode: str) -> tuple[list[str], dict, tuple]:
                 continue
             for k, v in enumerate(row):
                 if isinstance(v, TruthInterval):
-                    walked.append((v.lo, v.hi))
+                    walked += v.lo, v.hi
                     if not interval:
                         errors.append(f"{name}[{b!r}][{k}]: interval value in {mode} mode")
                 elif isinstance(v, bool) or not isinstance(v, numbers.Real):
@@ -228,14 +217,15 @@ def _validate(problem: LcmProblem, mode: str) -> tuple[list[str], dict, tuple]:
                     errors.append(f"{name}[{b!r}][{k}]: crisp mode needs 0 or 1, got {v!r}")
                 else:
                     try:
-                        walked.append((truth_value(v),) * (1 + interval))
+                        walked += (truth_value(v),) * (1 + interval)
                     except (TruthValueError, OverflowError) as exc:  # or an int too large
                         errors.append(f"{name}[{b!r}][{k}]: {exc}")
         for b in matrix:
             if b not in blocks:
                 errors.append(f"{name}: row for unknown block {b!r}")
         if len(errors) == count:
-            rows[name] = bytes(map(int, chain.from_iterable(walked))) if mode == "crisp" else walked
+            rows[name] = (bytes(map(int, walked)) if mode == "crisp" else
+                          (walked[::2], walked[1::2]) if interval else walked)
     return errors, rows, columns
 
 
@@ -267,8 +257,13 @@ class LcmResult(_Frozen):
         if name not in _MATRICES:
             raise AttributeError(name)
         keys, values = self._edges if name in _EDGE_MATRICES else self._blocks, self._matrices[name]
-        rows = dict(zip(keys, self._crisp_rows(values))) if self.mode == "crisp" else _rows(keys, values)
-        self.__dict__[name] = MappingProxyType(rows)
+        if self.mode == "crisp":
+            rows = self._crisp_rows(values)
+        elif values.shape[-1] == 1:
+            rows = values[..., 0].tolist()
+        else:
+            rows = [[TruthInterval(lo, hi) for lo, hi in row] for row in values.tolist()]
+        self.__dict__[name] = MappingProxyType(dict(zip(keys, rows)))
         return self.__dict__[name]
 
     def _crisp_rows(self, ints: list[int]) -> list[list[float]]:
@@ -434,13 +429,7 @@ def problem_from_json_dict(data: Any) -> tuple[LcmProblem, _jsonio.Settings]:
     exprs = _jsonio.load_strings(data["exprs"], "exprs")
 
     def matrix(name: str) -> BlockMatrix | None:
-        flat = _entries(data[name], blocks, len(exprs))
-        held = None if interval else _unit_bytes(flat)  # an interval file's rows are pairs
-        if held is None and flat is not None:
-            from . import _soft  # which loads numpy
-
-            held = _soft._row_array(flat, (len(blocks), len(exprs), 1 + interval),
-                                    list if interval else None)
+        held = _bulk(_entries(data[name], blocks, len(exprs)), settings.mode, list)
         if held is not None:
             parsed[name] = held
             return None
@@ -502,10 +491,30 @@ def _entries(raw: Any, blocks: list, width: int) -> list | None:
     return list(chain.from_iterable(rows))
 
 
-def _unit_bytes(flat: list | None) -> bytes | None:
-    """One 0/1 byte per entry, if each is a float or non-bool int, +0.0 or 1.0."""
-    ok = flat is not None and (not flat or type(flat[0]) in (float, int) and flat[0] in (0, 1))
-    return _jsonio._units(flat) if ok and _jsonio.numbers(flat) else None  # soft rows stop at ok
+def _bulk(flat: list | None, mode: str, pair: type = TruthInterval) -> Any:
+    """A row field's entries (see ``_entries``) checked in one pass, for ``mode``:
+    one 0/1 byte per entry, if each is a float or non-bool int, +0.0 or 1.0, but
+    not in interval mode; else, outside crisp mode, a list of the entries if each
+    is such a number in [0, 1], or in interval mode a (lows, highs) pair of lists,
+    with each ``pair`` (``list`` in a file, ``TruthInterval`` in the library)
+    ordered and such a number v as (v, v).  Else None: walk to name a fault."""
+    if flat is None or mode != "interval" and not _jsonio.numbers(flat):
+        return None
+    if mode == "interval":
+        flat = [v if type(v) is list else (v, v) for v in flat] if pair is list else [
+            (v.lo, v.hi) if type(v) is pair else (v, v) for v in flat]
+        if list(map(len, flat)).count(2) != len(flat):
+            return None
+        ends = list(chain.from_iterable(flat))
+        lows, highs = ends[::2], ends[1::2]
+        ok = (_jsonio.numbers(ends) and all(map(operator.le, lows, highs))  # a NaN fails here
+              and 0.0 <= min(lows, default=0.0) and max(highs, default=0.0) <= 1.0)
+        return (lows, highs) if ok else None
+    if (units := _jsonio._units(flat)) is not None or mode == "crisp":
+        return units
+    ok = 0.0 <= min(flat) and max(flat) <= 1.0 and (total := sum(flat)) == total  # no NaN
+    return flat if ok else None
+
 
 def load_problem_file(path: str) -> tuple[LcmProblem, _jsonio.Settings]:
     return problem_from_json_dict(_jsonio.load_file(path))

@@ -3,11 +3,12 @@
 ``import fuzzydfa`` loads no submodule; the command line imports per
 command, so ``solve`` and graph ``validate`` never load numpy, ``lcm`` loads
 none of the flow-graph stack and the ANFIS commands load neither.  A crisp
-``lcm`` run, and ``validate`` on an LCM file whose rows are all 0 or 1, load
-no numpy either: ``import fuzzydfa.lcm`` alone loads none, and only soft runs
-and soft rows load the array engine, ``fuzzydfa._soft``.  These commands also
-run, and print the frozen bytes, where numpy cannot be imported at all.  No
-command loads ``dataclasses``, and those that need no numpy load no
+``lcm`` run, and ``validate`` on any LCM file, load no numpy either:
+``import fuzzydfa.lcm`` alone loads none, rows are checked in plain Python,
+and only fuzzy and interval runs load the array engine, ``fuzzydfa._soft``.
+These commands also run, and print the frozen bytes, where numpy cannot be
+imported at all; the commands that need it end there with one ``error:``
+line.  No command loads ``dataclasses``, and those that need no numpy load no
 ``inspect`` either (numpy imports it).  Each case runs in a fresh
 interpreter, since this one has imported everything.
 """
@@ -26,31 +27,33 @@ SRC = Path(fuzzydfa.__file__).resolve().parents[1]
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "demos" / "data"
 
-# Prints the exit code of ``cli.main(argv)`` (None for an import alone) and
-# the fuzzydfa submodules, numpy, dataclasses and inspect that the run loaded.
+# Prints the exit code of ``cli.main(argv)`` (None for an import alone), its
+# stderr and the fuzzydfa submodules, numpy, dataclasses and inspect that the
+# run loaded.
 _CHILD = """
 import contextlib, importlib, io, json, sys
 sys.path.insert(0, {src!r})
 argv = {argv!r}
 importlib.import_module({module!r})
-code = None
+code, err = None, io.StringIO()
 if argv is not None:
     from fuzzydfa.cli import main
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
 loaded = [m for m in sys.modules
           if m in ("numpy", "dataclasses", "inspect") or m.startswith("fuzzydfa.")]
-print(json.dumps({{"code": code, "loaded": sorted(loaded)}}))
+print(json.dumps({{"code": code, "stderr": err.getvalue(), "loaded": sorted(loaded)}}))
 """
 
 
-def _loaded(argv, module="fuzzydfa"):
+def _loaded(argv, module="fuzzydfa", code=0, stderr=""):
+    """What the run loaded, once it has exited with ``code`` and printed ``stderr``."""
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD.format(src=str(SRC), argv=argv, module=module)],
         capture_output=True, text=True, check=True,
     )
     result = json.loads(proc.stdout)
-    assert result["code"] in (None, 0), argv
+    assert result["code"] in (None, code) and result["stderr"] == stderr, argv
     return {name.removeprefix("fuzzydfa.") for name in result["loaded"]}
 
 
@@ -72,16 +75,19 @@ COMMANDS = {
     "lcm_crisp_file": (["lcm", "crisp_t1.json"], NO_ARRAYS),
     "validate_lcm": (["validate", "diffpcm_t1.json"], NO_ARRAYS),  # every row is 0 or 1
     "validate_crisp_lcm": (["validate", "crisp_t1.json"], NO_ARRAYS),
-    "validate_interval_lcm": (["validate", "diffpcm_t2.json"], {"anfis"} | GRAPH_STACK),
+    "validate_interval_lcm": (["validate", "diffpcm_t2.json"], NO_ARRAYS),
     "validate_model": (["validate", "anfis_two_rule.json"], {"lcm"} | GRAPH_STACK),
 }
 
 
-def crisp_copy(directory: Path) -> Path:
-    """``diffpcm_t1.json`` with ``"mode": "crisp"``, written in ``directory``."""
+def t1_copy(directory: Path, mode: str, soft: bool = False) -> Path:
+    """``diffpcm_t1.json`` in ``mode``, with one entry 0.5 if ``soft``, written
+    in ``directory`` as ``{mode}_t1.json`` or ``{mode}_soft_t1.json``."""
     data = json.loads((DATA / "diffpcm_t1.json").read_text(encoding="utf-8"))
-    path = directory / "crisp_t1.json"
-    path.write_text(json.dumps({**data, "mode": "crisp"}, indent=2), encoding="utf-8")
+    if soft:
+        data["dee"]["B4"][2] = 0.5
+    path = directory / f"{mode}{'_soft' * soft}_t1.json"
+    path.write_text(json.dumps({**data, "mode": mode}, indent=2), encoding="utf-8")
     return path
 
 
@@ -96,13 +102,47 @@ def test_importing_lcm_loads_no_numpy():
 @pytest.mark.parametrize("name", COMMANDS)
 def test_each_command_loads_only_what_it_runs(name, tmp_path):
     argv, forbidden = COMMANDS[name]
-    crisp = crisp_copy(tmp_path)
+    crisp = t1_copy(tmp_path, "crisp")
     argv = [str(crisp) if a == crisp.name else str(DATA / a) if a.endswith((".json", ".csv"))
             else a for a in argv]
     loaded = _loaded(argv)
     assert "cli" in loaded
     forbidden = forbidden | {"dataclasses"}
     assert not loaded & forbidden, f"{name} loaded {sorted(loaded & forbidden)}"
+
+
+@pytest.mark.parametrize("command, mode, code, stderr", [
+    ("validate", "fuzzy", 0, ""),
+    ("lcm", "crisp", 1, "error: dee['B4'][2]: crisp mode needs 0 or 1, got 0.5\n"),
+])
+def test_a_soft_entry_loads_no_arrays(tmp_path, command, mode, code, stderr):
+    loaded = _loaded([command, str(t1_copy(tmp_path, mode, soft=True))], code=code, stderr=stderr)
+    assert not loaded & NO_ARRAYS, sorted(loaded & NO_ARRAYS)
+
+
+# Runs ``cli.main(argv)`` as a program where ``import numpy`` fails.
+_BLOCKED = """
+import sys
+sys.modules["numpy"] = None  # import numpy raises ImportError
+sys.path.insert(0, {src!r})
+from fuzzydfa.cli import main
+sys.exit(main({argv!r}))
+"""
+NEEDS_NUMPY = {
+    "lcm_fuzzy": ["lcm", "diffpcm_t1.json", "--mode", "fuzzy"],
+    "lcm_interval": ["lcm", "diffpcm_t2.json"],
+    "anfis_predict": ["anfis-predict", "anfis_two_rule.json", "--input", "0.6,0.2"],
+    "anfis_train": ["anfis-train", "anfis_models.json", "anfis_samples.csv", "--mu", "0.05"],
+}
+
+
+@pytest.mark.parametrize("name", NEEDS_NUMPY)
+def test_commands_that_need_numpy_end_in_one_error_line_without_it(name):
+    argv = [str(DATA / a) if a.endswith((".json", ".csv")) else a for a in NEEDS_NUMPY[name]]
+    proc = subprocess.run([sys.executable, "-c", _BLOCKED.format(src=str(SRC), argv=argv)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert re.fullmatch(r"error: [^\n]*numpy[^\n]*\n", proc.stderr), proc.stderr
 
 
 # Runs where ``import numpy`` fails: prints the digest of each command's
@@ -143,6 +183,7 @@ NO_NUMPY_COMMANDS = {
     "cli/lcm_pretty_diffpcm_t1_crisp": ["lcm", "demos/data/diffpcm_t1.json", "--pretty", "--mode",
                                         "crisp"],
     "cli/validate_t1": ["validate", "demos/data/diffpcm_t1.json"],
+    "cli/validate_t2": ["validate", "demos/data/diffpcm_t2.json"],
     "cli/solve": ["solve", "demos/data/fig1.json"],
     "cli/validate": ["validate", "demos/data/fig1.json"],
 }

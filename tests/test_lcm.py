@@ -953,6 +953,10 @@ SPOILS = {
     "every 0 and 1 as an int": _ints_for_0_and_1,
     "an int too large for a float": lambda d: d["uee"]["B1"].__setitem__(4, 10**400),
     "a row for an unknown block": lambda d: d["uee"].__setitem__("Q", d["uee"]["B1"]),
+    # min and max alone pass a NaN that is not first in a row.
+    "a NaN mid-row": lambda d: d["dee"]["B4"].__setitem__(3, float("nan")),
+    "an inf mid-row": lambda d: d["uee"]["B2"].__setitem__(3, float("inf")),
+    "a NaN as a pair end": lambda d: d["kill"]["B3"].__setitem__(3, [0.25, float("nan")]),
 }
 
 
@@ -994,6 +998,9 @@ def test_files_load_and_run_as_when_walked_field_by_field(data_dir, monkeypatch,
     ("diffpcm_t2", "a string entry", None,
      "dee['B4'][2]: expected a number or a [lo, hi] pair, got '0.5'"),
     ("diffpcm_t1", "a number as an edge end", None, "edges[0].to: expected a string, got 5"),
+    ("diffpcm_t1", "a NaN mid-row", None, "dee['B4'][3]: not a truth value in [0,1]: nan"),
+    ("diffpcm_t1", "an inf mid-row", None, "uee['B2'][3]: not a truth value in [0,1]: inf"),
+    ("diffpcm_t2", "a NaN as a pair end", None, "kill['B3'][3]: not a truth value in [0,1]: nan"),
     ("diffpcm_t1", "a missing row", "fuzzy", ["kill: missing row for block 'B3'"]),
     ("diffpcm_t2", "a missing row", "interval", ["kill: missing row for block 'B3'"]),
     ("diffpcm_t2", "a -0.0 entry", "fuzzy",
@@ -1008,12 +1015,12 @@ def test_spoiled_files_name_their_faults(data_dir, stem, spoil, mode, errors):
     assert (outcome if mode is None else outcome[1][mode]) == errors
 
 
-@pytest.mark.parametrize("stem", ["diffpcm_t1", "diffpcm_t2"])
-def test_ints_for_0_and_1_load_as_arrays(data_dir, stem):
+@pytest.mark.parametrize("stem, held", [("diffpcm_t1", bytes), ("diffpcm_t2", tuple)])
+def test_ints_for_0_and_1_load_as_held_bytes_or_lists(data_dir, stem, held):
     data = _jsonio.load_file(str(data_dir / f"{stem}.json"))
     _ints_for_0_and_1(data)
     problem, _ = L.problem_from_json_dict(data)
-    assert all(problem._held(name) is not None for name in ("dee", "uee", "kill", "edges"))
+    assert {type(problem._held(name)) for name in ("dee", "uee", "kill")} == {held}
     weights = problem._held("edges")[2] + problem._held("edges")[3]
     assert 1 in weights and {type(w) for w in weights} == {float}  # as load_number reads them
 
@@ -1096,28 +1103,43 @@ def test_library_rows_run_as_when_walked_entry_by_entry(monkeypatch, spoil, mode
 
 
 @pytest.mark.parametrize("mode", L.MODES)
-def test_each_row_array_is_built_once_per_run(monkeypatch, data_dir, mode):
-    """Validation checks each row field in bulk, and the run uses what it
-    checked: a library-built problem's rows are read once per call, a parsed
-    problem's held bytes or arrays not at all."""
-    entries, built = L._entries, []
+def test_each_row_field_is_checked_once_per_parse_or_run(monkeypatch, data_dir, mode):
+    """``_bulk`` checks each row field once, and the run uses what it checked: a
+    library-built problem's rows once per call, a file's once when it is parsed,
+    and a parsed problem's held bytes or lists not again."""
+    bulk, checked = L._bulk, []
 
-    def counting_entries(raw, *args):
-        built.append(raw)
-        return entries(raw, *args)
+    def counting_bulk(flat, *args):
+        checked.append(args[0])
+        return bulk(flat, *args)
 
-    monkeypatch.setattr(L, "_entries", counting_entries)
+    monkeypatch.setattr(L, "_bulk", counting_bulk)
     library = moded_problem(21, mode)
-    parsed, _ = L.load_problem_file(str(data_dir / "diffpcm_t2.json"))  # rows held as arrays
-    unit, _ = L.load_problem_file(str(data_dir / "diffpcm_t1.json"))  # rows held as 0/1 bytes
-    built.clear()
+    parsed, _ = L.load_problem_file(str(data_dir / "diffpcm_t2.json"))  # held (lows, highs)
+    unit, _ = L.load_problem_file(str(data_dir / "diffpcm_t1.json"))  # held 0/1 bytes
+    data = _jsonio.load_file(str(data_dir / "diffpcm_t1.json"))
+    data["dee"]["B4"][2] = 0.5
+    soft, _ = L.problem_from_json_dict(data)  # dee held as a list of numbers
+    assert checked == ["interval"] * 3 + ["fuzzy"] * 6
+    checked.clear()
     for _ in range(2):
         L.lcm_pipeline(library, mode)
-        assert list(map(id, built)) == [id(library.dee), id(library.uee), id(library.kill)]
-        built.clear()
+        assert checked == [mode] * 3
+        checked.clear()
         L.lcm_pipeline(parsed, "interval")
         L.lcm_pipeline(unit, mode)
-        assert built == []
+        L.lcm_pipeline(soft, "interval" if mode == "crisp" else mode)  # a number as (v, v)
+        assert checked == []
+
+
+@pytest.mark.parametrize("stem", ["diffpcm_t1", "diffpcm_t2"])
+def test_held_rows_keep_their_width_when_exprs_grow(data_dir, stem):
+    path = str(data_dir / f"{stem}.json")
+    problem, settings = L.load_problem_file(path)
+    problem.exprs.append("x+y")
+    assert problem.dee == L.load_problem_file(path)[0].dee
+    assert {len(row) for row in problem.dee.values()} == {7}
+    assert "dee['B0']: expected 8 entries, got 7" in L.validate_problem(problem, settings.mode)
 
 
 def _swap_join_weights(edges: list) -> None:
