@@ -45,8 +45,8 @@ class _Run:
     (blocks, exprs, w) arrays in block order, built here from what ``lcm._validate``
     checked: 0/1 bytes or lists of numbers, a number v as (v, v) where w = 2, or
     (lows, highs) lists, with -0.0 as 0.0.  The complement reverses a
-    (lo, hi) pair; the T-norm works endpoint-wise and gives the scalar's bits
-    on every element.  Only Frank's pairs are re-sorted against rounding, as
+    (lo, hi) pair; the T-norm works endpoint-wise, as ``_tnorm_terms`` says
+    (Frank on numpy's loops).  Only Frank's pairs are re-sorted against rounding, as
     the interval reading of ``formula`` does: the other T-norms are monotone
     in floating point, so they keep ordered pairs ordered."""
 

@@ -501,13 +501,13 @@ def _bulk(flat: list | None, mode: str, pair: type = TruthInterval) -> Any:
     if flat is None or mode != "interval" and not _jsonio.numbers(flat):
         return None
     if mode == "interval":
-        flat = [v if type(v) is list else (v, v) for v in flat] if pair is list else [
-            (v.lo, v.hi) if type(v) is pair else (v, v) for v in flat]
+        if pair is not list or not _jsonio.all_of(list, flat):  # else [lo, hi] lists, kept as read
+            flat = [v if type(v) is list else (v, v) for v in flat] if pair is list else [
+                (v.lo, v.hi) if type(v) is pair else (v, v) for v in flat]
         if list(map(len, flat)).count(2) != len(flat):
             return None
-        ends = list(chain.from_iterable(flat))
-        lows, highs = ends[::2], ends[1::2]
-        ok = (_jsonio.numbers(ends) and all(map(operator.le, lows, highs))  # a NaN fails here
+        lows, highs = map(list, zip(*flat)) if flat else ([], [])
+        ok = (_jsonio.numbers(lows + highs) and all(map(operator.le, lows, highs))  # a NaN fails here
               and 0.0 <= min(lows, default=0.0) and max(highs, default=0.0) <= 1.0)
         return (lows, highs) if ok else None
     if (units := _jsonio._units(flat)) is not None or mode == "crisp":

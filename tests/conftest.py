@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+import baseline_loop
 from fuzzydfa import And, Const, Edge, FlowGraph, LogicFamily, Not, Or, Var
+from fuzzydfa.truth import _FRANK_PRODUCT_BAND
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "demos" / "data"
 
@@ -11,6 +13,29 @@ DATA_DIR = Path(__file__).resolve().parents[1] / "demos" / "data"
 @pytest.fixture(scope="session")
 def data_dir() -> Path:
     return DATA_DIR
+
+
+def on_numpy_loops(family: LogicFamily) -> bool:
+    """Whether the array T-norm of ``family`` calls numpy's expm1 and log1p
+    (Frank off the product band), so that it gives the scalar T-norm's bits
+    only on numpy's baseline loops (see ``baseline_loop``)."""
+    return family.kind == "frank" and abs(family.s - 1.0) > _FRANK_PRODUCT_BAND
+
+
+@pytest.fixture(scope="session")
+def baseline() -> dict:
+    """What ``baseline_loop.run`` computes on numpy's baseline loops, in one
+    child process per test run."""
+    return baseline_loop.run()
+
+
+@pytest.fixture(scope="session")
+def libm_baseline(baseline) -> dict:
+    """``baseline``, if numpy's expm1 and log1p were the C library's
+    there; else the exact checks that need it are skipped."""
+    if not baseline["libm"]:
+        pytest.skip(baseline_loop.SKIP_REASON)
+    return baseline
 
 
 def ltr_sum(values):
