@@ -45,8 +45,8 @@ class _Run:
     (blocks, exprs, w) arrays in block order, built here from what ``lcm._validate``
     checked: 0/1 bytes or lists of numbers, a number v as (v, v) where w = 2, or
     (lows, highs) lists, with -0.0 as 0.0.  The complement reverses a
-    (lo, hi) pair; the T-norm works endpoint-wise, as ``_tnorm_terms`` says
-    (Frank on numpy's loops).  Only Frank's pairs are re-sorted against rounding, as
+    (lo, hi) pair; the T-norm is the family's one formula, ``LogicFamily._tnorm``,
+    run on numpy end by end.  Only Frank's pairs are re-sorted against rounding, as
     the interval reading of ``formula`` does: the other T-norms are monotone
     in floating point, so they keep ordered pairs ordered."""
 
@@ -57,15 +57,14 @@ class _Run:
         flat = {name: np.array(memoryview(v) if type(v) is bytes else v, float)
                 for name, v in rows.items()}  # (lows, highs) as (2, entries)
         self.rows = {name: v.T.reshape(shape[:2] + (v.ndim,)) + zero for name, v in flat.items()}
-        self.cfg, self.term, self._tnorm = cfg, cfg.family._term, cfg.family._tnorm_terms
+        self.cfg, self._tnorm = cfg, cfg.family._tnorm
         self.resort = mode == "interval" and cfg.family.kind == "frank"
         self.src, self.dst = np.array(src, dtype=int), np.array(dst, dtype=int)
         self.forward = _Links(self.src, self.dst, alpha, len(problem.blocks))  # predecessors
         self.backward = _Links(self.dst, self.src, alpha_back, len(problem.blocks))  # successors
 
-    def conj(self, x: np.ndarray, y: np.ndarray, *, terms: bool = False) -> np.ndarray:
-        """x & y; with ``terms``, x and y went through ``term`` already."""
-        out = self._tnorm(x, y) if terms else self._tnorm(self.term(x), self.term(y))
+    def conj(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = self._tnorm(x, y, np)
         if self.resort:
             swap = out[..., 0] > out[..., 1]
             if swap.any():  # what np.sort does to the pairs, at less cost
@@ -149,14 +148,11 @@ def _fixpoint(
     n, width = links[0].n, gen.shape[2]
     rows = np.zeros(gen.shape)
     cur_merges = np.zeros((n,) + gen.shape[1:])
-    # The T-norm operands that stay the same over the solve: !gen and keep.
-    not_gen, keep = run.term(run.neg(gen)), run.term(keep)
+    not_gen = run.neg(gen)
 
     def transfer(m: np.ndarray) -> np.ndarray:
-        not_held = run.term(run.neg(run.conj(run.term(m), keep, terms=True)))
-        if reads is not None:
-            not_held = not_held[reads]
-        return run.snap(run.neg(run.conj(not_gen, not_held, terms=True)))
+        not_held = run.neg(run.conj(m, keep))
+        return run.snap(run.neg(run.conj(not_gen, not_held if reads is None else not_held[reads])))
 
     def build_plan() -> list[np.ndarray]:
         parts = [table.plan(a, b, len(active), width, reads is None)

@@ -50,7 +50,21 @@ class SolveReport(_Record):
         }
 
 
-def _lift(state, ops: _Ops) -> dict:
+def _lift(graph: FlowGraph, state: GlobalState | None, ops: _Ops) -> dict:
+    """``state`` as tuples of ends: by default the seeds, and 0.0 elsewhere.  A
+    given state must value the same nodes, each with at least those properties."""
+    pinned = graph.pinned()
+    start = {node: graph.seeds.get(node, {}) if node in pinned else dict.fromkeys(transfer, 0.0)
+             for node, transfer in graph.transfers.items()}
+    state = start if state is None else state
+    for node in state:
+        if node not in start:
+            raise ValueError(f"state has a valuation for unknown node {node!r}")
+    for node, valuation in start.items():
+        if node not in state:
+            raise ValueError(f"state has no valuation for node {node!r}")
+        if missing := valuation.keys() - state[node].keys():
+            raise ValueError(f"state for {node!r} is missing properties {sorted(missing)}")
     what = "seed in a scalar solve"
     return {node: {p: ops.lift(v, what) for p, v in val.items()} for node, val in state.items()}
 
@@ -96,7 +110,7 @@ def _require_valid(graph: FlowGraph) -> None:
 def _step(graph: FlowGraph, state: GlobalState, family: LogicFamily, width: int) -> GlobalState:
     _require_valid(graph)
     ops = _Ops(family, width)
-    old = _lift(state, ops)
+    old = _lift(graph, state, ops)
     pinned = graph.pinned()
     new = {node: dict(old[node]) if node in pinned else {} for node in graph.transfers}
     for node, prop, transfer, inputs in _updates(graph, old, ops):
@@ -120,13 +134,7 @@ def step_interval(graph: FlowGraph, state: GlobalState, family: LogicFamily) -> 
 def _solve(graph: FlowGraph, cfg: SolverConfig, width: int, initial: GlobalState | None) -> SolveReport:
     _require_valid(graph)
     ops = _Ops(cfg.family, width)
-    if initial is None:
-        pinned = graph.pinned()
-        initial = {
-            node: graph.seeds.get(node, {}) if node in pinned else dict.fromkeys(transfer, 0.0)
-            for node, transfer in graph.transfers.items()
-        }
-    state = _lift(initial, ops)
+    state = _lift(graph, initial, ops)
     updates = _updates(graph, state, ops)
     bits = cfg.quantize_bits
 

@@ -12,10 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
+from types import SimpleNamespace
 
 __all__ = [
     "TruthValueError",
@@ -44,6 +41,11 @@ _FRANK_MIN_S = 2.0**-28
 WEIGHT_SUM_TOL = 1e-9
 
 _FAMILY_KINDS = ("minmax", "product", "lukasiewicz", "nilpotent", "frank")
+
+_NULL = contextlib.nullcontext()
+# The names ``LogicFamily._tnorm`` computes with, on floats; numpy has them all.
+_FLOATS = SimpleNamespace(minimum=min, maximum=max, expm1=math.expm1, log1p=math.log1p,
+                          where=lambda c, x, y: x if c else y, errstate=lambda **_: _NULL)
 
 # Sets a frozen record's field in its ``__init__``, past the refusing
 # __setattr__.  Unlike a write to ``self.__dict__``, it leaves the fields in
@@ -113,8 +115,8 @@ def _finite(x: object) -> bool:
 
 def quantize(x: float, q: int) -> float:
     """Snap ``x`` to the nearest element of {i/2^q}, ties to even ``i``."""
-    if q < 1:
-        raise ValueError(f"quantization level must be >= 1, got {q}")
+    if type(q) is not int or q < 1:  # a float level is off the grid, a bool no level
+        raise ValueError(f"quantization level must be an integer >= 1, got {q!r}")
     scale = float(2**q)
     # Python's round() rounds half to even, which is the tie rule we document.
     return min(1.0, round(truth_value(x) * scale) / scale)
@@ -166,12 +168,13 @@ class LogicFamily(_Frozen):
         if kind not in _FAMILY_KINDS:
             raise ValueError(f"unknown logic family {kind!r}")
         if kind == "frank":
-            if s is None or not math.isfinite(s) or s < _FRANK_MIN_S or s == 1.0:
+            if not _finite(s) or s < _FRANK_MIN_S or s == 1.0:
                 raise ValueError(
                     f"frank parameter must be finite, >= 2**-28 (~3.7e-9) and != 1, "
                     f"got {s!r} (the limits 0, 1, inf are minmax, product and "
                     "lukasiewicz; below 2**-28 the T-norm is off by more than 1e-9)"
                 )
+            s = float(s)  # so that equal parameters print alike
         elif s is not None:
             raise ValueError(f"{kind} takes no parameter")
         self._seal(kind, s)
@@ -196,7 +199,7 @@ class LogicFamily(_Frozen):
 
     @classmethod
     def frank(cls, s: float) -> "LogicFamily":
-        return cls("frank", float(s))
+        return cls("frank", s)
 
     @classmethod
     def parse(cls, text: str) -> "LogicFamily":
@@ -220,71 +223,38 @@ class LogicFamily(_Frozen):
             return f"frank:{self.s!r}"
         return self.kind
 
-    # -- scalar norms ------------------------------------------------------
+    # -- norms -------------------------------------------------------------
 
     def tnorm(self, x: float, y: float) -> float:
         """Fuzzy conjunction; commutative, associative, monotone, identity 1."""
         return self._tnorm(truth_value(x), truth_value(y))
 
-    def _tnorm(self, x: float, y: float) -> float:
-        """``tnorm`` of two degrees already checked."""
+    def _tnorm(self, x, y, xp=_FLOATS):
+        """``tnorm`` of degrees already checked: on floats, or with ``xp`` numpy
+        element by element on arrays, which give the floats' bits wherever
+        ``tnorm``'s checks leave an input as it is (every degree but -0.0).  But
+        Frank's numpy ``expm1`` and ``log1p`` are ``math``'s only on numpy's
+        baseline loops: its SIMD loops (AVX-512) move Frank by up to about 1e-14."""
         kind = self.kind
         if kind == "minmax":
-            return min(x, y)
-        if kind == "product":
-            return x * y
+            return xp.minimum(x, y)
         if kind == "lukasiewicz":
-            return max(x + y - 1.0, 0.0)
+            return xp.maximum(x + y - 1.0, 0.0)
         if kind == "nilpotent":
-            return min(x, y) if x + y > 1.0 else 0.0
-        s = self.s
-        if abs(s - 1.0) <= _FRANK_PRODUCT_BAND:
-            return x * y
-        ls = math.log(s)
-        # log_s(1 + (s^x - 1)(s^y - 1)/(s - 1)); expm1/log1p keep the
-        # evaluation stable for s close to 0 or very large.
-        ratio = math.expm1(x * ls) * math.expm1(y * ls) / (s - 1.0)
-        return min(1.0, max(0.0, math.log1p(ratio) / ls))
-
-    def _term(self, x: np.ndarray) -> np.ndarray:
-        """One operand as ``_tnorm_terms`` takes it: expm1(x ln s) for Frank
-        off the product band, else ``x``; a fixed operand needs it once."""
-        if self.kind != "frank" or abs(self.s - 1.0) <= _FRANK_PRODUCT_BAND:
-            return x
-        import numpy as np
-        return np.expm1(x * math.log(self.s))
-
-    def _tnorm_terms(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """``tnorm`` element by element on numpy arrays of degrees in [0,1],
-        from its operands' ``_term``s.
-
-        The inputs are neither checked nor clamped, so the result equals
-        ``tnorm``'s bit for bit wherever ``tnorm``'s checks leave an input as
-        it is (every degree but -0.0); but Frank's numpy ``expm1`` and ``log1p``
-        are ``math``'s only on numpy's baseline loops, and its SIMD loops
-        (AVX-512) move Frank's result by up to about 1e-14.
-        """
-        import numpy as np  # the module itself, scalar norms and all, needs no numpy
-
-        kind = self.kind
-        if kind == "minmax":
-            return np.minimum(x, y)
-        if kind == "lukasiewicz":
-            return np.maximum(x + y - 1.0, 0.0)
-        if kind == "nilpotent":
-            return np.where(x + y > 1.0, np.minimum(x, y), 0.0)
+            return xp.where(x + y > 1.0, xp.minimum(x, y), 0.0)
         s = self.s
         if kind == "product" or abs(s - 1.0) <= _FRANK_PRODUCT_BAND:
             return x * y
-        # The scalar's formula in the scalar's operation order.  x * y is at
-        # most about (s - 1)^2, so it can overflow only for a huge s; then it
-        # goes to inf silently, as Python floats do.
-        with np.errstate(over="ignore") if s > 1e150 else contextlib.nullcontext():
-            ratio = x * y / (s - 1.0)
-        out = np.log1p(ratio) / math.log(s)
-        # min(1.0, max(0.0, out)) as Python evaluates it, -0.0 to 0.0 included.
-        out = np.where(out > 0.0, out, 0.0)
-        return np.where(out < 1.0, out, 1.0)
+        ls = math.log(s)
+        # log_s(1 + (s^x - 1)(s^y - 1)/(s - 1)); expm1/log1p keep the
+        # evaluation stable for s close to 0 or very large.  The product of
+        # the expm1s is at most about (s - 1)^2, so it can overflow only for a
+        # huge s; then it goes to inf silently, as Python floats do.
+        with xp.errstate(over="ignore") if s > 1e150 else _NULL:
+            ratio = xp.expm1(x * ls) * xp.expm1(y * ls) / (s - 1.0)
+        out = xp.log1p(ratio) / ls
+        # min(1.0, max(0.0, out)), which turns an array's -0.0 to 0.0 as well.
+        return xp.where(out < 1.0, xp.where(out > 0.0, out, 0.0), 1.0)
 
     def snorm(self, x: float, y: float) -> float:
         """Fuzzy disjunction, derived as cnorm(tnorm(cnorm(x), cnorm(y)))."""

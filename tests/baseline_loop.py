@@ -1,9 +1,11 @@
 """The Frank checks that need numpy's baseline loops, run in a child process.
 
-The array T-norm of Frank (``LogicFamily._tnorm_terms``) calls numpy's
-``expm1`` and ``log1p``.  On its baseline loops these are the C library's,
-bit for bit, as ``math.expm1`` and ``math.log1p`` are, which the frozen Frank
-soft digests of ``lcm_golden.json`` and the scalar ``tnorm`` use.  Where numpy
+Each logic family has one T-norm formula, ``LogicFamily._tnorm``, which runs
+on ``math`` for floats and on numpy for arrays: Frank's calls ``math.expm1``
+and ``math.log1p`` for the scalar ``tnorm``, and numpy's ``expm1`` and
+``log1p`` for the LCM array engine.  On numpy's baseline loops these are the
+C library's, bit for bit, as ``math``'s are, which the frozen Frank soft
+digests of ``lcm_golden.json`` and the scalar ``tnorm`` use.  Where numpy
 dispatches them to SIMD loops (SVML on AVX-512) some inputs round
 differently.  ``run`` starts one interpreter with every dispatch target
 switched off (``NPY_DISABLE_CPU_FEATURES`` set to numpy's

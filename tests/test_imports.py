@@ -7,12 +7,15 @@ none of the flow-graph stack and the ANFIS commands load neither.  A crisp
 ``import fuzzydfa.lcm`` alone loads none, rows are checked in plain Python,
 and only fuzzy and interval runs load the array engine, ``fuzzydfa._soft``.
 These commands also run, and print the frozen bytes, where numpy cannot be
-imported at all; the commands that need it end there with one ``error:``
-line.  No command loads ``dataclasses``, and those that need no numpy load no
-``inspect`` either (numpy imports it).  Each case runs in a fresh
-interpreter, since this one has imported everything.
+imported at all, as ``solve`` under Frank and nilpotent, whose T-norm formulas
+the array engine shares, prints what it prints with numpy; the commands that
+need numpy end there with one ``error:`` line.  No command loads
+``dataclasses``, and those that need no numpy load no ``inspect`` either
+(numpy imports it).  Each case runs in a fresh interpreter, since this one
+has imported everything.
 """
 
+import hashlib
 import json
 import re
 import subprocess
@@ -22,6 +25,7 @@ from pathlib import Path
 import pytest
 
 import fuzzydfa
+from test_cli_golden import _run
 
 SRC = Path(fuzzydfa.__file__).resolve().parents[1]
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,6 +62,8 @@ def _loaded(argv, module="fuzzydfa", code=0, stderr=""):
 
 
 GRAPH_STACK = {"solver", "flowgraph", "formula"}
+# fig1 oscillates under the discontinuous nilpotent T-norm: solve exits 2 at --max-iters.
+NILPOTENT = ["--logic", "nilpotent", "--max-iters", "6"]
 NO_ARRAYS = {"numpy", "inspect", "_soft", "anfis"} | GRAPH_STACK
 COMMANDS = {
     # The benchmark's six commands.
@@ -77,6 +83,9 @@ COMMANDS = {
     "validate_crisp_lcm": (["validate", "crisp_t1.json"], NO_ARRAYS),
     "validate_interval_lcm": (["validate", "diffpcm_t2.json"], NO_ARRAYS),
     "validate_model": (["validate", "anfis_two_rule.json"], {"lcm"} | GRAPH_STACK),
+    # The T-norm formulas the array engine shares, run on floats.
+    "solve_frank": (["solve", "fig1.json", "--logic", "frank:2"], {"numpy", "inspect", "lcm", "anfis"}),
+    "solve_nilpotent": (["solve", "fig1.json", *NILPOTENT], {"numpy", "inspect", "lcm", "anfis"}),
 }
 
 
@@ -105,7 +114,7 @@ def test_each_command_loads_only_what_it_runs(name, tmp_path):
     crisp = t1_copy(tmp_path, "crisp")
     argv = [str(crisp) if a == crisp.name else str(DATA / a) if a.endswith((".json", ".csv"))
             else a for a in argv]
-    loaded = _loaded(argv)
+    loaded = _loaded(argv, code=2 if name == "solve_nilpotent" else 0)
     assert "cli" in loaded
     forbidden = forbidden | {"dataclasses"}
     assert not loaded & forbidden, f"{name} loaded {sorted(loaded & forbidden)}"
@@ -189,12 +198,25 @@ NO_NUMPY_COMMANDS = {
 }
 
 
+# Frank's and nilpotent's T-norms on floats, whose formula the array engine
+# runs on numpy: no digest is frozen for them, so they must print here what
+# they print with numpy.
+FLOAT_TNORM_COMMANDS = {
+    "solve_frank": ["solve", "demos/data/fig1.json", "--logic", "frank:2"],
+    "solve_nilpotent": ["solve", "demos/data/fig1.json", *NILPOTENT],
+}
+
+
 def test_crisp_commands_print_their_frozen_bytes_without_numpy():
-    code = _NO_NUMPY.format(src=str(SRC), root=str(ROOT), commands=NO_NUMPY_COMMANDS)
+    commands = NO_NUMPY_COMMANDS | FLOAT_TNORM_COMMANDS
+    code = _NO_NUMPY.format(src=str(SRC), root=str(ROOT), commands=commands)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     golden = json.loads((ROOT / "tests" / "cli_golden.json").read_text(encoding="utf-8"))
-    assert json.loads(proc.stdout) == {name: golden[name] for name in NO_NUMPY_COMMANDS}
+    for name, argv in FLOAT_TNORM_COMMANDS.items():
+        output = json.dumps(_run(argv, ROOT))
+        golden[name] = hashlib.sha256(output.encode("utf-8")).hexdigest()
+    assert json.loads(proc.stdout) == {name: golden[name] for name in commands}
 
 
 # -- the package API -----------------------------------------------------------------

@@ -12,6 +12,7 @@ from fuzzydfa import (LcmEdge, LcmProblem, LogicFamily, SolverConfig, TruthInter
 from fuzzydfa import _jsonio
 from fuzzydfa import _soft as S
 from fuzzydfa import lcm as L
+from fuzzydfa import truth
 from krs_oracle import krs_bitvector, random_crisp_problem
 
 MINMAX = LogicFamily.minmax()
@@ -198,16 +199,17 @@ def test_interval_pipeline_on_degenerate_rows_matches_reference(family):
 @pytest.mark.parametrize("logic", ["frank:2", "frank:0.01"])
 @pytest.mark.parametrize("mode", ["fuzzy", "interval"])
 def test_frank_pipeline_never_calls_the_scalar_tnorm(monkeypatch, logic, mode):
-    """The array engine evaluates Frank with array arithmetic, not through
-    ``LogicFamily.tnorm`` element by element."""
+    """The array engine evaluates Frank with array arithmetic, not with the
+    T-norm's float functions element by element."""
     family = LogicFamily.parse(logic)
     problems = [soft_problem(seed) for seed in range(200, 204)]
     expected = [L.lcm_pipeline(p, mode, family).to_json_dict() for p in problems]
 
-    def scalar(self, x, y):
-        raise AssertionError("scalar LogicFamily.tnorm called")
+    def on_floats(*args, **kwargs):
+        raise AssertionError("a T-norm evaluated on floats")
 
-    monkeypatch.setattr(LogicFamily, "tnorm", scalar)
+    for name in vars(truth._FLOATS):
+        monkeypatch.setattr(truth._FLOATS, name, on_floats)
     assert [L.lcm_pipeline(p, mode, family).to_json_dict() for p in problems] == expected
 
 
@@ -674,9 +676,9 @@ def test_frank_interval_conj_resorts_swapped_pairs(monkeypatch):
     in order: with every pair swapped, the report is unchanged."""
     family = LogicFamily.frank(2.0)
     expected = L.lcm_pipeline(interval_problem(), "interval", family).to_json_dict()
-    tnorm = LogicFamily._tnorm_terms
-    monkeypatch.setattr(LogicFamily, "_tnorm_terms",
-                        lambda self, x, y: tnorm(self, x, y)[..., ::-1].copy())
+    tnorm = LogicFamily._tnorm
+    monkeypatch.setattr(LogicFamily, "_tnorm",
+                        lambda self, x, y, xp: tnorm(self, x, y, xp)[..., ::-1].copy())
     assert L.lcm_pipeline(interval_problem(), "interval", family).to_json_dict() == expected
 
 

@@ -461,3 +461,25 @@ def test_entry_check_clamps_rounding_noise():
 def test_interval_seed_in_a_scalar_solve_is_a_type_error():
     with pytest.raises(TypeError, match="^interval seed in a scalar solve$"):
         solve(pass_through_graph(TruthInterval(0.2, 0.4)), SolverConfig(family=MINMAX))
+
+
+# -- malformed states ---------------------------------------------------------------
+
+FIG1_ZEROS = {"B0": {"Out": 0.0}, "B1": {"Out": 0.0}, "B2": {"Out": 0.0}, "B3": {"Out": 0.0}}
+
+
+@pytest.mark.parametrize("state, message", [
+    ({"B0": {"Out": 0.0}}, "state has no valuation for node 'B1'"),
+    ({**FIG1_ZEROS, "B2": {}}, "state for 'B2' is missing properties ['Out']"),
+    ({**FIG1_ZEROS, "ZZ": {"Out": 0.5}}, "state has a valuation for unknown node 'ZZ'"),
+])
+@pytest.mark.parametrize("solve_fn, step_fn", [(solve, step), (solve_interval, step_interval)])
+def test_malformed_states_are_rejected_naming_the_node_and_property(state, message, solve_fn,
+                                                                    step_fn):
+    """On fig1, a state given to ``solve`` or ``step``."""
+    with pytest.raises(ValueError) as raised:
+        solve_fn(fig1_graph(), SolverConfig(), initial=state)
+    assert str(raised.value) == message
+    with pytest.raises(ValueError) as raised:
+        step_fn(fig1_graph(), state, MINMAX)
+    assert str(raised.value) == message

@@ -197,10 +197,11 @@ def test_frank_large_s_approaches_lukasiewicz():
 
 # -- array T-norm -------------------------------------------------------------------
 
-# The array T-norm is ``_tnorm_terms`` on its operands' ``_term``s, as LCM runs it.
-# It gives the scalar's bits for every family, but for Frank off the product
-# band only on numpy's baseline loops: those cases are checked bit for bit in
-# a child process (``baseline_loop``) and here within TNORM_TOL.
+# The array T-norm is the scalar's formula, ``LogicFamily._tnorm``, run on numpy
+# arrays, as LCM runs it.  It gives the scalar's bits for every family, but for
+# Frank off the product band only on numpy's baseline loops: those cases are
+# checked bit for bit in a child process (``baseline_loop``) and here within
+# TNORM_TOL.
 
 # Every conftest family, nilpotent, Frank inside the product band (evaluated
 # as x*y) and Frank at random log-uniform parameters.
@@ -232,23 +233,22 @@ def array_tnorms(family: LogicFamily) -> tuple[np.ndarray, np.ndarray]:
     ys = [rng.random() for _ in range(3000)] + [b for _ in EDGE_DEGREES for b in EDGE_DEGREES]
     x = np.array(xs).reshape(-1, 4, 2)
     y = np.array(ys).reshape(-1, 4, 2)
-    got = family._tnorm_terms(family._term(x), family._term(y))
+    got = family._tnorm(x, y, np)
     assert got.dtype == np.float64 and got.shape == x.shape
     return got, scalar_tnorms(family, x, y)
 
 
-def terms_once_tnorms(family: LogicFamily) -> tuple[np.ndarray, np.ndarray]:
-    """A fixed point computes ``_term`` of its constant operand once per solve
-    and slices it as expression columns converge: the array T-norms built on
-    that term, sweep after sweep, and the scalar ones."""
+def column_sliced_tnorms(family: LogicFamily) -> tuple[np.ndarray, np.ndarray]:
+    """A fixed point keeps its constant operand over the solve and slices it,
+    as it does each sweep's rows, as expression columns converge: the array
+    T-norms of such operands, sweep after sweep, and the scalar ones."""
     rng = random.Random(f"tnorm_terms/{family}")
     x = np.array([rng.random() for _ in range(3 * 8 * 8 * 2)]).reshape(3, 8, 8, 2)
     y = np.array([rng.random() for _ in range(6 * 8 * 2)] + EDGE_DEGREES * 8).reshape(8, 8, 2)
-    y_term = family._term(y)  # once, for every sweep below
     columns, got, want = np.arange(8), [], []
     for sweep in x:
         sweep = sweep[:, columns]
-        got.append(family._tnorm_terms(family._term(sweep), y_term[:, columns]).ravel())
+        got.append(family._tnorm(sweep, y[:, columns], np).ravel())
         want.append(scalar_tnorms(family, sweep, y[:, columns]).ravel())
         columns = columns[1:]  # a column converged
     return np.concatenate(got), np.concatenate(want)
@@ -260,14 +260,14 @@ def smallest_tnorms(s: float) -> tuple[np.ndarray, np.ndarray]:
     rng = random.Random(f"frank-small/{s}")
     xs = [rng.random() for _ in range(2000)] + [1.0, 1.0, 1.0 - 1e-16, 0.0, 1e-300]
     ys = [rng.random() for _ in range(2000)] + [1.0, 0.5, 1.0 - 1e-16, 1.0, 1.0]
-    got = family._tnorm_terms(family._term(np.array(xs)), family._term(np.array(ys)))
+    got = family._tnorm(np.array(xs), np.array(ys), np)
     return got, np.array([family.tnorm(x, y) for x, y in zip(xs, ys)])
 
 
 # The cases ``baseline_loop`` checks bit for bit on numpy's baseline loops.
 NUMPY_LOOP_CASES = {
     **{f"array/{family}": partial(array_tnorms, family) for family in NUMPY_LOOP_FAMILIES},
-    **{f"terms_once/{family}": partial(terms_once_tnorms, family) for family in NUMPY_LOOP_FAMILIES},
+    **{f"columns/{family}": partial(column_sliced_tnorms, family) for family in NUMPY_LOOP_FAMILIES},
     **{f"smallest/{s!r}": partial(smallest_tnorms, s) for s in SMALLEST_S},
 }
 
@@ -292,18 +292,18 @@ def test_tnorm_array_matches_scalar_bit_for_bit(family, request):
 
 
 @pytest.mark.parametrize("family", ARRAY_FAMILIES, ids=str)
-def test_tnorm_from_terms_computed_once_matches_scalar_bit_for_bit(family, request):
+def test_tnorm_of_column_sliced_operands_matches_scalar_bit_for_bit(family, request):
     """Frank off the product band on numpy's baseline loops."""
     if on_numpy_loops(family):
-        assert request.getfixturevalue("libm_baseline")["tnorm"][f"terms_once/{family}"]
+        assert request.getfixturevalue("libm_baseline")["tnorm"][f"columns/{family}"]
     else:
-        assert_same_bits(*terms_once_tnorms(family))
+        assert_same_bits(*column_sliced_tnorms(family))
 
 
 @pytest.mark.parametrize("family", NUMPY_LOOP_FAMILIES, ids=str)
 def test_frank_tnorm_array_is_within_tolerance_of_scalar_on_the_default_loop(family):
     assert_close_in_unit_interval(*array_tnorms(family))
-    assert_close_in_unit_interval(*terms_once_tnorms(family))
+    assert_close_in_unit_interval(*column_sliced_tnorms(family))
 
 
 @pytest.mark.parametrize("family", NUMPY_LOOP_FAMILIES, ids=str)
@@ -312,7 +312,7 @@ def test_frank_tnorm_array_of_negative_zero_is_zero(family):
     zero through, and the clamp turns it to +0.0."""
     x = np.array([-0.0, -0.0, 0.5, 1.0, -0.0])
     y = np.array([-0.0, 0.5, -0.0, -0.0, 1.0])
-    got = family._tnorm_terms(family._term(x), family._term(y))
+    got = family._tnorm(x, y, np)
     assert_same_bits(got, scalar_tnorms(family, x, y))
 
 
@@ -321,7 +321,7 @@ def test_tnorm_array_overflows_silently_like_the_scalar():
     x = np.array([1.0, 0.5, 0.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = family._tnorm_terms(family._term(x), family._term(x))
+        got = family._tnorm(x, x, np)
     assert np.array_equal(got.view(np.int64), scalar_tnorms(family, x, x).view(np.int64))
 
 
@@ -406,6 +406,14 @@ def test_quantize_examples():
         quantize(0.5, 0)
 
 
+@pytest.mark.parametrize("q", [2.5, 2.0, True, np.int64(2)])
+def test_quantize_takes_only_an_integer_level(q):
+    """As ``SolverConfig.quantize_bits``: a float level is off the {i/2^q} grid,
+    and True is no level."""
+    with pytest.raises(ValueError, match=r"^quantization level must be an integer >= 1, got "):
+        quantize(0.3, q)
+
+
 # -- parsing ------------------------------------------------------------------------
 
 
@@ -435,6 +443,21 @@ def test_frank_construction_rejects_bad_parameters():
     for s in [0.0, -1.0, 1.0, float("inf"), float("nan")]:
         with pytest.raises(ValueError):
             LogicFamily.frank(s)
+
+
+@pytest.mark.parametrize("s", [2, np.float64(2.0)], ids=["int", "np.float64"])
+def test_frank_parameter_is_held_as_a_float_that_prints_and_parses_back(s):
+    family = LogicFamily("frank", s)
+    assert type(family.s) is float and family == LogicFamily.frank(2.0)
+    assert str(family) == str(LogicFamily.frank(s)) == "frank:2.0"
+    assert LogicFamily.parse(str(family)) == family
+
+
+@pytest.mark.parametrize("s", ["2", None, [2.0]], ids=repr)
+def test_frank_rejects_a_non_number_with_the_named_error(s):
+    for make in (partial(LogicFamily, "frank"), LogicFamily.frank):
+        with pytest.raises(ValueError, match=r"^frank parameter must be finite, >= 2\*\*-28"):
+            make(s)
 
 
 @pytest.mark.parametrize("s", [1e-17, 1e-300, 2.0**-54, math.nextafter(2.0**-53, 0.0)])
@@ -488,7 +511,7 @@ def test_frank_array_and_scalar_tnorms_are_as_close_to_a_50_digit_evaluation(s):
     xs = [rng.random() for _ in range(1000)] + [a for a in EDGE_DEGREES for _ in EDGE_DEGREES]
     ys = [rng.random() for _ in range(1000)] + [b for _ in EDGE_DEGREES for b in EDGE_DEGREES]
     x, y = np.array(xs), np.array(ys)
-    array = family._tnorm_terms(family._term(x), family._term(y))
+    array = family._tnorm(x, y, np)
     scalar = scalar_tnorms(family, x, y)
     assert np.abs(array - scalar).max() <= TNORM_TOL
     with mpmath.workdps(50):
