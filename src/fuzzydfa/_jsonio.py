@@ -68,7 +68,9 @@ def _table(rows: Sequence) -> tuple[str, list] | None:
     if not all_of(list, rows) or list(map(len, rows)).count(n := len(rows[0])) != len(rows):
         return None
     flat = list(chain.from_iterable(rows))
-    if all_of(float, flat):  # before the pack, which reads True, 1 and float subclasses too
+    # Floats only, checked before the pack, which reads True, 1 and float subclasses
+    # too; a table of [lo, hi] pairs, which fails the check, skips its pass.
+    if (not flat or type(flat[0]) is not list) and all_of(float, flat):
         return _bits(flat, n) or (_slots(n, "%.17g"), flat)
     if not all_of(list, flat) or list(map(len, flat)).count(2) != len(flat):
         return None

@@ -4,6 +4,7 @@ validating build no array."""
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import Sequence
 
@@ -14,54 +15,67 @@ from .truth import SolverConfig
 
 
 def pipeline(problem: LcmProblem, mode: str, cfg: SolverConfig) -> LcmResult:
-    """``lcm_pipeline`` in fuzzy or interval mode."""
+    """``lcm_pipeline`` in fuzzy or interval mode: the four stages on (exprs,
+    rows, w) arrays, reported as (rows, exprs, w) views of them."""
     run = _Run(problem, mode, cfg)
     dee, uee, kill = operator.itemgetter("dee", "uee", "kill")(run.rows)
+    (n, blocks, width), src, dst, conj, neg = dee.shape, run.src, run.dst, run.conj, run.neg
     # AvOut(b) = DEE(b) | (AvIn(b) & !Kill(b)) in the first n columns, then AnOut
-    # with UEE for DEE and AnIn over successors; AvIn is not reported.
-    n, blocks, width = len(problem.exprs), len(problem.blocks), dee.shape[2]
-    rows, (av_ok, an_ok) = _fixpoint(run, np.concatenate((dee, uee), 1),
-                                     np.tile(run.neg(kill), (1, 2, 1)), None,
-                                     [run.forward, run.backward])
-    av_out, an_out = rows[:, :n], rows[:, n:]
-    an_in = _meet(an_out, run.backward.plan(0, n, n, width), blocks)
-    ear = _earliest(run, av_out, an_in, an_out, kill)
+    # with UEE for DEE and AnIn over successors; AvIn is not reported.  Stage 1
+    # meets (old rows, new rows): a link reads the new row, r + blocks, when its
+    # block comes before the merge's, as a rows-first sweep has computed it.
+    stage1 = _Links([src + blocks * (src < dst), dst + blocks * (dst < src)], [dst, src],
+                    run.weights, blocks, 2 * blocks, width)
+    rows, ok = _fixpoint(run, np.concatenate((dee, uee)), np.tile(neg(kill), (2, 1, 1)), None,
+                         stage1)
+    av_out, an_out = rows[:n], rows[n:]
+    # Stage 1's anticipatability terms read row r or r + blocks, both AnOut(r) here.
+    an_in = _meet(np.concatenate((an_out, an_out), 1), stage1.plan(np.ones(n, dtype=int)), blocks)
+    # Earliest(i,j) = AnOut(j) & !AvOut(i) & (Kill(i) | !AnIn(i)), without the
+    # last factor when i is the entry.
+    first = conj(an_out[:, dst], neg(av_out[:, src]))
+    ear = np.where((src == run.entry)[:, None], first,
+                   conj(first, run.disj(kill[:, src], neg(an_in[:, src]))))
     # LaterOut(i,j) = Earliest(i,j) | (LaterIn(i) & !UEE(i)); LaterIn merges LaterOut.
-    later_links = _Links(np.arange(len(run.keys)), run.dst, run.forward.weight, blocks)
-    later_out, (later_ok,) = _fixpoint(run, ear, run.neg(uee), run.src, [later_links])
-    later_in = _meet(later_out, later_links.plan(0, n, n, width), blocks)
-    insert, delete = _insert_delete(run, later_in, later_out, uee)
+    later = _Links([np.arange(len(run.keys))], [dst], run.weights[:1], blocks, len(run.keys), width)
+    later_out, later_ok = _fixpoint(run, ear, neg(uee), src, later)
+    later_in = _meet(later_out, later.plan(np.zeros(n, dtype=int)), blocks)
+    # Insert(i,j) = LaterOut(i,j) & !LaterIn(j); Delete(k) = UEE(k) & !LaterIn(k),
+    # and 0 for the entry.
+    not_later = neg(later_in)
+    insert, delete = conj(later_out, not_later[:, dst]), conj(uee, not_later)
+    delete[:, run.entry] = 0.0
     arrays = (av_out, an_in, an_out, ear, later_in, later_out, insert, delete)
-    for values in arrays:
+    for values in arrays:  # and so the views reported
         values.flags.writeable = False
-    return LcmResult(mode, list(problem.exprs), av_ok and an_ok and later_ok, list(problem.blocks),
-                     run.keys, dict(zip(_MATRICES, arrays)))
+    return LcmResult(mode, list(problem.exprs), ok and later_ok, list(problem.blocks), run.keys,
+                     {name: a.transpose(1, 0, 2) for name, a in zip(_MATRICES, arrays)})
 
 
 class _Run:
     """One problem in fuzzy or interval mode, validated on construction: the
     mode's connectives, from ``cfg.family``, and fixed-point settings ``cfg``,
-    the edges as block indices and as each direction's ``_Links``, and rows as
-    (blocks, exprs, w) arrays in block order, built here from what ``lcm._validate``
-    checked: 0/1 bytes or lists of numbers, a number v as (v, v) where w = 2, or
-    (lows, highs) lists, with -0.0 as 0.0.  The complement reverses a
-    (lo, hi) pair; the T-norm is the family's one formula, ``LogicFamily._tnorm``,
-    run on numpy end by end.  Only Frank's pairs are re-sorted against rounding, as
-    the interval reading of ``formula`` does: the other T-norms are monotone
-    in floating point, so they keep ordered pairs ordered."""
+    the edges as block indices and (forward, backward) weights, and rows as
+    expression-major (exprs, blocks, w) arrays, built here from what
+    ``lcm._validate`` checked: 0/1 bytes or lists of numbers, a number v as
+    (v, v) where w = 2, or (lows, highs) lists, with -0.0 as 0.0.  The
+    complement reverses a (lo, hi) pair; the T-norm is the family's one
+    formula, ``LogicFamily._tnorm``, run on numpy end by end.  Only Frank's
+    pairs are re-sorted against rounding, as the interval reading of
+    ``formula`` does: the other T-norms are monotone in floating point, so
+    they keep ordered pairs ordered."""
 
     def __init__(self, problem: LcmProblem, mode: str, cfg: SolverConfig):
-        rows, self.keys, (src, dst, alpha, alpha_back), self.entry = _checked(problem, mode)
-        shape = (len(problem.blocks), len(problem.exprs), 1 + (mode == "interval"))
-        zero = np.zeros(shape)  # + zero: -0.0 as 0.0, and a number v as (v, v) where w = 2
+        rows, self.keys, (src, dst, *self.weights), self.entry = _checked(problem, mode)
+        blocks, n = len(problem.blocks), len(problem.exprs)
+        zero = np.zeros((n, blocks, 1 + (mode == "interval")))  # + zero: -0.0 as 0.0, v as (v, v)
         flat = {name: np.array(memoryview(v) if type(v) is bytes else v, float)
                 for name, v in rows.items()}  # (lows, highs) as (2, entries)
-        self.rows = {name: v.T.reshape(shape[:2] + (v.ndim,)) + zero for name, v in flat.items()}
+        self.rows = {name: v.T.reshape(blocks, n, v.ndim).transpose(1, 0, 2) + zero
+                     for name, v in flat.items()}
         self.cfg, self._tnorm = cfg, cfg.family._tnorm
         self.resort = mode == "interval" and cfg.family.kind == "frank"
         self.src, self.dst = np.array(src, dtype=int), np.array(dst, dtype=int)
-        self.forward = _Links(self.src, self.dst, alpha, len(problem.blocks))  # predecessors
-        self.backward = _Links(self.dst, self.src, alpha_back, len(problem.blocks))  # successors
 
     def conj(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         out = self._tnorm(x, y, np)
@@ -78,8 +92,7 @@ class _Run:
         return self.neg(self.conj(self.neg(x), self.neg(y)))
 
     def snap(self, values: np.ndarray) -> np.ndarray:
-        if self.cfg.quantize_bits is None:
-            return values
+        """``values`` on the grid of ``cfg.quantize_bits``, which is set."""
         scale = float(2**self.cfg.quantize_bits)
         return np.minimum(1.0, np.round(values * scale) / scale)
 
@@ -88,22 +101,23 @@ class _Run:
 
 
 class _Links:
-    """The inputs of each of ``n`` merges: link i carries row ``src[i]`` into
-    merge ``dst[i]`` with weight ``weight[i]``, in ``problem.edges`` order."""
+    """Per analysis a, the inputs of each of ``n`` merges: in each column of a,
+    link i carries row ``src[a][i]`` of (columns, ``rows``, w) arrays into merge
+    ``dst[a][i]`` of (columns, n, w) ones with weight ``weight[a][i]``, in
+    ``problem.edges`` order.  The flat indices of one column's terms are built
+    once per analysis; ``plan`` moves them to each column's place."""
 
-    def __init__(self, src: np.ndarray, dst: np.ndarray, weight: Sequence[float], n: int):
-        self.src, self.dst, self.weight, self.n = src, dst, np.array(weight, dtype=float), n
+    def __init__(self, src: list, dst: list, weight: list, n: int, rows: int, width: int):
+        self.ends = np.array([src, dst])[..., None] * width + np.arange(width)  # (2, a, links, w)
+        self.weight = np.repeat(np.array(weight, dtype=float)[..., None], width, axis=2)
+        self.n, self.spans = n, np.array([rows, n]).reshape(2, 1, 1, 1) * width
 
-    def plan(self, a: int, b: int, n_cols: int, width: int, fresh: bool = False) -> tuple:
-        """The terms that meet columns [a, b) of (rows, n_cols, width) arrays, link
-        by link, as flat indices: ``_meet`` reads each from ``take``, scales it by
-        ``weight`` and adds it into ``put``.  With ``fresh`` (rows first), the rows
-        are old rows then new, and a link reads the new row when its block comes
-        before the merge's: a rows-first sweep has computed it."""
-        span, cols = n_cols * width, np.arange(a * width, b * width)
-        src = self.src + self.n * (self.src < self.dst) if fresh else self.src
-        return ((src[:, None] * span + cols).ravel(), np.repeat(self.weight, len(cols)),
-                (self.dst[:, None] * span + cols).ravel())
+    def plan(self, analysis: np.ndarray) -> tuple:
+        """The terms that meet columns of ``analysis`` (each column's), as
+        ``_meet`` takes them: each is read from ``take``, scaled by ``weight``
+        and added into ``put``."""
+        take, put = self.ends[:, analysis] + np.arange(len(analysis))[:, None, None] * self.spans
+        return take.ravel(), self.weight[analysis].ravel(), put.ravel()
 
 
 def _meet(rows: np.ndarray, plan: Sequence[np.ndarray], n: int) -> np.ndarray:
@@ -113,94 +127,75 @@ def _meet(rows: np.ndarray, plan: Sequence[np.ndarray], n: int) -> np.ndarray:
     the sum has the bits of adding them one by one, and clamping with
     ``minimum`` those of clipping."""
     take, weight, put = plan
-    out = np.bincount(put, rows.take(take) * weight, n * rows.shape[1] * rows.shape[2])
-    return np.minimum(out.reshape((n,) + rows.shape[1:]), 1.0)  # float even where put is empty
+    out = np.bincount(put, rows.take(take) * weight, len(rows) * n * rows.shape[2])
+    return np.minimum(out.reshape((len(rows), n) + rows.shape[2:]), 1.0)  # float even with no terms
 
 
-def _fixpoint(
-    run: _Run,
-    gen: np.ndarray,
-    keep: np.ndarray,
-    reads: np.ndarray | None,
-    links: Sequence[_Links],
-) -> tuple[np.ndarray, list[bool]]:
+def _fixpoint(run: _Run, gen: np.ndarray, keep: np.ndarray, reads: np.ndarray | None,
+              links: _Links) -> tuple[np.ndarray, bool]:
     """Solve, for every expression column at once,
 
         row[r]   = gen[r] | held[reads[r]],  held[m] = merge[m] & keep[m]
         merge[m] = meet of the rows linked into m
 
-    from zero by Gauss-Seidel sweeps in a fixed node order.  ``held`` is
-    taken per merge and then gathered, so each merge's T-norm is evaluated
-    once however many rows read it.  With ``reads`` None (stage 1), row r
-    reads merge r and the order is row b, merge b for each block b: a sweep's
-    rows read the last sweep's merges, and a merge reads this sweep's rows
-    only from blocks before it.  Otherwise (Later) every merge comes first, reading the last
-    sweep's rows, and every row then reads this sweep's merges.
-    Each column freezes at its first sweep whose change, the sum of
-    |new - old| over its rows and merges (both ends of an interval), is
-    below epsilon.
+    from zero by Gauss-Seidel sweeps in a fixed node order, on (columns, rows,
+    w) arrays.  ``held`` is taken per merge and then gathered, so each merge's
+    T-norm is evaluated once however many rows read it.  With ``reads`` None
+    (stage 1), row r reads merge r and the order is row b, merge b for each
+    block b: a sweep's rows read the last sweep's merges, and a merge reads
+    this sweep's rows only from blocks before it.  Otherwise (Later) every
+    merge comes first, reading the last sweep's rows, and every row then reads
+    this sweep's merges.
 
-    ``links`` holds one table per analysis, for one of ``len(links)`` equal
-    column ranges (stage 1: availability, then anticipatability).  A sweep
-    meets the active columns of all of them by one plan, built again when
-    columns freeze.  Returns the rows and, per analysis, whether it converged.
+    The columns fall into equal ranges, one per analysis of ``links`` (stage
+    1: availability, then anticipatability).  Each column freezes at its first
+    sweep whose change, the sum of |new - old| over its rows and merges (both
+    ends of an interval), is below epsilon: its rows are copied out then.
+    Columns depend on nothing but themselves, so a frozen column is swept on,
+    unread, until half the columns swept have frozen; then those are dropped
+    and the terms planned again.  Returns the rows and whether every column
+    converged.
     """
-    n, width = links[0].n, gen.shape[2]
-    rows = np.zeros(gen.shape)
-    cur_merges = np.zeros((n,) + gen.shape[1:])
-    not_gen = run.neg(gen)
+    n, bits, analyses = links.n, run.cfg.quantize_bits, len(links.weight)
+    conj, neg = run.conj if run.resort else functools.partial(run._tnorm, xp=np), run.neg
+    out = rows = np.zeros(gen.shape)  # rows is rebound to new rows before out is written
+    merges, not_gen = np.zeros((len(gen), n) + gen.shape[2:]), neg(gen)
+    # Of each column swept: its column in out, its analysis, and the bar its
+    # change must be below to freeze it, epsilon or, once frozen, 0.0.
+    column, analysis = np.arange(len(gen)), np.repeat(np.arange(analyses), len(gen) // analyses)
+    bar = np.full(len(gen), run.cfg.epsilon)
 
     def transfer(m: np.ndarray) -> np.ndarray:
-        not_held = run.neg(run.conj(m, keep))
-        return run.snap(run.neg(run.conj(not_gen, not_held if reads is None else not_held[reads])))
+        not_held = neg(conj(m, keep))
+        new = neg(conj(not_gen, not_held if reads is None else not_held[:, reads]))
+        return new if bits is None else run.snap(new)
 
-    def build_plan() -> list[np.ndarray]:
-        parts = [table.plan(a, b, len(active), width, reads is None)
-                 for table, a, b in zip(links, cut, cut[1:]) if a < b]
-        return [np.concatenate(column) for column in zip(*parts)]
+    def meet(r: np.ndarray) -> np.ndarray:
+        m = _meet(r, terms, n)
+        return m if bits is None else run.snap(m)
 
-    # Analysis i owns columns [bounds[i], bounds[i + 1]), and active[cut[i]:cut[i + 1]].
-    active, bounds = np.arange(gen.shape[1]), gen.shape[1] // len(links) * np.arange(len(links) + 1)
-    cut, cur_rows = bounds.tolist(), rows
-    plan = build_plan()
+    terms = links.plan(analysis)
     for _ in range(run.cfg.max_iters):
-        if not active.size:
+        if not column.size:
             break
         if reads is None:
-            new_rows = transfer(cur_merges)
-            new_merges = run.snap(_meet(np.concatenate((cur_rows, new_rows)), plan, n))
+            new_rows = transfer(merges)
+            new_merges = meet(np.concatenate((rows, new_rows), 1))
         else:
-            new_merges = run.snap(_meet(cur_rows, plan, n))
+            new_merges = meet(rows)
             new_rows = transfer(new_merges)
-        change = abs(new_rows - cur_rows).sum((0, 2)) + abs(new_merges - cur_merges).sum((0, 2))
-        cur_rows, cur_merges = new_rows, new_merges
-        done = change < run.cfg.epsilon
+        change = (np.add.reduce(abs(new_rows - rows), (1, 2))
+                  + np.add.reduce(abs(new_merges - merges), (1, 2)))
+        rows, merges = new_rows, new_merges
+        done = change < bar
         if np.count_nonzero(done):
-            rows[:, active[done]] = cur_rows[:, done]
-            more = ~done
-            active, cur_rows, cur_merges = active[more], cur_rows[:, more], cur_merges[:, more]
-            not_gen, keep = not_gen[:, more], keep[:, more]
-            cut = np.searchsorted(active, bounds).tolist()
-            plan = build_plan()
-    rows[:, active] = cur_rows
-    return rows, [a == b for a, b in zip(cut, cut[1:])]
-
-
-# -- the stages on arrays --------------------------------------------------------
-
-
-def _earliest(run: _Run, av_out, an_in, an_out, kill) -> np.ndarray:
-    """Earliest(i,j) = AnOut(j) & !AvOut(i) & (Kill(i) | !AnIn(i)), without
-    the last factor when i is the entry."""
-    first = run.conj(an_out[run.dst], run.neg(av_out[run.src]))
-    blocked = run.disj(kill[run.src], run.neg(an_in[run.src]))
-    return np.where((run.src == run.entry)[:, None, None], first, run.conj(first, blocked))
-
-
-def _insert_delete(run: _Run, later_in, later_out, uee):
-    """Insert(i,j) = LaterOut(i,j) & !LaterIn(j); Delete(k) = UEE(k) &
-    !LaterIn(k), and 0 for the entry."""
-    not_later = run.neg(later_in)
-    delete = run.conj(uee, not_later)
-    delete[run.entry] = 0.0
-    return run.conj(later_out, not_later[run.dst]), delete
+            out[column[done]] = rows[done]
+            bar[done] = 0.0
+            if 2 * np.count_nonzero(bar) <= bar.size:
+                live = bar > 0.0
+                column, analysis, bar = column[live], analysis[live], bar[live]
+                rows, merges, not_gen, keep = rows[live], merges[live], not_gen[live], keep[live]
+                terms = links.plan(analysis)
+    live = bar > 0.0
+    out[column[live]] = rows[live]
+    return out, not live.any()

@@ -17,11 +17,11 @@ numpy.  Crisp mode is the classical bit-vector algorithm, and loads none
 either: a row is one int, byte k 0 or 1 for expression k, and each fixed point
 is the greatest, found by a worklist from top, whatever the logic family and
 stopping rule.  Fuzzy and interval runs share one array engine, ``_soft``, the
-one user of numpy: values are float arrays of shape (rows, exprs, w), with
-w = 1 for scalars and w = 2 for (lo, hi) intervals, and each fixed point is
-swept over all expressions at once, from zero, with the meet the
-alpha-weighted average of the flow-graph framework, until a sweep moves an
-expression by less than epsilon.
+one user of numpy: values are float arrays of shape (exprs, rows, w), reported
+as (rows, exprs, w) views, with w = 1 for scalars and w = 2 for (lo, hi)
+intervals, and each fixed point is swept over all expressions at once, from
+zero, with the meet the alpha-weighted average of the flow-graph framework,
+each expression until a sweep moves it by less than epsilon.
 
 Boundary conventions (identical in all modes): the entry block's available
 set is just its downward-exposed set, the exit block's anticipated set is
@@ -239,7 +239,7 @@ _EDGE_MATRICES = ("earliest", "later_out", "insert")
 class LcmResult(_Frozen):
     """Every matrix of a pipeline run by matrix name, with the block ids and
     (src, dst) edge keys that index its rows: in crisp mode a list of row ints,
-    one 0/1 byte per expression, else a read-only (rows, exprs, w) array.
+    one 0/1 byte per expression, else a read-only (rows, exprs, w) array view.
     ``av_out`` ... ``delete`` are read-only views of them (block or edge -> row,
     of ``TruthInterval``s in interval mode), each built on its first read;
     ``to_json_dict`` builds its lists from the matrices and builds no view.  Two

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import sys
 from types import SimpleNamespace
 
 __all__ = [
@@ -109,8 +110,8 @@ def truth_value(x: float) -> float:
 
 
 def _finite(x: object) -> bool:
-    """Whether ``x`` is a finite real number: an int or float, not a bool."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and -math.inf < x < math.inf
+    """Whether ``x`` is a finite real number that a float holds: an int or float, not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def quantize(x: float, q: int) -> float:

@@ -1226,6 +1226,58 @@ def test_stacked_expressions_report_what_each_reports_alone(mode, logic):
     assert stacked >= 4
 
 
+def column_problem(seed: int, mode: str) -> LcmProblem:
+    """A seeded CFG of 2 to 10 blocks with rows that mix U[0,1] draws with exact
+    0s and 1s (as one end of each interval in interval mode), so that its
+    expressions' columns freeze at different sweeps."""
+    rng = random.Random(f"columns/{seed}")
+    problem = random_crisp_problem(rng, max_blocks=10, max_exprs=8)
+
+    def value():
+        v = rng.choice([0.0, 1.0, rng.random(), rng.random()])
+        return TruthInterval(*sorted((v, rng.random()))) if mode == "interval" else v
+
+    for name in ("dee", "uee", "kill"):
+        setattr(problem, name, {b: [value() for _ in problem.exprs] for b in problem.blocks})
+    return problem
+
+
+COLUMN_FAMILIES = ["minmax", "product", "lukasiewicz", "nilpotent", "frank:0.01", "frank:2",
+                   "frank:100"]
+
+
+@pytest.mark.parametrize("cap", [300, 12])
+@pytest.mark.parametrize("bits", [None, 8], ids=["exact", "q8"])
+@pytest.mark.parametrize("logic", COLUMN_FAMILIES)
+@pytest.mark.parametrize("mode", ["fuzzy", "interval"])
+def test_each_column_is_what_its_expression_reports_alone(mode, logic, bits, cap):
+    """Columns share their sweeps, their meets' terms and the dropping of
+    frozen columns, and nothing else: each expression's column of every matrix
+    equals the report of the problem of that column's rows alone, and the run
+    converges where each of those does, also where ``cap`` sweeps leave some
+    columns unconverged.  Bit for bit, but Frank within ``REPORT_TOL``: numpy's
+    SIMD loops may round its expm1 and log1p of one element by the element's
+    place in an array."""
+    from test_lcm_golden import REPORT_TOL
+
+    cfg = SolverConfig(LogicFamily.parse(logic), max_iters=cap, quantize_bits=bits)
+    stacked = 0
+    for seed in range(6):
+        problem = column_problem(seed, mode)
+        stacked += len(problem.exprs) > 2
+        result = L.lcm_pipeline(problem, mode, cfg=cfg)
+        alone = [L.lcm_pipeline(single_expression(problem, k), mode, cfg=cfg)
+                 for k in range(len(problem.exprs))]
+        assert result.converged == all(r.converged for r in alone)
+        if not logic.startswith("frank"):
+            assert column_bits(result) == [column_bits(r)[0] for r in alone]
+            continue
+        for k, r in enumerate(alone):
+            for name, values in result._matrices.items():
+                assert np.abs(values[:, k] - r._matrices[name][:, 0]).max(initial=0.0) <= REPORT_TOL
+    assert stacked >= 3
+
+
 @pytest.mark.parametrize("mode", ["fuzzy", "interval"])
 def test_stacking_changes_nothing_where_some_columns_stop_unconverged(mode):
     family = LogicFamily.product()
@@ -1375,10 +1427,6 @@ STAGE1_DIGESTS = {
     "no_edges/interval": "049c1eaeba9dfd59bf0c8c2c1d712b4c1b5f0b1215dd8fd978db1b2a93bb732a",
     "no_exprs/interval": "b6b9fe56b5959e138dc9ebdb7bf7004f72d94680a048d3edcda360ad657ca84e",
 }
-# Per slow analysis: the column counts of the stage-1 meets, sorted.  The
-# slow analysis meets in each of its STAGE1_CAP sweeps, the other only until
-# both its columns are frozen.
-STAGE1_MEET_WIDTHS = {"av": [1] * 37 + [2] * 6, "an": [1] * 37 + [2] * 6}
 LOOP_CASES = [(slow, mode, logic) for slow in ("av", "an") for mode in ("fuzzy", "interval")
               for logic in ("minmax", "product", "frank:2")]
 
@@ -1411,26 +1459,39 @@ def test_problems_without_edges_or_expressions_report_as_before(mode):
         assert report_digest(result) == STAGE1_DIGESTS[f"{name}/{mode}"]
 
 
+# Per sweep of the stage-1 loop above: the columns swept (availability's two,
+# then anticipatability's).  Three of the four freeze at sweep 3, the slow one never.
+STAGE1_SWEPT = [4] * 3 + [1] * (STAGE1_CAP - 3)
+
+
 @pytest.mark.parametrize("slow", ["av", "an"])
-def test_stage1_meets_an_analysis_only_while_it_has_active_columns(monkeypatch, slow):
-    widths, built, plans = [], [], []  # plans: (plan, the column counts of its analyses)
-    plan, meet = S._Links.plan, S._meet
+def test_stage1_sweeps_a_frozen_column_only_while_fewer_than_half_have_frozen(monkeypatch, slow):
+    """A frozen column is swept on, unread, while fewer than half the columns
+    swept have frozen, and dropped at the sweep that makes it half or more.
+    Each column's freeze sweep is found here from what the meets read and
+    return: its first whose change, over the (old, new) rows and the merges,
+    is below epsilon."""
+    calls, meet = [], S._meet
 
-    def plan_spy(self, a, b, n_cols, width, fresh=False):
-        if fresh:  # one analysis's part of a rows-first plan: stage 1's
-            built.append(b - a)
-        return plan(self, a, b, n_cols, width, fresh)
+    def meet_spy(rows, plan, n):
+        calls.append((rows, meet(rows, plan, n)))
+        return calls[-1][1]
 
-    def meet_spy(rows, terms, n):
-        if built:  # the first meet by the plan just built
-            plans.append((terms, built[:]))
-            built.clear()
-        widths.extend(next((counts for p, counts in plans if p is terms), []))
-        return meet(rows, terms, n)
-
-    monkeypatch.setattr(S._Links, "plan", plan_spy)
     monkeypatch.setattr(S, "_meet", meet_spy)
-    L.lcm_pipeline(loop_problem(slow, "fuzzy"), "fuzzy",
-                   cfg=SolverConfig(LogicFamily.product(), max_iters=STAGE1_CAP))
-    assert 0 not in widths
-    assert sorted(widths) == STAGE1_MEET_WIDTHS[slow]
+    cfg = SolverConfig(LogicFamily.product(), max_iters=STAGE1_CAP)
+    L.lcm_pipeline(loop_problem(slow, "fuzzy"), "fuzzy", cfg=cfg)
+    sweeps = calls[:STAGE1_CAP]  # then AnIn's meet and Later's
+    assert [len(rows) for rows, _ in sweeps] == STAGE1_SWEPT
+    swept, frozen_at, last = list(range(4)), {}, np.zeros((4, 4, 1))
+    for sweep, (rows, merges) in enumerate(sweeps, 1):
+        if len(rows) < len(swept):  # the frozen columns were dropped after the last sweep
+            assert 2 * sum(c in frozen_at for c in swept) >= len(swept)
+            swept = [c for c in swept if c not in frozen_at]
+        assert len(rows) == len(swept) and 2 * sum(c in frozen_at for c in swept) < len(swept)
+        for j, c in enumerate(swept):
+            change = np.abs(rows[j, 4:] - rows[j, :4]).sum() + np.abs(merges[j] - last[c]).sum()
+            last[c] = merges[j]
+            if c not in frozen_at and change < cfg.epsilon:
+                frozen_at[c] = sweep
+    slow_column = 0 if slow == "av" else 2  # the slow expression's, of av's two and an's two
+    assert frozen_at == {c: 3 for c in range(4) if c != slow_column}

@@ -205,8 +205,9 @@ def test_solver_config_checks_integer_settings_on_construction(settings, message
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("epsilon", [math.inf, math.nan, -1e-6, 0, True, "1e-6", None],
-                         ids=["inf", "nan", "negative", "zero", "bool", "string", "none"])
+@pytest.mark.parametrize("epsilon", [math.inf, math.nan, -1e-6, 0, True, "1e-6", None, 10**400],
+                         ids=["inf", "nan", "negative", "zero", "bool", "string", "none",
+                              "int-beyond-float"])
 def test_solver_config_requires_a_finite_positive_epsilon(epsilon):
     with pytest.raises(ValueError) as info:
         SolverConfig(family=MINMAX, epsilon=epsilon)

@@ -453,8 +453,9 @@ def test_frank_parameter_is_held_as_a_float_that_prints_and_parses_back(s):
     assert LogicFamily.parse(str(family)) == family
 
 
-@pytest.mark.parametrize("s", ["2", None, [2.0]], ids=repr)
+@pytest.mark.parametrize("s", ["2", None, [2.0], pytest.param(10**400, id="10**400")], ids=repr)
 def test_frank_rejects_a_non_number_with_the_named_error(s):
+    """Also a number no float holds, which ``float`` would raise OverflowError for."""
     for make in (partial(LogicFamily, "frank"), LogicFamily.frank):
         with pytest.raises(ValueError, match=r"^frank parameter must be finite, >= 2\*\*-28"):
             make(s)
