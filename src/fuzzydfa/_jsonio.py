@@ -230,14 +230,18 @@ def load_list(raw: Any, context: str) -> list:
 def load_items(raw: Any, context: str, load: Callable[[Any], Any]) -> list:
     """``load`` on each item of the JSON array ``raw``.  The messages of
     ``load`` name what is wrong inside the item (``.alpha: ...``, or ``: ...``
-    for the item itself); item i's ``context[i]`` is put in front only when
-    it fails, so no context is formatted for an item that loads."""
+    for the item itself), and any other ``ValueError`` of ``load``, such as a
+    constructor's, is about the item itself; item i's ``context[i]`` is put
+    in front only when it fails, so no context is formatted for an item that
+    loads."""
     out = []
     for i, item in enumerate(load_list(raw, context)):
         try:
             out.append(load(item))
         except FileFormatError as exc:
             raise FileFormatError(f"{context}[{i}]{exc}") from None
+        except ValueError as exc:
+            raise FileFormatError(f"{context}[{i}]: {exc}") from None
     return out
 
 
@@ -307,16 +311,13 @@ def load_settings(data: dict, modes: Sequence[str], default: str) -> Settings:
 
 def load_edge(raw: Any, make: Callable[..., Any], weights: tuple[str, ...]) -> Any:
     """``make(src, dst, *weights)`` from one edge object of a problem file,
-    for ``load_items``: ``from`` and ``to`` are names, each of ``weights``
-    a number, and a ``ValueError`` of ``make`` is a format error."""
+    for ``load_items``, which reports a ``ValueError`` of ``make`` as the
+    edge's: ``from`` and ``to`` are names, each of ``weights`` a number."""
     check_keys(raw, "", ("from", "to") + weights)
     args = [load_string(raw["from"], ".from"), load_string(raw["to"], ".to")]
     for key in weights:  # a loop, not a comprehension: one frame fewer per edge
         args.append(load_number(raw[key], "." + key))
-    try:
-        return make(*args)
-    except ValueError as exc:
-        raise FileFormatError(f": {exc}") from None
+    return make(*args)
 
 
 def load_value(raw: Any, context: str, *, interval: bool) -> Any:

@@ -4,7 +4,6 @@ validating build no array."""
 
 from __future__ import annotations
 
-import functools
 import operator
 from typing import Sequence
 
@@ -77,8 +76,9 @@ class _Run:
         self.resort = mode == "interval" and cfg.family.kind == "frank"
         self.src, self.dst = np.array(src, dtype=int), np.array(dst, dtype=int)
 
-    def conj(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = self._tnorm(x, y, np)
+    def conj(self, x: np.ndarray, y: np.ndarray, negate: bool = False) -> np.ndarray:
+        """T(x, y), or with ``negate`` 1 - T(x, y)."""
+        out = 1.0 - self._tnorm(x, y, np) if negate else self._tnorm(x, y, np)
         if self.resort:
             swap = out[..., 0] > out[..., 1]
             if swap.any():  # what np.sort does to the pairs, at less cost
@@ -89,7 +89,10 @@ class _Run:
         return 1.0 - x[..., ::-1]  # a scalar's width-1 axis reverses to itself
 
     def disj(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.neg(self.conj(self.neg(x), self.neg(y)))
+        """neg(conj(neg(x), neg(y))) with no op on a reversed view, which
+        numpy runs several times slower: around an elementwise T-norm the
+        complements' reversals cancel."""
+        return self.conj(1.0 - x, 1.0 - y, negate=True)
 
     def snap(self, values: np.ndarray) -> np.ndarray:
         """``values`` on the grid of ``cfg.quantize_bits``, which is set."""
@@ -157,17 +160,16 @@ def _fixpoint(run: _Run, gen: np.ndarray, keep: np.ndarray, reads: np.ndarray | 
     converged.
     """
     n, bits, analyses = links.n, run.cfg.quantize_bits, len(links.weight)
-    conj, neg = run.conj if run.resort else functools.partial(run._tnorm, xp=np), run.neg
     out = rows = np.zeros(gen.shape)  # rows is rebound to new rows before out is written
-    merges, not_gen = np.zeros((len(gen), n) + gen.shape[2:]), neg(gen)
+    merges, not_gen = np.zeros((len(gen), n) + gen.shape[2:]), 1.0 - gen
     # Of each column swept: its column in out, its analysis, and the bar its
     # change must be below to freeze it, epsilon or, once frozen, 0.0.
     column, analysis = np.arange(len(gen)), np.repeat(np.arange(analyses), len(gen) // analyses)
     bar = np.full(len(gen), run.cfg.epsilon)
 
     def transfer(m: np.ndarray) -> np.ndarray:
-        not_held = neg(conj(m, keep))
-        new = neg(conj(not_gen, not_held if reads is None else not_held[:, reads]))
+        held = run.conj(m, keep)  # then gen | held as 1 - (!gen & !held), as disj does
+        new = run.conj(not_gen, 1.0 - (held if reads is None else held[:, reads]), negate=True)
         return new if bits is None else run.snap(new)
 
     def meet(r: np.ndarray) -> np.ndarray:

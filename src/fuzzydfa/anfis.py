@@ -150,7 +150,7 @@ def _total(a: np.ndarray) -> np.ndarray:
     """Sums over the last axis, added left to right (a cumulative sum is
     sequential); ``+ 0.0`` makes a sum of -0.0 terms 0.0, as a sum from 0.0
     does."""
-    return np.cumsum(a, axis=-1)[..., -1] + 0.0
+    return a.cumsum(-1)[..., -1] + 0.0
 
 
 def _inputs(xs: Sequence[Sequence[float]], dim: int) -> np.ndarray:
@@ -309,6 +309,7 @@ def run_harness(
     n_rules = (len(update_model._coef), len(leave_model._coef))
     coefs = _pair(update_model._coef, leave_model._coef)
     padding = np.arange(coefs.shape[1]) >= np.array(n_rules)[:, None]
+    step_targets = np.array(((0.0, 1.0), (1.0, 0.0)))  # by label: leave, update
     rates: list[float] = []
     for xs, ys in zip(periods, labels):
         if len(xs) != len(ys):
@@ -319,22 +320,25 @@ def run_harness(
         nv = nu if leave_model._mf is update_model._mf else _layers(leave_model, xs)[2]
         nws = _pair(nu.T, nv.T).transpose(2, 0, 1)  # (samples, 2, rules)
         should_update = np.array(ys, dtype=bool)
-        errors = start = 0
-        # Only a misclassified sample changes the consequents, so the rest of
-        # the period is scored at once, up to the first misclassification.
+        # Only a misclassified sample changes the consequents, so samples are
+        # scored in windows that double while none is wrong and start short
+        # again after one, which LMS steps both models on.
+        errors, start, window = 0, 0, 4
         while start < len(X):
-            scores = _total(nws[start:] * _outputs(coefs, X[start:, None]))  # (samples, 2)
+            stop = start + window
+            scores = _total(nws[start:stop] * _outputs(coefs, X[start:stop, None]))  # (samples, 2)
             u, v = scores[:, 0], scores[:, 1]
-            wrong = ~np.where(should_update[start:], u > v, v > u)  # a tie is an error
+            wrong = ~np.where(should_update[start:stop], u > v, v > u)  # a tie is an error
             if not wrong.any():
-                break
+                start, window = stop, 2 * window
+                continue
             k = int(wrong.argmax())
             i = start + k
             errors += 1
-            targets = np.array((1.0, 0.0) if should_update[i] else (0.0, 1.0))
-            _lms(coefs, X[i], nws[i], targets - scores[k], tc.mu)
-            coefs[padding] = 0.0  # also where mu*e is infinite, as 0 * inf is nan
-            start = i + 1
+            _lms(coefs, X[i], nws[i], step_targets[int(should_update[i])] - scores[k], tc.mu)
+            if n_rules[0] != n_rules[1]:
+                coefs[padding] = 0.0  # also where mu*e is infinite, as 0 * inf is nan
+            start, window = i + 1, 4
         rate = errors / len(xs) if len(xs) else 0.0
         rates.append(rate)
         if len(xs) and rate >= tc.retrain_error_threshold:
@@ -361,11 +365,11 @@ def split_periods(
     a shorter trailing period is kept."""
     if period_length < 1:
         raise ValueError("period_length must be >= 1")
-    periods, period_labels = [], []
-    for start in range(0, len(X), period_length):
-        periods.append(list(X[start : start + period_length]))
-        period_labels.append(list(labels[start : start + period_length]))
-    return periods, period_labels
+    if len(X) != len(labels):
+        raise DimensionMismatchError(f"{len(X)} samples but {len(labels)} labels")
+    starts = range(0, len(X), period_length)
+    return ([list(X[i : i + period_length]) for i in starts],
+            [list(labels[i : i + period_length]) for i in starts])
 
 
 # -- serialization -------------------------------------------------------------
@@ -380,24 +384,32 @@ def model_to_json_dict(model: AnfisModel) -> dict:
 def model_from_json_dict(data: Any) -> AnfisModel:
     """Every number must be a finite JSON number, ``dim`` an integer."""
     _jsonio.check_keys(data, "model", ["dim", "and_op", "rules"])
-    num = _jsonio.load_number
     try:
-        rules = []
-        for i, raw in enumerate(_jsonio.load_list(data["rules"], "rules")):
-            _jsonio.check_keys(raw, f"rules[{i}]", ["antecedents", "consequent"])
-            ante, where = raw["antecedents"], f"rules[{i}].antecedents"
-            mfs = []
-            for j, abc in enumerate(_jsonio.load_list(ante, where)):
-                if len(_jsonio.load_list(abc, f"{where}[{j}]")) != 3:
-                    raise FileFormatError(f"{where}[{j}]: expected 3 breakpoints, got {len(abc)}")
-                mfs.append([num(v, where) for v in abc])
-            coef, where = raw["consequent"], f"rules[{i}].consequent"
-            consequent = [num(c, where) for c in _jsonio.load_list(coef, where)]
-            rules.append(Rule(tuple(TriangularMf(*abc) for abc in mfs), consequent))
-        dim = num(data["dim"], "dim", integer=True)
+        rules = _jsonio.load_items(data["rules"], "rules", _load_rule)
+        dim = _jsonio.load_number(data["dim"], "dim", integer=True)
         return AnfisModel(rules, dim, _jsonio.load_string(data["and_op"], "and_op"))
     except (TypeError, ValueError) as exc:
         raise FileFormatError(f"model: {exc}") from None
+
+
+def _load_numbers(raw: Any, context: str = "") -> list[float]:
+    """A JSON array of numbers, for ``load_items``; item k is ``context[k]``."""
+    return _jsonio.load_items(raw, context, lambda v: _jsonio.load_number(v, ""))
+
+
+def _load_mf(raw: Any) -> TriangularMf:
+    """One [a, b, c] triple of breakpoints, for ``load_items``."""
+    abc = _load_numbers(raw)
+    if len(abc) != 3:
+        raise FileFormatError(f": expected 3 breakpoints, got {len(abc)}")
+    return TriangularMf(*abc)
+
+
+def _load_rule(raw: Any) -> Rule:
+    """One rule object, for ``load_items``."""
+    _jsonio.check_keys(raw, "", ["antecedents", "consequent"])
+    mfs = _jsonio.load_items(raw["antecedents"], ".antecedents", _load_mf)
+    return Rule(mfs, _load_numbers(raw["consequent"], ".consequent"))
 
 
 def load_model_file(path: str) -> AnfisModel:

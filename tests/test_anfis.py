@@ -437,6 +437,50 @@ def test_harness_all_correct_and_all_wrong_periods_match_the_reference(and_op, s
         assert_harness_matches_reference(update, leave, periods, labels, tc)
 
 
+def fixed_verdict_pair(and_op, rules):
+    """An update model that scores 2 and a leave model that scores -2 on
+    every input: ``rules`` "shared" derives the leave model from the update
+    one, "separate" builds it afresh with as many rules, and "fewer-update"
+    or "fewer-leave" gives that model 4 rules against the other's 9, so the
+    harness pads it."""
+    sizes = {"fewer-update": (2, 3), "fewer-leave": (3, 2)}.get(rules, (3, 3))
+    update = with_consequents(uniform_model(2, sizes[0], and_op), lambda: (2.0, 0.0, 0.0))
+    if rules == "shared":
+        X = [[i / 4, j / 4] for i in range(5) for j in range(5)]
+        return update, ls_fit(update, X, [-2.0] * len(X))
+    return update, with_consequents(uniform_model(2, sizes[1], and_op), lambda: (-2.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("length", [0, 1, 3, 4, 5, 8, 12, 13, 25, 60])
+@pytest.mark.parametrize("rules", ["shared", "separate", "fewer-update", "fewer-leave"])
+@pytest.mark.parametrize("and_op", ["min", "product"])
+def test_harness_window_edges_match_the_reference(and_op, rules, length):
+    # The harness scores a period in windows that start short and double, so
+    # a misclassification may fall anywhere in one: on its first or last
+    # sample, or past the end of a short period.  The steps (mu = 1e-6) are
+    # too small to turn a verdict, so a label says whether a sample is wrong:
+    # "leave" is wrong.  One period per position of its first (and only)
+    # error, then all correct, every third wrong, all wrong (which refits,
+    # so it comes last, and is the one-error period of one sample).
+    rng = random.Random(f"harness-windows/{and_op}/{rules}/{length}")
+    update, leave = fixed_verdict_pair(and_op, rules)
+    xs = [random_input(rng, 2) for _ in range(length)]
+    firsts = range(length) if length > 1 else ()
+    patterns = [[k != first for k in range(length)] for first in firsts]
+    patterns += [[True] * length, [k % 3 != 2 for k in range(length)], [False] * length]
+    tc = TrainConfig(mu=1e-6, retrain_error_threshold=1.0)
+    rates = assert_harness_matches_reference(update, leave, [xs] * len(patterns), patterns, tc)
+    if length:
+        assert rates == [1 / length] * len(firsts) + [0.0, (length // 3) / length, 1.0]
+    # The same period lengths with verdicts that LMS steps do turn.
+    update = with_consequents(update, lambda: tuple(rng.uniform(-1, 1) for _ in range(3)))
+    leave = with_consequents(leave, lambda: tuple(rng.uniform(-1, 1) for _ in range(3)))
+    periods = [[random_input(rng, 2) for _ in range(length)] for _ in range(4)]
+    labels = [[rng.random() < 0.5 for _ in period] for period in periods]
+    assert_harness_matches_reference(update, leave, periods, labels,
+                                     TrainConfig(mu=0.3, retrain_error_threshold=0.8))
+
+
 def test_harness_with_fewer_update_rules_matches_the_reference_after_an_overflow():
     # One rule that always fires fully against a two-rule leave model.  The
     # first step overflows (mu*e = -inf), so the update model outputs -inf
@@ -493,6 +537,10 @@ _ONE = AnfisModel([_RULE], 1)
     (lambda: uniform_model(1, 1), ValueError,
      "need dim >= 1 and at least 2 membership functions per input"),
     (lambda: split_periods([[0.5]], [True], 0), ValueError, "period_length must be >= 1"),
+    (lambda: split_periods([[0.1], [0.2], [0.3]], [True] * 5, 2), DimensionMismatchError,
+     "3 samples but 5 labels"),
+    (lambda: split_periods([[0.1], [0.2], [0.3]], [True], 2), DimensionMismatchError,
+     "3 samples but 1 labels"),
     (lambda: run_harness(_ONE, _ONE, [[[0.5]]], [], TrainConfig(0.1)), DimensionMismatchError,
      "1 periods but 0 label groups"),
     (lambda: run_harness(_ONE, _ONE, [[[0.5]]], [[True, False]], TrainConfig(0.1)),
@@ -500,8 +548,8 @@ _ONE = AnfisModel([_RULE], 1)
     (lambda: run_harness(_ONE, uniform_model(2, 2), [], [], TrainConfig(0.1)),
      DimensionMismatchError, "update model has dim 1 but leave model has dim 2"),
 ], ids=["rule-consequent", "no-rules", "dim-zero", "and-op", "rule-dim", "ls-no-samples",
-        "uniform-dim", "uniform-mfs", "period-length", "harness-periods", "harness-labels",
-        "harness-pair-dims"])
+        "uniform-dim", "uniform-mfs", "period-length", "split-more-labels", "split-fewer-labels",
+        "harness-periods", "harness-labels", "harness-pair-dims"])
 def test_construction_and_argument_errors_are_named(make, kind, message):
     with pytest.raises(kind) as raised:
         make()
@@ -859,8 +907,20 @@ def test_model_json_numbers_are_strict(spoil):
     (lambda d: d["rules"][0]["antecedents"][0].pop(), "rules[0].antecedents[0]: expected 3 "
      "breakpoints, got 2"),
     (lambda d: d.__setitem__("and_op", 5), "and_op: expected a string, got 5"),
+    (lambda d: d["rules"][1]["antecedents"][0].__setitem__(2, "x"),
+     "rules[1].antecedents[0][2]: expected a number, got 'x'"),
+    (lambda d: d["rules"][1]["consequent"].__setitem__(1, None),
+     "rules[1].consequent[1]: expected a number, got None"),
+    (lambda d: d["rules"][1]["antecedents"].__setitem__(0, [0.5, 0.2, 1.0]),
+     "rules[1].antecedents[0]: breakpoints out of order: (0.5, 0.2, 1.0)"),
+    (lambda d: d["rules"][1]["consequent"].pop(),
+     "rules[1]: rule with 1 antecedents needs 2 consequent coefficients"),
+    (lambda d: d["rules"][1].__setitem__("weight", 1.0), "rules[1]: unknown keys ['weight']"),
+    (lambda d: d["rules"].__setitem__(1, [0.0]), "rules[1]: expected an object, got list"),
 ], ids=["rules-object", "rules-number", "antecedents-object", "consequent-object",
-        "consequent-string", "triple-object", "triple-number", "triple-short", "and-op-number"])
+        "consequent-string", "triple-object", "triple-number", "triple-short", "and-op-number",
+        "breakpoint-string", "coefficient-null", "breakpoints-order", "consequent-short",
+        "rule-key", "rule-list"])
 def test_model_json_lists_are_strict(spoil, message):
     data = model_to_json_dict(uniform_model(1, 2))
     spoil(data)

@@ -597,15 +597,15 @@ BAD_MODEL_NUMBERS = [
     (lambda m: m.__setitem__("dim", True), "dim: expected an integer, got True"),
     (lambda m: m.__setitem__("dim", "2"), "dim: expected an integer, got '2'"),
     (lambda m: m["rules"][0]["antecedents"][0].__setitem__(1, "0.5"),
-     "rules[0].antecedents: expected a number, got '0.5'"),
+     "rules[0].antecedents[0][1]: expected a number, got '0.5'"),
     (lambda m: m["rules"][1]["antecedents"][1].__setitem__(2, True),
-     "rules[1].antecedents: expected a number, got True"),
+     "rules[1].antecedents[1][2]: expected a number, got True"),
     (lambda m: m["rules"][0]["consequent"].__setitem__(0, "0.5"),
-     "rules[0].consequent: expected a number, got '0.5'"),
+     "rules[0].consequent[0]: expected a number, got '0.5'"),
     (lambda m: m["rules"][1]["consequent"].__setitem__(2, False),
-     "rules[1].consequent: expected a number, got False"),
+     "rules[1].consequent[2]: expected a number, got False"),
     (lambda m: m["rules"][1]["consequent"].__setitem__(2, float("nan")),
-     "rules[1].consequent: expected a finite number, got nan"),
+     "rules[1].consequent[2]: expected a finite number, got nan"),
 ]
 BAD_MODEL_IDS = ["dim-fraction", "dim-bool", "dim-string", "breakpoint-string", "breakpoint-bool",
                  "coefficient-string", "coefficient-bool", "coefficient-nan"]
