@@ -157,11 +157,9 @@ def _write(obj: Any, parts: list[str], values: list) -> None:
                 parts.append(", ")
             parts[-1] = "]" if obj else "[]"
     elif isinstance(obj, dict):
-        if obj and (table := _table(list(obj.values()))):
-            sep = ": " + table[0]  # _quote escapes control characters: "\0" marks the joints
-            keys = "\0".join(map(_quote, map(str, obj))).replace("%", "%%")
-            parts.append("{" + keys.replace("\0", sep + ", ") + sep + "}")
-            values.extend(table[1])
+        if obj and (written := _columns([list(obj), list(obj.values())])):  # a table
+            parts.append("{" + ", ".join([": ".join(written[0])] * len(obj)) + "}")
+            values.extend(written[1])
         else:
             parts.append("{")
             for key, value in obj.items():

@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .lcm import _MATRICES, LcmProblem, LcmResult, _checked
-from .truth import SolverConfig
+from .truth import SolverConfig, _snap
 
 
 def pipeline(problem: LcmProblem, mode: str, cfg: SolverConfig) -> LcmResult:
@@ -59,10 +59,8 @@ class _Run:
     ``lcm._validate`` checked: 0/1 bytes or lists of numbers, a number v as
     (v, v) where w = 2, or (lows, highs) lists, with -0.0 as 0.0.  The
     complement reverses a (lo, hi) pair; the T-norm is the family's one
-    formula, ``LogicFamily._tnorm``, run on numpy end by end.  Only Frank's
-    pairs are re-sorted against rounding, as the interval reading of
-    ``formula`` does: the other T-norms are monotone in floating point, so
-    they keep ordered pairs ordered."""
+    formula, ``LogicFamily._tnorm``, run on numpy end by end, and its pairs are
+    re-sorted only for a family that ``_reorders``, as in ``formula._Ops``."""
 
     def __init__(self, problem: LcmProblem, mode: str, cfg: SolverConfig):
         rows, self.keys, (src, dst, *self.weights), self.entry = _checked(problem, mode)
@@ -73,7 +71,7 @@ class _Run:
         self.rows = {name: v.T.reshape(blocks, n, v.ndim).transpose(1, 0, 2) + zero
                      for name, v in flat.items()}
         self.cfg, self._tnorm = cfg, cfg.family._tnorm
-        self.resort = mode == "interval" and cfg.family.kind == "frank"
+        self.resort = mode == "interval" and cfg.family._reorders
         self.src, self.dst = np.array(src, dtype=int), np.array(dst, dtype=int)
 
     def conj(self, x: np.ndarray, y: np.ndarray, negate: bool = False) -> np.ndarray:
@@ -93,11 +91,6 @@ class _Run:
         numpy runs several times slower: around an elementwise T-norm the
         complements' reversals cancel."""
         return self.conj(1.0 - x, 1.0 - y, negate=True)
-
-    def snap(self, values: np.ndarray) -> np.ndarray:
-        """``values`` on the grid of ``cfg.quantize_bits``, which is set."""
-        scale = float(2**self.cfg.quantize_bits)
-        return np.minimum(1.0, np.round(values * scale) / scale)
 
 
 # -- the fixed-point engine --------------------------------------------------------
@@ -170,11 +163,11 @@ def _fixpoint(run: _Run, gen: np.ndarray, keep: np.ndarray, reads: np.ndarray | 
     def transfer(m: np.ndarray) -> np.ndarray:
         held = run.conj(m, keep)  # then gen | held as 1 - (!gen & !held), as disj does
         new = run.conj(not_gen, 1.0 - (held if reads is None else held[:, reads]), negate=True)
-        return new if bits is None else run.snap(new)
+        return new if bits is None else _snap(new, bits, np)
 
     def meet(r: np.ndarray) -> np.ndarray:
         m = _meet(r, terms, n)
-        return m if bits is None else run.snap(m)
+        return m if bits is None else _snap(m, bits, np)
 
     terms = links.plan(analysis)
     for _ in range(run.cfg.max_iters):

@@ -106,10 +106,10 @@ class AnfisModel(_Frozen):
             raise ValueError(f"input dimension must be >= 1, got {dim}")
         if and_op not in ("min", "product"):
             raise ValueError(f"and_op must be 'min' or 'product', got {and_op!r}")
-        for rule in rules:
+        for i, rule in enumerate(rules):
             if len(rule.antecedents) != dim:
                 raise DimensionMismatchError(
-                    f"rule has {len(rule.antecedents)} antecedents, model dim is {dim}"
+                    f"rules[{i}] has {len(rule.antecedents)} antecedents, model dim is {dim}"
                 )
         # Each distinct (input, mf) is evaluated once; ``index`` gathers them.
         antecedents = tuple(rule.antecedents for rule in rules)
@@ -219,6 +219,9 @@ def predict(model: AnfisModel, x: Sequence[float]) -> Prediction:
     return Prediction(float(_total(nw[0] * f)), w[0].tolist(), nw[0].tolist(), f.tolist())
 
 
+# An LMS step with a huge ``mu`` can overflow to inf and then make nan (inf * 0);
+# ``run_harness`` expects that (see its padding), so neither warns.
+@np.errstate(over="ignore", invalid="ignore")
 def lms_update(model: AnfisModel, x: Sequence[float], target: float, mu: float) -> AnfisModel:
     """One stochastic-gradient step on this sample's squared error:
     c(i,0) += mu*e*wbar_i and c(i,k) += mu*e*wbar_i*x_k, e the signed error."""
@@ -285,6 +288,7 @@ class HarnessResult(_Record):
         self.leave_model = leave_model
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_harness(
     update_model: AnfisModel,
     leave_model: AnfisModel,
@@ -381,15 +385,16 @@ def model_to_json_dict(model: AnfisModel) -> dict:
     return {"dim": model.dim, "and_op": model.and_op, "rules": rules}
 
 
-def model_from_json_dict(data: Any) -> AnfisModel:
-    """Every number must be a finite JSON number, ``dim`` an integer."""
-    _jsonio.check_keys(data, "model", ["dim", "and_op", "rules"])
+def model_from_json_dict(data: Any, context: str = "model") -> AnfisModel:
+    """Every number must be a finite JSON number, ``dim`` an integer.  Messages
+    start with ``context``, which names the model in its file."""
+    _jsonio.check_keys(data, context, ["dim", "and_op", "rules"])
     try:
         rules = _jsonio.load_items(data["rules"], "rules", _load_rule)
         dim = _jsonio.load_number(data["dim"], "dim", integer=True)
         return AnfisModel(rules, dim, _jsonio.load_string(data["and_op"], "and_op"))
     except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"model: {exc}") from None
+        raise FileFormatError(f"{context}: {exc}") from None
 
 
 def _load_numbers(raw: Any, context: str = "") -> list[float]:

@@ -173,7 +173,7 @@ def _model_pair(data: Any) -> tuple:
     from . import anfis
 
     _jsonio.check_keys(data, "models", ["update", "leave"])
-    update, leave = map(anfis.model_from_json_dict, (data["update"], data["leave"]))
+    update, leave = (anfis.model_from_json_dict(data[key], key) for key in ("update", "leave"))
     if update.dim != leave.dim:
         raise _jsonio.FileFormatError(
             f"models: update has dim {update.dim} but leave has dim {leave.dim}")

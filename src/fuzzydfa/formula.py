@@ -141,9 +141,9 @@ def evaluate_interval(f: Formula, family: LogicFamily, valuation: Mapping[str, V
 
 
 class _Ops:
-    """One logic family's connectives on values of one width.  The T-norm works
-    end by end, the complement reverses a pair and the S-norm is their De
-    Morgan dual; values are checked once, by ``lift``, so the norms skip it."""
+    """One logic family's connectives on values of one width, one closure each: the
+    T-norm end by end, re-sorting a pair if the family ``_reorders``, the complement
+    reversing a pair and the S-norm their De Morgan dual.  Only ``lift`` checks values."""
 
     def __init__(self, family: LogicFamily, width: int):
         self.width, t = width, family._tnorm
@@ -151,11 +151,12 @@ class _Ops:
             tnorm = lambda x, y: (t(x[0], y[0]),)  # noqa: E731
             cnorm = lambda x: (1.0 - x[0],)  # noqa: E731
         else:
-            def tnorm(x, y):
-                lo, hi = t(x[0], y[0]), t(x[1], y[1])
-                # Monotonicity makes lo <= hi in exact arithmetic; guard the rounding.
-                return (lo, hi) if lo <= hi else (hi, lo)
-
+            if family._reorders:
+                def tnorm(x, y):
+                    lo, hi = t(x[0], y[0]), t(x[1], y[1])
+                    return (lo, hi) if lo <= hi else (hi, lo)
+            else:
+                tnorm = lambda x, y: (t(x[0], y[0]), t(x[1], y[1]))  # noqa: E731
             cnorm = lambda x: (1.0 - x[1], 1.0 - x[0])  # noqa: E731
         self.tnorm, self.cnorm = tnorm, cnorm
         self.snorm = lambda x, y: cnorm(tnorm(cnorm(x), cnorm(y)))

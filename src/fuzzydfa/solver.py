@@ -17,9 +17,11 @@ with ``In`` bound to the property it computes (see ``formula``).
 
 from __future__ import annotations
 
+from itertools import cycle, islice
+
 from .flowgraph import INPUT_NAME, FlowGraph, Valuation, validate
 from .formula import _Ops
-from .truth import LogicFamily, SolverConfig, _Record, quantize
+from .truth import LogicFamily, SolverConfig, _Record, _snap
 
 __all__ = ["SolverConfig", "SolveReport", "step", "step_interval", "solve", "solve_interval"]
 
@@ -138,26 +140,43 @@ def _solve(graph: FlowGraph, cfg: SolverConfig, width: int, initial: GlobalState
     updates = _updates(graph, state, ops)
     bits = cfg.quantize_bits
 
-    trace: list[float] = []
-    converged = False
-    for _ in range(cfg.max_iters):
+    def sweep() -> float:
         residual = 0.0
         for node, prop, transfer, inputs in updates:
             new = _average(transfer, inputs, width)
             if bits is not None:
-                new = tuple(quantize(end, bits) for end in new)
+                new = tuple(_snap(end, bits) for end in new)
             valuation = state[node]
             change = 0.0
             for a, b in zip(new, valuation[prop]):
                 change += abs(a - b)
             residual += change
             valuation[prop] = new
-        trace.append(residual)
+        return residual
+
+    def snapshot() -> list:  # ends are never -0.0 or NaN, so == compares their bits
+        return [value for valuation in state.values() for value in valuation.values()]
+
+    trace: list[float] = []
+    saved, mark = None, 0  # Brent's cycle test: the state after sweep ``mark``, a power of two
+    while len(trace) < cfg.max_iters:
+        trace.append(residual := sweep())
         if residual < cfg.epsilon:
-            converged = True
             break
+        # A sweep is a fixed function of the state, so a repeat with period p
+        # fixes the rest: the residuals cycle, and the final state is the one
+        # (max_iters - t) mod p sweeps on.  Equal residuals filter the compare;
+        # past the cycle's start, equal states imply them.
+        if mark and residual == trace[mark - 1] and snapshot() == saved:
+            period, rest = len(trace) - mark, cfg.max_iters - len(trace)
+            for _ in range(rest % period):
+                sweep()
+            trace += islice(cycle(trace[-period:]), rest)
+            break
+        if len(trace) & (len(trace) - 1) == 0:
+            saved, mark = snapshot(), len(trace)
     return SolveReport(final=_unlift(state, ops), iterations=len(trace), residual_trace=trace,
-                       converged=converged)
+                       converged=trace[-1] < cfg.epsilon)
 
 
 def solve(graph: FlowGraph, cfg: SolverConfig, initial: GlobalState | None = None) -> SolveReport:
@@ -165,7 +184,9 @@ def solve(graph: FlowGraph, cfg: SolverConfig, initial: GlobalState | None = Non
     sweep drops below epsilon, or max_iters is exhausted.
 
     Non-convergence is not an error; it is reported as ``converged=False``
-    (the fixed point is only guaranteed when the functional contracts).
+    (the fixed point is only guaranteed when the functional contracts).  A
+    state that repeats is not swept on: the report, which its cycle fixes,
+    is the one of sweeping to max_iters.
     """
     return _solve(graph, cfg, 1, initial)
 

@@ -44,8 +44,8 @@ WEIGHT_SUM_TOL = 1e-9
 _FAMILY_KINDS = ("minmax", "product", "lukasiewicz", "nilpotent", "frank")
 
 _NULL = contextlib.nullcontext()
-# The names ``LogicFamily._tnorm`` computes with, on floats; numpy has them all.
-_FLOATS = SimpleNamespace(minimum=min, maximum=max, expm1=math.expm1, log1p=math.log1p,
+# The names ``LogicFamily._tnorm`` and ``_snap`` compute with on floats; numpy has them all.
+_FLOATS = SimpleNamespace(minimum=min, maximum=max, round=round, expm1=math.expm1, log1p=math.log1p,
                           where=lambda c, x, y: x if c else y, errstate=lambda **_: _NULL)
 
 # Sets a frozen record's field in its ``__init__``, past the refusing
@@ -118,9 +118,12 @@ def quantize(x: float, q: int) -> float:
     """Snap ``x`` to the nearest element of {i/2^q}, ties to even ``i``."""
     if type(q) is not int or q < 1:  # a float level is off the grid, a bool no level
         raise ValueError(f"quantization level must be an integer >= 1, got {q!r}")
-    scale = float(2**q)
-    # Python's round() rounds half to even, which is the tie rule we document.
-    return min(1.0, round(truth_value(x) * scale) / scale)
+    return _snap(truth_value(x), q)
+
+
+def _snap(x, q: int, xp=_FLOATS):
+    """``quantize`` of checked degrees, on floats or with ``xp`` numpy on arrays, ties to even."""
+    return xp.round(x * float(2**q)) / float(2**q)
 
 
 class TruthInterval(_Frozen):
@@ -256,6 +259,11 @@ class LogicFamily(_Frozen):
         out = xp.log1p(ratio) / ls
         # min(1.0, max(0.0, out)), which turns an array's -0.0 to 0.0 as well.
         return xp.where(out < 1.0, xp.where(out > 0.0, out, 0.0), 1.0)
+
+    @property
+    def _reorders(self) -> bool:
+        """Whether ``_tnorm`` can swap an interval's ends: only Frank's rounding can."""
+        return self.kind == "frank"
 
     def snorm(self, x: float, y: float) -> float:
         """Fuzzy disjunction, derived as cnorm(tnorm(cnorm(x), cnorm(y)))."""

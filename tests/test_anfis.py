@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -496,6 +497,16 @@ def test_harness_with_fewer_update_rules_matches_the_reference_after_an_overflow
     assert rates == [3 / 4]
 
 
+def test_an_overflowing_lms_step_warns_nothing():
+    # The second step's mu*e overflows to -inf, and inf * 0 then makes nan.
+    model = uniform_model(1, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in ([0.3], [0.3], [0.6]):
+            model = lms_update(model, x, 1.0, 1e308)
+    assert np.isnan(model._coef).all()
+
+
 def test_model_rejects_zero_dimension():
     with pytest.raises(ValueError):
         AnfisModel(rules=(Rule((), (0.5,)),), dim=0, and_op="min")
@@ -530,7 +541,9 @@ _ONE = AnfisModel([_RULE], 1)
     (lambda: AnfisModel([_RULE], 1, "max"), ValueError,
      "and_op must be 'min' or 'product', got 'max'"),
     (lambda: AnfisModel([_RULE], 2), DimensionMismatchError,
-     "rule has 1 antecedents, model dim is 2"),
+     "rules[0] has 1 antecedents, model dim is 2"),
+    (lambda: AnfisModel([_RULE, Rule([_MF, _MF], [0.0] * 3)], 1), DimensionMismatchError,
+     "rules[1] has 2 antecedents, model dim is 1"),
     (lambda: ls_fit(_ONE, [], []), ValueError, "need at least one sample"),
     (lambda: uniform_model(0), ValueError,
      "need dim >= 1 and at least 2 membership functions per input"),
@@ -547,7 +560,8 @@ _ONE = AnfisModel([_RULE], 1)
      DimensionMismatchError, "period and label lengths differ"),
     (lambda: run_harness(_ONE, uniform_model(2, 2), [], [], TrainConfig(0.1)),
      DimensionMismatchError, "update model has dim 1 but leave model has dim 2"),
-], ids=["rule-consequent", "no-rules", "dim-zero", "and-op", "rule-dim", "ls-no-samples",
+], ids=["rule-consequent", "no-rules", "dim-zero", "and-op", "rule-dim", "second-rule-dim",
+        "ls-no-samples",
         "uniform-dim", "uniform-mfs", "period-length", "split-more-labels", "split-fewer-labels",
         "harness-periods", "harness-labels", "harness-pair-dims"])
 def test_construction_and_argument_errors_are_named(make, kind, message):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -116,11 +117,16 @@ def test_validate_accepts_the_anfis_train_model_pair(data_dir, capsys):
     (lambda pair: pair.pop("leave"), "models: missing keys ['leave']"),
     (lambda pair: pair.pop("update"), "models: missing keys ['update']"),
     (lambda pair: pair.update(extra=1), "models: unknown keys ['extra']"),
-    (lambda pair: pair["leave"].update(dim=True), "model: dim: expected an integer, got True"),
-    (lambda pair: pair.update(update=[]), "model: expected an object, got list"),
+    (lambda pair: pair["leave"].update(dim=True), "leave: dim: expected an integer, got True"),
+    (lambda pair: pair.update(update=[]), "update: expected an object, got list"),
+    (lambda pair: pair["leave"]["rules"][1]["consequent"].__setitem__(0, "x"),
+     "leave: rules[1].consequent[0]: expected a number, got 'x'"),
+    (lambda pair: pair["update"].update(dim=1),
+     "update: rules[0] has 2 antecedents, model dim is 1"),
     (lambda pair: pair.update(leave=model_to_json_dict(uniform_model(3, 2))),
      "models: update has dim 2 but leave has dim 3"),
-], ids=["no-leave", "no-update", "extra-key", "bad-leave", "update-list", "dim-mismatch"])
+], ids=["no-leave", "no-update", "extra-key", "bad-leave", "update-list", "leave-coefficient",
+        "update-dim", "dim-mismatch"])
 def test_validate_rejects_a_broken_pair_as_anfis_train_does(data_dir, tmp_path, capsys, spoil,
                                                            message):
     pair = json.loads((data_dir / "anfis_models.json").read_text())
@@ -131,6 +137,18 @@ def test_validate_rejects_a_broken_pair_as_anfis_train_does(data_dir, tmp_path, 
     train = run(capsys, "anfis-train", str(path), str(data_dir / "anfis_samples.csv"),
                 "--mu", "0.1")
     assert validate == train == (1, "", f"error: {message}\n")
+
+
+def test_anfis_train_with_an_overflowing_step_warns_nothing(data_dir, capsys):
+    # With mu 1e308 the LMS steps overflow to inf and then make nan, which the
+    # harness expects: the rates are the ones it gave when numpy warned.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "anfis-train", str(data_dir / "anfis_models.json"),
+                             str(data_dir / "anfis_samples.csv"), "--mu", "1e308")
+    rates = ("1, 0.040000000000000001, 0.95999999999999996, 0, 0, 0, 0.52000000000000002, 1, "
+             "0.52000000000000002, 1")
+    assert (code, out, err) == (0, '{"error_rates": [' + rates + "]}\n", "")
 
 
 def test_validate_rejects_bad_weights(tmp_path, capsys):
@@ -619,14 +637,14 @@ def test_model_files_reject_coerced_numbers(data_dir, tmp_path, capsys, spoil, m
     path.write_text(json.dumps(model))
     pair = tmp_path / "models.json"
     pair.write_text(json.dumps({"update": model, "leave": model}))
-    for argv in (
-        ["validate", str(path)],
-        ["anfis-predict", str(path), "--input", "0.6,0.2"],
-        ["anfis-train", str(pair), str(data_dir / "anfis_samples.csv"), "--mu", "0.1"],
+    for argv, name in (
+        (["validate", str(path)], "model"),
+        (["anfis-predict", str(path), "--input", "0.6,0.2"], "model"),
+        (["anfis-train", str(pair), str(data_dir / "anfis_samples.csv"), "--mu", "0.1"], "update"),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
-        assert err == f"error: model: {message}\n", argv
+        assert err == f"error: {name}: {message}\n", argv
 
 
 @pytest.mark.parametrize("pair, message", [

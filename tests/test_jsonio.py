@@ -336,6 +336,10 @@ WRITER_CASES = [
     {"a": [[0.5, Degree(1.0)]], "b": [[0.5, 0.75]]}, {"a": [(0.5, 0.75)], "b": [[0.5, 0.75]]},
     {"a": [], "b": []}, {"a": [0.5], "b": (0.25,)}, {"a": [0.5, 0.25], "b": "x"},
     {1: [0.5], None: [0.25], True: [1.0], 0.5: [0.0]}, {"a": [TruthInterval(0.5, 0.75)]},
+    {"%d\t": [0.0, 1.0, 1.0], 'q"\x1f': [1.0, 0.0, 0.0], "\n%%": [0.0, 0.0, 0.0]},
+    {"%(a)s\x07": [[0.0, 0.5], [0.25, 1.0]], 'k"\r': [[1.0, 1.0], [0.0, 0.0]],
+     "\0": [[0.5, 0.5], [0.5, 0.5]]},
+    {'"%': [[0.0, 1.0]], "\x7f%s": [[1.0, 1.0]]}, {"%": "v%", 'q"': "\0", "\x1b": ""},
     # Records: lists of dicts with the same keys in the same order.
     [{"from": "b0", "to": "b1", "values": [0.5, 0.25]},
      {"from": "b%1", "to": 'b"2', "values": [-0.0, NAN]}],

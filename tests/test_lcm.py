@@ -1312,6 +1312,36 @@ def test_interval_conj_keeps_ordered_pairs_ordered():
     check()
 
 
+@pytest.mark.parametrize("logic", STACK_FAMILIES + ["frank:0.01", "frank:100"])
+def test_formula_and_the_soft_engine_agree_on_the_interval_connectives(logic, monkeypatch):
+    """``formula._Ops`` on tuples of ends and ``_soft._Run`` on arrays give the
+    same interval T-norm and S-norm: bit for bit, but where Frank runs on
+    numpy's SIMD loops.  Both re-sort a pair for the families that
+    ``_reorders``, and only for those: with an antitone T-norm put in, which
+    swaps every pair, their results are sorted just for Frank."""
+    from fuzzydfa.formula import _Ops
+
+    from conftest import on_numpy_loops
+
+    family = LogicFamily.parse(logic)
+    rng = random.Random(f"ops-and-run/{logic}")
+    edges = [0.0, 1.0, 5e-324, 0.5, 1.0 - 2.0**-53]
+    draw = lambda: rng.choice(edges) if rng.random() < 0.25 else rng.random()  # noqa: E731
+    x, y = np.sort(np.array([draw() for _ in range(4000)]).reshape(2, 1000, 2))
+    for antitone in (False, True):
+        if antitone:
+            monkeypatch.setattr(LogicFamily, "_tnorm", lambda self, x, y, xp=None: 1.0 - x * y)
+        run, ops = S._Run(interval_problem(), "interval", SolverConfig(family)), _Ops(family, 2)
+        for got, op in ((run.conj(x, y), ops.tnorm), (run.disj(x, y), ops.snorm)):
+            want = np.array([op(tuple(a), tuple(b)) for a, b in zip(x.tolist(), y.tolist())])
+            ordered = (got[:, 0] <= got[:, 1]).all() and (want[:, 0] <= want[:, 1]).all()
+            assert ordered == (not antitone or family._reorders)
+            if on_numpy_loops(family) and not antitone:
+                assert np.abs(got - want).max() <= 1e-13
+            else:
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def _drawn_cfgs():
     """Fuzzy problems on drawn CFGs: every block but the entry draws 1 to 5
     predecessors (the exit also gets an edge from each block left without a

@@ -136,8 +136,9 @@ def test_constant_graph_converges_within_two_iterations():
     assert report.final["b"]["Out"] == 0.4
 
 
-def test_oscillating_cycle_reports_non_convergence():
-    g = FlowGraph(
+def oscillator_graph() -> FlowGraph:
+    """a = !b and b = a: from zero, the state is (1, 1), (0, 0), (1, 1), ..."""
+    return FlowGraph(
         transfers={
             "s": {"Out": parse_formula("0.0")},
             "a": {"Out": parse_formula("!In")},
@@ -147,9 +148,80 @@ def test_oscillating_cycle_reports_non_convergence():
         start="s",
         seeds={"s": {"Out": 0.0}},
     )
-    report = solve(g, SolverConfig(family=MINMAX, max_iters=50))
+
+
+def test_oscillating_cycle_reports_non_convergence():
+    report = solve(oscillator_graph(), SolverConfig(family=MINMAX, max_iters=50))
     assert not report.converged
     assert report.iterations == 50
+
+
+def solve_every_sweep(graph, cfg, width):
+    """``solve`` (``solve_interval`` for width 2) with no cycle test: a
+    reference that runs every sweep up to ``max_iters``."""
+    from fuzzydfa import solver
+    from fuzzydfa.formula import _Ops
+    from fuzzydfa.truth import quantize
+
+    ops = _Ops(cfg.family, width)
+    state = solver._lift(graph, None, ops)
+    updates = solver._updates(graph, state, ops)
+    trace = []
+    for _ in range(cfg.max_iters):
+        residual = 0.0
+        for node, prop, transfer, inputs in updates:
+            new = solver._average(transfer, inputs, width)
+            if cfg.quantize_bits is not None:
+                new = tuple(quantize(end, cfg.quantize_bits) for end in new)
+            change = 0.0
+            for a, b in zip(new, state[node][prop]):
+                change += abs(a - b)
+            residual += change
+            state[node][prop] = new
+        trace.append(residual)
+        if residual < cfg.epsilon:
+            break
+    return solver.SolveReport(solver._unlift(state, ops), len(trace), trace,
+                              trace[-1] < cfg.epsilon)
+
+
+# Seeded graphs with no start weight: (seed, nodes).  Under quantize_bits 8 each
+# family runs periodic on one of the first five at least, and nilpotent also
+# with no grid; the last three converge.
+PERIODIC_GRAPHS = [(0, 25), (5, 12), (11, 25), (16, 25), (18, 4), (1, 6), (2, 12), (3, 25)]
+
+
+@pytest.mark.parametrize("logic", ["minmax", "product", "lukasiewicz", "nilpotent", "frank:0.5"])
+def test_a_periodic_solve_fast_forwards_to_the_report_of_every_sweep(logic, monkeypatch):
+    """A solve whose state repeats stops sweeping, and its report, residual
+    trace and final state included, is the one of running every sweep: at
+    ``max_iters`` small primes and 1000, on fig1, a two-node oscillator and
+    seeded graphs."""
+    from fuzzydfa import _jsonio, solver
+
+    family = LogicFamily.parse(logic)
+    graphs = [fig1_graph(), oscillator_graph()]
+    graphs += [random_flowgraph(random.Random(f"periodic/{seed}/{n}"), n)
+               for seed, n in PERIODIC_GRAPHS]
+    updates, average = [0], solver._average  # node updates run, by both loops
+
+    def counted(*args):
+        updates[0] += 1
+        return average(*args)
+
+    monkeypatch.setattr(solver, "_average", counted)
+    fast_forwarded = 0
+    for graph in graphs:
+        for width, run in ((1, solve), (2, solve_interval)):
+            for bits in (None, 8):
+                for max_iters in (2, 3, 7, 13, 1000):
+                    cfg = SolverConfig(family, max_iters=max_iters, quantize_bits=bits)
+                    start = updates[0]
+                    got = _jsonio.dumps(run(graph, cfg).to_json_dict())
+                    middle = updates[0]
+                    assert got == _jsonio.dumps(solve_every_sweep(graph, cfg, width).to_json_dict())
+                    fast_forwarded += middle - start < updates[0] - middle
+    assert fast_forwarded
 
 
 def test_solve_rejects_invalid_graph():

@@ -10,6 +10,7 @@ from fuzzydfa import (
     And, LogicFamily, Not, Or, TruthInterval, TruthValueError, Var, evaluate_interval, quantize,
     truth_value,
 )
+from fuzzydfa.truth import _snap
 from conftest import FAMILIES, on_numpy_loops, random_family
 
 # log_2(1 + (2^0.5 - 1)^2), frozen from a 50-digit evaluation of the Frank
@@ -325,6 +326,33 @@ def test_tnorm_array_overflows_silently_like_the_scalar():
     assert np.array_equal(got.view(np.int64), scalar_tnorms(family, x, x).view(np.int64))
 
 
+def test_families_that_do_not_reorder_keep_ordered_pairs_ordered():
+    """What ``LogicFamily._reorders`` states: every T-norm but Frank's is
+    monotone in floating point, on floats and on arrays, so an interval's
+    ends never need re-sorting after it."""
+    from hypothesis import HealthCheck, given, settings
+    from hypothesis import strategies as st
+
+    families = [family for family in ARRAY_FAMILIES if not family._reorders]
+    assert {family.kind for family in families} == {"minmax", "product", "lukasiewicz",
+                                                    "nilpotent"}
+    degrees = st.one_of(st.floats(0.0, 1.0), st.sampled_from(
+        [0.0, 1.0, 5e-324, 1.5e-323, 2.2250738585072014e-308, 0.5, 0.5 - 2.0**-54,
+         0.5 + 2.0**-53, 1.0 - 2.0**-53, 1.0 - 2.0**-52]))
+
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None,
+              suppress_health_check=list(HealthCheck))
+    @given(st.lists(degrees, min_size=4, max_size=4))
+    def check(values):
+        (x0, x1), (y0, y1) = sorted(values[:2]), sorted(values[2:])
+        for family in families:
+            assert family._tnorm(x0, y0) <= family._tnorm(x1, y1), family
+            lo, hi = family._tnorm(np.array([x0, x1]), np.array([y0, y1]), np)
+            assert lo <= hi, family
+
+    check()
+
+
 # -- intervals ------------------------------------------------------------------
 
 
@@ -404,6 +432,23 @@ def test_quantize_examples():
         assert quantize(x, 53) == x
     with pytest.raises(ValueError):
         quantize(0.5, 0)
+
+
+@pytest.mark.parametrize("q", range(1, 54))
+def test_the_array_grid_is_quantize_bit_for_bit(q):
+    """``_snap`` on numpy, as the soft engine snaps, gives ``quantize``'s bits:
+    at ties (k + 1/2)/2^q, near 0 and 1, and at random degrees.  Both equal
+    min(1, round(x 2^q) / 2^q): on degrees the clamp never acts."""
+    scale = 2.0**q
+    rng = random.Random(f"grid/{q}")
+    ties = [(k + 0.5) / scale for k in sorted({0, 1, 2, 3, 2**q - 3, 2**q - 2, 2**q - 1})
+            if 0 <= k < 2**q]
+    top = 1.0 - 0.5 / scale
+    xs = ties + [0.0, 5e-324, 0.5 / scale, 1.0, 1.0 - 2.0**-53, top, math.nextafter(top, 0.0),
+                 math.nextafter(top, 1.0)] + [rng.random() for _ in range(200)]
+    want = [quantize(x, q) for x in xs]
+    assert_same_bits(_snap(np.array(xs), q, np), np.array(want))
+    assert want == [min(1.0, round(x * scale) / scale) for x in xs]
 
 
 @pytest.mark.parametrize("q", [2.5, 2.0, True, np.int64(2)])
