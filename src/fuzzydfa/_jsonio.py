@@ -7,7 +7,7 @@ import math
 import struct
 import sys
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 from typing import Any, Callable, Iterable, Sequence
 
@@ -49,33 +49,62 @@ def dumps(obj: Any) -> str:
     lists, a table (a dict of such rows of one length) and records (dicts with
     the same keys in order, columns of strings or such rows) take one template;
     rows of +0.0 and 1.0 only, as crisp reports hold, are written from their
-    bytes, one ``%s`` slot per row."""
-    parts: list[str] = []
-    values: list = []  # the floats, and the quoted strings of records
-    _write(obj, parts, values)
-    return "".join(parts) % tuple(values)
+    bytes, one ``%s`` slot per row.  Where numpy is already loaded, the other
+    rows of the call (soft reports') are written by ``_digits`` in one batch if
+    all their floats lie in [0, 1], one ``%s`` slot per row; else the call takes
+    a ``%.17g`` slot per float.  The bytes are the same either way."""
+    batch = [] if sys.modules.get("numpy") else None  # never imported here
+    parts, values = [], []  # the template, and iterables of what fills its slots
+    _write(obj, parts, values, batch)
+    if batch:
+        from ._digits import write
+
+        text = write(list(chain.from_iterable(item[0] for item in batch)),
+                     b"".join(item[1] for item in batch))
+        if text is None:  # a float outside [0, 1]
+            parts, values = [], []
+            _write(obj, parts, values, None)
+        else:
+            rows = iter(text.split("\n"))
+            for _, _, texts in batch:
+                texts[:] = islice(rows, len(texts))
+    return "".join(parts) % tuple(chain.from_iterable(values))
 
 
 # An LCM report's rows all have its expression count as length: one per report.
 _slots = lru_cache(maxsize=64)(lambda n, item: "[" + ", ".join([item] * n) + "]")
+# The 4 bytes, NUL-padded, that follow each float of a row of n floats (width
+# 1) or n [lo, hi] pairs (width 2) in a ``_digits`` batch; "\n" ends the row.
+_joints = lru_cache(maxsize=64)(
+    lambda n, width: ((b", \0\0" + b"], [" * (width - 1)) * n)[:-4] + b"\n\0\0\0")
 
 
-def _table(rows: Sequence) -> tuple[str, list] | None:
+def _table(rows: Sequence, batch: list | None = None) -> tuple[str, list] | None:
     """One row's slot(s) and the values that fill them, row after row, if
     ``rows`` are lists of one length of exact floats only, or of [float, float]
     lists only; else None.  Rows of +0.0 and 1.0 only take one ``%s]`` slot
-    and one text per row (see ``_bits``); other rows, one ``%.17g`` per float."""
+    and one text per row (see ``_bits``); other rows, one ``%.17g`` per float,
+    or with a ``batch`` one ``%s`` per row and a list that ``dumps`` fills with
+    the rows' texts, their floats put in ``batch``."""
     if not all_of(list, rows) or list(map(len, rows)).count(n := len(rows[0])) != len(rows):
         return None
-    flat = list(chain.from_iterable(rows))
+    floats, width = list(chain.from_iterable(rows)), 1
     # Floats only, checked before the pack, which reads True, 1 and float subclasses
     # too; a table of [lo, hi] pairs, which fails the check, skips its pass.
-    if (not flat or type(flat[0]) is not list) and all_of(float, flat):
-        return _bits(flat, n) or (_slots(n, "%.17g"), flat)
-    if not all_of(list, flat) or list(map(len, flat)).count(2) != len(flat):
+    if (not floats or type(floats[0]) is not list) and all_of(float, floats):
+        if bits := _bits(floats, n):
+            return bits
+    elif all_of(list, floats) and list(map(len, floats)).count(2) == len(floats):
+        floats, width = list(chain.from_iterable(floats)), 2  # rows of [float, float] lists
+        if not all_of(float, floats):
+            return None
+    else:
         return None
-    ends = list(chain.from_iterable(flat))  # rows of [float, float] lists
-    return (_slots(n, "[%.17g, %.17g]"), ends) if all_of(float, ends) else None
+    if batch is None or not floats:
+        return _slots(n, "%.17g" if width == 1 else "[%.17g, %.17g]"), floats
+    texts = [None] * (len(floats) // (n * width))
+    batch.append((floats, _joints(n, width) * len(texts), texts))
+    return "[" * width + "%s" + "]" * width, texts
 
 
 # An IEEE double's top two bytes (little-endian bytes 7 and 6): +0.0 has 00 00
@@ -120,7 +149,7 @@ def _bits(flat: list[float], n: int) -> tuple[str, list[str]] | None:
     return "%s]", digits[:-1].decode().split("]")  # each row's text but its "]"
 
 
-def _columns(columns: Sequence[Sequence]) -> tuple[list[str], Iterable] | None:
+def _columns(columns: Sequence[Sequence], batch: list | None) -> tuple[list[str], Iterable] | None:
     """Each column's slot, ``%s`` for strings or a ``_table``'s, and the values
     item by item, if every column is either; else None."""
     slots, iters = [], []
@@ -128,7 +157,7 @@ def _columns(columns: Sequence[Sequence]) -> tuple[list[str], Iterable] | None:
         if all_of(str, column):
             slots.append("%s")
             iters.append(map(_quote, column))
-        elif table := _table(column):
+        elif table := _table(column, batch):
             slots.append(table[0])
             iters += [iter(table[1])] * (len(table[1]) // len(column))  # one per value of an item
         else:
@@ -136,41 +165,41 @@ def _columns(columns: Sequence[Sequence]) -> tuple[list[str], Iterable] | None:
     return slots, chain.from_iterable(zip(*iters))
 
 
-def _write(obj: Any, parts: list[str], values: list) -> None:
+def _write(obj: Any, parts: list[str], values: list, batch: list | None) -> None:
     if type(obj) is float:
         parts.append("%.17g")
-        values.append(obj)
+        values.append((obj,))
     elif isinstance(obj, (list, tuple)):
-        if table := _table((obj,)):
+        if table := _table((obj,), batch):
             parts.append(table[0])
-            values.extend(table[1])
+            values.append(table[1])
         elif (obj and all_of(dict, obj) and list(map(tuple, obj)).count(tuple(obj[0])) == len(obj)
-              and (written := _columns(list(zip(*map(dict.values, obj)))))):  # records
+              and (written := _columns(list(zip(*map(dict.values, obj))), batch))):  # records
             keys = [_quote(str(key)).replace("%", "%%") + ": " for key in obj[0]]
             record = "{" + ", ".join(map(str.__add__, keys, written[0])) + "}"
             parts.append("[" + ", ".join([record] * len(obj)) + "]")
-            values.extend(written[1])
+            values.append(written[1])
         else:
             parts.append("[")
             for value in obj:
-                _write(value, parts, values)
+                _write(value, parts, values, batch)
                 parts.append(", ")
             parts[-1] = "]" if obj else "[]"
     elif isinstance(obj, dict):
-        if obj and (written := _columns([list(obj), list(obj.values())])):  # a table
+        if obj and (written := _columns([list(obj), list(obj.values())], batch)):  # a table
             parts.append("{" + ", ".join([": ".join(written[0])] * len(obj)) + "}")
-            values.extend(written[1])
+            values.append(written[1])
         else:
             parts.append("{")
             for key, value in obj.items():
                 parts.append(_quote(str(key)).replace("%", "%%") + ": ")
-                _write(value, parts, values)
+                _write(value, parts, values, batch)
                 parts.append(", ")
             parts[-1] = "}" if obj else "{}"
     elif isinstance(obj, str):
         parts.append(_quote(obj).replace("%", "%%"))
     elif isinstance(obj, TruthInterval):
-        _write([obj.lo, obj.hi], parts, values)
+        _write([obj.lo, obj.hi], parts, values, batch)
     elif isinstance(obj, bool):
         parts.append("true" if obj else "false")
     elif obj is None:

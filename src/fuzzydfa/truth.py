@@ -118,6 +118,8 @@ def quantize(x: float, q: int) -> float:
     """Snap ``x`` to the nearest element of {i/2^q}, ties to even ``i``."""
     if type(q) is not int or q < 1:  # a float level is off the grid, a bool no level
         raise ValueError(f"quantization level must be an integer >= 1, got {q!r}")
+    if q > 1023:  # x * 2.0**q overflows
+        raise ValueError(f"quantization level must be <= 1023, got {q}")
     return _snap(truth_value(x), q)
 
 
@@ -296,4 +298,6 @@ class SolverConfig(_Frozen):
         if quantize_bits is not None and (type(quantize_bits) is not int or quantize_bits < 1):
             raise ValueError(
                 f"quantize_bits must be None or an integer >= 1, got {quantize_bits!r}")
+        if quantize_bits is not None and quantize_bits > 1023:  # x * 2.0**q overflows
+            raise ValueError(f"quantize_bits must be <= 1023, got {quantize_bits}")
         self._seal(family, epsilon, max_iters, quantize_bits)

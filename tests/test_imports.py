@@ -64,11 +64,11 @@ def _loaded(argv, module="fuzzydfa", code=0, stderr=""):
 GRAPH_STACK = {"solver", "flowgraph", "formula"}
 # fig1 oscillates under the discontinuous nilpotent T-norm: solve exits 2 at --max-iters.
 NILPOTENT = ["--logic", "nilpotent", "--max-iters", "6"]
-NO_ARRAYS = {"numpy", "inspect", "_soft", "anfis"} | GRAPH_STACK
+NO_ARRAYS = {"numpy", "inspect", "_soft", "_digits", "anfis"} | GRAPH_STACK
 COMMANDS = {
     # The benchmark's six commands.
-    "solve": (["solve", "fig1.json"], {"numpy", "inspect", "lcm", "anfis"}),
-    "validate": (["validate", "fig1.json"], {"numpy", "inspect", "lcm", "anfis"}),
+    "solve": (["solve", "fig1.json"], {"numpy", "inspect", "_digits", "lcm", "anfis"}),
+    "validate": (["validate", "fig1.json"], {"numpy", "inspect", "_digits", "lcm", "anfis"}),
     "lcm_fuzzy": (["lcm", "diffpcm_t1.json", "--mode", "fuzzy"], {"anfis"} | GRAPH_STACK),
     "lcm_crisp": (["lcm", "diffpcm_t1.json", "--mode", "crisp"], NO_ARRAYS),
     "lcm_interval": (["lcm", "diffpcm_t2.json"], {"anfis"} | GRAPH_STACK),
@@ -84,8 +84,8 @@ COMMANDS = {
     "validate_interval_lcm": (["validate", "diffpcm_t2.json"], NO_ARRAYS),
     "validate_model": (["validate", "anfis_two_rule.json"], {"lcm"} | GRAPH_STACK),
     # The T-norm formulas the array engine shares, run on floats.
-    "solve_frank": (["solve", "fig1.json", "--logic", "frank:2"], {"numpy", "inspect", "lcm", "anfis"}),
-    "solve_nilpotent": (["solve", "fig1.json", *NILPOTENT], {"numpy", "inspect", "lcm", "anfis"}),
+    "solve_frank": (["solve", "fig1.json", "--logic", "frank:2"], {"numpy", "inspect", "_digits", "lcm", "anfis"}),
+    "solve_nilpotent": (["solve", "fig1.json", *NILPOTENT], {"numpy", "inspect", "_digits", "lcm", "anfis"}),
 }
 
 

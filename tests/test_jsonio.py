@@ -361,6 +361,9 @@ WRITER_CASES = [
     {"a": [[0.0, 1.0], [1.0, 1.0]], "b": [[0.0, 0.0], [0.0, 1.0]]},
     [{"from": "b0", "values": [[0.0, 1.0]]}, {"from": "b1", "values": [[1.0, 1.0]]}],
     [float(bit) for bit in random.Random(22).choices((0, 1), k=4099)],
+    # Where the numpy batch and "%" part: decade edges, ties, and what it leaves to "%".
+    {"a": [1e-4, 0.1, 0.099999999999999992, 1 - 2**-53], "b": [-0.0, 5e-324, 1.0, 0.0],
+     "c": [9.9999999999999991e-05, 0.5, 0.25000000000000006, 0.3]},
 ]
 
 
@@ -462,3 +465,91 @@ def test_dumps_matches_the_reference_writer_on_drawn_values():
         assert dumps(value) == reference_dumps(value)
 
     check()
+
+
+# -- the numpy batch and the %.17g slots, on the floats where they part ------------
+
+# Defines TABLES from pure-Python floats, here and in an interpreter that cannot
+# import numpy: 1.05 million values in [0, 1] that the batch writes on numpy,
+# laid out as fuzzy and [lo, hi] rows, in dict tables and in records.
+_EXACT_TABLES = """
+import math, random
+
+rng = random.Random(33)
+values = [rng.random() for _ in range(350_000)] + [rng.random() ** 3 for _ in range(350_000)]
+# Every exact 17-digit tie at or above 0.1: 18 binary places, 18 decimal ones.
+values += [(2 * j + 1) / 2**18 for j in range(13107, 2**17)]
+for m in range(1, 5):  # 3 ulps either side of each k / 10**m
+    for k in range(1, 10**m):
+        x = down = k / 10**m
+        for _ in range(3):
+            x, down = math.nextafter(x, 2.0), math.nextafter(down, -1.0)
+            values += [x, down]
+        values.append(k / 10**m)
+x = down = 1e-4
+for _ in range(3):
+    x, down = math.nextafter(x, 2.0), math.nextafter(down, -1.0)
+    values += [x, down]
+values += [1e-4, 1.0 - 2**-53, 0.0, -0.0, 1.0, 5e-324, 2**-1022, 9.9999999999999991e-05]
+rng.shuffle(values)
+cut = len(values) // 4 // 30 * 30
+rows = [values[i:i + 15] for i in range(0, cut, 15)]
+pairs = [[values[i:i + 2] for i in range(j, j + 30, 2)] for j in range(cut, 2 * cut, 30)]
+TABLES = [
+    {f"b{i}": row for i, row in enumerate(rows)},
+    [{"from": f"b{i}", "to": "b%", "values": row} for i, row in enumerate(pairs)],
+    {f"b{i}": [values[j:j + 2] for j in range(i, i + 14, 2)] for i in range(2 * cut, 3 * cut, 14)},
+    [{"from": f"b{i}", "to": "x", "values": values[i:i + 7]} for i in range(3 * cut, len(values) - 7, 7)],
+]
+"""
+
+
+def _exact_tables() -> list:
+    namespace: dict = {}
+    exec(_EXACT_TABLES, namespace)
+    return namespace["TABLES"]
+
+
+def test_the_numpy_batch_prints_what_percent_17g_prints():
+    """On about a million degrees where a digit is hardest to get right, and
+    where a float above 1 sends the whole call to the ``%.17g`` slots."""
+    from fuzzydfa import _digits
+
+    tables = _exact_tables()
+    assert sum(len(json.loads(dumps(t), parse_int=float) or ()) for t in tables) > 0
+    for table in tables:
+        assert dumps(table) == reference_dumps(table)
+    spoiled = [tables[0], {"b": [0.5, math.nextafter(1.0, 2.0)]}, tables[1][:500]]
+    assert dumps(spoiled) == reference_dumps(spoiled)
+    assert _digits.write([0.5, math.nextafter(1.0, 2.0)], b", \0\0\n\0\0\0") is None
+    assert _digits.write([0.5, math.nan], b", \0\0\n\0\0\0") is None
+    # Each threshold double lies above its power of ten, so the decade test is exact.
+    from fractions import Fraction
+    assert all(Fraction(low) > Fraction(1, 10**k) for k, low in zip((4, 3, 2, 1), _digits._LOWS))
+
+
+_WITHOUT_NUMPY = """
+import hashlib, sys
+sys.modules["numpy"] = None  # import numpy raises ImportError
+sys.path.insert(0, {src!r})
+from fuzzydfa._jsonio import dumps
+exec({tables!r})
+print(*[hashlib.sha256(dumps(t).encode()).hexdigest() for t in TABLES])
+assert "fuzzydfa._digits" not in sys.modules
+"""
+
+
+def test_the_percent_17g_slots_print_the_same_tables_without_numpy():
+    import hashlib
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import fuzzydfa
+
+    src = str(Path(fuzzydfa.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY.format(src=src, tables=_EXACT_TABLES)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    want = [hashlib.sha256(reference_dumps(t).encode()).hexdigest() for t in _exact_tables()]
+    assert proc.stdout.split() == want

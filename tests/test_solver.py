@@ -268,9 +268,11 @@ def test_solver_config_validation():
     ({"quantize_bits": -1}, "quantize_bits must be None or an integer >= 1, got -1"),
     ({"quantize_bits": True}, "quantize_bits must be None or an integer >= 1, got True"),
     ({"quantize_bits": 2.0}, "quantize_bits must be None or an integer >= 1, got 2.0"),
+    ({"quantize_bits": 1100}, "quantize_bits must be <= 1023, got 1100"),
     ({"max_iters": 2.5}, "max_iters must be an integer, got 2.5"),
     ({"max_iters": True}, "max_iters must be an integer, got True"),
-], ids=["bits-0", "bits-negative", "bits-bool", "bits-float", "iters-fraction", "iters-bool"])
+], ids=["bits-0", "bits-negative", "bits-bool", "bits-float", "bits-overflow", "iters-fraction",
+        "iters-bool"])
 def test_solver_config_checks_integer_settings_on_construction(settings, message):
     with pytest.raises(ValueError) as info:
         SolverConfig(family=MINMAX, **settings)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from fuzzydfa import (
-    And, LogicFamily, Not, Or, TruthInterval, TruthValueError, Var, evaluate_interval, quantize,
-    truth_value,
+    And, LogicFamily, Not, Or, SolverConfig, TruthInterval, TruthValueError, Var, evaluate_interval,
+    quantize, truth_value,
 )
 from fuzzydfa.truth import _snap
 from conftest import FAMILIES, on_numpy_loops, random_family
@@ -457,6 +457,21 @@ def test_quantize_takes_only_an_integer_level(q):
     and True is no level."""
     with pytest.raises(ValueError, match=r"^quantization level must be an integer >= 1, got "):
         quantize(0.3, q)
+
+
+def test_quantize_levels_stop_where_the_grid_scale_overflows():
+    """2.0**1023 is the last finite power of two, so every degree snaps at
+    level 1023, where the grid is finer than the doubles; level 1024 and the
+    solves that would use it are rejected, not left to overflow."""
+    for x in (0.0, 2.0**-1023, 0.3, 1.0 - 2**-53, 1.0):
+        assert quantize(x, 1023) == x
+    assert quantize(2.0**-1024, 1023) == 0.0  # a tie, to even
+    assert_same_bits(_snap(np.array([0.3, 1.0]), 1023, np), np.array([0.3, 1.0]))
+    assert SolverConfig(quantize_bits=1023).quantize_bits == 1023
+    with pytest.raises(ValueError, match=r"^quantization level must be <= 1023, got 1100$"):
+        quantize(0.3, 1100)
+    with pytest.raises(ValueError, match=r"^quantize_bits must be <= 1023, got 1024$"):
+        SolverConfig(quantize_bits=1024)
 
 
 # -- parsing ------------------------------------------------------------------------
