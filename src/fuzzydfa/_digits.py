@@ -9,10 +9,10 @@ and 1.0 print "0" and "1"; the rest of [0, 1] (-0.0, below 1e-4, subnormals)
 is rare in a report and goes through ``%`` one value at a time.
 
 Texts are built in little-endian words of 4 ASCII bytes, NUL where a byte
-holds no character.
+holds no character.  An array is written a fixed-size slice at a time, each
+slice's text cut into rows at once, so that besides the rows' texts a write
+holds one slice's arrays, whatever its length.
 """
-
-import struct
 
 import numpy as np
 
@@ -58,15 +58,26 @@ _LEADS = ((np.arange(48, 59) << 24) + sum(
     (48 << 8 * j) * (j < 4 - np.arange(5)[:, None]) for j in range(3))).astype("<u4").ravel()
 _POINT = np.frombuffer(b"\0\0" + b"0.", "<u4")
 _UNITS = np.array([b"0", b"1"], "S24").view(np.uint8).reshape(2, 24)
+SLICE = 4096  # floats per slice: its arrays peak under 0.6 MB
 
 
-def write(values: list, joints: bytes) -> str | None:
-    """The ``%.17g`` text of each float of ``values``, each followed by its 4
-    bytes of ``joints`` less their NULs, as one string; None if a value is not
-    in [0, 1]."""
-    x = np.frombuffer(struct.pack("%dd" % len(values), *values), np.float64)
+def write(x: np.ndarray, joints: bytes) -> list[str] | None:
+    """The text of each row of ``x``, a flat float64 array: each float's
+    ``%.17g`` followed by its 4 bytes of ``joints`` less their NULs, cut where
+    a joint holds "\n"; None if a float is not in [0, 1].  The floats are
+    written ``SLICE`` at a time, so the memory besides the rows' texts does
+    not grow with ``x``."""
     if not (x.min() >= 0.0 and x.max() <= 1.0):  # NaN fails both
         return None
+    words, rows, carry = np.frombuffer(joints, "<u4"), [], ""
+    for at in range(0, len(x), SLICE):
+        rows += (carry + _text(x[at:at + SLICE], words[at:at + SLICE])).split("\n")
+        carry = rows.pop()  # the start of a row that the next slice ends
+    return rows
+
+
+def _text(x: np.ndarray, joints: np.ndarray) -> str:
+    """Each float of ``x``, all in [0, 1], as ``%.17g`` followed by its joint."""
     band = sum((x >= low).view(np.int8) for low in _LOWS)
     hi, (xh, xl), (sh, sl) = x * _SCALES[band], _halves(x), (h[band] for h in _SCALE_HALVES)
     lo = ((xh * sh - hi) + xh * sl + xl * sh) + xl * sl
@@ -82,7 +93,7 @@ def write(values: list, joints: bytes) -> str | None:
     # One cell per value: NUL NUL "0." | zeros, lead digit | 16 digits | joint.
     cells = np.empty((len(x), 7), "<u4")
     cells[:, 0], cells[:, 1] = _POINT, _LEADS[band * 11 + lead]
-    cells[:, 2:6], cells[:, 6] = _QUADS[groups.T], np.frombuffer(joints, "<u4")
+    cells[:, 2:6], cells[:, 6] = _QUADS[groups.T], joints
     text = cells.view(np.uint8)
     if len(odd := np.flatnonzero((band == 0) | (x == 1.0))):
         text[odd, :24] = _UNITS[(x[odd] == 1.0) * 1]

@@ -50,27 +50,44 @@ def dumps(obj: Any) -> str:
     the same keys in order, columns of strings or such rows) take one template;
     rows of +0.0 and 1.0 only, as crisp reports hold, are written from their
     bytes, one ``%s`` slot per row.  Where numpy is already loaded, the other
-    rows of the call (soft reports') are written by ``_digits`` in one batch if
-    all their floats lie in [0, 1], one ``%s`` slot per row; else the call takes
-    a ``%.17g`` slot per float.  The bytes are the same either way."""
+    rows of the call (soft reports') take one ``%s`` slot per row too.  If they
+    hold ``_BATCH`` floats or more, all in [0, 1], their floats are packed into
+    one array that ``_digits.write`` turns into the rows' texts; else each row's
+    text is formatted with a ``%.17g`` per float.  The bytes are the same
+    either way."""
     batch = [] if sys.modules.get("numpy") else None  # never imported here
     parts, values = [], []  # the template, and iterables of what fills its slots
     _write(obj, parts, values, batch)
     if batch:
-        from ._digits import write
+        rows = None
+        if (count := sum(len(item[0]) for item in batch)) >= _BATCH:
+            import numpy as np
 
-        text = write(list(chain.from_iterable(item[0] for item in batch)),
-                     b"".join(item[1] for item in batch))
-        if text is None:  # a float outside [0, 1]
-            parts, values = [], []
-            _write(obj, parts, values, None)
+            from ._digits import write
+
+            x, at = np.empty(count), 0
+            for floats, *_ in batch:  # packed straight into the array
+                struct.pack_into("%dd" % len(floats), x, 8 * at, *floats)
+                at += len(floats)
+            rows = write(x, b"".join(_joints(n, width) * len(texts) for _, n, width, texts in batch))
+            del x  # not held through the final %
+        if rows is None:  # too few floats to pay for the batch, or one outside [0, 1]
+            for floats, n, width, texts in batch:
+                row = _slots(n, "%.17g" if width == 1 else "[%.17g, %.17g]")[width:-width]
+                texts[:] = ("\n".join([row] * len(texts)) % tuple(floats)).split("\n")
         else:
-            rows = iter(text.split("\n"))
-            for _, _, texts in batch:
+            rows = iter(rows)
+            for *_, texts in batch:
                 texts[:] = islice(rows, len(texts))
+        del batch  # nor are the float lists
     return "".join(parts) % tuple(chain.from_iterable(values))
 
 
+# The fewest floats of a call that ``_digits`` writes: about where it beats
+# formatting the rows' texts with ``%`` (between 285 and 355 fuzzy floats, 285
+# and 425 interval ones, timed in process on seed-7 small reports cut to fewer
+# expressions).  Below it ``dumps`` never loads ``_digits``.
+_BATCH = 320
 # An LCM report's rows all have its expression count as length: one per report.
 _slots = lru_cache(maxsize=64)(lambda n, item: "[" + ", ".join([item] * n) + "]")
 # The 4 bytes, NUL-padded, that follow each float of a row of n floats (width
@@ -85,7 +102,7 @@ def _table(rows: Sequence, batch: list | None = None) -> tuple[str, list] | None
     lists only; else None.  Rows of +0.0 and 1.0 only take one ``%s]`` slot
     and one text per row (see ``_bits``); other rows, one ``%.17g`` per float,
     or with a ``batch`` one ``%s`` per row and a list that ``dumps`` fills with
-    the rows' texts, their floats put in ``batch``."""
+    the rows' texts, put in ``batch`` with their floats, length and width."""
     if not all_of(list, rows) or list(map(len, rows)).count(n := len(rows[0])) != len(rows):
         return None
     floats, width = list(chain.from_iterable(rows)), 1
@@ -103,7 +120,7 @@ def _table(rows: Sequence, batch: list | None = None) -> tuple[str, list] | None
     if batch is None or not floats:
         return _slots(n, "%.17g" if width == 1 else "[%.17g, %.17g]"), floats
     texts = [None] * (len(floats) // (n * width))
-    batch.append((floats, _joints(n, width) * len(texts), texts))
+    batch.append((floats, n, width, texts))
     return "[" * width + "%s" + "]" * width, texts
 
 

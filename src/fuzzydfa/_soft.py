@@ -31,10 +31,11 @@ def pipeline(problem: LcmProblem, mode: str, cfg: SolverConfig) -> LcmResult:
     # Stage 1's anticipatability terms read row r or r + blocks, both AnOut(r) here.
     an_in = _meet(np.concatenate((an_out, an_out), 1), stage1.plan(np.ones(n, dtype=int)), blocks)
     # Earliest(i,j) = AnOut(j) & !AvOut(i) & (Kill(i) | !AnIn(i)), without the
-    # last factor when i is the entry.
-    first = conj(an_out[:, dst], neg(av_out[:, src]))
+    # last factor when i is the entry.  A gathered row's complement reverses its
+    # pairs in the gather, as an op on a reversed view runs several times slower.
+    first = conj(an_out[:, dst], 1.0 - av_out[:, src, ::-1])
     ear = np.where((src == run.entry)[:, None], first,
-                   conj(first, run.disj(kill[:, src], neg(an_in[:, src]))))
+                   conj(first, run.disj(kill[:, src], 1.0 - an_in[:, src, ::-1])))
     # LaterOut(i,j) = Earliest(i,j) | (LaterIn(i) & !UEE(i)); LaterIn merges LaterOut.
     later = _Links([np.arange(len(run.keys))], [dst], run.weights[:1], blocks, len(run.keys), width)
     later_out, later_ok = _fixpoint(run, ear, neg(uee), src, later)

@@ -17,7 +17,10 @@ switched off (``NPY_DISABLE_CPU_FEATURES`` set to numpy's
   digest, built from the library problem and, for the library-built cases,
   through the parser;
 * ``tnorm``: for each case of ``test_truth.NUMPY_LOOP_CASES``, whether the
-  array T-norm equals the scalar one bit for bit.
+  array T-norm equals the scalar one bit for bit;
+* ``digits``: whether the report writer's kernel, ``_digits.write``, prints
+  what ``%.17g`` prints on a seeded sample that spans two of its slices, the
+  rare floats included.
 
 Run as a script, it prints that as JSON.
 """
@@ -75,6 +78,23 @@ def _libm() -> bool:
                for array, scalar, args in pairs)
 
 
+def _digits() -> bool:
+    """``digits`` (see the module docstring), on rows of 7 floats."""
+    import numpy as np
+
+    from fuzzydfa import _digits
+
+    rng = random.Random("baseline_loop/digits")
+    rare = [0.0, -0.0, 1.0, 5e-324, 2.0**-1022, 1e-5, 1e-4, math.nextafter(1e-4, 0.0),
+            math.nextafter(1e-4, 1.0), 1.0 - 2**-53, 0.5, 0.1]
+    count = 7 * ((2 * _digits.SLICE + len(rare)) // 7 + 1)
+    values = [rng.random() ** rng.choice((1, 3, 9)) for _ in range(count)]
+    for seam in (_digits.SLICE, 2 * _digits.SLICE):  # the rare floats either side of each
+        values[seam - len(rare):seam + len(rare)] = rare + rare
+    rows = [", ".join(["%.17g"] * 7) % tuple(values[i:i + 7]) for i in range(0, len(values), 7)]
+    return _digits.write(np.array(values), (b", \0\0" * 6 + b"\n\0\0\0") * len(rows)) == rows
+
+
 def _main() -> dict:
     import numpy as np
 
@@ -92,7 +112,7 @@ def _main() -> dict:
     for name, case in T.NUMPY_LOOP_CASES.items():
         got, want = case()
         tnorm[name] = bool(np.array_equal(got.view(np.int64), want.view(np.int64)))
-    return {"libm": _libm(), "lcm": lcm, "tnorm": tnorm}
+    return {"libm": _libm(), "lcm": lcm, "tnorm": tnorm, "digits": _digits()}
 
 
 if __name__ == "__main__":

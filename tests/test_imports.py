@@ -11,8 +11,10 @@ imported at all, as ``solve`` under Frank and nilpotent, whose T-norm formulas
 the array engine shares, prints what it prints with numpy; the commands that
 need numpy end there with one ``error:`` line.  No command loads
 ``dataclasses``, and those that need no numpy load no ``inspect`` either
-(numpy imports it).  Each case runs in a fresh interpreter, since this one
-has imported everything.
+(numpy imports it).  Only a soft ``lcm`` report loads ``_digits``, the report
+writer's numpy batch, and only with enough soft floats, as both bundled ones
+have.  Each case runs in a fresh interpreter, since this one has imported
+everything.
 """
 
 import hashlib
@@ -73,16 +75,16 @@ COMMANDS = {
     "lcm_crisp": (["lcm", "diffpcm_t1.json", "--mode", "crisp"], NO_ARRAYS),
     "lcm_interval": (["lcm", "diffpcm_t2.json"], {"anfis"} | GRAPH_STACK),
     "anfis_train": (["anfis-train", "anfis_models.json", "anfis_samples.csv", "--mu", "0.05",
-                     "--period-length", "25"], {"lcm"} | GRAPH_STACK),
+                     "--period-length", "25"], {"_digits", "lcm"} | GRAPH_STACK),
     # The other commands and file kinds.
     "anfis_predict": (["anfis-predict", "anfis_two_rule.json", "--input", "0.6,0.2"],
-                      {"lcm"} | GRAPH_STACK),
+                      {"_digits", "lcm"} | GRAPH_STACK),
     "lcm_crisp_pretty": (["lcm", "diffpcm_t1.json", "--mode", "crisp", "--pretty"], NO_ARRAYS),
     "lcm_crisp_file": (["lcm", "crisp_t1.json"], NO_ARRAYS),
     "validate_lcm": (["validate", "diffpcm_t1.json"], NO_ARRAYS),  # every row is 0 or 1
     "validate_crisp_lcm": (["validate", "crisp_t1.json"], NO_ARRAYS),
     "validate_interval_lcm": (["validate", "diffpcm_t2.json"], NO_ARRAYS),
-    "validate_model": (["validate", "anfis_two_rule.json"], {"lcm"} | GRAPH_STACK),
+    "validate_model": (["validate", "anfis_two_rule.json"], {"_digits", "lcm"} | GRAPH_STACK),
     # The T-norm formulas the array engine shares, run on floats.
     "solve_frank": (["solve", "fig1.json", "--logic", "frank:2"], {"numpy", "inspect", "_digits", "lcm", "anfis"}),
     "solve_nilpotent": (["solve", "fig1.json", *NILPOTENT], {"numpy", "inspect", "_digits", "lcm", "anfis"}),

@@ -510,19 +510,44 @@ def _exact_tables() -> list:
     return namespace["TABLES"]
 
 
+def _seam_batches(size: int) -> list:
+    """Batches of C - 1, C, C + 1 and 2 C + 1 floats, C being ``size``, the
+    kernel's slice length: a row ends on each seam and -0.0, 5e-324, 1e-5 and
+    1.0 lie either side of it, as fuzzy rows and, a float off, as [lo, hi]
+    pairs that straddle it; last, 2 C + 1 floats whose only one above 1 is
+    the last."""
+    rng, rare = random.Random(34), [-0.0, 5e-324, 1e-5, 1.0]
+    batches = []
+    for count in (size - 1, size, size + 1, 2 * size + 1):
+        values = [rng.random() for _ in range(count)]
+        for seam in range(size, count + size, size):
+            for i, value in zip(range(seam - 4, seam + 4), rare + rare[::-1]):
+                if i < count:
+                    values[i] = value
+        cuts = sorted({*range(0, count, 7), *range(size, count, size), count})
+        batches.append([values[a:b] for a, b in zip(cuts, cuts[1:])])  # rows of 7 or fewer
+        pairs = [[values[i], values[i + 1]] for i in range(1, count - 1, 2)]
+        batches.append([values[:1], {"p": pairs, "q": pairs}, values[len(pairs) * 2 + 1:]])
+    values[-1] = math.nextafter(1.0, 2.0)
+    return batches + [[values[:size], values[size:]]]
+
+
 def test_the_numpy_batch_prints_what_percent_17g_prints():
-    """On about a million degrees where a digit is hardest to get right, and
-    where a float above 1 sends the whole call to the ``%.17g`` slots."""
+    """On about a million degrees where a digit is hardest to get right, on
+    the seams between the kernel's slices, and where a float above 1 sends
+    the whole call to the ``%.17g`` slots."""
     from fuzzydfa import _digits
 
     tables = _exact_tables()
     assert sum(len(json.loads(dumps(t), parse_int=float) or ()) for t in tables) > 0
-    for table in tables:
+    for table in tables + _seam_batches(_digits.SLICE):
         assert dumps(table) == reference_dumps(table)
     spoiled = [tables[0], {"b": [0.5, math.nextafter(1.0, 2.0)]}, tables[1][:500]]
     assert dumps(spoiled) == reference_dumps(spoiled)
-    assert _digits.write([0.5, math.nextafter(1.0, 2.0)], b", \0\0\n\0\0\0") is None
-    assert _digits.write([0.5, math.nan], b", \0\0\n\0\0\0") is None
+    joints = b", \0\0\n\0\0\0"
+    assert _digits.write(np.array([0.5, 1e-5]), joints) == ["0.5, %.17g" % 1e-5]
+    assert _digits.write(np.array([0.5, math.nextafter(1.0, 2.0)]), joints) is None
+    assert _digits.write(np.array([0.5, math.nan]), joints) is None
     # Each threshold double lies above its power of ten, so the decade test is exact.
     from fractions import Fraction
     assert all(Fraction(low) > Fraction(1, 10**k) for k, low in zip((4, 3, 2, 1), _digits._LOWS))
@@ -553,3 +578,30 @@ def test_the_percent_17g_slots_print_the_same_tables_without_numpy():
     assert proc.returncode == 0, proc.stderr
     want = [hashlib.sha256(reference_dumps(t).encode()).hexdigest() for t in _exact_tables()]
     assert proc.stdout.split() == want
+
+
+def test_a_large_soft_table_is_written_in_memory_near_its_text():
+    """40 320 [lo, hi] pairs in rows of 28, as a large interval report's
+    tables hold: the kernel writes them a slice at a time, so the traced peak
+    is the packed floats, the rows' texts and the output, under 3 times the
+    text, plus 1 MiB for one slice's arrays (under 0.6 MB); a kernel run on
+    the whole array at once peaks near 9 times the text."""
+    import tracemalloc
+
+    rng = random.Random(34)
+    table = {f"b{i}": [sorted([rng.random(), rng.random()]) for _ in range(28)] for i in range(1440)}
+    text = dumps(table)  # loads _digits and fills the template caches first
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert dumps(table) == text
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(text) + 2**20, (peak, len(text))
+
+
+def test_the_numpy_batch_prints_what_percent_17g_prints_on_the_baseline_loop(baseline):
+    """The kernel's arithmetic on numpy's baseline loops (``baseline_loop``),
+    over two slice seams."""
+    assert baseline["digits"]
